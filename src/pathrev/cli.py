@@ -6,24 +6,34 @@ directory.  No timestamps, no environment lookups, no hidden state: the
 manifest echoes the effective config plus library versions, and a rerun of
 the same config produces byte-identical files.
 
+Each model kind has one run object (`_DiffusionRun`, `_WalkRun`) with one
+writer per artifact group, and every check is one entry of `CHECKS`; a
+subcommand builds the run, then creates the output directory and selects
+the groups it writes.
+
 Exit codes: 0 all selected checks passed, 1 at least one check failed,
-2 config or schema violation.
+2 any pathrev error (bad config, bad parameters, a degenerate model),
+reported as one line on stderr.
 """
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import os
 import platform
 import sys
+import textwrap
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .core import (ConfigError, ParameterError, TimeGrid, VectorField,
-                   ensemble_to_csv, load_ensemble, make_grid, save_ensemble)
+from .core import (BandwidthError, ConfigError, ConsistencyError, DomainError,
+                   NumericError, ParameterError, SimulationError, SupportError,
+                   TimeGrid, VectorField, ensemble_to_csv, load_ensemble,
+                   make_grid, save_ensemble)
 from .density import exact_flow_density, kde_flow
 from .entropy import (current_osmosis_decomposition, heat_flow_dissipation,
                       rw_relative_entropy, entropy_vs_counting)
@@ -35,27 +45,15 @@ from .verify import (coordinate_function, continuity_residual,
                      ibp_residual, nelson_forward_derivative,
                      carre_du_champ_estimate, two_sample_energy)
 
-CHECK_NAMES = ("ibp", "continuity", "reversal", "detailed-balance",
-               "carre", "nelson", "dissipation")
-
-# which checks make sense for which model type
-_CHECKS_BY_TYPE = {
-    "ou": ("reversal", "ibp", "continuity", "carre", "nelson", "dissipation"),
-    "bm": ("reversal", "ibp", "continuity", "carre", "nelson"),
-    "custom": ("reversal", "ibp", "carre", "nelson"),
-    "cycle": ("reversal", "ibp", "detailed-balance"),
-}
-_DEFAULT_CHECKS = {
-    "ou": ["reversal", "ibp", "continuity", "carre", "nelson", "dissipation"],
-    "bm": ["reversal", "ibp", "continuity", "carre", "nelson"],
-    "custom": ["ibp", "carre", "nelson"],
-    # the bundled cycle is biased, hence not reversible; detailed-balance
-    # stays opt-in for walks
-    "cycle": ["reversal", "ibp"],
-}
-
+_DIFFUSIONS = ("ou", "bm", "custom")
+_MODEL_TYPES = _DIFFUSIONS + ("cycle",)
 _TOP_KEYS = {"model", "grid", "n_paths", "seed", "density", "checks", "out_dir"}
 _GRID_KEYS = {"T", "n_steps"}
+_INTENSITY_HEADER = ("from_state", "to_state", "t", "j_fwd", "j_bwd")
+
+# every error class of pathrev.core; main maps each to exit code 2
+_ERRORS = (BandwidthError, ConfigError, ConsistencyError, DomainError,
+           NumericError, ParameterError, SimulationError, SupportError)
 
 
 def validate_config(obj: dict) -> dict:
@@ -73,7 +71,7 @@ def validate_config(obj: dict) -> dict:
     if not isinstance(model, dict) or "type" not in model:
         raise ConfigError("model must be an object with a 'type' field")
     mtype = model["type"]
-    if mtype not in _CHECKS_BY_TYPE:
+    if mtype not in _MODEL_TYPES:
         raise ConfigError(f"unknown model type {mtype!r}")
 
     grid = obj["grid"]
@@ -108,13 +106,13 @@ def validate_config(obj: dict) -> dict:
         raise ConfigError("density must be 'exact', 'kde', or 'kde:<ensemble file>', "
                           f"got {density!r}")
 
-    checks = obj.get("checks", list(_DEFAULT_CHECKS[mtype]))
+    checks = obj.get("checks", [name for name, c in CHECKS.items() if mtype in c.defaults])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("checks must be a list of names")
     for c in checks:
-        if c not in CHECK_NAMES:
-            raise ConfigError(f"unknown check name {c!r}; known: {', '.join(CHECK_NAMES)}")
-        if c not in _CHECKS_BY_TYPE[mtype]:
+        if c not in CHECKS:
+            raise ConfigError(f"unknown check name {c!r}; known: {', '.join(CHECKS)}")
+        if mtype not in CHECKS[c].kinds:
             raise ConfigError(f"check {c!r} does not apply to model type {mtype!r}")
 
     out_dir = obj.get("out_dir", "out")
@@ -127,9 +125,12 @@ def validate_config(obj: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
+    def reject_constant(name: str):
+        raise ConfigError(f"config {path} is not valid JSON: {name} is not a number")
+
     try:
         with open(path) as f:
-            obj = json.load(f)
+            obj = json.load(f, parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -141,29 +142,40 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write_csv(f, header, rows) -> None:
+    """CSV text into the open file f; floats go through repr so they round-trip."""
+    f.write(",".join(header) + "\n")
+    for row in rows:
+        f.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+class _Artifacts:
+    """An output directory, created with its manifest.json."""
 
+    def __init__(self, out_dir: str, cfg: dict):
+        os.makedirs(out_dir, exist_ok=True)
+        self.dir = out_dir
+        self.write_json("manifest.json", {
+            "config": cfg,
+            "package": "pathrev",
+            "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "seed": cfg["seed"],
+        })
 
-def write_manifest(out_dir: str, cfg: dict) -> None:
-    _write_json(os.path.join(out_dir, "manifest.json"), {
-        "config": cfg,
-        "package": "pathrev",
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "seed": cfg["seed"],
-    })
+    def path(self, name: str) -> str:
+        return os.path.join(self.dir, name)
+
+    def write_json(self, name: str, obj) -> None:
+        with open(self.path(name), "w") as f:
+            json.dump(obj, f, indent=2, sort_keys=True)
+            f.write("\n")
+
+    def write_csv(self, name: str, header, rows) -> None:
+        with open(self.path(name), "w", newline="") as f:
+            _write_csv(f, header, rows)
 
 
 def _snap_times(grid: TimeGrid) -> list[tuple[int, float]]:
@@ -173,22 +185,51 @@ def _snap_times(grid: TimeGrid) -> list[tuple[int, float]]:
     return [(k, grid.node(k)) for k in ks]
 
 
-class _DiffusionRun:
-    """Shared state for diffusion subcommands: ensemble, density, reversal."""
+class _Run:
+    """What both model kinds share: config, model, grid, and the entropy and
+    check writers.  Subclasses add `entropy` (the report as a dict) and the
+    forward, paths and reversal writers."""
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg: dict, bundle: ModelBundle):
         self.cfg = cfg
-        self.bundle = load_model(cfg["model"])
-        if self.bundle.diffusion is None:
-            raise ConfigError("model is not a diffusion")
-        self.spec = self.bundle.diffusion
+        self.bundle = bundle
         self.grid = make_grid(cfg["grid"]["T"], cfg["grid"]["n_steps"])
+
+    def write_entropy(self, out: _Artifacts) -> None:
+        out.write_json("entropy_report.json", self.entropy)
+
+    def write_fisher(self, out: _Artifacts) -> None:
+        """Free energy and Fisher information per grid node; walks have none."""
+
+    def write_checks(self, out: _Artifacts) -> dict:
+        """Run cfg['checks'], print one PASS/FAIL line each, write the report."""
+        reports = {}
+        for name in self.cfg["checks"]:
+            rep = CHECKS[name].fn(self)
+            reports[name] = rep
+            print(f"check {name}: {'PASS' if rep['passed'] else 'FAIL'}")
+        report = {"checks": reports,
+                  "passed": all(bool(rep["passed"]) for rep in reports.values())}
+        out.write_json("verify_report.json", report)
+        if "dissipation" in reports:
+            self.write_fisher(out)
+        return report
+
+
+class _DiffusionRun(_Run):
+    """Diffusion state: ensemble, density, reversed drift and probe grid."""
+
+    paths_label = "paths"
+
+    def __init__(self, cfg: dict, bundle: ModelBundle):
+        super().__init__(cfg, bundle)
+        self.spec = bundle.diffusion
         self.ensemble = euler_maruyama(self.spec, SimConfig(cfg["n_paths"], cfg["seed"], self.grid))
         src = cfg["density"]
         if src == "exact":
-            if self.bundle.flow is None:
+            if bundle.flow is None:
                 raise ConfigError("model has no closed-form marginal flow; use density='kde'")
-            self.density = exact_flow_density(self.bundle.flow)
+            self.density = exact_flow_density(bundle.flow)
         elif src == "kde":
             self.density = kde_flow(self.ensemble, rule="score")
         else:
@@ -204,83 +245,167 @@ class _DiffusionRun:
         self.backward = BackwardDriftField(self.spec.drift, self.spec.a,
                                            VectorField.zero(dim), self.density)
         self.reversed_drift = ReversedDrift(self.backward, self.grid.T)
-
-    def probe_box(self) -> tuple[float, float]:
+        # probe box along the first coordinate: 2 sd + 0.5 around the initial mean
         init = self.spec.init
-        lo = float(init.mean[0] - 2.0 * np.sqrt(init.cov[0, 0]) - 0.5)
-        hi = float(init.mean[0] + 2.0 * np.sqrt(init.cov[0, 0]) + 0.5)
-        return lo, hi
+        self.box = (float(init.mean[0] - 2.0 * np.sqrt(init.cov[0, 0]) - 0.5),
+                    float(init.mean[0] + 2.0 * np.sqrt(init.cov[0, 0]) + 0.5))
+        self.xs = np.linspace(*self.box, 11)
 
+    @property
+    def has_reference(self) -> bool:
+        return self.bundle.reference is not None
 
-def _reversed_model_obj(run: _DiffusionRun) -> dict:
-    """Serializable description of the reversed process.
+    def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
+        save_ensemble(self.ensemble, out.path("ensemble.bin"))
+        if csv:
+            ensemble_to_csv(self.ensemble, out.path("ensemble.csv"))
 
-    Exact Gaussian densities make the reversed drift affine in x: tabulate
-    A(s), c(s) at representative reversed times (exact).  KDE densities get
-    a pointwise probe table instead (one-dimensional models only).
-    """
-    T = run.grid.T
-    times = [t for _, t in _snap_times(run.grid)]
-    dim = run.spec.dim
-    a_mat = run.spec.a.constant_matrix
-    base = {"T": T, "model": run.cfg["model"], "density": run.cfg["density"],
-            "a": None if a_mat is None else a_mat.tolist()}
-    if run.cfg["density"] == "exact":
-        A_tab, c_tab = [], []
-        basis = np.eye(dim)
-        for s in times:
-            c = run.reversed_drift(s, np.zeros((1, dim)))[0]
-            cols = [run.reversed_drift(s, basis[None, j])[0] - c for j in range(dim)]
-            A_tab.append(np.stack(cols, axis=1).tolist())
-            c_tab.append(c.tolist())
-        base.update({"kind": "reversed_drift_affine", "times": times,
-                     "A": A_tab, "c": c_tab})
+    # the stored ensemble is all `run` keeps of the forward process
+    write_forward = write_paths
+
+    def write_reversal(self, out: _Artifacts) -> None:
+        """Probe tables (one-dimensional models) and the reversed-model descriptor."""
+        times = [t for _, t in _snap_times(self.grid)]
+        b_star = None
+        if self.spec.dim == 1:
+            b_star = [self.reversed_drift(s, self.xs[:, None])[:, 0] for s in times]
+            out.write_csv("reversed_probe.csv", ["t", "x", "b_star"],
+                          [(float(s), float(x), float(v))
+                           for s, vals in zip(times, b_star) for x, v in zip(self.xs, vals)])
+            out.write_csv("density_probe.csv", ["t", "x", "pdf", "score"],
+                          self._density_probe_rows(times))
+        out.write_json("reversed_model.json", self._reversed_model(times, b_star))
+
+    def _density_probe_rows(self, times: list[float]):
+        """(t, x, pdf, score) rows on the forward clock.
+
+        Points outside the density's trust region report pdf with a nan score.
+        """
+        X = self.xs[:, None]
+        rows = []
+        for t in times:
+            pdf = np.atleast_1d(self.density.pdf(t, X))
+            sc = np.asarray(self.density.score(t, X), dtype=np.float64)[:, 0]
+            ok = np.atleast_1d(self.density.in_support(t, X))
+            rows.extend((float(t), float(x), float(p), float(s) if good else float("nan"))
+                        for x, p, s, good in zip(self.xs, pdf, sc, ok))
+        return rows
+
+    def _reversed_model(self, times: list[float], b_star) -> dict:
+        """Serializable description of the reversed process.
+
+        Exact Gaussian densities make the reversed drift affine in x: tabulate
+        A(s), c(s) at the snapshot times (exact).  KDE densities get the
+        pointwise probe table b_star instead (one-dimensional models only).
+        """
+        dim = self.spec.dim
+        a_mat = self.spec.a.constant_matrix
+        base = {"T": self.grid.T, "model": self.cfg["model"], "density": self.cfg["density"],
+                "a": None if a_mat is None else a_mat.tolist(), "times": times}
+        if self.cfg["density"] == "exact":
+            A_tab, c_tab = [], []
+            basis = np.eye(dim)
+            for s in times:
+                c = self.reversed_drift(s, np.zeros((1, dim)))[0]
+                cols = [self.reversed_drift(s, basis[None, j])[0] - c for j in range(dim)]
+                A_tab.append(np.stack(cols, axis=1).tolist())
+                c_tab.append(c.tolist())
+            base.update({"kind": "reversed_drift_affine", "A": A_tab, "c": c_tab})
+            return base
+        if b_star is None:
+            raise ConfigError("kde probe table requires a one-dimensional model")
+        base.update({"kind": "reversed_drift_probe", "x": self.xs.tolist(),
+                     "b_star": [vals.tolist() for vals in b_star]})
         return base
-    if dim != 1:
-        raise ConfigError("kde probe table requires a one-dimensional model")
-    lo, hi = run.probe_box()
-    xs = np.linspace(lo, hi, 11)
-    table = [[float(run.reversed_drift(s, xs[:, None])[i, 0]) for i in range(xs.size)]
-             for s in times]
-    base.update({"kind": "reversed_drift_probe", "times": times,
-                 "x": xs.tolist(), "b_star": table})
-    return base
+
+    @functools.cached_property
+    def entropy(self) -> dict:
+        if not self.has_reference:
+            raise ConfigError("entropy report needs a model with a reversible "
+                              "reference; only 'ou' provides one")
+        return current_osmosis_decomposition(self.spec.drift, self.density,
+                                             self.bundle.reference, self.ensemble).to_dict()
+
+    @functools.cached_property
+    def heat_flow(self):
+        """(FisherReport, residual) of the free-energy balance along the exact flow."""
+        ref = self.bundle.reference
+        if ref is None or ref.m is None or self.bundle.flow is None:
+            raise ConfigError("dissipation needs a reversible reference law")
+        return heat_flow_dissipation(self.bundle.flow, ref.m, self.grid,
+                                     self.spec.a.constant_matrix)
+
+    def write_fisher(self, out: _Artifacts) -> None:
+        out.write_csv("fisher.csv", ["t", "free_energy", "fisher"], self.heat_flow[0].to_rows())
 
 
-def _probe_rows(run: _DiffusionRun):
-    """(t, x, b_star) rows along the first coordinate, reversed clock."""
-    if run.spec.dim != 1:
-        return None
-    lo, hi = run.probe_box()
-    xs = np.linspace(lo, hi, 11)
-    rows = []
-    for _, s in _snap_times(run.grid):
-        vals = run.reversed_drift(s, xs[:, None])[:, 0]
-        rows.extend((float(s), float(x), float(v)) for x, v in zip(xs, vals))
-    return rows
+class _WalkRun(_Run):
+    """Random-walk state: exact marginals and reversed intensities."""
+
+    paths_label = "jump paths"
+    # walk entropy is taken against the counting measure
+    has_reference = True
+
+    def __init__(self, cfg: dict, bundle: ModelBundle):
+        super().__init__(cfg, bundle)
+        self.spec = bundle.walk
+        self.marginals = walk_marginal_fn(self.spec)
+        self.reversed_walk = reversed_jump_intensities(self.spec, self.marginals,
+                                                       self.grid.T)
+
+    def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
+        """events.csv, one row per jump; walks have no other path format."""
+        e = ctmc_simulate(self.spec, self.grid.T, self.cfg["n_paths"], self.cfg["seed"])
+        out.write_csv("events.csv", ["path_id", "t", "from_state", "to_state"],
+                      ((pid, float(t), u, v)
+                       for pid, events in enumerate(e.events) for t, u, v in events))
+
+    def write_forward(self, out: _Artifacts) -> None:
+        """State occupation probabilities at the snapshot times."""
+        rows = [(float(t),) + tuple(float(p) for p in self.marginals(t))
+                for _, t in _snap_times(self.grid)]
+        out.write_csv("marginals.csv", ["t"] + [f"p{i}" for i in range(self.spec.n_states)],
+                      rows)
+
+    @functools.cached_property
+    def intensity_rows(self) -> list[tuple]:
+        """(from, to, t, j_fwd, j_bwd): both intensities on the forward clock."""
+        A = self.spec.adjacency
+        edges = [(x, y) for x in range(self.spec.n_states)
+                 for y in range(self.spec.n_states) if A[x, y]]
+        rows = []
+        for _, t in _snap_times(self.grid):
+            Jf = self.spec.intensity(t)
+            Jb = self.reversed_walk.backward_intensity(t)
+            rows.extend((x, y, float(t), float(Jf[x, y]), float(Jb[x, y])) for x, y in edges)
+        return rows
+
+    def write_reversal(self, out: _Artifacts) -> None:
+        out.write_csv("reversed_intensities.csv", _INTENSITY_HEADER, self.intensity_rows)
+
+    @functools.cached_property
+    def entropy(self) -> dict:
+        total = rw_relative_entropy(self.spec, self.marginals, self.grid)
+        boundary = entropy_vs_counting(self.spec.p0)
+        return {"relative_entropy": total, "initial_term": boundary,
+                "flux_term": total - boundary}
 
 
-def _density_probe_rows(run: _DiffusionRun):
-    """(t, x, pdf, score) rows along the first coordinate, forward clock.
-
-    Points outside the density's trust region report pdf with a nan score.
-    """
-    if run.spec.dim != 1:
-        return None
-    lo, hi = run.probe_box()
-    xs = np.linspace(lo, hi, 11)
-    rows = []
-    for _, t in _snap_times(run.grid):
-        pdf = np.atleast_1d(run.density.pdf(t, xs[:, None]))
-        sc = np.asarray(run.density.score(t, xs[:, None]), dtype=np.float64)[:, 0]
-        ok = np.atleast_1d(run.density.in_support(t, xs[:, None]))
-        rows.extend((float(t), float(x), float(p), float(s) if good else float("nan"))
-                    for x, p, s, good in zip(xs, pdf, sc, ok))
-    return rows
+def _make_run(cfg: dict, walk_only: bool = False) -> _Run:
+    """The run state for cfg's model kind, built before anything is written."""
+    bundle = load_model(cfg["model"])
+    if bundle.walk is not None:
+        return _WalkRun(cfg, bundle)
+    if walk_only:
+        raise ConfigError("rw subcommand needs a random-walk model")
+    return _DiffusionRun(cfg, bundle)
 
 
 # ---------------------------------------------------------------- checks
+# Each check takes a run and returns a report dict with a "passed" flag.
+# reversal and ibp have one body per model kind, chosen by the run's type.
 
+@functools.singledispatch
 def _check_ibp(run: _DiffusionRun) -> dict:
     t = run.grid.node(run.grid.n_steps // 2)
     X = run.ensemble.paths[:, run.grid.n_steps // 2, :]
@@ -290,6 +415,24 @@ def _check_ibp(run: _DiffusionRun) -> dict:
     out = rep.to_dict()
     out["t"] = t
     return out
+
+
+@_check_ibp.register
+def _check_ibp_walk(run: _WalkRun) -> dict:
+    n = run.spec.n_states
+    worst = 0.0
+    for t in (0.0, 0.5 * run.grid.T):
+        p = run.marginals(t)
+        for iu in range(n):
+            for iv in range(n):
+                u = np.zeros(n)
+                v = np.zeros(n)
+                u[iu] = 1.0
+                v[iv] = 1.0
+                rep = graph_ibp_residual(run.spec, run.reversed_walk, p, t, u, v)
+                worst = max(worst, abs(rep.estimate))
+    return {"max_abs_residual": worst, "pairs": n * n, "tolerance": 1e-12,
+            "passed": worst <= 1e-12}
 
 
 def _check_continuity(run: _DiffusionRun) -> dict:
@@ -304,7 +447,7 @@ def _check_continuity(run: _DiffusionRun) -> dict:
     def v_cu(t, X):
         return 0.5 * (drift(t, X) - bwd(t, X))
 
-    lo, hi = run.probe_box()
+    lo, hi = run.box
     rep = continuity_residual(flow, VectorField(v_cu, run.spec.dim), run.grid,
                               ([lo], [hi]))
     out = rep.to_dict()
@@ -312,7 +455,8 @@ def _check_continuity(run: _DiffusionRun) -> dict:
     return out
 
 
-def _check_reversal_diffusion(run: _DiffusionRun) -> dict:
+@functools.singledispatch
+def _check_reversal(run: _DiffusionRun) -> dict:
     n_cmp = min(5000, run.ensemble.n_paths)
     T = run.grid.T
     if run.cfg["density"] == "exact":
@@ -335,6 +479,34 @@ def _check_reversal_diffusion(run: _DiffusionRun) -> dict:
         worst = min(worst, res.p_value)
     return {"slices": slices, "min_p_value": worst, "n_compare": n_cmp,
             "passed": worst >= 0.01}
+
+
+@_check_reversal.register
+def _check_reversal_walk(run: _WalkRun) -> dict:
+    """Reversing the reversed walk must return the forward intensities."""
+    T = run.grid.T
+    rev_spec = run.reversed_walk.as_walk_spec(rate_bound=float(run.spec.out_rates().max()) * 4 + 1)
+
+    def rev_marginals(s: float) -> np.ndarray:
+        return run.marginals(T - s)
+
+    double = reversed_jump_intensities(rev_spec, rev_marginals, T)
+    worst = 0.0
+    for _, t in _snap_times(run.grid):
+        J0 = run.spec.intensity(t)
+        # double reversal lands back on the forward clock
+        J2 = double.intensity(t)
+        mask = run.spec.adjacency & np.isfinite(J2)
+        worst = max(worst, float(np.abs(np.where(mask, J0 - J2, 0.0)).max()))
+    return {"involution_residual": worst, "tolerance": 1e-12,
+            "passed": worst <= 1e-12}
+
+
+def _check_detailed_balance(run: _WalkRun) -> dict:
+    m = np.ones(run.spec.n_states)
+    res = detailed_balance_residual(m, run.spec, 0.0)
+    return {"residual": res, "reference": "counting", "tolerance": 1e-12,
+            "passed": res <= 1e-12}
 
 
 def _check_carre(run: _DiffusionRun) -> dict:
@@ -365,326 +537,143 @@ def _check_nelson(run: _DiffusionRun) -> dict:
             "tolerance": 0.1, "passed": err <= 0.1}
 
 
-def _check_dissipation(run: _DiffusionRun) -> tuple[dict, list]:
-    ref = run.bundle.reference
-    if ref is None or ref.m is None or run.bundle.flow is None:
-        raise ConfigError("dissipation check needs a reversible reference law")
-    a_mat = run.spec.a.constant_matrix
-    report, residual = heat_flow_dissipation(run.bundle.flow, ref.m, run.grid, a_mat)
+def _check_dissipation(run: _DiffusionRun) -> dict:
+    report, residual = run.heat_flow
     f_diff = float(report.free_energy[-1] - report.free_energy[0])
-    out = {"residual": residual, "free_energy_change": f_diff,
-           "tolerance": 1e-5, "passed": residual <= 1e-5}
-    return out, list(report.to_rows())
+    return {"residual": residual, "free_energy_change": f_diff,
+            "tolerance": 1e-5, "passed": residual <= 1e-5}
 
 
-class _WalkRun:
-    """Shared state for random-walk subcommands."""
-
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.bundle = load_model(cfg["model"])
-        if self.bundle.walk is None:
-            raise ConfigError("model is not a random walk")
-        self.spec = self.bundle.walk
-        self.grid = make_grid(cfg["grid"]["T"], cfg["grid"]["n_steps"])
-        self.marginals = walk_marginal_fn(self.spec)
-        self.reversed_walk = reversed_jump_intensities(self.spec, self.marginals,
-                                                       self.grid.T)
+class _Check(NamedTuple):
+    help: str
+    kinds: tuple[str, ...]       # model types the check applies to
+    defaults: tuple[str, ...]    # model types that run it when a config lists no checks
+    fn: Callable[[_Run], dict]
 
 
-def _walk_edges(spec) -> list[tuple[int, int]]:
-    A = spec.adjacency
-    return [(x, y) for x in range(spec.n_states) for y in range(spec.n_states) if A[x, y]]
-
-
-def _rw_table_rows(run: _WalkRun):
-    """(from, to, t, j_fwd, j_bwd): both intensities on the forward clock."""
-    rows = []
-    for _, t in _snap_times(run.grid):
-        Jf = run.spec.intensity(t)
-        Jb = run.reversed_walk.backward_intensity(t)
-        for x, y in _walk_edges(run.spec):
-            rows.append((x, y, float(t), float(Jf[x, y]), float(Jb[x, y])))
-    return rows
-
-
-def _check_reversal_walk(run: _WalkRun) -> dict:
-    """Reversing the reversed walk must return the forward intensities."""
-    T = run.grid.T
-    rev_spec = run.reversed_walk.as_walk_spec(rate_bound=float(run.spec.out_rates().max()) * 4 + 1)
-
-    def rev_marginals(s: float) -> np.ndarray:
-        return run.marginals(T - s)
-
-    double = reversed_jump_intensities(rev_spec, rev_marginals, T)
-    worst = 0.0
-    for _, t in _snap_times(run.grid):
-        J0 = run.spec.intensity(t)
-        # double reversal lands back on the forward clock
-        J2 = double.intensity(t)
-        mask = run.spec.adjacency & np.isfinite(J2)
-        worst = max(worst, float(np.abs(np.where(mask, J0 - J2, 0.0)).max()))
-    return {"involution_residual": worst, "tolerance": 1e-12,
-            "passed": worst <= 1e-12}
-
-
-def _check_ibp_walk(run: _WalkRun) -> dict:
-    n = run.spec.n_states
-    worst = 0.0
-    for t in (0.0, 0.5 * run.grid.T):
-        p = run.marginals(t)
-        for iu in range(n):
-            for iv in range(n):
-                u = np.zeros(n)
-                v = np.zeros(n)
-                u[iu] = 1.0
-                v[iv] = 1.0
-                rep = graph_ibp_residual(run.spec, run.reversed_walk, p, t, u, v)
-                worst = max(worst, abs(rep.estimate))
-    return {"max_abs_residual": worst, "pairs": n * n, "tolerance": 1e-12,
-            "passed": worst <= 1e-12}
-
-
-def _check_detailed_balance(run: _WalkRun) -> dict:
-    m = np.ones(run.spec.n_states)
-    res = detailed_balance_residual(m, run.spec, 0.0)
-    return {"residual": res, "reference": "counting", "tolerance": 1e-12,
-            "passed": res <= 1e-12}
-
-
-def _entropy_walk_obj(run: _WalkRun) -> dict:
-    total = rw_relative_entropy(run.spec, run.marginals, run.grid)
-    boundary = entropy_vs_counting(run.spec.p0)
-    return {"relative_entropy": total, "initial_term": boundary,
-            "flux_term": total - boundary}
+# The default check list of a model type follows this order, and
+# manifest.json echoes that list, so reordering changes artifacts.
+CHECKS = {
+    "reversal": _Check(
+        "diffusions: simulate the reversed SDE from the terminal law and compare "
+        "against the flipped forward ensemble (energy-distance permutation test "
+        "per slice); walks: reverse the reversed intensities and require the "
+        "forward rates back exactly",
+        _MODEL_TYPES, ("ou", "bm", "cycle"), _check_reversal),
+    "ibp": _Check(
+        "mean of the generator bracket (L+u + L-u) v + Gamma(u,v) over a marginal "
+        "slice; zero for a true forward/backward drift pair",
+        _MODEL_TYPES, _MODEL_TYPES, _check_ibp),
+    "continuity": _Check(
+        "finite-difference residual of d_t rho + div(rho v_cu) = 0 for the current "
+        "velocity on a probe box",
+        ("ou", "bm"), ("ou", "bm"), _check_continuity),
+    # the bundled cycle is biased, hence not reversible; detailed-balance
+    # stays opt-in for walks
+    "detailed-balance": _Check(
+        "max over edges of |m(x) j(x,y) - m(y) j(y,x)| against the counting measure",
+        ("cycle",), (), _check_detailed_balance),
+    "carre": _Check(
+        "product-increment estimate of E Gamma(u,v) at short lag versus its model value",
+        _DIFFUSIONS, _DIFFUSIONS, _check_carre),
+    "nelson": _Check(
+        "windowed forward difference quotient of E[u(X)] near a point versus the "
+        "model drift",
+        _DIFFUSIONS, _DIFFUSIONS, _check_nelson),
+    "dissipation": _Check(
+        "free-energy balance along the marginal flow: F change plus twice the "
+        "time-integrated Fisher information",
+        ("ou",), ("ou",), _check_dissipation),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 # ------------------------------------------------------------ subcommands
 
-def _run_checks(cfg: dict, run_obj, out_dir: str | None):
-    """Execute cfg['checks'] against a prepared run; returns (report, ok)."""
-    reports = {}
-    ok = True
-    fisher_rows = None
-    for name in cfg["checks"]:
-        if isinstance(run_obj, _DiffusionRun):
-            if name == "ibp":
-                rep = _check_ibp(run_obj)
-            elif name == "continuity":
-                rep = _check_continuity(run_obj)
-            elif name == "reversal":
-                rep = _check_reversal_diffusion(run_obj)
-            elif name == "carre":
-                rep = _check_carre(run_obj)
-            elif name == "nelson":
-                rep = _check_nelson(run_obj)
-            elif name == "dissipation":
-                rep, fisher_rows = _check_dissipation(run_obj)
-            else:
-                raise ConfigError(f"check {name!r} does not apply here")
-        else:
-            if name == "reversal":
-                rep = _check_reversal_walk(run_obj)
-            elif name == "ibp":
-                rep = _check_ibp_walk(run_obj)
-            elif name == "detailed-balance":
-                rep = _check_detailed_balance(run_obj)
-            else:
-                raise ConfigError(f"check {name!r} does not apply here")
-        reports[name] = rep
-        ok = ok and bool(rep["passed"])
-        print(f"check {name}: {'PASS' if rep['passed'] else 'FAIL'}")
-    report = {"checks": reports, "passed": ok}
-    if out_dir is not None:
-        _write_json(os.path.join(out_dir, "verify_report.json"), report)
-        if fisher_rows is not None:
-            _write_csv(os.path.join(out_dir, "fisher.csv"),
-                       ["t", "free_energy", "fisher"], fisher_rows)
-    return report, ok
-
-
 def cmd_run(cfg: dict, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, cfg)
-    if cfg["model"]["type"] == "cycle":
-        run = _WalkRun(cfg)
-        rows = [(float(t),) + tuple(float(p) for p in run.marginals(t))
-                for _, t in _snap_times(run.grid)]
-        _write_csv(os.path.join(out_dir, "marginals.csv"),
-                   ["t"] + [f"p{i}" for i in range(run.spec.n_states)], rows)
-        _write_csv(os.path.join(out_dir, "reversed_intensities.csv"),
-                   ["from_state", "to_state", "t", "j_fwd", "j_bwd"],
-                   _rw_table_rows(run))
-        _write_json(os.path.join(out_dir, "entropy_report.json"), _entropy_walk_obj(run))
-        _, ok = _run_checks(cfg, run, out_dir)
-    else:
-        run = _DiffusionRun(cfg)
-        save_ensemble(run.ensemble, os.path.join(out_dir, "ensemble.bin"))
-        rows = _probe_rows(run)
-        if rows is not None:
-            _write_csv(os.path.join(out_dir, "reversed_probe.csv"),
-                       ["t", "x", "b_star"], rows)
-        drows = _density_probe_rows(run)
-        if drows is not None:
-            _write_csv(os.path.join(out_dir, "density_probe.csv"),
-                       ["t", "x", "pdf", "score"], drows)
-        _write_json(os.path.join(out_dir, "reversed_model.json"), _reversed_model_obj(run))
-        if run.bundle.reference is not None:
-            report = current_osmosis_decomposition(run.spec.drift, run.density,
-                                                  run.bundle.reference, run.ensemble)
-            _write_json(os.path.join(out_dir, "entropy_report.json"), report.to_dict())
-        _, ok = _run_checks(cfg, run, out_dir)
+    run = _make_run(cfg)
+    out = _Artifacts(out_dir, cfg)
+    run.write_forward(out)
+    run.write_reversal(out)
+    if run.has_reference:
+        run.write_entropy(out)
+    report = run.write_checks(out)
     print(f"artifacts written to {out_dir}")
-    return 0 if ok else 1
+    return 0 if report["passed"] else 1
 
 
-def cmd_simulate(cfg: dict, out_dir: str, fmt: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, cfg)
-    if cfg["model"]["type"] == "cycle":
-        run = _WalkRun(cfg)
-        e = ctmc_simulate(run.spec, run.grid.T, cfg["n_paths"], cfg["seed"])
-        rows = []
-        for pid, events in enumerate(e.events):
-            rows.extend((pid, float(t), u, v) for t, u, v in events)
-        _write_csv(os.path.join(out_dir, "events.csv"),
-                   ["path_id", "t", "from_state", "to_state"], rows)
-        print(f"{cfg['n_paths']} jump paths written to {out_dir}")
-        return 0
-    run = _DiffusionRun(cfg)
-    save_ensemble(run.ensemble, os.path.join(out_dir, "ensemble.bin"))
-    if fmt == "csv":
-        with open(os.path.join(out_dir, "ensemble.csv"), "w", newline="") as f:
-            ensemble_to_csv(run.ensemble, f)
-    print(f"{cfg['n_paths']} paths written to {out_dir}")
+def cmd_simulate(cfg: dict, out_dir: str, fmt: str | None) -> int:
+    run = _make_run(cfg)
+    run.write_paths(_Artifacts(out_dir, cfg), csv=fmt == "csv")
+    print(f"{cfg['n_paths']} {run.paths_label} written to {out_dir}")
     return 0
 
 
 def cmd_reverse(cfg: dict, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, cfg)
-    if cfg["model"]["type"] == "cycle":
-        run = _WalkRun(cfg)
-        _write_csv(os.path.join(out_dir, "reversed_intensities.csv"),
-                   ["from_state", "to_state", "t", "j_fwd", "j_bwd"],
-                   _rw_table_rows(run))
-    else:
-        run = _DiffusionRun(cfg)
-        rows = _probe_rows(run)
-        if rows is not None:
-            _write_csv(os.path.join(out_dir, "reversed_probe.csv"),
-                       ["t", "x", "b_star"], rows)
-        drows = _density_probe_rows(run)
-        if drows is not None:
-            _write_csv(os.path.join(out_dir, "density_probe.csv"),
-                       ["t", "x", "pdf", "score"], drows)
-        _write_json(os.path.join(out_dir, "reversed_model.json"), _reversed_model_obj(run))
+    run = _make_run(cfg)
+    run.write_reversal(_Artifacts(out_dir, cfg))
     print(f"reversal artifacts written to {out_dir}")
     return 0
 
 
 def cmd_entropy(cfg: dict, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, cfg)
-    if cfg["model"]["type"] == "cycle":
-        run = _WalkRun(cfg)
-        obj = _entropy_walk_obj(run)
-    else:
-        run = _DiffusionRun(cfg)
-        if run.bundle.reference is None:
-            raise ConfigError("entropy report needs a model with a reversible "
-                              "reference; only 'ou' provides one")
-        report = current_osmosis_decomposition(run.spec.drift, run.density,
-                                               run.bundle.reference, run.ensemble)
-        obj = report.to_dict()
-        frep, _ = heat_flow_dissipation(run.bundle.flow, run.bundle.reference.m,
-                                        run.grid, run.spec.a.constant_matrix)
-        _write_csv(os.path.join(out_dir, "fisher.csv"),
-                   ["t", "free_energy", "fisher"], list(frep.to_rows()))
-    _write_json(os.path.join(out_dir, "entropy_report.json"), obj)
+    run = _make_run(cfg)
+    obj = run.entropy
+    out = _Artifacts(out_dir, cfg)
+    run.write_entropy(out)
+    run.write_fisher(out)
     print(json.dumps(obj, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_verify(cfg: dict, out_dir: str, check_names: list[str]) -> int:
     if check_names:
-        cfg = dict(cfg)
-        cfg["checks"] = check_names
-        cfg = validate_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, cfg)
-    run = _WalkRun(cfg) if cfg["model"]["type"] == "cycle" else _DiffusionRun(cfg)
-    report, ok = _run_checks(cfg, run, out_dir)
+        cfg = validate_config({**cfg, "checks": check_names})
+    run = _make_run(cfg)
+    report = run.write_checks(_Artifacts(out_dir, cfg))
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if ok else 1
+    return 0 if report["passed"] else 1
 
 
 def cmd_rw(cfg: dict, out_dir: str, action: str, fmt: str) -> int:
-    if cfg["model"]["type"] != "cycle":
-        raise ConfigError("rw subcommand needs a random-walk model")
-    run = _WalkRun(cfg)
-    if action == "reverse":
-        rows = _rw_table_rows(run)
-        if fmt == "json":
-            obj = [{"from_state": x, "to_state": y, "t": t, "j_fwd": jf, "j_bwd": jb}
-                   for x, y, t, jf, jb in rows]
-            print(json.dumps(obj, indent=2, sort_keys=True))
-        else:
-            buf = io.StringIO()
-            buf.write("from_state,to_state,t,j_fwd,j_bwd\n")
-            for x, y, t, jf, jb in rows:
-                buf.write(f"{x},{y},{_fmt(t)},{_fmt(jf)},{_fmt(jb)}\n")
-            print(buf.getvalue(), end="")
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            write_manifest(out_dir, cfg)
-            _write_csv(os.path.join(out_dir, "reversed_intensities.csv"),
-                       ["from_state", "to_state", "t", "j_fwd", "j_bwd"], rows)
-        return 0
-    if action == "entropy":
-        obj = _entropy_walk_obj(run)
-        print(json.dumps(obj, indent=2, sort_keys=True))
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            write_manifest(out_dir, cfg)
-            _write_json(os.path.join(out_dir, "entropy_report.json"), obj)
-        return 0
+    """Print the action's result; with out_dir, also write its artifacts."""
+    run = _make_run(cfg, walk_only=True)
     if action == "ibp":
-        rep = _check_ibp_walk(run)
+        rep = _check_ibp(run)
         print(json.dumps(rep, indent=2, sort_keys=True))
         return 0 if rep["passed"] else 1
-    raise ConfigError(f"unknown rw action {action!r}")
+    if action == "reverse":
+        if fmt == "json":
+            print(json.dumps([dict(zip(_INTENSITY_HEADER, row)) for row in run.intensity_rows],
+                             indent=2, sort_keys=True))
+        else:
+            _write_csv(sys.stdout, _INTENSITY_HEADER, run.intensity_rows)
+        write = run.write_reversal
+    elif action == "entropy":
+        print(json.dumps(run.entropy, indent=2, sort_keys=True))
+        write = run.write_entropy
+    else:
+        raise ConfigError(f"unknown rw action {action!r}")
+    if out_dir:
+        write(_Artifacts(out_dir, cfg))
+    return 0
 
 
-_CHECK_HELP = """\
-checks:
-  ibp               mean of the generator bracket (L+u + L-u) v + Gamma(u,v)
-                    over a marginal slice; zero for a true forward/backward
-                    drift pair
-  continuity        finite-difference residual of d_t rho + div(rho v_cu) = 0
-                    for the current velocity on a probe box
-  reversal          diffusions: simulate the reversed SDE from the terminal
-                    law and compare against the flipped forward ensemble
-                    (energy-distance permutation test per slice); walks:
-                    reverse the reversed intensities and require the forward
-                    rates back exactly
-  detailed-balance  max over edges of |m(x) j(x,y) - m(y) j(y,x)| against the
-                    counting measure (walks)
-  carre             product-increment estimate of E Gamma(u,v) at short lag
-                    versus its model value
-  nelson            windowed forward difference quotient of E[u(X)] near a
-                    point versus the model drift
-  dissipation       free-energy balance along the marginal flow: F change
-                    plus twice the time-integrated Fisher information
-"""
+def _checks_epilog() -> str:
+    """One paragraph per check, with the model types it applies to."""
+    return "checks:\n" + "".join(
+        textwrap.fill(f"{c.help} [{', '.join(c.kinds)}]", 78,
+                      initial_indent=f"  {name:<18}", subsequent_indent=" " * 20) + "\n"
+        for name, c in CHECKS.items())
 
 
 def build_parser() -> argparse.ArgumentParser:
+    epilog = _checks_epilog()
     parser = argparse.ArgumentParser(
         prog="pathrev",
         description="Simulate Markov diffusions and random walks, reverse them "
                     "in time, and certify the reversal identities numerically.",
-        epilog=_CHECK_HELP,
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -697,14 +686,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("simulate", help="generate and store an ensemble")
     common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="json",
+    p.add_argument("--format", choices=("csv",), default=None,
                    help="also write a CSV ensemble with --format csv")
     p = sub.add_parser("reverse", help="reversed drift probe and model descriptor")
     common(p)
     p = sub.add_parser("entropy", help="entropy report and Fisher table")
     common(p)
-    p = sub.add_parser("verify", help="run named checks",
-                       epilog=_CHECK_HELP,
+    p = sub.add_parser("verify", help="run named checks", epilog=epilog,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     common(p)
     p.add_argument("checks", nargs="*", metavar="check",
@@ -737,11 +725,10 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, out_dir, list(args.checks))
         if args.command == "rw":
             return cmd_rw(cfg, args.out or "", args.action, args.format)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
+    except _ERRORS as exc:
+        # "ParameterError" -> "parameter error: ..."; one line, whatever the message
+        kind = type(exc).__name__.removesuffix("Error").lower()
+        print(f"{kind} error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
     return 2
 

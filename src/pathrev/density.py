@@ -215,9 +215,3 @@ def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> Dens
     return DensityFlow(lambda t, x: model_at(t).pdf(x),
                        lambda t, x: model_at(t).score(x),
                        sup_at, e.dim, floor_rel, tag="kde:" + e.model_tag)
-
-
-def empirical_graph_marginal(e, t: float) -> np.ndarray:
-    """Normalized state histogram of a jump ensemble at time t."""
-    from .simulate import marginal_slice
-    return marginal_slice(e, t)

@@ -21,7 +21,7 @@ numpy sums, so results are deterministic for a given ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,12 +127,7 @@ class EntropyReport:
                    - self.action_current - self.action_osmotic)
 
     def to_dict(self) -> dict:
-        keys = ("boundary_initial", "boundary_terminal", "action_fwd", "action_bwd",
-                "action_current", "action_osmotic", "total",
-                "boundary_initial_stderr", "boundary_terminal_stderr",
-                "action_fwd_stderr", "action_bwd_stderr", "action_current_stderr",
-                "action_osmotic_stderr", "total_stderr", "n_paths", "n_excluded")
-        out = {k: getattr(self, k) for k in keys}
+        out = asdict(self)
         out["backward_total"] = self.backward_total
         out["free_energy_change"] = self.free_energy_change
         out["current_osmotic_action"] = self.current_osmotic_action

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -489,6 +490,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _number(obj: dict, key: str, kind: type) -> int | float:
+    """obj[key] as kind (int or float).  Strings and booleans are rejected,
+    not coerced, and an int field takes no fractional value."""
+    value = obj[key]
+    allowed = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"model: {key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
+
+
 def load_model(obj) -> ModelBundle:
     """Build a model from a JSON object, file path or JSON string.
 
@@ -522,13 +534,14 @@ def load_model(obj) -> ModelBundle:
     if mtype == "cycle":
         _require_keys(obj, {"type", "n", "rate_cw", "rate_ccw"},
                       {"type", "n", "rate_cw", "rate_ccw"}, "model")
-        walk = biased_cycle_walk(int(obj["n"]), float(obj["rate_cw"]), float(obj["rate_ccw"]))
+        walk = biased_cycle_walk(_number(obj, "n", int), _number(obj, "rate_cw", float),
+                                 _number(obj, "rate_ccw", float))
         return ModelBundle("cycle", walk.n_states, walk=walk)
     if mtype == "custom":
         _require_keys(obj, {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       "model")
-        dim = int(obj["dim"])
+        dim = _number(obj, "dim", int)
         drift = _build_drift(obj["drift"], dim)
         a = MatrixField.constant(np.asarray(obj["diffusion_matrix"], dtype=np.float64))
         init = Gaussian(obj["init_mean"], obj["init_cov"])

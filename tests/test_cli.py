@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,53 @@ def _cycle_cfg(**over):
 def _read_lines(path):
     with open(path) as f:
         return f.read().splitlines()
+
+
+# the README's check table: check name -> model types it applies to
+_README_CHECK_TABLE = {
+    "reversal": {"ou", "bm", "custom", "cycle"},
+    "ibp": {"ou", "bm", "custom", "cycle"},
+    "continuity": {"ou", "bm"},
+    "detailed-balance": {"cycle"},
+    "carre": {"ou", "bm", "custom"},
+    "nelson": {"ou", "bm", "custom"},
+    "dissipation": {"ou"},
+}
+# checks run when a config names none; manifest.json echoes this list
+_DEFAULT_CHECKS = {
+    "ou": ["reversal", "ibp", "continuity", "carre", "nelson", "dissipation"],
+    "bm": ["reversal", "ibp", "continuity", "carre", "nelson"],
+    "custom": ["ibp", "carre", "nelson"],
+    "cycle": ["reversal", "ibp"],
+}
+_MODELS = {
+    "ou": {"type": "ou", "init_mean": [1.0], "init_cov": [[0.5]]},
+    "bm": {"type": "bm", "init_mean": [0.0], "init_cov": [[1.0]]},
+    "custom": {"type": "custom", "dim": 1, "drift": {"name": "zero"},
+               "diffusion_matrix": [[1.0]], "init_mean": [0.0], "init_cov": [[1.0]]},
+    "cycle": {"type": "cycle", "n": 4, "rate_cw": 2.0, "rate_ccw": 1.0},
+}
+
+
+class TestCheckTable:
+    def test_names_match_readme(self):
+        assert set(CHECK_NAMES) == set(_README_CHECK_TABLE)
+
+    @pytest.mark.parametrize("mtype", sorted(_MODELS))
+    @pytest.mark.parametrize("check", sorted(_README_CHECK_TABLE))
+    def test_applicability(self, mtype, check):
+        raw = _ou_cfg(model=_MODELS[mtype], checks=[check])
+        if mtype in _README_CHECK_TABLE[check]:
+            assert validate_config(raw)["checks"] == [check]
+        else:
+            with pytest.raises(ConfigError, match="does not apply"):
+                validate_config(raw)
+
+    @pytest.mark.parametrize("mtype", sorted(_MODELS))
+    def test_defaults(self, mtype):
+        raw = _ou_cfg(model=_MODELS[mtype])
+        del raw["checks"]
+        assert validate_config(raw)["checks"] == _DEFAULT_CHECKS[mtype]
 
 
 class TestConfigValidation:
@@ -102,6 +150,30 @@ class TestConfigValidation:
         path = _write_cfg(tmp_path, _cycle_cfg())
         assert main(["run", "--config", path, "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    """Every pathrev error exits 2 with one stderr line and no output directory."""
+
+    @pytest.mark.parametrize("command, cfg, pattern", [
+        ("run", _ou_cfg(model={"type": "ou", "init_mean": [1.0], "init_cov": [[-1.0]]}),
+         "numeric error: "),
+        # json.dumps writes the nan as the bare constant NaN
+        ("run", _ou_cfg(model={"type": "ou", "init_mean": [math.nan], "init_cov": [[0.5]]}),
+         "config error: .*NaN is not a number"),
+        ("run", _cycle_cfg(model=dict(_MODELS["cycle"], n="4")), "config error: model: n "),
+        ("entropy", _ou_cfg(model=_MODELS["bm"], n_paths=100), "config error: entropy report"),
+        ("run", _ou_cfg(model=_MODELS["custom"], n_paths=100, checks=["ibp"]),
+         "config error: model has no closed-form"),
+    ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy", "custom-exact"])
+    def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
+        path = _write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(pattern, err)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +489,12 @@ class TestParser:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    def test_simulate_format_is_csv_only(self, tmp_path, capsys):
+        path = _write_cfg(tmp_path, _cycle_cfg())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", path, "--format", "json"])
         assert exc.value.code == 2
 
     def test_unknown_rw_action(self, tmp_path, capsys):

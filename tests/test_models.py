@@ -319,3 +319,18 @@ class TestLoadModel:
                         "init_mean": [0.0], "init_cov": [[1.0]]})
         with pytest.raises(ConfigError):
             load_model([1, 2, 3])
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "4"), ("n", True), ("n", 4.5), ("rate_cw", "2.0"), ("rate_ccw", False)])
+    def test_cycle_fields_are_not_coerced(self, key, value):
+        obj = {"type": "cycle", "n": 4, "rate_cw": 2.0, "rate_ccw": 1.0}
+        obj[key] = value
+        with pytest.raises(ConfigError, match=key):
+            load_model(obj)
+
+    @pytest.mark.parametrize("dim", ["1", True, 1.0])
+    def test_custom_dim_is_an_integer(self, dim):
+        with pytest.raises(ConfigError, match="dim"):
+            load_model({"type": "custom", "dim": dim, "drift": {"name": "zero"},
+                        "diffusion_matrix": [[1.0]],
+                        "init_mean": [0.0], "init_cov": [[1.0]]})
