@@ -12,8 +12,8 @@ subcommand builds the run, then creates the output directory and selects
 the groups it writes.
 
 Exit codes: 0 all selected checks passed, 1 at least one check failed,
-2 any pathrev error (bad config, bad parameters, a degenerate model),
-reported as one line on stderr.
+2 any pathrev error (bad config, bad parameters, a degenerate model) or an
+ensemble too large to allocate, reported as one line on stderr.
 """
 from __future__ import annotations
 
@@ -284,9 +284,9 @@ class _DiffusionRun(_Run):
         X = self.xs[:, None]
         rows = []
         for t in times:
-            pdf = np.atleast_1d(self.density.pdf(t, X))
-            sc = np.asarray(self.density.score(t, X), dtype=np.float64)[:, 0]
-            ok = np.atleast_1d(self.density.in_support(t, X))
+            pdf, sc, ok = self.density.pdf_score_in_support(t, X)
+            pdf = np.atleast_1d(pdf)
+            sc = np.asarray(sc, dtype=np.float64)[:, 0]
             rows.extend((float(t), float(x), float(p), float(s) if good else float("nan"))
                         for x, p, s, good in zip(self.xs, pdf, sc, ok))
         return rows
@@ -725,9 +725,12 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, out_dir, list(args.checks))
         if args.command == "rw":
             return cmd_rw(cfg, args.out or "", args.action, args.format)
-    except _ERRORS as exc:
-        # "ParameterError" -> "parameter error: ..."; one line, whatever the message
-        kind = type(exc).__name__.removesuffix("Error").lower()
+    except (*_ERRORS, MemoryError) as exc:
+        # "ParameterError" -> "parameter error: ..."; one line, whatever the message.
+        # An ensemble too large to allocate is a bad config too, so it exits 2
+        # as "memory error: ..." (numpy raises a MemoryError subclass).
+        kind = ("memory" if isinstance(exc, MemoryError)
+                else type(exc).__name__.removesuffix("Error").lower())
         print(f"{kind} error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
     return 2

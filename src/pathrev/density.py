@@ -4,6 +4,11 @@ A DensityFlow bundles pdf, score and an approximate supremum per time slice,
 plus a relative support floor below which scores are not trusted.  Scores
 from the kernel estimator are analytic derivatives of the estimator itself,
 never finite differences.
+
+The kernel estimator makes one pass over its samples per query: each chunk
+of query rows builds its log-kernel matrix once, and that matrix and its row
+log-sum-exp give both the log density and the score.  A flow backed by it
+answers score_in_support and pdf_score_in_support from that single pass.
 """
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (BandwidthError, ParameterError, PathEnsemble, SupportError,
                    _freeze)
@@ -22,6 +26,29 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
 
 
+def _row_logsumexp(L: np.ndarray) -> np.ndarray:
+    """log(sum(exp(L), axis=1)) with the arithmetic of scipy.special.logsumexp
+    (scipy 1.17), so results match it bit for bit.
+
+    The row maximum is shifted out and its ties are excluded from the sum:
+    lse = log1p(s / count) + log(count) + max, where s sums exp(L - max) over
+    the other entries.  A row whose result is not finite (all -inf, or inf or
+    nan entries) falls back to log(sum(exp(L))), as scipy does.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = L.max(axis=1, keepdims=True)
+        E = L - top
+        tied = E == 0
+        count = tied.sum(axis=1, dtype=np.float64)
+        E[tied] = -np.inf
+        np.exp(E, out=E)  # in place: a fresh (m, n) buffer costs more than the exp
+        out = np.log1p(E.sum(axis=1) / count) + np.log(count) + top[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(L[bad]).sum(axis=1))
+    return out
+
+
 @dataclass(frozen=True)
 class DensityFlow:
     """Time-indexed density with score and a trust region.
@@ -29,6 +56,10 @@ class DensityFlow:
     score values are returned everywhere they are finite; in_support marks
     where pdf >= floor_rel * sup_pdf(t), and consumers (the reversal module
     in particular) are expected to gate score usage on that mask.
+
+    pdf_score_fn, when given, returns (pdf, score) at the same points from
+    one evaluation; score_in_support and pdf_score_in_support then take all
+    their values from it.  Without it they call score, in_support and pdf.
     """
 
     pdf_fn: Callable[[float, np.ndarray], np.ndarray]
@@ -38,6 +69,7 @@ class DensityFlow:
     floor_rel: float = 1e-3
     tag: str = ""
     gaussian_flow: GaussianFlow | None = None
+    pdf_score_fn: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.floor_rel < 1.0):
@@ -54,6 +86,20 @@ class DensityFlow:
 
     def in_support(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.atleast_1d(self.pdf_fn(t, x)) >= self.support_threshold(t)
+
+    def score_in_support(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(score, in_support mask) at x."""
+        if self.pdf_score_fn is None:
+            return self.score(t, x), self.in_support(t, x)
+        return self.pdf_score_in_support(t, x)[1:]
+
+    def pdf_score_in_support(self, t: float,
+                             x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pdf, score, in_support mask) at x."""
+        if self.pdf_score_fn is None:
+            return self.pdf(t, x), self.score(t, x), self.in_support(t, x)
+        p, sc = self.pdf_score_fn(t, x)
+        return p, sc, np.atleast_1d(p) >= self.support_threshold(t)
 
 
 def exact_flow_density(flow: GaussianFlow, floor_rel: float = 1e-12) -> DensityFlow:
@@ -73,6 +119,8 @@ class KdeModel:
 
     pdf integrates to one analytically; score is the analytic gradient
     grad pdf / pdf, evaluated with log-sum-exp weights for stability.
+    logpdf_score computes both in one pass over the samples; logpdf and
+    score are views of that pass, so all three agree bit for bit.
     """
 
     samples: np.ndarray
@@ -91,6 +139,8 @@ class KdeModel:
             raise BandwidthError(f"bandwidth must be positive and finite, got {h}")
         object.__setattr__(self, "samples", _freeze(S))
         object.__setattr__(self, "bandwidth", _freeze(h))
+        # log normaliser of one kernel: sum log h + dim/2 log 2 pi
+        object.__setattr__(self, "_log_norm", np.log(h).sum() + 0.5 * S.shape[1] * _LOG_2PI)
 
     @property
     def n_samples(self) -> int:
@@ -101,32 +151,49 @@ class KdeModel:
         return self.samples.shape[1]
 
     def _log_kernels(self, X: np.ndarray) -> np.ndarray:
-        # (m, n) matrix of log kernel values for a chunk of queries
-        U = (X[:, None, :] - self.samples[None, :, :]) / self.bandwidth
-        return -0.5 * (U * U).sum(axis=2) - (np.log(self.bandwidth).sum()
-                                             + 0.5 * self.dim * _LOG_2PI)
+        # (m, n) matrix of log kernel values for a chunk of queries; the
+        # in-place steps do the arithmetic of -0.5 |(x - s) / h|^2 - log_norm
+        U = X[:, None, :] - self.samples[None, :, :]
+        U /= self.bandwidth
+        U *= U
+        L = U.sum(axis=2)
+        L *= -0.5
+        L -= self._log_norm
+        return L
+
+    def logpdf_score(self, x: np.ndarray, _score: bool = True):
+        """(logpdf, score) at x from one kernel pass per chunk of _CHUNK rows.
+
+        The chunk's log-kernel matrix L and its row log-sum-exp give
+        logpdf = lse - log n and the normalised weights W = exp(L - lse) of
+        score = (W @ samples - x sum W) / h^2.  _score=False skips the score
+        half and returns None in its place.
+        """
+        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        lp = np.empty(X.shape[0])
+        sc = np.empty_like(X) if _score else None
+        log_n = math.log(self.n_samples)
+        h2 = self.bandwidth ** 2
+        for s in range(0, X.shape[0], _CHUNK):
+            Xc = X[s:s + _CHUNK]
+            L = self._log_kernels(Xc)
+            lse = _row_logsumexp(L)
+            lp[s:s + _CHUNK] = lse - log_n
+            if _score:
+                W = np.exp(np.subtract(L, lse[:, None], out=L), out=L)
+                sc[s:s + _CHUNK] = (W @ self.samples - Xc * W.sum(axis=1, keepdims=True)) / h2
+        if np.ndim(x) == 1:
+            return lp[0], None if sc is None else sc[0]
+        return lp, sc
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty(X.shape[0])
-        for s in range(0, X.shape[0], _CHUNK):
-            L = self._log_kernels(X[s:s + _CHUNK])
-            out[s:s + _CHUNK] = logsumexp(L, axis=1) - math.log(self.n_samples)
-        return out[0] if np.ndim(x) == 1 else out
+        return self.logpdf_score(x, _score=False)[0]
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(x))
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty_like(X)
-        h2 = self.bandwidth ** 2
-        for s in range(0, X.shape[0], _CHUNK):
-            Xc = X[s:s + _CHUNK]
-            L = self._log_kernels(Xc)
-            W = np.exp(L - logsumexp(L, axis=1, keepdims=True))
-            out[s:s + _CHUNK] = (W @ self.samples - Xc * W.sum(axis=1, keepdims=True)) / h2
-        return out[0] if np.ndim(x) == 1 else out
+        return self.logpdf_score(x)[1]
 
     def sup_pdf(self) -> float:
         """Approximate supremum: max of pdf over the sample mean and a fixed
@@ -183,11 +250,11 @@ def kde_score(model: KdeModel, x: np.ndarray, floor_rel: float = 1e-3) -> np.nda
     """Score at x, refusing points below the relative support floor."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     lo = floor_rel * model.sup_pdf()
-    p = model.pdf(X)
+    lp, out = model.logpdf_score(X)
+    p = np.exp(lp)
     if (p < lo).any():
         bad = X[np.argmin(p)]
         raise SupportError(f"pdf {p.min():.3e} below support floor {lo:.3e} near x={bad}")
-    out = model.score(X)
     return out[0] if np.ndim(x) == 1 else out
 
 
@@ -212,6 +279,11 @@ def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> Dens
             sup_cache[idx] = model_at(t).sup_pdf()
         return sup_cache[idx]
 
+    def pdf_score(t: float, x: np.ndarray):
+        lp, sc = model_at(t).logpdf_score(x)
+        return np.exp(lp), sc
+
     return DensityFlow(lambda t, x: model_at(t).pdf(x),
                        lambda t, x: model_at(t).score(x),
-                       sup_at, e.dim, floor_rel, tag="kde:" + e.model_tag)
+                       sup_at, e.dim, floor_rel, tag="kde:" + e.model_tag,
+                       pdf_score_fn=pdf_score)

@@ -490,15 +490,39 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(obj: dict, key: str, kind: type) -> int | float:
-    """obj[key] as kind (int or float).  Strings and booleans are rejected,
-    not coerced, and an int field takes no fractional value."""
-    value = obj[key]
+def _number(value, key: str, kind: type) -> int | float:
+    """value of field key as kind (int or float).  Strings and booleans are
+    rejected, not coerced, and an int field takes no fractional value."""
     allowed = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"model: {key} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
     return kind(value)
+
+
+def _array(value, key: str) -> np.ndarray:
+    """A number or nested lists of numbers as a float array.  Every entry
+    goes through _number, and ragged nesting is refused."""
+    def check(v):
+        if isinstance(v, list):
+            for u in v:
+                check(u)
+        else:
+            _number(v, f"{key} entry", float)
+
+    check(value)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except ValueError:
+        raise ConfigError(f"model: {key} is not a rectangular array") from None
+
+
+def _initial_law(obj: dict) -> Gaussian:
+    """N(init_mean, init_cov) of a diffusion model; an optional dim must agree."""
+    init = Gaussian(_array(obj["init_mean"], "init_mean"), _array(obj["init_cov"], "init_cov"))
+    if "dim" in obj and _number(obj["dim"], "dim", int) != init.dim:
+        raise ConfigError("model: dim disagrees with init_mean")
+    return init
 
 
 def load_model(obj) -> ModelBundle:
@@ -519,32 +543,31 @@ def load_model(obj) -> ModelBundle:
     if mtype == "ou":
         _require_keys(obj, {"type", "dim", "init_mean", "init_cov"},
                       {"type", "init_mean", "init_cov"}, "model")
-        init = Gaussian(obj["init_mean"], obj["init_cov"])
-        if "dim" in obj and obj["dim"] != init.dim:
-            raise ConfigError("model: dim disagrees with init_mean")
+        init = _initial_law(obj)
         ref, _ = ou_reference(init.dim)
         return ModelBundle("ou", init.dim, diffusion=ou_diffusion(init),
                            flow=ou_marginal_flow(init.mean, init.cov), reference=ref)
     if mtype == "bm":
         _require_keys(obj, {"type", "dim", "init_mean", "init_cov"},
                       {"type", "init_mean", "init_cov"}, "model")
-        init = Gaussian(obj["init_mean"], obj["init_cov"])
+        init = _initial_law(obj)
         return ModelBundle("bm", init.dim, diffusion=bm_diffusion(init),
                            flow=bm_flow(init.cov, init.mean))
     if mtype == "cycle":
         _require_keys(obj, {"type", "n", "rate_cw", "rate_ccw"},
                       {"type", "n", "rate_cw", "rate_ccw"}, "model")
-        walk = biased_cycle_walk(_number(obj, "n", int), _number(obj, "rate_cw", float),
-                                 _number(obj, "rate_ccw", float))
+        walk = biased_cycle_walk(_number(obj["n"], "n", int),
+                                 _number(obj["rate_cw"], "rate_cw", float),
+                                 _number(obj["rate_ccw"], "rate_ccw", float))
         return ModelBundle("cycle", walk.n_states, walk=walk)
     if mtype == "custom":
         _require_keys(obj, {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       "model")
-        dim = _number(obj, "dim", int)
+        dim = _number(obj["dim"], "dim", int)
         drift = _build_drift(obj["drift"], dim)
-        a = MatrixField.constant(np.asarray(obj["diffusion_matrix"], dtype=np.float64))
-        init = Gaussian(obj["init_mean"], obj["init_cov"])
+        a = MatrixField.constant(_array(obj["diffusion_matrix"], "diffusion_matrix"))
+        init = _initial_law(obj)
         return ModelBundle("custom", dim, diffusion=diffusion_spec(drift, a, init, tag="custom"))
     raise ConfigError(f"model: unknown type {mtype!r}")
 
@@ -558,9 +581,9 @@ def _build_drift(obj: dict, dim: int) -> VectorField:
         return VectorField.zero(dim)
     if name == "linear":
         _require_keys(obj, {"name", "matrix", "offset"}, {"name", "matrix"}, "drift")
-        M = np.asarray(obj["matrix"], dtype=np.float64)
+        M = _array(obj["matrix"], "drift matrix")
         if M.shape != (dim, dim):
             raise ConfigError(f"drift: matrix shape {M.shape} != ({dim}, {dim})")
         off = obj.get("offset")
-        return VectorField.linear(M, None if off is None else np.asarray(off, float))
+        return VectorField.linear(M, None if off is None else _array(off, "drift offset"))
     raise ConfigError(f"drift: unknown name {name!r}")

@@ -52,8 +52,8 @@ class BackwardDriftField:
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        sc = np.atleast_2d(self.density.score(t, X))
-        ok = self.density.in_support(t, X)
+        sc, ok = self.density.score_in_support(t, X)
+        sc = np.atleast_2d(sc)
         if not ok.all():
             self.floor_hits += int((~ok).sum())
             sc = np.where(ok[:, None], sc, 0.0)

@@ -165,7 +165,22 @@ class TestErrorContract:
         ("entropy", _ou_cfg(model=_MODELS["bm"], n_paths=100), "config error: entropy report"),
         ("run", _ou_cfg(model=_MODELS["custom"], n_paths=100, checks=["ibp"]),
          "config error: model has no closed-form"),
-    ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy", "custom-exact"])
+        ("run", _ou_cfg(model=dict(_MODELS["ou"], dim=True)), "config error: model: dim "),
+        ("run", _ou_cfg(model=dict(_MODELS["ou"], init_mean=["1.0"])),
+         "config error: model: init_mean "),
+        ("run", _ou_cfg(model=dict(_MODELS["ou"], init_cov=[[True]])),
+         "config error: model: init_cov "),
+        ("run", _ou_cfg(model=dict(_MODELS["bm"], dim=True)), "config error: model: dim "),
+        ("run", _ou_cfg(model=dict(_MODELS["bm"], init_mean=["0.0"])),
+         "config error: model: init_mean "),
+        ("run", _ou_cfg(model=dict(_MODELS["bm"], init_cov=[[True]])),
+         "config error: model: init_cov "),
+        # n_paths x (n_steps + 1) doubles is 7.11 PiB: numpy refuses before allocating
+        ("simulate", _ou_cfg(n_paths=10 ** 9, grid={"T": 1.0, "n_steps": 10 ** 6}),
+         "memory error: .*7.11 PiB"),
+    ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy", "custom-exact",
+            "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
+            "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "oversized-ensemble"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
         path = _write_cfg(tmp_path, cfg)
         out = tmp_path / "o"

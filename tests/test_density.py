@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from pathrev.core import (BandwidthError, ParameterError, SupportError,
                           make_grid, path_rng)
-from pathrev.density import (DensityFlow, KdeModel, exact_flow_density,
-                             kde_fit, kde_flow, kde_score, score_bandwidth,
-                             silverman_bandwidth)
+from pathrev.density import (DensityFlow, KdeModel, _row_logsumexp,
+                             exact_flow_density, kde_fit, kde_flow, kde_score,
+                             score_bandwidth, silverman_bandwidth)
 from pathrev.models import Gaussian, ou_diffusion, ou_marginal_flow
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -94,6 +96,91 @@ class TestKdeModel:
             KdeModel(np.zeros((3, 1)), np.array([0.0]))
         with pytest.raises(BandwidthError):
             KdeModel(np.zeros((3, 1)), np.array([-1.0]))
+
+
+class TestRowLogsumexp:
+    """The in-house log-sum-exp reproduces scipy's arithmetic bit for bit."""
+
+    @staticmethod
+    def _same(L):
+        ref = logsumexp(L, axis=1)
+        before = L.copy()
+        got = _row_logsumexp(L)
+        assert np.array_equal(got, ref), (got, ref)
+        assert np.array_equal(L, before)  # the kernel pass reuses L afterwards
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_rows(self, seed):
+        g = path_rng(seed, 7)
+        m, n = 1 + seed % 7, 1 + 37 * seed
+        self._same(g.standard_normal((m, n)) * g.uniform(0.1, 60.0))
+
+    def test_kernel_shaped_rows(self):
+        # the shape and scale the KDE produces: one chunk of 256 x 500
+        g = path_rng(11, 0)
+        self._same(-0.5 * (g.standard_normal((256, 500)) * 4.0) ** 2 - 1.3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_maxima(self, seed):
+        g = path_rng(seed, 8)
+        L = np.round(g.standard_normal((6, 40)) * 2.0)  # many exact ties
+        L[0] = 3.25  # a row that is one value throughout
+        L[1, :5] = L[1].max() + 1.0  # five tied maxima
+        self._same(L)
+
+    def test_single_column(self):
+        self._same(np.array([[0.0], [-3.5], [1e300], [-1e-320]]))
+
+    def test_row_of_minus_infinity(self):
+        L = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+        self._same(L)
+        assert _row_logsumexp(L)[0] == -np.inf
+
+
+class TestFusedKernelPass:
+    """logpdf_score equals separate logpdf and score calls bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 256, 257, 513])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_separate_passes(self, m, dim):
+        g = path_rng(21, dim)
+        model = kde_fit(g.standard_normal((300, dim)), rule="score")
+        X = g.standard_normal((m, dim)) * 2.0
+        lp, sc = model.logpdf_score(X)
+        assert lp.shape == (m,) and sc.shape == (m, dim)
+        assert np.array_equal(lp, model.logpdf(X))
+        assert np.array_equal(sc, model.score(X))
+        assert np.array_equal(np.exp(lp), model.pdf(X))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_point(self, dim):
+        g = path_rng(22, dim)
+        model = kde_fit(g.standard_normal((100, dim)))
+        x = g.standard_normal(dim)
+        lp, sc = model.logpdf_score(x)
+        assert np.ndim(lp) == 0 and sc.shape == (dim,)
+        assert np.array_equal(lp, model.logpdf(x))
+        assert np.array_equal(sc, model.score(x))
+        assert np.array_equal(sc, model.logpdf_score(x[None, :])[1][0])
+
+    def test_logpdf_only_skips_score(self):
+        model = kde_fit(path_rng(23, 0).standard_normal((50, 1)))
+        lp, sc = model.logpdf_score(np.zeros((3, 1)), _score=False)
+        assert sc is None and lp.shape == (3,)
+
+    def test_flow_takes_all_three_from_one_pass(self):
+        spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+        e = euler_maruyama(spec, SimConfig(300, 5, make_grid(1.0, 10)))
+        d = kde_flow(e, rule="score")
+        X = np.linspace(-4.0, 6.0, 600)[:, None]  # tails fall below the floor
+        for t in (0.0, 0.5, 1.0):
+            p, sc, ok = d.pdf_score_in_support(t, X)
+            assert np.array_equal(p, d.pdf(t, X))
+            assert np.array_equal(sc, d.score(t, X))
+            assert np.array_equal(ok, d.in_support(t, X))
+            assert 0 < ok.sum() < len(X)
+            sc2, ok2 = d.score_in_support(t, X)
+            assert np.array_equal(sc2, sc) and np.array_equal(ok2, ok)
 
 
 class TestBandwidthRules:

@@ -328,6 +328,31 @@ class TestLoadModel:
         with pytest.raises(ConfigError, match=key):
             load_model(obj)
 
+    @pytest.mark.parametrize("mtype", ["ou", "bm", "custom"])
+    @pytest.mark.parametrize("key, value", [
+        ("dim", True), ("dim", "1"), ("dim", 1.0), ("dim", 2),
+        ("init_mean", ["1.0"]), ("init_mean", [None]), ("init_mean", True),
+        ("init_cov", [[True]]), ("init_cov", [["0.5"]]),
+        ("init_mean", [[1.0], 2.0]), ("init_cov", [[0.5], [0.5, 1.0]])])
+    def test_initial_law_fields_are_not_coerced(self, mtype, key, value):
+        obj = {"type": mtype, "dim": 1, "init_mean": [1.0], "init_cov": [[0.5]]}
+        if mtype == "custom":
+            obj.update(drift={"name": "zero"}, diffusion_matrix=[[1.0]])
+        obj[key] = value
+        with pytest.raises(ConfigError, match=key):
+            load_model(obj)
+
+    @pytest.mark.parametrize("field, pattern", [
+        ({"diffusion_matrix": [[True]]}, "diffusion_matrix"),
+        ({"drift": {"name": "linear", "matrix": [["x"]]}}, "drift matrix"),
+        ({"drift": {"name": "linear", "matrix": [[-1.0]], "offset": [None]}}, "drift offset")])
+    def test_custom_coefficients_are_numbers(self, field, pattern):
+        obj = {"type": "custom", "dim": 1, "drift": {"name": "zero"},
+               "diffusion_matrix": [[1.0]], "init_mean": [1.0], "init_cov": [[0.5]]}
+        obj.update(field)
+        with pytest.raises(ConfigError, match=pattern):
+            load_model(obj)
+
     @pytest.mark.parametrize("dim", ["1", True, 1.0])
     def test_custom_dim_is_an_integer(self, dim):
         with pytest.raises(ConfigError, match="dim"):

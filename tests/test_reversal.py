@@ -1,18 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
-                          VectorField, path_rng)
-from pathrev.density import DensityFlow, exact_flow_density
+                          VectorField, make_grid, path_rng)
+from pathrev.density import DensityFlow, exact_flow_density, kde_flow
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_flow, graph_walk,
-                            ou_marginal_flow, ou_reference, walk_marginal_fn)
+                            ou_diffusion, ou_marginal_flow, ou_reference,
+                            walk_marginal_fn)
 from pathrev.reversal import (BackwardDriftField, ReversedDrift,
                               backward_velocity, momentum_fields,
                               osmotic_residual, reversed_drift,
                               reversed_jump_intensities,
                               velocity_decomposition)
+from pathrev.simulate import SimConfig, euler_maruyama
 
 TWO_OVER_E = 0.7357588823428847
 
@@ -50,6 +53,24 @@ class TestBackwardDrift:
         assert rd(0.0, np.array([1.0]))[0] == -0.5  # original time 1, cov 2
         assert rd(0.5, np.array([1.0]))[0] == pytest.approx(-1.0 / 1.5, abs=1e-15)
         assert rd(1.0, np.array([1.0]))[0] == -1.0  # original time 0, cov 1
+
+    def test_kde_fused_pass_matches_separate_passes(self):
+        # the KDE flow answers score and support from one kernel pass; the
+        # same flow without pdf_score_fn calls score and in_support instead
+        ref, _ = ou_reference()
+        spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+        e = euler_maruyama(spec, SimConfig(400, 9, make_grid(1.0, 20)))
+        fused_density = kde_flow(e, rule="score")
+        assert fused_density.pdf_score_fn is not None
+        split_density = dataclasses.replace(fused_density, pdf_score_fn=None)
+        fused = BackwardDriftField(ref.drift, ref.a, ref.div_a, fused_density)
+        split = BackwardDriftField(ref.drift, ref.a, ref.div_a, split_density)
+        X = np.linspace(-5.0, 7.0, 700)[:, None]  # crosses chunks and the floor
+        for t in (0.05, 0.5, 1.0):
+            assert np.array_equal(fused(t, X), split(t, X))
+            assert np.array_equal(fused(t, X[3]), split(t, X[3]))
+        assert fused.floor_hits == split.floor_hits > 0
+        assert fused.cap_hits == split.cap_hits
 
     def test_batch_matches_single(self):
         ref, flow, density = _ou_setup()
