@@ -23,8 +23,8 @@ from .simulate import SimConfig, ctmc_simulate, euler_maruyama, jump_states_at, 
 from .density import (DensityFlow, KdeModel, exact_flow_density, kde_fit,
                       kde_flow, kde_score, score_bandwidth, silverman_bandwidth)
 from .reversal import (BackwardDriftField, MomentumFields, ReversedDrift,
-                       ReversedWalk, VelocityFields, backward_velocity,
-                       momentum_fields, osmotic_residual, reversed_drift,
+                       ReversedWalk, VelocityFields, momentum_fields,
+                       osmotic_residual, reversed_drift,
                        reversed_jump_intensities, velocity_decomposition)
 from .entropy import (ActionEstimate, EntropyReport, FisherReport,
                       current_osmosis_decomposition, entropy_vs_counting,

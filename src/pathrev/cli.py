@@ -312,8 +312,6 @@ class _DiffusionRun(_Run):
                 c_tab.append(c.tolist())
             base.update({"kind": "reversed_drift_affine", "A": A_tab, "c": c_tab})
             return base
-        if b_star is None:
-            raise ConfigError("kde probe table requires a one-dimensional model")
         base.update({"kind": "reversed_drift_probe", "x": self.xs.tolist(),
                      "b_star": [vals.tolist() for vals in b_star]})
         return base
@@ -391,13 +389,20 @@ class _WalkRun(_Run):
                 "flux_term": total - boundary}
 
 
-def _make_run(cfg: dict, walk_only: bool = False) -> _Run:
-    """The run state for cfg's model kind, built before anything is written."""
+def _make_run(cfg: dict, walk_only: bool = False, reversal: bool = False) -> _Run:
+    """The run state for cfg's model kind, built before anything is written.
+
+    reversal is set by commands that write the reversal artifacts; a KDE
+    density tabulates those on a probe line, so it needs a one-dimensional
+    model, and that is refused here, before the ensemble is simulated.
+    """
     bundle = load_model(cfg["model"])
     if bundle.walk is not None:
         return _WalkRun(cfg, bundle)
     if walk_only:
         raise ConfigError("rw subcommand needs a random-walk model")
+    if reversal and cfg["density"] != "exact" and bundle.dim != 1:
+        raise ConfigError("kde probe table requires a one-dimensional model")
     return _DiffusionRun(cfg, bundle)
 
 
@@ -591,7 +596,7 @@ CHECK_NAMES = tuple(CHECKS)
 # ------------------------------------------------------------ subcommands
 
 def cmd_run(cfg: dict, out_dir: str) -> int:
-    run = _make_run(cfg)
+    run = _make_run(cfg, reversal=True)
     out = _Artifacts(out_dir, cfg)
     run.write_forward(out)
     run.write_reversal(out)
@@ -610,7 +615,7 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str | None) -> int:
 
 
 def cmd_reverse(cfg: dict, out_dir: str) -> int:
-    run = _make_run(cfg)
+    run = _make_run(cfg, reversal=True)
     run.write_reversal(_Artifacts(out_dir, cfg))
     print(f"reversal artifacts written to {out_dir}")
     return 0

@@ -8,6 +8,7 @@ small, immutable and numpy-only.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -359,6 +360,18 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
 
 def trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.trapezoid(y, x, axis=axis)
+
+
+def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1) / sqrt(n).
+
+    The standard error of a single value is inf; an empty sample raises.
+    """
+    n = vals.size
+    if n == 0:
+        raise ParameterError("empty sample")
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    return float(vals.mean()), se
 
 
 def save_ensemble(e: PathEnsemble, path: str) -> None:

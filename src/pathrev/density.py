@@ -1,26 +1,28 @@
 """Marginal densities and scores: exact Gaussian flows and kernel estimates.
 
-A DensityFlow bundles pdf, score and an approximate supremum per time slice,
-plus a relative support floor below which scores are not trusted.  Scores
-from the kernel estimator are analytic derivatives of the estimator itself,
-never finite differences.
+A DensityFlow is a map from time t to a slice law, the marginal at t: a
+Gaussian for exact flows, a KdeModel for kernel estimates.  Every slice law
+answers pdf, score, logpdf_score (both from one evaluation) and max_pdf (the
+supremum, exact or approximate, behind the relative support floor below
+which scores are not trusted).  Scores from the kernel estimator are
+analytic derivatives of the estimator itself, never finite differences.
 
 The kernel estimator makes one pass over its samples per query: each chunk
 of query rows builds its log-kernel matrix once, and that matrix and its row
-log-sum-exp give both the log density and the score.  A flow backed by it
-answers score_in_support and pdf_score_in_support from that single pass.
+log-sum-exp give both the log density and the score.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .core import (BandwidthError, ParameterError, PathEnsemble, SupportError,
                    _freeze)
-from .models import GaussianFlow
+from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
@@ -53,53 +55,49 @@ def _row_logsumexp(L: np.ndarray) -> np.ndarray:
 class DensityFlow:
     """Time-indexed density with score and a trust region.
 
-    score values are returned everywhere they are finite; in_support marks
-    where pdf >= floor_rel * sup_pdf(t), and consumers (the reversal module
-    in particular) are expected to gate score usage on that mask.
-
-    pdf_score_fn, when given, returns (pdf, score) at the same points from
-    one evaluation; score_in_support and pdf_score_in_support then take all
-    their values from it.  Without it they call score, in_support and pdf.
+    at(t) returns the slice law at time t (a Gaussian or a KdeModel), and
+    every query below takes its values from one at(t) call.  score values
+    are returned everywhere they are finite; in_support marks where
+    pdf >= floor_rel * max_pdf of the slice, and consumers (the reversal
+    module in particular) are expected to gate score usage on that mask.
+    gaussian_flow, when set, is the exact Gaussian flow behind at, for
+    closed-form quantities such as boundary entropies.
     """
 
-    pdf_fn: Callable[[float, np.ndarray], np.ndarray]
-    score_fn: Callable[[float, np.ndarray], np.ndarray]
-    sup_fn: Callable[[float], float]
+    at: Callable[[float], Gaussian | KdeModel]
     dim: int
     floor_rel: float = 1e-3
     tag: str = ""
     gaussian_flow: GaussianFlow | None = None
-    pdf_score_fn: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.floor_rel < 1.0):
             raise ParameterError(f"floor_rel must lie in (0, 1), got {self.floor_rel}")
 
     def pdf(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.pdf_fn(t, x)
+        return self.at(t).pdf(x)
 
     def score(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.score_fn(t, x)
+        return self.at(t).score(x)
 
     def support_threshold(self, t: float) -> float:
-        return self.floor_rel * self.sup_fn(t)
+        return self.floor_rel * self.at(t).max_pdf()
 
     def in_support(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(self.pdf_fn(t, x)) >= self.support_threshold(t)
+        law = self.at(t)
+        return np.atleast_1d(law.pdf(x)) >= self.floor_rel * law.max_pdf()
 
     def score_in_support(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(score, in_support mask) at x."""
-        if self.pdf_score_fn is None:
-            return self.score(t, x), self.in_support(t, x)
         return self.pdf_score_in_support(t, x)[1:]
 
     def pdf_score_in_support(self, t: float,
                              x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pdf, score, in_support mask) at x."""
-        if self.pdf_score_fn is None:
-            return self.pdf(t, x), self.score(t, x), self.in_support(t, x)
-        p, sc = self.pdf_score_fn(t, x)
-        return p, sc, np.atleast_1d(p) >= self.support_threshold(t)
+        """(pdf, score, in_support mask) at x, from one logpdf_score call."""
+        law = self.at(t)
+        lp, sc = law.logpdf_score(x)
+        p = np.exp(lp)
+        return p, sc, np.atleast_1d(p) >= self.floor_rel * law.max_pdf()
 
 
 def exact_flow_density(flow: GaussianFlow, floor_rel: float = 1e-12) -> DensityFlow:
@@ -109,8 +107,8 @@ def exact_flow_density(flow: GaussianFlow, floor_rel: float = 1e-12) -> DensityF
     nominal; the 1e-3 default of estimated densities would falsely exclude
     tail points whose score is perfectly known.
     """
-    return DensityFlow(flow.pdf, flow.score, lambda t: flow.at(t).max_pdf(),
-                       flow.dim, floor_rel, tag="exact:" + flow.tag, gaussian_flow=flow)
+    return DensityFlow(flow.at, flow.dim, floor_rel, tag="exact:" + flow.tag,
+                       gaussian_flow=flow)
 
 
 @dataclass(frozen=True)
@@ -195,11 +193,16 @@ class KdeModel:
     def score(self, x: np.ndarray) -> np.ndarray:
         return self.logpdf_score(x)[1]
 
-    def sup_pdf(self) -> float:
-        """Approximate supremum: max of pdf over the sample mean and a fixed
-        subsample of kernel centers.  Used only for the relative floor."""
+    @cached_property
+    def _max_pdf(self) -> float:
         probes = np.vstack([self.samples.mean(axis=0, keepdims=True), self.samples[:256]])
         return float(self.pdf(probes).max())
+
+    def max_pdf(self) -> float:
+        """Approximate supremum: max of pdf over the sample mean and a fixed
+        subsample of kernel centers, computed once per model.  Used only for
+        the relative floor."""
+        return self._max_pdf
 
 
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
@@ -249,7 +252,7 @@ def kde_fit(samples: np.ndarray, rule="silverman") -> KdeModel:
 def kde_score(model: KdeModel, x: np.ndarray, floor_rel: float = 1e-3) -> np.ndarray:
     """Score at x, refusing points below the relative support floor."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    lo = floor_rel * model.sup_pdf()
+    lo = floor_rel * model.max_pdf()
     lp, out = model.logpdf_score(X)
     p = np.exp(lp)
     if (p < lo).any():
@@ -265,7 +268,6 @@ def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> Dens
     and each slice model is fitted lazily, then cached.
     """
     cache: dict[int, KdeModel] = {}
-    sup_cache: dict[int, float] = {}
 
     def model_at(t: float) -> KdeModel:
         idx = e.grid.index_of(t)
@@ -273,17 +275,4 @@ def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> Dens
             cache[idx] = kde_fit(e.paths[:, idx, :], rule)
         return cache[idx]
 
-    def sup_at(t: float) -> float:
-        idx = e.grid.index_of(t)
-        if idx not in sup_cache:
-            sup_cache[idx] = model_at(t).sup_pdf()
-        return sup_cache[idx]
-
-    def pdf_score(t: float, x: np.ndarray):
-        lp, sc = model_at(t).logpdf_score(x)
-        return np.exp(lp), sc
-
-    return DensityFlow(lambda t, x: model_at(t).pdf(x),
-                       lambda t, x: model_at(t).score(x),
-                       sup_at, e.dim, floor_rel, tag="kde:" + e.model_tag,
-                       pdf_score_fn=pdf_score)
+    return DensityFlow(model_at, e.dim, floor_rel, tag="kde:" + e.model_tag)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (DomainError, MatrixField, ParameterError, PathEnsemble,
-                   TimeGrid, VectorField, trapezoid)
+                   TimeGrid, VectorField, mean_stderr, trapezoid)
 from .density import DensityFlow
 from .models import Gaussian, GaussianFlow, GraphWalkSpec, KolmogorovSpec
 from .reversal import BackwardDriftField
@@ -60,11 +60,7 @@ def _path_actions(integrand: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray,
 
 
 def _estimate(vals: np.ndarray, n_excluded: int) -> ActionEstimate:
-    n = vals.size
-    if n == 0:
-        raise ParameterError("no usable paths")
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return ActionEstimate(float(vals.mean()), se, n, n_excluded)
+    return ActionEstimate(*mean_stderr(vals), vals.size, n_excluded)
 
 
 def girsanov_action(beta: VectorField, a: MatrixField, e: PathEnsemble) -> ActionEstimate:
@@ -142,7 +138,7 @@ def _boundary_entropy(density: DensityFlow, ref: KolmogorovSpec, t: float,
     if density.gaussian_flow is not None and ref.m is not None:
         return gaussian_relative_entropy(density.gaussian_flow.at(t), ref.m), 0.0
     vals = np.log(np.maximum(density.pdf(t, X), 1e-300)) - ref.m_logpdf(X)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+    return mean_stderr(vals)
 
 
 def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,

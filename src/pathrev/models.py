@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -81,6 +81,9 @@ class Gaussian:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = -(X - self.mean) @ self._inv.T
         return out[0] if np.ndim(x) == 1 else out
+
+    def logpdf_score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.logpdf(x), self.score(x)
 
     def max_pdf(self) -> float:
         return float(np.exp(-0.5 * (self.dim * _LOG_2PI + self._logdet)))

@@ -95,11 +95,6 @@ class ReversedDrift:
         return self.backward.cap_hits
 
 
-def backward_velocity(b: VectorField, a: MatrixField, div_a: VectorField,
-                      density: DensityFlow, b_max: float = 1e6) -> BackwardDriftField:
-    return BackwardDriftField(b, a, div_a, density, b_max)
-
-
 def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
                    density: DensityFlow, T: float, b_max: float = 1e6) -> ReversedDrift:
     """Drift of the time-reversed diffusion on [0, T]."""

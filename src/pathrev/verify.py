@@ -13,14 +13,13 @@ thresholds encode only estimator noise and quadrature bias.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (ConsistencyError, MatrixField, ParameterError, PathEnsemble,
-                   SupportError, TimeGrid, VectorField, path_rng)
+                   SupportError, TimeGrid, VectorField, mean_stderr, path_rng)
 from .density import DensityFlow
 from .models import GraphWalkSpec
 from .reversal import ReversedWalk
@@ -160,20 +159,15 @@ class ResidualReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "mc_stderr": self.mc_stderr,
-                "n_samples": self.n_samples, "passed": bool(self.passed),
-                "z": self.z, "atol": self.atol, "note": self.note}
+        return asdict(self)
 
 
 def _report(vals: np.ndarray, z: float, atol: float, note: str = "") -> ResidualReport:
+    est, se = mean_stderr(vals)
     n = vals.size
-    if n == 0:
-        raise ParameterError("empty sample")
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     if n < SMALL_SAMPLE:
         note = (note + "; " if note else "") + f"small sample (n={n})"
-    return ResidualReport(est, se, n, abs(est) <= z * se + atol, z, atol, note)
+    return ResidualReport(est, se, n, bool(abs(est) <= z * se + atol), z, atol, note)
 
 
 def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
@@ -230,7 +224,7 @@ def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
     Lb = (Jb * du).sum(axis=1)
     gamma = (J * du * dv).sum(axis=1)
     est = float(p @ ((Lf + Lb) * v + gamma))
-    return ResidualReport(est, 0.0, n, abs(est) <= atol, z=0.0, atol=atol)
+    return ResidualReport(est, 0.0, n, bool(abs(est) <= atol), z=0.0, atol=atol)
 
 
 def _node_pair(grid: TimeGrid, t: float, h: float) -> tuple[int, int, float]:
@@ -299,8 +293,7 @@ class ContinuityReport:
     n_skipped: int
 
     def to_dict(self) -> dict:
-        return {"sup_residual": self.sup_residual, "l1_residual": self.l1_residual,
-                "n_used": self.n_used, "n_skipped": self.n_skipped}
+        return asdict(self)
 
 
 def _stencil(f, center: float, delta: float, order: int) -> float:
@@ -383,9 +376,7 @@ class EnergyTestResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "p_value": self.p_value,
-                "n_perm": self.n_perm, "n_a": self.n_a, "n_b": self.n_b,
-                "note": self.note}
+        return asdict(self)
 
 
 def _pairsum_sorted(z: np.ndarray) -> float:

@@ -66,6 +66,8 @@ _MODELS = {
     "cycle": {"type": "cycle", "n": 4, "rate_cw": 2.0, "rate_ccw": 1.0},
 }
 
+_OU_2D = {"type": "ou", "init_mean": [1.0, -0.5], "init_cov": [[0.5, 0.1], [0.1, 0.3]]}
+
 
 class TestCheckTable:
     def test_names_match_readme(self):
@@ -178,9 +180,15 @@ class TestErrorContract:
         # n_paths x (n_steps + 1) doubles is 7.11 PiB: numpy refuses before allocating
         ("simulate", _ou_cfg(n_paths=10 ** 9, grid={"T": 1.0, "n_steps": 10 ** 6}),
          "memory error: .*7.11 PiB"),
+        # the KDE probe table is one-dimensional: refused before simulating
+        ("run", _ou_cfg(model=_OU_2D, density="kde", n_paths=200),
+         "config error: kde probe table requires a one-dimensional model"),
+        ("reverse", _ou_cfg(model=_OU_2D, density="kde", n_paths=200),
+         "config error: kde probe table requires a one-dimensional model"),
     ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy", "custom-exact",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
-            "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "oversized-ensemble"])
+            "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "oversized-ensemble",
+            "ou2d-kde-run", "ou2d-kde-reverse"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
         path = _write_cfg(tmp_path, cfg)
         out = tmp_path / "o"

@@ -6,8 +6,9 @@ import pytest
 from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
                           VectorField, ensemble_csv_string, ensemble_to_csv,
-                          flip_ensemble, load_ensemble, make_grid, path_rng,
-                          psd_sqrt, reverse_index, save_ensemble, trapezoid)
+                          flip_ensemble, load_ensemble, make_grid, mean_stderr,
+                          path_rng, psd_sqrt, reverse_index, save_ensemble,
+                          trapezoid)
 
 
 class TestTimeGrid:
@@ -279,3 +280,12 @@ def test_trapezoid_matches_closed_form():
     Y = np.stack([x, 2 * x])
     out = trapezoid(Y, x, axis=1)
     assert out == pytest.approx([0.5, 1.0], abs=1e-15)
+
+
+def test_mean_stderr():
+    # deviations -2, -1, 3: sample variance 14 / 2, so stderr sqrt(7 / 3)
+    assert mean_stderr(np.array([1.0, 2.0, 6.0])) == pytest.approx((3.0, (7.0 / 3.0) ** 0.5),
+                                                                   rel=1e-15)
+    assert mean_stderr(np.array([2.5])) == (2.5, float("inf"))
+    with pytest.raises(ParameterError):
+        mean_stderr(np.array([]))

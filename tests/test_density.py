@@ -32,14 +32,24 @@ class TestExactFlowDensity:
     def test_floor_rel_validation(self):
         flow = ou_marginal_flow([0.0], [[0.5]])
         with pytest.raises(ParameterError):
-            DensityFlow(flow.pdf, flow.score, lambda t: 1.0, 1, floor_rel=0.0)
+            DensityFlow(flow.at, 1, floor_rel=0.0)
         with pytest.raises(ParameterError):
-            DensityFlow(flow.pdf, flow.score, lambda t: 1.0, 1, floor_rel=1.0)
+            DensityFlow(flow.at, 1, floor_rel=1.0)
 
     def test_carries_gaussian_flow(self):
         flow = ou_marginal_flow([1.0], [[0.5]])
         d = exact_flow_density(flow)
         assert d.gaussian_flow is flow
+
+    def test_one_slice_law_call_matches_separate_queries(self):
+        d = exact_flow_density(ou_marginal_flow([1.0], [[0.5]]), floor_rel=1e-3)
+        X = np.linspace(-4.0, 6.0, 101)[:, None]  # tails fall below the floor
+        for t in (0.0, 0.5, 1.0):
+            p, sc, ok = d.pdf_score_in_support(t, X)
+            assert np.array_equal(p, d.pdf(t, X))
+            assert np.array_equal(sc, d.score(t, X))
+            assert np.array_equal(ok, d.in_support(t, X))
+            assert 0 < ok.sum() < len(X)
 
 
 class TestKdeModel:
@@ -74,6 +84,13 @@ class TestKdeModel:
         x = path_rng(31337, 0).standard_normal((100000, 1))
         m = kde_fit(x, rule="score")
         assert abs(float(m.score(np.array([1.0]))[0]) + 1.0) <= 0.05
+
+    def test_max_pdf_is_probe_maximum_computed_once(self):
+        # probes are the sample mean 0 and both centers; pdf peaks at 0
+        m = KdeModel(np.array([[-1.0], [1.0]]), np.array([1.0]))
+        assert m.max_pdf() == m.pdf(np.zeros((1, 1)))[0]
+        assert m.max_pdf() > m.pdf(np.ones(1))
+        assert "_max_pdf" in vars(m)
 
     def test_scalar_bandwidth_broadcasts(self):
         m = KdeModel(np.zeros((3, 2)), 0.5)

@@ -126,8 +126,7 @@ class TestCurrentOsmosisDecomposition:
         # densities without Gaussian structure fall back to slice averages
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0], [[0.5]])
-        plain = DensityFlow(flow.pdf, flow.score,
-                            lambda t: flow.at(t).max_pdf(), 1, 1e-12)
+        plain = DensityFlow(flow.at, 1, 1e-12)
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(2000, 43, make_grid(1.0, 100)))
         rep = current_osmosis_decomposition(ref.drift, plain, ref, e)

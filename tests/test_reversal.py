@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +10,8 @@ from pathrev.models import (Gaussian, biased_cycle_walk, bm_flow, graph_walk,
                             ou_diffusion, ou_marginal_flow, ou_reference,
                             walk_marginal_fn)
 from pathrev.reversal import (BackwardDriftField, ReversedDrift,
-                              backward_velocity, momentum_fields,
-                              osmotic_residual, reversed_drift,
-                              reversed_jump_intensities,
+                              momentum_fields, osmotic_residual,
+                              reversed_drift, reversed_jump_intensities,
                               velocity_decomposition)
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -39,7 +37,7 @@ class TestBackwardDrift:
     def test_stationary_start_reverses_to_itself(self):
         ref, stat_flow = ou_reference()
         density = exact_flow_density(stat_flow)
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, density)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         X = np.linspace(-2, 2, 9)[:, None]
         for t in (0.1, 0.5, 0.9):
             assert np.array_equal(bwd(t, X), ref.drift(t, X))
@@ -55,26 +53,34 @@ class TestBackwardDrift:
         assert rd(1.0, np.array([1.0]))[0] == -1.0  # original time 0, cov 1
 
     def test_kde_fused_pass_matches_separate_passes(self):
-        # the KDE flow answers score and support from one kernel pass; the
-        # same flow without pdf_score_fn calls score and in_support instead
+        # the drift takes score and support from one kernel pass; the flow's
+        # separate score and in_support calls must give the same drift
         ref, _ = ou_reference()
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(400, 9, make_grid(1.0, 20)))
-        fused_density = kde_flow(e, rule="score")
-        assert fused_density.pdf_score_fn is not None
-        split_density = dataclasses.replace(fused_density, pdf_score_fn=None)
-        fused = BackwardDriftField(ref.drift, ref.a, ref.div_a, fused_density)
-        split = BackwardDriftField(ref.drift, ref.a, ref.div_a, split_density)
+        density = kde_flow(e, rule="score")
+        fused = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
+        split_floor_hits = 0
+
+        def split(t, x):
+            nonlocal split_floor_hits
+            X = np.atleast_2d(x)
+            ok = density.in_support(t, X)
+            split_floor_hits += int((~ok).sum())
+            sc = np.where(ok[:, None], density.score(t, X), 0.0)
+            out = -ref.drift(t, X) + ref.div_a(t, X) + ref.a.apply(t, X, sc)
+            return out[0] if np.ndim(x) == 1 else out
+
         X = np.linspace(-5.0, 7.0, 700)[:, None]  # crosses chunks and the floor
         for t in (0.05, 0.5, 1.0):
             assert np.array_equal(fused(t, X), split(t, X))
             assert np.array_equal(fused(t, X[3]), split(t, X[3]))
-        assert fused.floor_hits == split.floor_hits > 0
-        assert fused.cap_hits == split.cap_hits
+        assert fused.floor_hits == split_floor_hits > 0
+        assert fused.cap_hits == 0
 
     def test_batch_matches_single(self):
         ref, flow, density = _ou_setup()
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, density)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         X = np.array([[0.0], [0.7], [-1.3]])
         batch = bwd(0.4, X)
         for i, row in enumerate(X):
@@ -82,9 +88,8 @@ class TestBackwardDrift:
 
     def test_floor_zeroes_score(self):
         ref, flow, _ = _ou_setup()
-        tight = DensityFlow(flow.pdf, flow.score, lambda t: flow.at(t).max_pdf(),
-                            1, floor_rel=0.5)
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, tight)
+        tight = DensityFlow(flow.at, 1, floor_rel=0.5)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, tight)
         x = np.array([3.0])
         out = bwd(0.0, x)
         # score dropped: only -b survives
@@ -93,7 +98,7 @@ class TestBackwardDrift:
 
     def test_cap_rescales_norm(self):
         ref, flow, density = _ou_setup()
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, density, b_max=1.0)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density, b_max=1.0)
         out = bwd(0.0, np.array([[-4.0]]))
         assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
         assert bwd.cap_hits == 1
@@ -125,7 +130,7 @@ class TestVelocities:
     def test_shifted_ou_closed_forms(self):
         # v_cu = -e^{-t}, v_os = -x + e^{-t} for the N(1, 1/2) start
         ref, flow, density = _ou_setup()
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, density)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         v_bwd = VectorField(lambda t, X: bwd(t, X), 1)
         fields = velocity_decomposition(ref.drift, v_bwd)
         for t in (0.2, 0.8):
@@ -142,7 +147,7 @@ class TestVelocities:
 class TestMomenta:
     def _fields(self):
         ref, flow, density = _ou_setup()
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, density)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         v_bwd = VectorField(lambda t, X: bwd(t, X), 1)
         return ref, momentum_fields(ref.drift, v_bwd, ref)
 
@@ -169,7 +174,7 @@ class TestMomenta:
 class TestOsmoticIdentity:
     def test_exact_density_gives_zero_residual(self):
         ref, flow, density = _ou_setup()
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, density)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         v_bwd = VectorField(lambda t, X: bwd(t, X), 1)
         mom = momentum_fields(ref.drift, v_bwd, ref)
         X = np.linspace(-1.0, 2.0, 11)[:, None]
@@ -181,9 +186,8 @@ class TestOsmoticIdentity:
 
     def test_all_probes_skipped(self):
         ref, flow, _ = _ou_setup()
-        tight = DensityFlow(flow.pdf, flow.score, lambda t: flow.at(t).max_pdf(),
-                            1, floor_rel=0.99)
-        bwd = backward_velocity(ref.drift, ref.a, ref.div_a, tight)
+        tight = DensityFlow(flow.at, 1, floor_rel=0.99)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, tight)
         v_bwd = VectorField(lambda t, X: bwd(t, X), 1)
         mom = momentum_fields(ref.drift, v_bwd, ref)
         with pytest.raises(ParameterError):

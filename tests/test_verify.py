@@ -310,8 +310,7 @@ class TestContinuity:
 
     def test_all_probes_below_floor(self):
         flow = ou_marginal_flow([1.0], [[0.5]])
-        tight = DensityFlow(flow.pdf, flow.score,
-                            lambda t: flow.at(t).max_pdf(), 1, floor_rel=0.99)
+        tight = DensityFlow(flow.at, 1, floor_rel=0.99)
         spec = ou_diffusion(Gaussian([1.0], [[0.5]]))
         bwd = BackwardDriftField(spec.drift, spec.a, VectorField.zero(1), tight)
         v_cu = VectorField(lambda t, X: 0.5 * (spec.drift(t, X) - bwd(t, X)), 1)
