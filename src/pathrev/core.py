@@ -259,9 +259,9 @@ class MatrixField:
     """Symmetric matrix field (t, x) -> dim x dim.
 
     Symmetry is enforced by construction (the output is symmetrized).  A
-    constant field caches its matrix, its inverse action and a PSD square
-    root; the general pointwise form falls back to per-point loops, which is
-    acceptable because all shipped models use constant coefficients.
+    constant field stores its matrix and computes its inverse once, on the
+    first solve; the general pointwise form falls back to per-point loops,
+    which is acceptable because all shipped models use constant coefficients.
     """
 
     def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray] | None,
@@ -297,6 +297,13 @@ class MatrixField:
     def constant_matrix(self) -> np.ndarray | None:
         return self._const
 
+    @cached_property
+    def _inv(self) -> np.ndarray:
+        try:
+            return np.linalg.inv(self._const)
+        except np.linalg.LinAlgError:
+            raise NumericError("constant matrix field is singular") from None
+
     def at(self, t: float, x: np.ndarray) -> np.ndarray:
         if self._const is not None:
             return self._const
@@ -324,9 +331,9 @@ class MatrixField:
         return out
 
     def solve(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Row-wise a(t, x_i)^{-1} v_i."""
+        """Row-wise a(t, x_i)^{-1} v_i; a constant a uses its cached inverse."""
         if self._const is not None:
-            return np.linalg.solve(self._const, V.T).T
+            return V @ self._inv.T
         out = np.empty_like(V)
         for i in range(X.shape[0]):
             out[i] = np.linalg.solve(self.at(t, X[i]), V[i])

@@ -17,6 +17,17 @@ with F(mu) = H(mu|m) / 2 and the osmotic action equal to the time integral
 of the Fisher information of the marginals.  Monte-Carlo estimates use
 per-path trapezoid quadrature on the ensemble grid; reductions are plain
 numpy sums, so results are deterministic for a given ensemble.
+
+Path integrands are node-major: each grid node copies its slice of the
+ensemble once into a contiguous (n_paths, dim) array, evaluates every field
+on it, and writes each integrand as one contiguous row of an
+(n_integrands, n_nodes, n_paths) array.  The per-path integrals then take
+the paths in blocks of _BLOCK, one integrand at a time, transposed to a
+C-contiguous (paths, nodes) array.  Each path's row holds the same values
+as in a path-major layout and is reduced by the same trapezoid along a
+contiguous axis, so every per-path integral, and every mean and standard
+error over them, is bit-for-bit what a path-major loop gives, while the
+transient memory stays at one block.
 """
 from __future__ import annotations
 
@@ -30,6 +41,8 @@ from .core import (DomainError, MatrixField, ParameterError, PathEnsemble,
 from .density import DensityFlow
 from .models import Gaussian, GaussianFlow, GraphWalkSpec, KolmogorovSpec
 from .reversal import BackwardDriftField
+
+_BLOCK = 256  # paths per transposed block when integrating node-major rows
 
 
 def gaussian_relative_entropy(p: Gaussian, r: Gaussian) -> float:
@@ -52,26 +65,38 @@ class ActionEstimate:
     n_excluded: int = 0
 
 
-def _path_actions(integrand: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-path trapezoid integrals, dropping paths with non-finite values."""
-    ok = np.isfinite(integrand).all(axis=1)
-    vals = trapezoid(integrand[ok], nodes, axis=1)
-    return vals, int((~ok).sum())
-
-
 def _estimate(vals: np.ndarray, n_excluded: int) -> ActionEstimate:
     return ActionEstimate(*mean_stderr(vals), vals.size, n_excluded)
+
+
+def _path_integrals(F: np.ndarray, nodes: np.ndarray,
+                    drop_rows: tuple[int, ...]) -> list[ActionEstimate]:
+    """Mean per-path trapezoid integral of each node-major integrand row.
+
+    F has shape (n_integrands, n_nodes, n_paths).  A path is left out of
+    every estimate when any row named in drop_rows is non-finite on it.
+    """
+    ok = np.ones(F.shape[2], dtype=bool)
+    for i in drop_rows:
+        ok &= np.isfinite(F[i]).all(axis=0)
+    dropped = int((~ok).sum())
+    out = []
+    for row in F:
+        vals = [trapezoid(np.ascontiguousarray(row[:, s:s + _BLOCK].T)[ok[s:s + _BLOCK]],
+                          nodes, axis=1) for s in range(0, F.shape[2], _BLOCK)]
+        out.append(_estimate(np.concatenate(vals), dropped))
+    return out
 
 
 def girsanov_action(beta: VectorField, a: MatrixField, e: PathEnsemble) -> ActionEstimate:
     """E int_0^T |beta(t, X_t)|_a^2 / 2 dt along the ensemble."""
     nodes = e.grid.nodes
-    integrand = np.empty((e.n_paths, nodes.size))
+    F = np.empty((1, nodes.size, e.n_paths))
     for k, t in enumerate(nodes):
-        X = e.paths[:, k, :]
-        integrand[:, k] = 0.5 * a.quad(t, X, beta(t, X))
-    vals, dropped = _path_actions(integrand, nodes)
-    return _estimate(vals, dropped)
+        X = np.ascontiguousarray(e.paths[:, k, :])
+        F[0, k] = 0.5 * a.quad(t, X, beta(t, X))
+    (est,) = _path_integrals(F, nodes, drop_rows=(0,))
+    return est
 
 
 @dataclass(frozen=True)
@@ -156,41 +181,32 @@ def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,
     nodes = e.grid.nodes
     v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density, b_max)
 
-    shape = (e.n_paths, nodes.size)
-    int_f = np.empty(shape)
-    int_b = np.empty(shape)
-    int_c = np.empty(shape)
-    int_o = np.empty(shape)
+    F = np.empty((4, nodes.size, e.n_paths))  # rows: fwd, bwd, current, osmotic
     for k, t in enumerate(nodes):
-        X = e.paths[:, k, :]
+        X = np.ascontiguousarray(e.paths[:, k, :])
         vr = ref.drift(t, X)
         bf = ref.a.solve(t, X, drift(t, X) - vr)
         bb = ref.a.solve(t, X, v_bwd(t, X) - vr)
-        int_f[:, k] = 0.5 * ref.a.quad(t, X, bf)
-        int_b[:, k] = 0.5 * ref.a.quad(t, X, bb)
-        int_c[:, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf - bb))
-        int_o[:, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf + bb))
-
-    ok = (np.isfinite(int_f) & np.isfinite(int_b)).all(axis=1)
-    dropped = int((~ok).sum())
-    est = {}
-    for name, arr in (("fwd", int_f), ("bwd", int_b), ("cur", int_c), ("osm", int_o)):
-        est[name] = _estimate(trapezoid(arr[ok], nodes, axis=1), dropped)
+        F[0, k] = 0.5 * ref.a.quad(t, X, bf)
+        F[1, k] = 0.5 * ref.a.quad(t, X, bb)
+        F[2, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf - bb))
+        F[3, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf + bb))
+    fwd, bwd, cur, osm = _path_integrals(F, nodes, drop_rows=(0, 1))
 
     b0, se0 = _boundary_entropy(density, ref, 0.0, e.paths[:, 0, :])
     bT, seT = _boundary_entropy(density, ref, e.grid.T, e.paths[:, -1, :])
 
-    total = b0 + est["fwd"].value
-    total_se = math.hypot(se0, est["fwd"].stderr)
+    total = b0 + fwd.value
+    total_se = math.hypot(se0, fwd.stderr)
     return EntropyReport(
         boundary_initial=b0, boundary_terminal=bT,
-        action_fwd=est["fwd"].value, action_bwd=est["bwd"].value,
-        action_current=est["cur"].value, action_osmotic=est["osm"].value,
+        action_fwd=fwd.value, action_bwd=bwd.value,
+        action_current=cur.value, action_osmotic=osm.value,
         total=total,
         boundary_initial_stderr=se0, boundary_terminal_stderr=seT,
-        action_fwd_stderr=est["fwd"].stderr, action_bwd_stderr=est["bwd"].stderr,
-        action_current_stderr=est["cur"].stderr, action_osmotic_stderr=est["osm"].stderr,
-        total_stderr=total_se, n_paths=int(ok.sum()), n_excluded=dropped)
+        action_fwd_stderr=fwd.stderr, action_bwd_stderr=bwd.stderr,
+        action_current_stderr=cur.stderr, action_osmotic_stderr=osm.stderr,
+        total_stderr=total_se, n_paths=fwd.n_paths, n_excluded=fwd.n_excluded)
 
 
 def fisher_information(mu: Gaussian, m: Gaussian, a: np.ndarray | None = None) -> float:

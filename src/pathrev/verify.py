@@ -146,8 +146,9 @@ def constant_function(dim: int = 1, value: float = 1.0) -> TestFunction:
 class ResidualReport:
     """A residual that should be zero, with its Monte-Carlo error bar.
 
-    passed is |estimate| <= z * mc_stderr + atol.  Exact (non-MC) checks set
-    mc_stderr = 0 and z = 0 so only atol matters.
+    passed is |estimate| <= z * mc_stderr + atol with a finite mc_stderr: a
+    sample too small for an error bar (one value gives inf) never passes.
+    Exact (non-MC) checks set mc_stderr = 0 and z = 0 so only atol matters.
     """
 
     estimate: float
@@ -167,7 +168,8 @@ def _report(vals: np.ndarray, z: float, atol: float, note: str = "") -> Residual
     n = vals.size
     if n < SMALL_SAMPLE:
         note = (note + "; " if note else "") + f"small sample (n={n})"
-    return ResidualReport(est, se, n, bool(abs(est) <= z * se + atol), z, atol, note)
+    passed = np.isfinite(se) and abs(est) <= z * se + atol
+    return ResidualReport(est, se, n, bool(passed), z, atol, note)
 
 
 def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,

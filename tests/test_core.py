@@ -233,6 +233,24 @@ class TestMatrixField:
         V = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(a.apply(0.0, np.zeros((2, 3)), V), V)
 
+    def test_solve_identity_is_exact(self):
+        a = MatrixField.identity(3)
+        V = path_rng(7, 0).standard_normal((50, 3))
+        assert np.array_equal(a.solve(0.0, np.zeros((50, 3)), V), V)
+
+    def test_solve_spd_constant_matches_linalg(self):
+        M = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.7]])
+        a = MatrixField.constant(M)
+        V = path_rng(7, 1).standard_normal((50, 3))
+        out = a.solve(0.0, np.zeros((50, 3)), V)
+        assert np.allclose(out, np.linalg.solve(M, V.T).T, rtol=1e-13, atol=1e-15)
+        assert np.allclose(out @ M, V, rtol=1e-13, atol=1e-14)
+
+    def test_solve_singular_constant(self):
+        a = MatrixField.constant([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NumericError):
+            a.solve(0.0, np.zeros((2, 2)), np.ones((2, 2)))
+
     def test_pointwise_fn_is_symmetrized(self):
         a = MatrixField(lambda t, x: np.array([[1.0, 2.0], [0.0, 1.0]]), 2)
         assert not a.is_constant

@@ -4,10 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pathrev import entropy
 from pathrev.core import (DomainError, MatrixField, ParameterError,
-                          VectorField, make_grid)
-from pathrev.density import DensityFlow, exact_flow_density
-from pathrev.entropy import (ActionEstimate, current_osmosis_decomposition,
+                          VectorField, make_grid, mean_stderr, trapezoid)
+from pathrev.density import DensityFlow, exact_flow_density, kde_flow
+from pathrev.entropy import (ActionEstimate, EntropyReport, _boundary_entropy,
+                             current_osmosis_decomposition,
                              entropy_vs_counting, fisher_information,
                              fisher_information_mc, gaussian_relative_entropy,
                              girsanov_action, heat_flow_dissipation,
@@ -15,6 +17,7 @@ from pathrev.entropy import (ActionEstimate, current_osmosis_decomposition,
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_diffusion,
                             ou_diffusion, ou_marginal_flow, ou_reference,
                             walk_marginal_fn)
+from pathrev.reversal import BackwardDriftField
 from pathrev.simulate import SimConfig, euler_maruyama
 
 E_NEG_2 = 0.1353352832366127
@@ -141,6 +144,100 @@ class TestCurrentOsmosisDecomposition:
         with pytest.raises(ParameterError):
             current_osmosis_decomposition(spec.drift, exact_flow_density(flow),
                                           ref, e)
+
+
+def _path_major_integrals(integrands, nodes, drop):
+    """Per-path trapezoid integrals of path-major (n_paths, n_nodes) arrays,
+    dropping the paths on which any array in drop is non-finite."""
+    ok = np.ones(integrands[0].shape[0], dtype=bool)
+    for arr in drop:
+        ok &= np.isfinite(arr).all(axis=1)
+    return [trapezoid(arr[ok], nodes, axis=1) for arr in integrands], ok
+
+
+def _path_major_report(drift, density, ref, e, b_max=1e6):
+    """current_osmosis_decomposition written path-major: one strided column
+    per node and integrand, and np.linalg.solve on the constant a.  Returns
+    the report and the per-path integrals of the four integrands."""
+    nodes = e.grid.nodes
+    A = ref.a.constant_matrix
+    v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density, b_max)
+    int_f, int_b, int_c, int_o = (np.empty((e.n_paths, nodes.size)) for _ in range(4))
+    for k, t in enumerate(nodes):
+        X = e.paths[:, k, :]
+        vr = ref.drift(t, X)
+        bf = np.linalg.solve(A, (drift(t, X) - vr).T).T
+        bb = np.linalg.solve(A, (v_bwd(t, X) - vr).T).T
+        int_f[:, k] = 0.5 * ref.a.quad(t, X, bf)
+        int_b[:, k] = 0.5 * ref.a.quad(t, X, bb)
+        int_c[:, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf - bb))
+        int_o[:, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf + bb))
+    vals, ok = _path_major_integrals((int_f, int_b, int_c, int_o), nodes, (int_f, int_b))
+    fwd, bwd, cur, osm = (mean_stderr(v) for v in vals)
+    b0, se0 = _boundary_entropy(density, ref, 0.0, e.paths[:, 0, :])
+    bT, seT = _boundary_entropy(density, ref, e.grid.T, e.paths[:, -1, :])
+    report = EntropyReport(
+        b0, bT, fwd[0], bwd[0], cur[0], osm[0], b0 + fwd[0],
+        se0, seT, fwd[1], bwd[1], cur[1], osm[1], math.hypot(se0, fwd[1]),
+        int(ok.sum()), int((~ok).sum()))
+    return report, vals
+
+
+class TestNodeMajorMatchesPathMajor:
+    """The node-major loop against a path-major one, bit for bit, on more
+    paths than two blocks and with some paths dropped.  Means can hide
+    ulp-level changes in single paths, so the per-path integrals handed to
+    mean_stderr are compared too."""
+
+    N_PATHS = 2 * 256 + 3
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ref, _ = ou_reference()
+        flow = ou_marginal_flow([1.0], [[0.5]])
+        spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+        e = euler_maruyama(spec, SimConfig(self.N_PATHS, 11, make_grid(1.0, 40)))
+        # a forward drift that is NaN beyond x = 2 drops the paths that go there
+        drift = VectorField(lambda t, X: np.where(X > 2.0, np.nan, -X), 1)
+        return ref, flow, e, drift
+
+    @staticmethod
+    def _record_samples(monkeypatch):
+        seen = []
+
+        def recording(vals):
+            seen.append(vals.copy())
+            return mean_stderr(vals)
+
+        monkeypatch.setattr(entropy, "mean_stderr", recording)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["exact", "kde"])
+    def test_report_is_identical(self, setup, kind, monkeypatch):
+        ref, flow, e, drift = setup
+        density = exact_flow_density(flow) if kind == "exact" else kde_flow(e)
+        want, want_vals = _path_major_report(drift, density, ref, e)
+        seen = self._record_samples(monkeypatch)
+        got = current_osmosis_decomposition(drift, density, ref, e)
+        assert 0 < want.n_excluded < self.N_PATHS
+        assert got.to_dict() == want.to_dict()
+        for vals, want_v in zip(seen[:4], want_vals):  # fwd, bwd, current, osmotic
+            assert np.array_equal(vals, want_v)
+
+    def test_girsanov_is_identical(self, setup, monkeypatch):
+        ref, _, e, drift = setup
+        nodes = e.grid.nodes
+        integrand = np.empty((e.n_paths, nodes.size))
+        for k, t in enumerate(nodes):
+            X = e.paths[:, k, :]
+            integrand[:, k] = 0.5 * ref.a.quad(t, X, drift(t, X))
+        [want_vals], ok = _path_major_integrals([integrand], nodes, [integrand])
+        seen = self._record_samples(monkeypatch)
+        est = girsanov_action(drift, ref.a, e)
+        assert 0 < est.n_excluded < self.N_PATHS
+        assert est == ActionEstimate(*mean_stderr(want_vals), int(ok.sum()),
+                                     int((~ok).sum()))
+        assert np.array_equal(seen[0], want_vals)
 
 
 class TestFisherInformation:

@@ -113,6 +113,17 @@ class TestIbpResidual:
         assert rep.estimate == pytest.approx(1.25, abs=1e-12)
         assert "small sample" in rep.note
 
+    def test_one_row_has_no_error_bar_and_fails(self, stationary):
+        # the bracket at x = 0 is 1 for u = v = x; one value gives an infinite
+        # standard error, which must not make |1| <= z * se + atol vacuous
+        ref, v_bwd = stationary
+        u = coordinate_function(1)
+        rep = ibp_residual(ref.drift, v_bwd, ref.a, np.zeros((1, 1)), 0.3, u, u)
+        assert rep.estimate == pytest.approx(1.0, abs=1e-12)
+        assert rep.mc_stderr == math.inf
+        assert rep.n_samples == 1
+        assert rep.passed is False
+
     def test_report_dict_roundtrip(self, stationary):
         ref, v_bwd = stationary
         u = coordinate_function(1)
