@@ -13,7 +13,7 @@ from .core import (BandwidthError, ConfigError, ConsistencyError, DomainError,
                    JumpPathEnsemble, MatrixField, NumericError, ParameterError,
                    PathEnsemble, SimulationError, SupportError, TimeGrid,
                    VectorField, ensemble_to_csv, flip_ensemble, load_ensemble,
-                   make_grid, path_rng, save_ensemble, trapezoid)
+                   make_grid, path_rng, path_streams, save_ensemble, trapezoid)
 from .models import (DiffusionSpec, Gaussian, GaussianFlow, GraphWalkSpec,
                      KolmogorovSpec, ModelBundle, biased_cycle_walk, bm_diffusion,
                      bm_flow, counting_reference_walk, diffusion_spec, graph_walk,

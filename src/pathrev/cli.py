@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -50,10 +51,20 @@ _MODEL_TYPES = _DIFFUSIONS + ("cycle",)
 _TOP_KEYS = {"model", "grid", "n_paths", "seed", "density", "checks", "out_dir"}
 _GRID_KEYS = {"T", "n_steps"}
 _INTENSITY_HEADER = ("from_state", "to_state", "t", "j_fwd", "j_bwd")
+# the reversal check's permutation tests reject law equality below this p-value
+_REVERSAL_LEVEL = 0.01
 
 # every error class of pathrev.core; main maps each to exit code 2
 _ERRORS = (BandwidthError, ConfigError, ConsistencyError, DomainError,
            NumericError, ParameterError, SimulationError, SupportError)
+
+
+def _check_seed(seed: int) -> None:
+    """A seed is below 2**63, so the seeds derived from it (seed + 1 for the
+    reversed ensemble, seed + 100 + k for the permutation streams) stay
+    distinct 64-bit stream keys and a stored ensemble reads its seed back."""
+    if not 0 <= seed < 1 << 63:
+        raise ConfigError(f"seed must be a nonnegative integer below 2**63, got {seed!r}")
 
 
 def validate_config(obj: dict) -> dict:
@@ -91,8 +102,9 @@ def validate_config(obj: dict) -> dict:
         raise ConfigError(f"grid.n_steps must be a positive integer, got {n_steps!r}")
 
     seed = obj["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_seed(seed)
 
     n_paths = obj.get("n_paths", 1000 if mtype == "cycle" else None)
     if n_paths is None:
@@ -354,9 +366,12 @@ class _WalkRun(_Run):
     def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
         """events.csv, one row per jump; walks have no other path format."""
         e = ctmc_simulate(self.spec, self.grid.T, self.cfg["n_paths"], self.cfg["seed"])
-        out.write_csv("events.csv", ["path_id", "t", "from_state", "to_state"],
-                      ((pid, float(t), u, v)
-                       for pid, events in enumerate(e.events) for t, u, v in events))
+        # the rows _write_csv would write (event times are floats, so repr),
+        # formatted directly and streamed line by line
+        with open(out.path("events.csv"), "w", newline="") as f:
+            f.write("path_id,t,from_state,to_state\n")
+            f.writelines(f"{pid},{t!r},{u},{v}\n"
+                         for pid, events in enumerate(e.events) for t, u, v in events)
 
     def write_forward(self, out: _Artifacts) -> None:
         """State occupation probabilities at the snapshot times."""
@@ -463,6 +478,15 @@ def _check_continuity(run: _DiffusionRun) -> dict:
 @functools.singledispatch
 def _check_reversal(run: _DiffusionRun) -> dict:
     n_cmp = min(5000, run.ensemble.n_paths)
+    splits = math.comb(2 * n_cmp, n_cmp)
+    if splits < 1 / _REVERSAL_LEVEL:
+        # the exact permutation p-value is at least 1 / splits, so with fewer
+        # than 1 / level distinct splits of the pooled sample the test
+        # could never reject
+        return {"n_compare": n_cmp, "passed": False,
+                "reason": f"{n_cmp} paths per side give {splits} distinct splits, fewer "
+                          f"than 1/{_REVERSAL_LEVEL:g}; the permutation test cannot reject "
+                          f"at level {_REVERSAL_LEVEL:g}"}
     T = run.grid.T
     if run.cfg["density"] == "exact":
         init_T = run.bundle.flow.at(T)
@@ -483,7 +507,7 @@ def _check_reversal(run: _DiffusionRun) -> dict:
         slices[f"s={s}"] = {"statistic": res.statistic, "p_value": res.p_value}
         worst = min(worst, res.p_value)
     return {"slices": slices, "min_p_value": worst, "n_compare": n_cmp,
-            "passed": worst >= 0.01}
+            "passed": worst >= _REVERSAL_LEVEL}
 
 
 @_check_reversal.register
@@ -714,8 +738,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
+            _check_seed(args.seed)
             cfg["seed"] = args.seed
         out_dir = args.out if args.out is not None else cfg["out_dir"]
         if args.command == "run":

@@ -12,11 +12,13 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4.flags.writeable = False
 
 _MAGIC = b"PENS1\x00"
 _HEADER = struct.Struct("<HIQQdQ")  # version, dim, n_paths, n_steps, T, seed
@@ -54,15 +56,50 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def _philox_state(seed: int, path_index: int) -> dict:
+    """Philox state at the start of the stream keyed by (seed, path index).
+
+    The key is built exactly as two uint64 words (seed and index mod 2^64),
+    never through float64, so distinct keys below 2^64 give distinct streams.
+    Counter 0 and an empty buffer make the stream independent of whatever
+    the bit generator drew before.
+    """
+    key = np.array([int(seed) & _U64, int(path_index) & _U64], dtype=np.uint64)
+    return {"bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": key},
+            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Random stream for one path, a pure function of (seed, path index).
 
     Counter-based (Philox) so the stream is independent of how paths are
     batched or scheduled.  Every stochastic routine in the package draws
-    per-path randomness through this function and nothing else.
+    per-path randomness from this stream, through this function or through
+    path_streams, which yields the same streams from one reused generator.
     """
-    key = [int(seed) & _U64, int(path_index) & _U64]
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(path_streams(seed, (path_index,)))
+
+
+def path_streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """path_rng(seed, i) for each i in indices, from one reused generator.
+
+    Each yielded generator is the same object with its state reset, so it is
+    valid only until the next yield; the draws are bit-identical to
+    path_rng's.  Resetting a state costs a fraction of building a Philox.
+    """
+    # seed 0 only fills an initial state that is replaced before any draw;
+    # an unseeded Philox would first read OS entropy
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    # assigning a state copies it into the generator, so one state dict
+    # serves every index with only its key's index word rewritten
+    state = _philox_state(seed, 0)
+    key = state["state"]["key"]
+    for i in indices:
+        key[1] = int(i) & _U64
+        bitgen.state = state
+        yield rng
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Forward simulation: Euler-Maruyama for diffusions, event-driven jump walks.
 
-All randomness flows through core.path_rng, so an ensemble is a pure function
-of (seed, model, grid, n_paths) no matter how the paths are batched.  The
-per-path draw layout is part of the contract: for diffusions, draw 0 feeds
-the initial condition and draw k+1 feeds Euler step k; for walks, each path
-consumes one stream event by event.
+Path i draws from the counter-based stream core.path_rng(seed, i), taken in
+the loops from core.path_streams (one reused generator, the same draws), so
+an ensemble is a pure function of (seed, model, grid, n_paths) no matter how
+the paths are batched.  The per-path draw layout is part of the contract:
+for diffusions, draw 0 feeds the initial condition and draw k+1 feeds Euler
+step k; for walks, each path consumes one stream event by event.
 """
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, JumpPathEnsemble, ParameterError, PathEnsemble,
-                   SimulationError, TimeGrid, path_rng)
+                   SimulationError, TimeGrid, path_streams)
+# unused here; perfbench/tracer.py patches path_rng by name in this module
+from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
 
 
@@ -54,8 +57,8 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig, block_size: int = 4096) 
         stop = min(start + block_size, cfg.n_paths)
         B = stop - start
         Z = np.empty((B, n + 1, d))
-        for j in range(B):
-            Z[j] = path_rng(cfg.seed, start + j).standard_normal((n + 1, d))
+        for j, rng in enumerate(path_streams(cfg.seed, range(start, stop))):
+            Z[j] = rng.standard_normal((n + 1, d))
         X = spec.init.mean + Z[:, 0, :] @ init_factor.T
         out[start:stop, 0] = X
         for k in range(n):
@@ -74,6 +77,13 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig, block_size: int = 4096) 
     return PathEnsemble(grid, out, cfg.seed, spec.tag)
 
 
+def _cum_list(weights: np.ndarray) -> list[float]:
+    """Cumulative sums of weights as a list whose last entry is inf."""
+    cum = np.cumsum(weights).tolist()
+    cum[-1] = math.inf
+    return cum
+
+
 def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> JumpPathEnsemble:
     """Simulate the walk on [0, T].
 
@@ -87,18 +97,21 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths}")
     n_paths = int(n_paths)
 
-    cum_p0 = np.cumsum(spec.p0)
+    # Cumulative sums as Python lists searched with bisect_right: on finite
+    # floats the same answers as np.searchsorted(side="right"), without a
+    # numpy dispatch per draw.  Each list ends in inf, so a draw at or past
+    # the total (roundoff) lands on the last state rather than past it.
+    cum_p0 = _cum_list(spec.p0)
     initial = np.empty(n_paths, dtype=np.int64)
     all_events = []
 
     if spec.is_constant:
         J = spec.intensity_matrix
-        rates = J.sum(axis=1)
-        cum_rows = np.cumsum(J, axis=1)
-        for i in range(n_paths):
-            rng = path_rng(seed, i)
-            x = int(np.searchsorted(cum_p0, rng.random(), side="right"))
-            x = min(x, spec.n_states - 1)
+        rates = J.sum(axis=1).tolist()
+        cum_rows = [_cum_list(row) for row in J]
+        for i, rng in enumerate(path_streams(seed, range(n_paths))):
+            random, exponential = rng.random, rng.exponential
+            x = bisect_right(cum_p0, random())
             initial[i] = x
             t = 0.0
             events = []
@@ -106,11 +119,10 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
                 lam = rates[x]
                 if lam <= 0.0:
                     break
-                t += rng.exponential(1.0 / lam)
+                t += exponential(1.0 / lam)
                 if t > T:
                     break
-                y = int(np.searchsorted(cum_rows[x], rng.random() * lam, side="right"))
-                y = min(y, spec.n_states - 1)
+                y = bisect_right(cum_rows[x], random() * lam)
                 events.append((t, x, y))
                 x = y
             all_events.append(tuple(events))
@@ -118,10 +130,8 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
         bound = spec.rate_bound
         if bound is None or not (bound > 0):
             raise ConfigError("time-dependent walk needs a positive rate_bound")
-        for i in range(n_paths):
-            rng = path_rng(seed, i)
-            x = int(np.searchsorted(cum_p0, rng.random(), side="right"))
-            x = min(x, spec.n_states - 1)
+        for i, rng in enumerate(path_streams(seed, range(n_paths))):
+            x = bisect_right(cum_p0, rng.random())
             initial[i] = x
             t = 0.0
             events = []
@@ -135,8 +145,7 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
                     raise ConfigError(
                         f"total rate {lam} at t={t} exceeds rate_bound {bound}")
                 if rng.random() * bound < lam:
-                    y = int(np.searchsorted(np.cumsum(row), rng.random() * lam, side="right"))
-                    y = min(y, spec.n_states - 1)
+                    y = bisect_right(_cum_list(row), rng.random() * lam)
                     events.append((t, x, y))
                     x = y
             all_events.append(tuple(events))

@@ -19,7 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (ConsistencyError, MatrixField, ParameterError, PathEnsemble,
-                   SupportError, TimeGrid, VectorField, mean_stderr, path_rng)
+                   SupportError, TimeGrid, VectorField, mean_stderr, path_streams)
+# unused here; perfbench/tracer.py patches path_rng by name in this module
+from .core import path_rng  # noqa: F401
 from .density import DensityFlow
 from .models import GraphWalkSpec
 from .reversal import ReversedWalk
@@ -439,8 +441,7 @@ def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
 
     obs = 0.0 if identical else stat_from(sel0)
     count = 0
-    for i in range(n_perm):
-        rng = path_rng(seed, i)
+    for rng in path_streams(seed, range(n_perm)):
         sel = np.zeros(N, dtype=bool)
         sel[rng.permutation(N)[:n]] = True
         if stat_from(sel) >= obs:

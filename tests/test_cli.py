@@ -153,6 +153,24 @@ class TestConfigValidation:
         assert main(["run", "--config", path, "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_seed_below_2_63(self):
+        assert validate_config(_ou_cfg(seed=2**63 - 1))["seed"] == 2**63 - 1
+        for seed in (2**63, 2**63 + 1, 2**64):
+            with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+                validate_config(_ou_cfg(seed=seed))
+
+    @pytest.mark.parametrize("where", ["config", "override"])
+    def test_main_seed_2_63_exits_2(self, tmp_path, capsys, where):
+        cfg = _cycle_cfg(seed=2**63) if where == "config" else _cycle_cfg()
+        path = _write_cfg(tmp_path, cfg)
+        argv = ["simulate", "--config", path, "--out", str(tmp_path / "sim")]
+        if where == "override":
+            argv += ["--seed", str(2**63)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed") and err.count("\n") == 1
+        assert not (tmp_path / "sim").exists()
+
 
 class TestErrorContract:
     """Every pathrev error exits 2 with one stderr line and no output directory."""
@@ -453,6 +471,26 @@ class TestVerifyCommand:
         path = _write_cfg(tmp_path, _cycle_cfg())
         assert main(["verify", "--config", path, "--out",
                      str(tmp_path / "ver")]) == 0
+
+    @pytest.mark.parametrize("n_paths", [1, 4])
+    def test_reversal_too_small_to_reject_fails(self, tmp_path, capsys, n_paths):
+        # n paths per side give C(2n, n) splits; below 1/0.01 the permutation
+        # test cannot reach p < 0.01, so the check must not pass
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=n_paths,
+                                            grid={"T": 1.0, "n_steps": 20}))
+        out = tmp_path / "ver"
+        assert main(["verify", "--config", path, "--out", str(out), "reversal"]) == 1
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["reversal"]
+        assert rep["passed"] is False and rep["n_compare"] == n_paths
+        assert str(math.comb(2 * n_paths, n_paths)) in rep["reason"]
+        assert "check reversal: FAIL" in capsys.readouterr().out
+
+    def test_reversal_runs_from_five_paths(self, tmp_path):
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=5, grid={"T": 1.0, "n_steps": 20}))
+        out = tmp_path / "ver"
+        main(["verify", "--config", path, "--out", str(out), "reversal"])
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["reversal"]
+        assert "reason" not in rep and len(rep["slices"]) == 5
 
     def test_unknown_positional_check(self, tmp_path, capsys):
         path = _write_cfg(tmp_path, _cycle_cfg())

@@ -7,8 +7,8 @@ from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
                           VectorField, ensemble_csv_string, ensemble_to_csv,
                           flip_ensemble, load_ensemble, make_grid, mean_stderr,
-                          path_rng, psd_sqrt, reverse_index, save_ensemble,
-                          trapezoid)
+                          path_rng, path_streams, psd_sqrt, reverse_index,
+                          save_ensemble, trapezoid)
 
 
 class TestTimeGrid:
@@ -79,6 +79,66 @@ class TestPathRng:
         _ = path_rng(1, 99).standard_normal(1000)
         again = path_rng(1, 0).standard_normal(3)
         assert np.array_equal(first, again)
+
+
+# (seed, path index) pairs on both sides of 2**63, where the key used to go
+# through float64
+_KEYS = [(0, 0), (7, 3), (20260822, 19999), (2**62 + 5, 2**40), (2**63 - 1, 1),
+         (2**63, 0), (2**63 + 1, 0), (2**64 - 1, 7), (3, 2**63 + 2)]
+
+
+def _draws(rng):
+    """One of each draw kind the package uses, plus a float32 draw that
+    consumes half words of the stream."""
+    return (rng.random(5).tolist(), rng.exponential(0.5, 4).tolist(),
+            rng.standard_normal((3, 2)).tolist(), rng.permutation(11).tolist(),
+            rng.random(3, dtype=np.float32).tolist(), rng.random())
+
+
+class TestSeedDomain:
+    def test_keys_below_2_63_keep_their_streams(self):
+        # the stream of every key below 2**63 is Philox's own for that key
+        for seed, index in _KEYS[:5]:
+            legacy = np.random.Generator(np.random.Philox(key=[seed, index]))
+            assert _draws(path_rng(seed, index)) == _draws(legacy)
+
+    def test_keys_are_exact_uint64(self):
+        for seed, index in _KEYS:
+            key = path_rng(seed, index).bit_generator.state["state"]["key"]
+            assert key.tolist() == [seed, index]
+
+    def test_high_seeds_do_not_alias(self):
+        firsts = {seed: path_rng(seed, 0).random(4).tolist()
+                  for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+        assert len({tuple(v) for v in firsts.values()}) == 4
+
+
+class TestPathStreams:
+    def test_matches_path_rng(self):
+        for seed, index in _KEYS:
+            (rng,) = path_streams(seed, [index])
+            assert _draws(rng) == _draws(path_rng(seed, index))
+
+    def test_one_generator_reused_across_indices(self):
+        indices = [4, 0, 4, 9, 1]
+        seen = set()
+        for index, rng in zip(indices, path_streams(31, indices)):
+            seen.add(id(rng))
+            assert _draws(rng) == _draws(path_rng(31, index))
+        assert len(seen) == 1
+
+    def test_buffered_half_word_is_not_inherited(self):
+        # one float32 draw takes half of a 64-bit word and buffers the rest;
+        # the next path must start from an empty buffer
+        streams = path_streams(5, [0, 1])
+        rng = next(streams)
+        rng.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng = next(streams)
+        fresh = path_rng(5, 1)
+        assert (rng.random(3, dtype=np.float32).tolist()
+                == fresh.random(3, dtype=np.float32).tolist())
+        assert rng.random() == fresh.random()
 
 
 def _small_ensemble(seed=5, n_paths=3, n_steps=4, dim=2):

@@ -135,6 +135,70 @@ class TestCtmcSimulate:
             ctmc_simulate(spec, T=1.0, n_paths=0, seed=0)
 
 
+def _reference_ctmc(spec, T, n_paths, seed):
+    """The walk simulation written out on path_rng and np.searchsorted:
+    one fresh stream per path and one numpy search per draw."""
+    cum_p0 = np.cumsum(spec.p0)
+    last = spec.n_states - 1
+    initial, all_events = [], []
+    for i in range(n_paths):
+        rng = path_rng(seed, i)
+        x = min(int(np.searchsorted(cum_p0, rng.random(), side="right")), last)
+        initial.append(x)
+        t, events = 0.0, []
+        while True:
+            if spec.is_constant:
+                row = spec.intensity_matrix[x]
+                lam = row.sum()
+                if lam <= 0.0:
+                    break
+                t += rng.exponential(1.0 / lam)
+                if t > T:
+                    break
+            else:
+                t += rng.exponential(1.0 / spec.rate_bound)
+                if t > T:
+                    break
+                row = spec.intensity(t)[x]
+                lam = row.sum()
+                if not rng.random() * spec.rate_bound < lam:
+                    continue
+            y = min(int(np.searchsorted(np.cumsum(row), rng.random() * lam,
+                                        side="right")), last)
+            events.append((t, x, y))
+            x = y
+        all_events.append(tuple(events))
+    return initial, tuple(all_events)
+
+
+class TestCtmcMatchesReference:
+    """ctmc_simulate draws from reused streams and searches Python lists; the
+    events must equal, float for float, those of the plain loop."""
+
+    @staticmethod
+    def _check(spec, T, seed):
+        e = ctmc_simulate(spec, T=T, n_paths=500, seed=seed)
+        initial, events = _reference_ctmc(spec, T, 500, seed)
+        assert e.initial_states.tolist() == initial
+        assert e.events == events
+        assert sum(map(len, events)) > 500
+
+    def test_constant_rates(self):
+        self._check(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0), 1.0, 7)
+
+    def test_constant_rates_absorbing_state_and_skewed_start(self):
+        base = biased_cycle_walk(5, rate_cw=1.5, rate_ccw=0.5)
+        J = base.intensity_matrix.copy()
+        J[2] = 0.0
+        spec = graph_walk(base.adjacency, J, np.array([0.1, 0.0, 0.2, 0.3, 0.4]))
+        self._check(spec, 2.0, 8)
+
+    def test_thinning(self):
+        base = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
+        fn = lambda t: (1.0 + t) * base.intensity_matrix
+        self._check(graph_walk(base.adjacency, fn, base.p0, rate_bound=7.0), 1.0, 77)
+
+
 class TestSliceHelpers:
     def test_jump_states_at_cadlag(self):
         chain = JumpPathEnsemble(4, 1.0, [0],

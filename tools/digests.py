@@ -34,6 +34,7 @@ def cases(configs: Path) -> list[tuple[str, str, dict]]:
     return [
         ("ou-run", "run", ou),
         ("cycle-run", "run", cycle),
+        ("cycle-simulate", "simulate", cycle),
         ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}),
         ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}),
         ("ou2d-kde-entropy", "entropy", ou2d_kde),
