@@ -16,27 +16,23 @@ from .core import (BandwidthError, ConfigError, ConsistencyError, DomainError,
                    make_grid, path_rng, path_streams, save_ensemble, trapezoid)
 from .models import (DiffusionSpec, Gaussian, GaussianFlow, GraphWalkSpec,
                      KolmogorovSpec, ModelBundle, biased_cycle_walk, bm_diffusion,
-                     bm_flow, counting_reference_walk, diffusion_spec, graph_walk,
-                     kolmogorov_spec, load_model, ou_diffusion, ou_marginal_flow,
-                     ou_reference, reverse_flow, walk_marginal_fn)
+                     bm_flow, diffusion_spec, graph_walk, kolmogorov_spec, load_model,
+                     ou_diffusion, ou_marginal_flow, ou_reference, walk_marginal_fn)
 from .simulate import SimConfig, ctmc_simulate, euler_maruyama, jump_states_at, marginal_slice
 from .density import (DensityFlow, KdeModel, exact_flow_density, kde_fit,
-                      kde_flow, kde_score, score_bandwidth, silverman_bandwidth)
+                      kde_flow, score_bandwidth, silverman_bandwidth)
 from .reversal import (BackwardDriftField, MomentumFields, ReversedDrift,
-                       ReversedWalk, VelocityFields, momentum_fields,
-                       osmotic_residual, reversed_drift,
-                       reversed_jump_intensities, velocity_decomposition)
+                       ReversedWalk, momentum_fields, osmotic_residual,
+                       reversed_drift, reversed_jump_intensities)
 from .entropy import (ActionEstimate, EntropyReport, FisherReport,
                       current_osmosis_decomposition, entropy_vs_counting,
-                      fisher_information, fisher_information_mc,
-                      gaussian_relative_entropy, girsanov_action,
-                      heat_flow_dissipation, jump_entropy_integrand,
-                      rw_relative_entropy)
+                      fisher_information, gaussian_relative_entropy,
+                      girsanov_action, heat_flow_dissipation,
+                      jump_entropy_integrand, rw_relative_entropy)
 from .verify import (ContinuityReport, EnergyTestResult, ResidualReport,
-                     TestFunction, carre_du_champ_estimate, constant_function,
-                     continuity_residual, coordinate_function,
-                     detailed_balance_residual, graph_ibp_residual,
-                     ibp_residual, nelson_forward_derivative, square_function,
-                     two_sample_energy, windowed_cubic)
+                     TestFunction, carre_du_champ_estimate, continuity_residual,
+                     coordinate_function, detailed_balance_residual,
+                     graph_ibp_residual, ibp_residual, nelson_forward_derivative,
+                     square_function, two_sample_energy, windowed_cubic)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

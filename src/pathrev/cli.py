@@ -614,7 +614,6 @@ CHECKS = {
         "time-integrated Fisher information",
         ("ou",), ("ou",), _check_dissipation),
 }
-CHECK_NAMES = tuple(CHECKS)
 
 
 # ------------------------------------------------------------ subcommands

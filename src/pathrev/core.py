@@ -7,7 +7,6 @@ small, immutable and numpy-only.
 """
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -146,13 +145,6 @@ class TimeGrid:
 
 def make_grid(T: float, n_steps: int) -> TimeGrid:
     return TimeGrid(T, n_steps)
-
-
-def reverse_index(grid: TimeGrid, i: int) -> int:
-    """Index of the node that time reversal maps node i onto."""
-    if int(i) != i or not (0 <= i <= grid.n_steps):
-        raise ParameterError(f"index {i} outside 0..{grid.n_steps}")
-    return grid.n_steps - int(i)
 
 
 @dataclass(frozen=True)
@@ -376,18 +368,6 @@ class MatrixField:
             out[i] = np.linalg.solve(self.at(t, X[i]), V[i])
         return out
 
-    def sqrt_factor(self, t: float = 0.0, x: np.ndarray | None = None) -> np.ndarray:
-        """A factor S with S S^T = a(t, x).  Cholesky when SPD, PSD fallback."""
-        A = self.at(t, np.zeros(self.dim) if x is None else x)
-        return psd_sqrt(A)
-
-    def check_spd(self, points: np.ndarray, t: float = 0.0) -> None:
-        for x in np.atleast_2d(points):
-            A = self.at(t, x)
-            try:
-                np.linalg.cholesky(A)
-            except np.linalg.LinAlgError:
-                raise NumericError(f"matrix field not SPD at t={t}, x={x}") from None
 
 
 def psd_sqrt(A: np.ndarray) -> np.ndarray:
@@ -419,7 +399,13 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 
 def save_ensemble(e: PathEnsemble, path: str) -> None:
-    """Write an ensemble to the binary container (bit-exact round trip)."""
+    """Write an ensemble to the binary container (bit-exact round trip).
+
+    The header stores the seed as a signed 64-bit value, so a seed outside
+    [-2^63, 2^63) is refused rather than read back as a different number.
+    """
+    if not -(1 << 63) <= e.seed < (1 << 63):
+        raise ParameterError(f"seed {e.seed} outside [-2^63, 2^63) cannot be stored")
     tag = e.model_tag.encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -465,9 +451,3 @@ def ensemble_to_csv(e: PathEnsemble, path_or_buffer) -> None:
     finally:
         if own:
             f.close()
-
-
-def ensemble_csv_string(e: PathEnsemble) -> str:
-    buf = io.StringIO()
-    ensemble_to_csv(e, buf)
-    return buf.getvalue()

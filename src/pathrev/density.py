@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BandwidthError, ParameterError, PathEnsemble, SupportError,
-                   _freeze)
+from .core import BandwidthError, ParameterError, PathEnsemble, _freeze
 from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -86,10 +85,6 @@ class DensityFlow:
     def in_support(self, t: float, x: np.ndarray) -> np.ndarray:
         law = self.at(t)
         return np.atleast_1d(law.pdf(x)) >= self.floor_rel * law.max_pdf()
-
-    def score_in_support(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(score, in_support mask) at x."""
-        return self.pdf_score_in_support(t, x)[1:]
 
     def pdf_score_in_support(self, t: float,
                              x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,18 +242,6 @@ def kde_fit(samples: np.ndarray, rule="silverman") -> KdeModel:
     else:
         h = np.atleast_1d(np.asarray(rule, dtype=np.float64))
     return KdeModel(S, h)
-
-
-def kde_score(model: KdeModel, x: np.ndarray, floor_rel: float = 1e-3) -> np.ndarray:
-    """Score at x, refusing points below the relative support floor."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    lo = floor_rel * model.max_pdf()
-    lp, out = model.logpdf_score(X)
-    p = np.exp(lp)
-    if (p < lo).any():
-        bad = X[np.argmin(p)]
-        raise SupportError(f"pdf {p.min():.3e} below support floor {lo:.3e} near x={bad}")
-    return out[0] if np.ndim(x) == 1 else out
 
 
 def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> DensityFlow:

@@ -227,16 +227,6 @@ def fisher_information(mu: Gaussian, m: Gaussian, a: np.ndarray | None = None) -
     return float(0.5 * (np.trace(A @ a @ A @ mu.cov) + c @ a @ c))
 
 
-def fisher_information_mc(density: DensityFlow, ref: KolmogorovSpec, t: float,
-                          X: np.ndarray) -> ActionEstimate:
-    """Monte-Carlo I_a(P_t | m) from a slice of samples X drawn from P_t."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    D = 0.5 * (np.atleast_2d(density.score(t, X)) - np.atleast_2d(ref.m_score(X)))
-    vals = 0.5 * ref.a.quad(t, X, D)
-    ok = np.isfinite(vals)
-    return _estimate(vals[ok], int((~ok).sum()))
-
-
 @dataclass(frozen=True)
 class FisherReport:
     """Free energy and Fisher information of a Gaussian flow along a grid."""

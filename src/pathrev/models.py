@@ -8,7 +8,6 @@ through the field abstractions but ship without oracles.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -112,12 +111,6 @@ class GaussianFlow:
         C = np.asarray(self.cov_fn(t), dtype=np.float64)
         return C.reshape(1, 1) if C.ndim == 0 else C
 
-    def pdf(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.at(t).pdf(x)
-
-    def score(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.at(t).score(x)
-
     def validate_spd(self, times) -> None:
         for t in np.atleast_1d(times):
             C = self.cov(float(t))
@@ -125,12 +118,6 @@ class GaussianFlow:
                 np.linalg.cholesky(C)
             except np.linalg.LinAlgError:
                 raise NumericError(f"flow covariance not SPD at t={t}") from None
-
-
-def reverse_flow(flow: GaussianFlow, T: float) -> GaussianFlow:
-    """Marginal flow of the time-reversed process: t -> flow at T - t."""
-    return GaussianFlow(lambda t: flow.mean_fn(T - t), lambda t: flow.cov_fn(T - t),
-                        flow.dim, flow.tag + "~rev")
 
 
 @dataclass(frozen=True)
@@ -157,29 +144,10 @@ class KolmogorovSpec:
         out = -np.asarray(self.potential(X), dtype=np.float64) + self.log_norm
         return out[0] if np.ndim(x) == 1 else out
 
-    def m_pdf(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.m_logpdf(x))
-
     def m_score(self, x: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = -np.asarray(self.grad_potential(X), dtype=np.float64)
         return out[0] if np.ndim(x) == 1 else out
-
-    def check_growth(self, radius: float, bound: float, n_points: int = 4096,
-                     seed: int = 0) -> tuple[bool, float]:
-        """Sampled check of x . drift(x) + tr a(x) <= bound (1 + |x|^2).
-
-        Sampling a box is evidence, not proof; the caller chooses the radius
-        and the constant.  Returns (ok, worst ratio).
-        """
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-radius, radius, size=(n_points, self.dim))
-        v = self.drift(0.0, X)
-        tra = np.array([np.trace(self.a.at(0.0, x)) for x in X]) \
-            if not self.a.is_constant else np.full(n_points, np.trace(self.a.constant_matrix))
-        ratio = ((X * v).sum(axis=1) + tra) / (1.0 + (X ** 2).sum(axis=1))
-        worst = float(ratio.max())
-        return worst <= bound, worst
 
 
 def kolmogorov_spec(dim: int, potential, grad_potential, a: MatrixField,
@@ -412,13 +380,6 @@ def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
     return graph_walk(A, J, np.full(n, 1.0 / n), tag=f"cycle{n}")
 
 
-def counting_reference_walk(adjacency) -> GraphWalkSpec:
-    """Unit intensity on every directed edge, uniform initial law."""
-    A = np.asarray(adjacency, dtype=bool)
-    n = A.shape[0]
-    return graph_walk(A, A.astype(np.float64), np.full(n, 1.0 / n), tag="counting")
-
-
 def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
     """Exact marginals t -> p_t.  Matrix exponential for constant intensities,
     an ODE solve of the forward equation otherwise.  An invariant initial law
@@ -426,7 +387,7 @@ def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
     if spec.is_constant:
         Q = spec.generator(0.0)
         if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
-            return constant_marginal_fn(spec)
+            return lambda t: spec.p0
         cache: dict[float, np.ndarray] = {}
 
         def marginals(t: float) -> np.ndarray:
@@ -452,18 +413,6 @@ def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
         return sol.y[:, -1]
 
     return marginals
-
-
-def constant_marginal_fn(spec: GraphWalkSpec, p=None, check_times=(0.0,),
-                         tol: float = 1e-12) -> Callable[[float], np.ndarray]:
-    """Constant marginals for an invariant initial law, verified at sample times."""
-    p = spec.p0 if p is None else np.asarray(p, dtype=np.float64)
-    for t in check_times:
-        flow = p @ spec.generator(float(t))
-        if np.abs(flow).max() > tol:
-            raise ConsistencyError(f"law is not invariant at t={t}: residual {np.abs(flow).max()}")
-    frozen = _freeze(p)
-    return lambda t: frozen
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +478,11 @@ def _initial_law(obj: dict) -> Gaussian:
 
 
 def load_model(obj) -> ModelBundle:
-    """Build a model from a JSON object, file path or JSON string.
+    """Build a model from a parsed JSON object.
 
     Supported types: "ou", "bm", "cycle" and "custom" (named built-in fields
     with coefficient arrays; no expression parsing).
     """
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError:
-            with open(obj) as f:
-                obj = json.load(f)
     if not isinstance(obj, dict):
         raise ConfigError("model description must be a JSON object")
     mtype = obj.get("type")

@@ -52,7 +52,7 @@ class BackwardDriftField:
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        sc, ok = self.density.score_in_support(t, X)
+        _, sc, ok = self.density.pdf_score_in_support(t, X)
         sc = np.atleast_2d(sc)
         if not ok.all():
             self.floor_hits += int((~ok).sum())
@@ -99,36 +99,6 @@ def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
                    density: DensityFlow, T: float, b_max: float = 1e6) -> ReversedDrift:
     """Drift of the time-reversed diffusion on [0, T]."""
     return ReversedDrift(BackwardDriftField(b, a, div_a, density, b_max), T)
-
-
-@dataclass(frozen=True)
-class VelocityFields:
-    """Forward, backward, current and osmotic velocities of one process.
-
-    The linear relations v_fwd = v_cu + v_os and v_bwd = -v_cu + v_os hold by
-    construction; consistency_residual re-evaluates them at query points.
-    """
-
-    v_fwd: VectorField
-    v_bwd: VectorField
-    v_cu: VectorField
-    v_os: VectorField
-
-    def consistency_residual(self, t: float, X: np.ndarray) -> float:
-        f, b = self.v_fwd(t, X), self.v_bwd(t, X)
-        cu, os_ = self.v_cu(t, X), self.v_os(t, X)
-        r1 = np.abs(f - (cu + os_)).max()
-        r2 = np.abs(b - (os_ - cu)).max()
-        return float(max(r1, r2))
-
-
-def velocity_decomposition(v_fwd: VectorField, v_bwd: VectorField) -> VelocityFields:
-    if v_fwd.dim != v_bwd.dim:
-        raise ParameterError("velocity fields disagree on dimension")
-    d = v_fwd.dim
-    cu = VectorField(lambda t, X: 0.5 * (v_fwd(t, X) - v_bwd(t, X)), d)
-    os_ = VectorField(lambda t, X: 0.5 * (v_fwd(t, X) + v_bwd(t, X)), d)
-    return VelocityFields(v_fwd, v_bwd, cu, os_)
 
 
 @dataclass(frozen=True)

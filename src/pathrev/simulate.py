@@ -49,7 +49,6 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig, block_size: int = 4096) 
     sq = math.sqrt(dt)
     spec.validate_sigma(spec.init.mean[None, :])
 
-    const_sigma = spec.sigma.constant_matrix
     init_factor = spec.init.factor
     out = np.empty((cfg.n_paths, n + 1, d))
 
@@ -63,10 +62,7 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig, block_size: int = 4096) 
         out[start:stop, 0] = X
         for k in range(n):
             b = spec.drift(nodes[k], X)
-            if const_sigma is not None:
-                noise = Z[:, k + 1, :] @ const_sigma.T
-            else:
-                noise = spec.sigma.apply(nodes[k], X, Z[:, k + 1, :])
+            noise = spec.sigma.apply(nodes[k], X, Z[:, k + 1, :])
             X = X + b * dt + noise * sq
             if not np.isfinite(X).all():
                 bad = int(np.nonzero(~np.isfinite(X).all(axis=1))[0][0])

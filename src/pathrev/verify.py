@@ -136,14 +136,6 @@ def windowed_cubic(dim: int = 1, index: int = 0, width: float = 4.0) -> TestFunc
     return TestFunction(fn, grad, hess, dim, name=f"x{index}^3*bump")
 
 
-def constant_function(dim: int = 1, value: float = 1.0) -> TestFunction:
-    return TestFunction(
-        lambda X: np.full(X.shape[0], float(value)),
-        lambda X: np.zeros_like(X),
-        lambda X: np.zeros((X.shape[0], dim, dim)),
-        dim, name=str(value))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """A residual that should be zero, with its Monte-Carlo error bar.

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pathrev.cli import CHECK_NAMES, main, validate_config
+from pathrev.cli import CHECKS, main, validate_config
 from pathrev.core import ConfigError, load_ensemble
 
 
@@ -71,7 +71,7 @@ _OU_2D = {"type": "ou", "init_mean": [1.0, -0.5], "init_cov": [[0.5, 0.1], [0.1,
 
 class TestCheckTable:
     def test_names_match_readme(self):
-        assert set(CHECK_NAMES) == set(_README_CHECK_TABLE)
+        assert set(CHECKS) == set(_README_CHECK_TABLE)
 
     @pytest.mark.parametrize("mtype", sorted(_MODELS))
     @pytest.mark.parametrize("check", sorted(_README_CHECK_TABLE))
@@ -544,7 +544,7 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for name in CHECK_NAMES:
+        for name in CHECKS:
             assert name in text
 
     def test_missing_subcommand(self, capsys):

@@ -5,10 +5,9 @@ import pytest
 
 from scipy.special import logsumexp
 
-from pathrev.core import (BandwidthError, ParameterError, SupportError,
-                          make_grid, path_rng)
+from pathrev.core import BandwidthError, ParameterError, make_grid, path_rng
 from pathrev.density import (DensityFlow, KdeModel, _row_logsumexp,
-                             exact_flow_density, kde_fit, kde_flow, kde_score,
+                             exact_flow_density, kde_fit, kde_flow,
                              score_bandwidth, silverman_bandwidth)
 from pathrev.models import Gaussian, ou_diffusion, ou_marginal_flow
 from pathrev.simulate import SimConfig, euler_maruyama
@@ -196,8 +195,6 @@ class TestFusedKernelPass:
             assert np.array_equal(sc, d.score(t, X))
             assert np.array_equal(ok, d.in_support(t, X))
             assert 0 < ok.sum() < len(X)
-            sc2, ok2 = d.score_in_support(t, X)
-            assert np.array_equal(sc2, sc) and np.array_equal(ok2, ok)
 
 
 class TestBandwidthRules:
@@ -227,20 +224,6 @@ class TestBandwidthRules:
         # explicit bandwidth rescues it
         m = kde_fit(np.ones((50, 1)), rule=0.1)
         assert m.bandwidth[0] == 0.1
-
-
-class TestKdeScoreGate:
-    def test_raises_far_outside_support(self):
-        x = path_rng(8, 0).standard_normal((2000, 1))
-        m = kde_fit(x)
-        with pytest.raises(SupportError):
-            kde_score(m, np.array([50.0]))
-
-    def test_passes_inside(self):
-        x = path_rng(8, 0).standard_normal((2000, 1))
-        m = kde_fit(x)
-        s = kde_score(m, np.array([0.1]))
-        assert np.isfinite(s).all()
 
 
 class TestKdeFlow:

@@ -11,7 +11,7 @@ from pathrev.density import DensityFlow, exact_flow_density, kde_flow
 from pathrev.entropy import (ActionEstimate, EntropyReport, _boundary_entropy,
                              current_osmosis_decomposition,
                              entropy_vs_counting, fisher_information,
-                             fisher_information_mc, gaussian_relative_entropy,
+                             gaussian_relative_entropy,
                              girsanov_action, heat_flow_dissipation,
                              jump_entropy_integrand, rw_relative_entropy)
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_diffusion,
@@ -262,17 +262,6 @@ class TestFisherInformation:
         with pytest.raises(ParameterError):
             fisher_information(Gaussian(np.zeros(2), np.eye(2)),
                                Gaussian(np.zeros(1), np.eye(1)))
-
-    def test_mc_agrees_with_closed_form(self):
-        ref, _ = ou_reference()
-        flow = ou_marginal_flow([1.0], [[0.8]])
-        density = exact_flow_density(flow)
-        from pathrev.core import path_rng
-        X = flow.at(0.0).sample(path_rng(606, 0), 200000)
-        est = fisher_information_mc(density, ref, 0.0, X)
-        closed = fisher_information(flow.at(0.0), ref.m)
-        assert abs(est.value - closed) <= 3 * est.stderr
-        assert isinstance(est, ActionEstimate)
 
 
 class TestHeatFlowDissipation:

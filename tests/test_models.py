@@ -8,10 +8,9 @@ from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
                           NumericError, ParameterError, VectorField, path_rng)
 from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
                             biased_cycle_walk, bm_diffusion, bm_flow,
-                            constant_marginal_fn, counting_reference_walk,
                             diffusion_spec, graph_walk, kolmogorov_spec,
                             load_model, ou_diffusion, ou_marginal_flow,
-                            ou_reference, reverse_flow, walk_marginal_fn)
+                            ou_reference, walk_marginal_fn)
 
 INV_SQRT_PI = 0.5641895835477563
 
@@ -78,20 +77,7 @@ class TestGaussianFlow:
         flow = bm_flow([[1.0]])
         assert flow.cov(0.0)[0, 0] == 1.0
         assert flow.cov(1.0)[0, 0] == 2.0
-        assert flow.score(1.0, np.array([1.0]))[0] == pytest.approx(-0.5, abs=1e-15)
-
-    def test_reverse_flow(self):
-        fwd = ou_marginal_flow([1.0], [[0.5]])
-        rev = reverse_flow(fwd, 1.0)
-        for s in (0.0, 0.3, 1.0):
-            assert np.allclose(rev.mean(s), fwd.mean(1.0 - s))
-            assert np.allclose(rev.cov(s), fwd.cov(1.0 - s))
-        assert rev.tag.endswith("~rev")
-
-    def test_pdf_matches_frozen_gaussian(self):
-        flow = ou_marginal_flow([1.0], [[0.5]])
-        x = np.array([0.3])
-        assert flow.pdf(0.25, x) == pytest.approx(flow.at(0.25).pdf(x), abs=1e-15)
+        assert flow.at(1.0).score(np.array([1.0]))[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_validate_spd(self):
         ou_marginal_flow([0.0], [[0.5]]).validate_spd((0.0, 0.5, 1.0))
@@ -112,7 +98,7 @@ class TestKolmogorovSpec:
     def test_reversible_law_is_normalized_gaussian(self):
         ref, _ = ou_reference()
         x = np.array([0.7])
-        assert ref.m_pdf(x) == pytest.approx(ref.m.pdf(x), rel=1e-12)
+        assert np.exp(ref.m_logpdf(x)) == pytest.approx(ref.m.pdf(x), rel=1e-12)
         assert ref.m_score(x)[0] == pytest.approx(-2.0 * 0.7, abs=1e-13)
 
     def test_derived_drift_formula(self):
@@ -127,15 +113,6 @@ class TestKolmogorovSpec:
         with pytest.raises(ParameterError):
             kolmogorov_spec(1, lambda X: (X ** 2).sum(axis=1),
                             lambda X: 2.0 * X, af)
-
-    def test_check_growth(self):
-        ref, _ = ou_reference()
-        ok, worst = ref.check_growth(radius=5.0, bound=10.0)
-        assert ok
-        assert worst <= 10.0
-        ok, worst = ref.check_growth(radius=5.0, bound=0.0)
-        assert not ok
-        assert worst > 0.0
 
 
 class TestDiffusionSpec:
@@ -227,11 +204,6 @@ class TestGraphWalkSpec:
         with pytest.raises(ParameterError):
             biased_cycle_walk(4, rate_cw=0.0, rate_ccw=0.0)
 
-    def test_counting_reference(self):
-        ref = counting_reference_walk(_c4().adjacency)
-        assert np.all(ref.intensity(0.0)[ref.adjacency] == 1.0)
-        assert np.all(ref.intensity(0.0)[~ref.adjacency] == 0.0)
-
 
 class TestWalkMarginals:
     def test_uniform_start_is_invariant(self):
@@ -264,12 +236,6 @@ class TestWalkMarginals:
         expected = spec.p0 @ expm(1.5 * base.generator(0.0))
         assert np.allclose(p(1.0), expected, atol=1e-9)
 
-    def test_constant_marginal_fn_guard(self):
-        spec = graph_walk(_c4().adjacency, _c4().intensity_matrix,
-                          np.array([1.0, 0.0, 0.0, 0.0]))
-        with pytest.raises(ConsistencyError):
-            constant_marginal_fn(spec)
-
 
 class TestLoadModel:
     def test_ou(self):
@@ -301,8 +267,9 @@ class TestLoadModel:
         assert b.flow is None
 
     def test_json_string(self):
-        b = load_model('{"type": "cycle", "n": 3, "rate_cw": 1.0, "rate_ccw": 2.0}')
-        assert b.walk.n_states == 3
+        # a string is neither parsed nor opened as a path
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_model('{"type": "cycle", "n": 3, "rate_cw": 1.0, "rate_ccw": 2.0}')
 
     def test_config_errors(self):
         with pytest.raises(ConfigError):

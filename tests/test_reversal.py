@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
-                          VectorField, make_grid, path_rng)
+                          VectorField, make_grid)
 from pathrev.density import DensityFlow, exact_flow_density, kde_flow
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_flow, graph_walk,
                             ou_diffusion, ou_marginal_flow, ou_reference,
                             walk_marginal_fn)
 from pathrev.reversal import (BackwardDriftField, ReversedDrift,
                               momentum_fields, osmotic_residual,
-                              reversed_drift, reversed_jump_intensities,
-                              velocity_decomposition)
+                              reversed_drift, reversed_jump_intensities)
 from pathrev.simulate import SimConfig, euler_maruyama
 
 TWO_OVER_E = 0.7357588823428847
@@ -124,24 +123,6 @@ class TestBackwardDrift:
         ref, flow, density = _ou_setup()
         rd = reversed_drift(ref.drift, ref.a, ref.div_a, density, T=1.0)
         assert rd.floor_hits == 0 and rd.cap_hits == 0
-
-
-class TestVelocities:
-    def test_shifted_ou_closed_forms(self):
-        # v_cu = -e^{-t}, v_os = -x + e^{-t} for the N(1, 1/2) start
-        ref, flow, density = _ou_setup()
-        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
-        v_bwd = VectorField(lambda t, X: bwd(t, X), 1)
-        fields = velocity_decomposition(ref.drift, v_bwd)
-        for t in (0.2, 0.8):
-            X = np.array([[0.5], [-1.0]])
-            assert np.allclose(fields.v_cu(t, X), -math.exp(-t), atol=1e-14)
-            assert np.allclose(fields.v_os(t, X), -X + math.exp(-t), atol=1e-14)
-            assert fields.consistency_residual(t, X) <= 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
-            velocity_decomposition(VectorField.zero(1), VectorField.zero(2))
 
 
 class TestMomenta:

@@ -11,7 +11,8 @@ from pathrev.models import (Gaussian, biased_cycle_walk, bm_diffusion,
                             ou_marginal_flow, ou_reference, walk_marginal_fn)
 from pathrev.reversal import BackwardDriftField, reversed_jump_intensities
 from pathrev.simulate import SimConfig, euler_maruyama
-from pathrev.verify import (carre_du_champ_estimate, constant_function,
+from pathrev.verify import TestFunction as _TestFunction  # alias: not a test class
+from pathrev.verify import (carre_du_champ_estimate,
                             continuity_residual, coordinate_function,
                             detailed_balance_residual, graph_ibp_residual,
                             ibp_residual, nelson_forward_derivative,
@@ -63,12 +64,6 @@ class TestTestFunctions:
     def test_product_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             coordinate_function(1) * coordinate_function(2)
-
-    def test_constant(self):
-        u = constant_function(1, value=2.5)
-        X = np.zeros((3, 1))
-        assert np.array_equal(u(X), np.full(3, 2.5))
-        assert np.array_equal(u.grad(X), np.zeros((3, 1)))
 
     def test_laplacian_constant_a(self):
         u = square_function(2, index=1)
@@ -208,7 +203,8 @@ class TestCarreDuChamp:
         assert abs(rep.estimate) <= 0.15
 
     def test_constant_function_is_exact(self, ou3_ensemble):
-        c = constant_function(1, value=3.0)
+        c = _TestFunction(lambda X: np.full(X.shape[0], 3.0), np.zeros_like,
+                          lambda X: np.zeros((X.shape[0], 1, 1)), 1, name="3")
         rep = carre_du_champ_estimate(ou3_ensemble, c, c, 0.25, 0.02, 0.0)
         assert rep.estimate == 0.0
         assert rep.passed

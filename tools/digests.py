@@ -23,6 +23,12 @@ import tempfile
 from pathlib import Path
 
 OU_2D = {"type": "ou", "init_mean": [1.0, -0.5], "init_cov": [[0.5, 0.1], [0.1, 0.3]]}
+# BM takes the default checks of a model without a reference; CUSTOM has the
+# noise factor sigma = sqrt(2), not the identity
+BM = {"type": "bm", "init_mean": [0.5], "init_cov": [[0.4]]}
+CUSTOM = {"type": "custom", "dim": 1,
+          "drift": {"name": "linear", "matrix": [[-0.5]], "offset": [0.2]},
+          "diffusion_matrix": [[2.0]], "init_mean": [0.0], "init_cov": [[1.0]]}
 
 
 def cases(configs: Path) -> list[tuple[str, str, dict]]:
@@ -31,6 +37,8 @@ def cases(configs: Path) -> list[tuple[str, str, dict]]:
     cycle = json.loads((configs / "cycle_reversal.json").read_text())
     ou_kde = {**ou, "density": "kde"}
     ou2d_kde = {**ou_kde, "model": OU_2D, "n_paths": 200}
+    # without "checks" a run takes the default checks of its model type
+    default_checks = {k: v for k, v in ou.items() if k != "checks"}
     return [
         ("ou-run", "run", ou),
         ("cycle-run", "run", cycle),
@@ -40,6 +48,9 @@ def cases(configs: Path) -> list[tuple[str, str, dict]]:
         ("ou2d-kde-entropy", "entropy", ou2d_kde),
         ("ou2d-kde-verify", "verify", ou2d_kde),
         ("ou2d-kde-run", "run", ou2d_kde),
+        ("bm-run", "run", {**default_checks, "model": BM, "n_paths": 2000}),
+        ("custom-kde-run", "run", {**default_checks, "model": CUSTOM, "density": "kde",
+                                   "n_paths": 300}),
     ]
 
 
