@@ -247,25 +247,22 @@ class VectorField:
     """Time-dependent vector field evaluated on batches of points.
 
     The wrapped function receives (t, X) with X of shape (n, dim) and must
-    return an (n, dim) array.  Calling with a single point of shape (dim,)
-    returns a (dim,) vector.
+    return an (n, dim) array.  A query is always an (n, dim) batch; a single
+    point is the batch x[None, :], and a (dim,) array is refused.
     """
 
     def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray], dim: int):
         self._fn = fn
         self.dim = int(dim)
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        X = np.asarray(x, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
+    def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ParameterError(f"expected points of dimension {self.dim}, got shape {np.shape(x)}")
+            raise ParameterError(f"expected points of dimension {self.dim}, got shape {X.shape}")
         out = np.asarray(self._fn(t, X), dtype=np.float64)
         if out.shape != X.shape:
             raise NumericError(f"field returned shape {out.shape}, expected {X.shape}")
-        return out[0] if single else out
+        return out
 
     @staticmethod
     def zero(dim: int) -> "VectorField":
@@ -382,10 +379,6 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
         return Q @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.trapezoid(y, x, axis=axis)
-
-
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error std(ddof=1) / sqrt(n).
 
@@ -432,15 +425,14 @@ def load_ensemble(path: str) -> PathEnsemble:
     return PathEnsemble(TimeGrid(T, n_steps), paths, seed, tag)
 
 
-def ensemble_to_csv(e: PathEnsemble, path_or_buffer) -> None:
-    """CSV export: one row per (path, node), full float precision.
+def ensemble_to_csv(e: PathEnsemble, path: str) -> None:
+    """CSV export to the file at path: one row per (path, node), full float
+    precision.
 
     Intended for slices and small ensembles; the binary container is the
     interchange format for anything large.
     """
-    own = isinstance(path_or_buffer, str)
-    f = open(path_or_buffer, "w", newline="") if own else path_or_buffer
-    try:
+    with open(path, "w", newline="") as f:
         cols = ",".join(f"x{d + 1}" for d in range(e.dim))
         f.write(f"path_id,t,{cols}\n")
         nodes = e.grid.nodes
@@ -448,6 +440,3 @@ def ensemble_to_csv(e: PathEnsemble, path_or_buffer) -> None:
             for k in range(e.grid.n_steps + 1):
                 vals = ",".join(repr(float(v)) for v in e.paths[i, k])
                 f.write(f"{i},{float(nodes[k])!r},{vals}\n")
-    finally:
-        if own:
-            f.close()

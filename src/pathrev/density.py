@@ -4,8 +4,10 @@ A DensityFlow is a map from time t to a slice law, the marginal at t: a
 Gaussian for exact flows, a KdeModel for kernel estimates.  Every slice law
 answers pdf, score, logpdf_score (both from one evaluation) and max_pdf (the
 supremum, exact or approximate, behind the relative support floor below
-which scores are not trusted).  Scores from the kernel estimator are
-analytic derivatives of the estimator itself, never finite differences.
+which scores are not trusted).  Laws and flows take query points only as
+(n, dim) batches and return (n,) values and (n, dim) scores; one point is
+the batch x[None, :].  Scores from the kernel estimator are analytic
+derivatives of the estimator itself, never finite differences.
 
 The kernel estimator makes one pass over its samples per query: each chunk
 of query rows builds its log-kernel matrix once, and that matrix and its row
@@ -25,6 +27,9 @@ from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
+# closed-form scores are valid on all of space, so the trust floor of an
+# exact flow is nominal; see exact_flow_density
+_EXACT_FLOOR_REL = 1e-12
 
 
 def _row_logsumexp(L: np.ndarray) -> np.ndarray:
@@ -55,7 +60,8 @@ class DensityFlow:
     """Time-indexed density with score and a trust region.
 
     at(t) returns the slice law at time t (a Gaussian or a KdeModel), and
-    every query below takes its values from one at(t) call.  score values
+    every query below takes its values from one at(t) call.  Queries take
+    an (n, dim) batch X and return arrays over its rows.  score values
     are returned everywhere they are finite; in_support marks where
     pdf >= floor_rel * max_pdf of the slice, and consumers (the reversal
     module in particular) are expected to gate score usage on that mask.
@@ -73,36 +79,36 @@ class DensityFlow:
         if not (0.0 < self.floor_rel < 1.0):
             raise ParameterError(f"floor_rel must lie in (0, 1), got {self.floor_rel}")
 
-    def pdf(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.at(t).pdf(x)
+    def pdf(self, t: float, X: np.ndarray) -> np.ndarray:
+        return self.at(t).pdf(X)
 
-    def score(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.at(t).score(x)
+    def score(self, t: float, X: np.ndarray) -> np.ndarray:
+        return self.at(t).score(X)
 
     def support_threshold(self, t: float) -> float:
         return self.floor_rel * self.at(t).max_pdf()
 
-    def in_support(self, t: float, x: np.ndarray) -> np.ndarray:
+    def in_support(self, t: float, X: np.ndarray) -> np.ndarray:
         law = self.at(t)
-        return np.atleast_1d(law.pdf(x)) >= self.floor_rel * law.max_pdf()
+        return law.pdf(X) >= self.floor_rel * law.max_pdf()
 
     def pdf_score_in_support(self, t: float,
-                             x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pdf, score, in_support mask) at x, from one logpdf_score call."""
+                             X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pdf, score, in_support mask) at X, from one logpdf_score call."""
         law = self.at(t)
-        lp, sc = law.logpdf_score(x)
+        lp, sc = law.logpdf_score(X)
         p = np.exp(lp)
-        return p, sc, np.atleast_1d(p) >= self.floor_rel * law.max_pdf()
+        return p, sc, p >= self.floor_rel * law.max_pdf()
 
 
-def exact_flow_density(flow: GaussianFlow, floor_rel: float = 1e-12) -> DensityFlow:
+def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
     """Wrap a Gaussian marginal flow as a DensityFlow with exact score.
 
     The closed-form score is valid on all of space, so the trust floor is
-    nominal; the 1e-3 default of estimated densities would falsely exclude
-    tail points whose score is perfectly known.
+    the nominal _EXACT_FLOOR_REL; the 1e-3 default of estimated densities
+    would falsely exclude tail points whose score is perfectly known.
     """
-    return DensityFlow(flow.at, flow.dim, floor_rel, tag="exact:" + flow.tag,
+    return DensityFlow(flow.at, flow.dim, _EXACT_FLOOR_REL, tag="exact:" + flow.tag,
                        gaussian_flow=flow)
 
 
@@ -113,7 +119,8 @@ class KdeModel:
     pdf integrates to one analytically; score is the analytic gradient
     grad pdf / pdf, evaluated with log-sum-exp weights for stability.
     logpdf_score computes both in one pass over the samples; logpdf and
-    score are views of that pass, so all three agree bit for bit.
+    score are views of that pass, so all three agree bit for bit.  Queries
+    are (n, dim) batches.
     """
 
     samples: np.ndarray
@@ -154,15 +161,15 @@ class KdeModel:
         L -= self._log_norm
         return L
 
-    def logpdf_score(self, x: np.ndarray, _score: bool = True):
-        """(logpdf, score) at x from one kernel pass per chunk of _CHUNK rows.
+    def logpdf_score(self, X: np.ndarray, _score: bool = True):
+        """(logpdf, score) at X from one kernel pass per chunk of _CHUNK rows.
 
         The chunk's log-kernel matrix L and its row log-sum-exp give
         logpdf = lse - log n and the normalised weights W = exp(L - lse) of
         score = (W @ samples - x sum W) / h^2.  _score=False skips the score
         half and returns None in its place.
         """
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
         lp = np.empty(X.shape[0])
         sc = np.empty_like(X) if _score else None
         log_n = math.log(self.n_samples)
@@ -175,18 +182,21 @@ class KdeModel:
             if _score:
                 W = np.exp(np.subtract(L, lse[:, None], out=L), out=L)
                 sc[s:s + _CHUNK] = (W @ self.samples - Xc * W.sum(axis=1, keepdims=True)) / h2
-        if np.ndim(x) == 1:
-            return lp[0], None if sc is None else sc[0]
+                del W
+            # free this chunk's matrix before the next chunk builds its own,
+            # so one chunk's matrices are alive at a time: with two, the heap
+            # can shrink and grow again, faulting its pages back in per chunk
+            del L
         return lp, sc
 
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        return self.logpdf_score(x, _score=False)[0]
+    def logpdf(self, X: np.ndarray) -> np.ndarray:
+        return self.logpdf_score(X, _score=False)[0]
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(x))
+    def pdf(self, X: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(X))
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        return self.logpdf_score(x)[1]
+    def score(self, X: np.ndarray) -> np.ndarray:
+        return self.logpdf_score(X)[1]
 
     @cached_property
     def _max_pdf(self) -> float:
@@ -244,8 +254,9 @@ def kde_fit(samples: np.ndarray, rule="silverman") -> KdeModel:
     return KdeModel(S, h)
 
 
-def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> DensityFlow:
-    """Per-slice KDE wrapped as a DensityFlow.
+def kde_flow(e: PathEnsemble, rule="silverman") -> DensityFlow:
+    """Per-slice KDE wrapped as a DensityFlow with DensityFlow's default
+    trust floor.
 
     Queries snap to the nearest grid node (same convention as marginal_slice)
     and each slice model is fitted lazily, then cached.
@@ -258,4 +269,4 @@ def kde_flow(e: PathEnsemble, rule="silverman", floor_rel: float = 1e-3) -> Dens
             cache[idx] = kde_fit(e.paths[:, idx, :], rule)
         return cache[idx]
 
-    return DensityFlow(model_at, e.dim, floor_rel, tag="kde:" + e.model_tag)
+    return DensityFlow(model_at, e.dim, tag="kde:" + e.model_tag)

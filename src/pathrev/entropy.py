@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (DomainError, MatrixField, ParameterError, PathEnsemble,
-                   TimeGrid, VectorField, mean_stderr, trapezoid)
+                   TimeGrid, VectorField, mean_stderr)
 from .density import DensityFlow
 from .models import Gaussian, GaussianFlow, GraphWalkSpec, KolmogorovSpec
 from .reversal import BackwardDriftField
@@ -82,8 +82,8 @@ def _path_integrals(F: np.ndarray, nodes: np.ndarray,
     dropped = int((~ok).sum())
     out = []
     for row in F:
-        vals = [trapezoid(np.ascontiguousarray(row[:, s:s + _BLOCK].T)[ok[s:s + _BLOCK]],
-                          nodes, axis=1) for s in range(0, F.shape[2], _BLOCK)]
+        vals = [np.trapezoid(np.ascontiguousarray(row[:, s:s + _BLOCK].T)[ok[s:s + _BLOCK]],
+                             nodes, axis=1) for s in range(0, F.shape[2], _BLOCK)]
         out.append(_estimate(np.concatenate(vals), dropped))
     return out
 
@@ -167,8 +167,7 @@ def _boundary_entropy(density: DensityFlow, ref: KolmogorovSpec, t: float,
 
 
 def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,
-                                  ref: KolmogorovSpec, e: PathEnsemble,
-                                  b_max: float = 1e6) -> EntropyReport:
+                                  ref: KolmogorovSpec, e: PathEnsemble) -> EntropyReport:
     """Full entropy report for a Markov process sharing a with the reference.
 
     drift is the forward drift of P, density its marginal flow (exact or
@@ -179,7 +178,7 @@ def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,
     if drift.dim != ref.dim or density.dim != ref.dim or e.dim != ref.dim:
         raise ParameterError("dimension mismatch")
     nodes = e.grid.nodes
-    v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density, b_max)
+    v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density)
 
     F = np.empty((4, nodes.size, e.n_paths))  # rows: fwd, bwd, current, osmotic
     for k, t in enumerate(nodes):
@@ -248,7 +247,7 @@ def heat_flow_dissipation(flow: GaussianFlow, m: Gaussian, grid: TimeGrid,
     ts = grid.nodes
     F = np.array([0.5 * gaussian_relative_entropy(flow.at(t), m) for t in ts])
     I = np.array([fisher_information(flow.at(t), m, a) for t in ts])
-    residual = abs(float(F[-1] - F[0] + 2.0 * trapezoid(I, ts)))
+    residual = abs(float(F[-1] - F[0] + 2.0 * np.trapezoid(I, ts)))
     return FisherReport(ts, F, I), residual
 
 
@@ -295,4 +294,4 @@ def rw_relative_entropy(spec: GraphWalkSpec, marginals, grid: TimeGrid) -> float
             raise DomainError(f"negative intensity at t={t}")
         site = np.where(A, jump_entropy_integrand(J), 0.0).sum(axis=1)
         vals[k] = float(p @ site)
-    return entropy_vs_counting(spec.p0) + float(trapezoid(vals, nodes))
+    return entropy_vs_counting(spec.p0) + float(np.trapezoid(vals, nodes))

@@ -15,18 +15,19 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (ConfigError, ConsistencyError, MatrixField, NumericError,
                    ParameterError, VectorField, _freeze, psd_sqrt)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SIGMA_TOL = 1e-12  # relative tolerance of validate_sigma
 
 
 @dataclass(frozen=True)
 class Gaussian:
     """A Gaussian law N(mean, cov).  cov may be PSD (degenerate allowed for
-    sampling; density evaluation requires SPD)."""
+    sampling; density evaluation requires SPD).  As a slice law it takes
+    (n, dim) batches: logpdf and pdf return (n,), score returns (n, dim)."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -65,24 +66,20 @@ class Gaussian:
             raise NumericError("covariance is singular; density undefined")
         return float(val)
 
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def logpdf(self, X: np.ndarray) -> np.ndarray:
         D = X - self.mean
         q = np.einsum("ni,ij,nj->n", D, self._inv, D)
-        out = -0.5 * (q + self.dim * _LOG_2PI + self._logdet)
-        return out[0] if np.ndim(x) == 1 else out
+        return -0.5 * (q + self.dim * _LOG_2PI + self._logdet)
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(x))
+    def pdf(self, X: np.ndarray) -> np.ndarray:
+        return np.exp(self.logpdf(X))
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of log density: -cov^{-1} (x - mean)."""
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = -(X - self.mean) @ self._inv.T
-        return out[0] if np.ndim(x) == 1 else out
+    def score(self, X: np.ndarray) -> np.ndarray:
+        """Gradient of log density: -cov^{-1} (x - mean), row-wise."""
+        return -(X - self.mean) @ self._inv.T
 
-    def logpdf_score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.logpdf(x), self.score(x)
+    def logpdf_score(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.logpdf(X), self.score(X)
 
     def max_pdf(self) -> float:
         return float(np.exp(-0.5 * (self.dim * _LOG_2PI + self._logdet)))
@@ -139,15 +136,11 @@ class KolmogorovSpec:
     m: Gaussian | None = None
     tag: str = ""
 
-    def m_logpdf(self, x: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = -np.asarray(self.potential(X), dtype=np.float64) + self.log_norm
-        return out[0] if np.ndim(x) == 1 else out
+    def m_logpdf(self, X: np.ndarray) -> np.ndarray:
+        return -np.asarray(self.potential(X), dtype=np.float64) + self.log_norm
 
-    def m_score(self, x: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = -np.asarray(self.grad_potential(X), dtype=np.float64)
-        return out[0] if np.ndim(x) == 1 else out
+    def m_score(self, X: np.ndarray) -> np.ndarray:
+        return -np.asarray(self.grad_potential(X), dtype=np.float64)
 
 
 def kolmogorov_spec(dim: int, potential, grad_potential, a: MatrixField,
@@ -235,12 +228,13 @@ class DiffusionSpec:
     init: Gaussian
     tag: str = ""
 
-    def validate_sigma(self, points: np.ndarray, t: float = 0.0, tol: float = 1e-12) -> None:
-        for x in np.atleast_2d(points):
-            S = self.sigma.at(t, x)
-            A = self.a.at(t, x)
-            if np.abs(S @ S.T - A).max() > tol * max(1.0, np.abs(A).max()):
-                raise ConsistencyError(f"sigma sigma^T != a at t={t}, x={x}")
+    def validate_sigma(self, points: np.ndarray) -> None:
+        """sigma sigma^T = a at t = 0 on each row of the (n, dim) points."""
+        for x in points:
+            S = self.sigma.at(0.0, x)
+            A = self.a.at(0.0, x)
+            if np.abs(S @ S.T - A).max() > _SIGMA_TOL * max(1.0, np.abs(A).max()):
+                raise ConsistencyError(f"sigma sigma^T != a at t=0.0, x={x}")
 
 
 def diffusion_spec(drift: VectorField, a: MatrixField, init: Gaussian,
@@ -388,6 +382,10 @@ def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
         Q = spec.generator(0.0)
         if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
             return lambda t: spec.p0
+        # imported here so that `import pathrev` does not load scipy.linalg;
+        # the bundled cycle starts from its invariant law and never gets here
+        from scipy.linalg import expm
+
         cache: dict[float, np.ndarray] = {}
 
         def marginals(t: float) -> np.ndarray:

@@ -26,44 +26,39 @@ from .core import (ConsistencyError, MatrixField, ParameterError, VectorField)
 from .density import DensityFlow
 from .models import GraphWalkSpec, KolmogorovSpec
 
+_B_MAX = 1e6  # backward drift norms above this are rescaled to it (cap_hits)
+
 
 class BackwardDriftField:
     """Backward drift at original time: -b + div a + a score.
 
-    Score values below the density's support floor are replaced by zero and
-    counted in floor_hits.  Output magnitudes above b_max are rescaled and
-    counted in cap_hits; both counters are diagnostics, not errors.
+    Evaluated on (n, dim) batches.  Score values below the density's
+    support floor are replaced by zero and counted in floor_hits.  Output
+    norms above _B_MAX are rescaled to it and counted in cap_hits; both
+    counters are diagnostics, not errors.
     """
 
     def __init__(self, b: VectorField, a: MatrixField, div_a: VectorField,
-                 density: DensityFlow, b_max: float = 1e6):
+                 density: DensityFlow):
         if b.dim != density.dim or a.dim != density.dim:
             raise ParameterError("drift, a and density disagree on dimension")
-        if not (b_max > 0):
-            raise ParameterError(f"b_max must be positive, got {b_max}")
         self.b, self.a, self.div_a, self.density = b, a, div_a, density
-        self.b_max = float(b_max)
         self.dim = density.dim
         self.floor_hits = 0
         self.cap_hits = 0
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        X = np.asarray(x, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
+    def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
         _, sc, ok = self.density.pdf_score_in_support(t, X)
-        sc = np.atleast_2d(sc)
         if not ok.all():
             self.floor_hits += int((~ok).sum())
             sc = np.where(ok[:, None], sc, 0.0)
         out = -self.b(t, X) + self.div_a(t, X) + self.a.apply(t, X, sc)
         norms = np.linalg.norm(out, axis=1)
-        over = norms > self.b_max
+        over = norms > _B_MAX
         if over.any():
             self.cap_hits += int(over.sum())
-            out[over] *= (self.b_max / norms[over])[:, None]
-        return out[0] if single else out
+            out[over] *= (_B_MAX / norms[over])[:, None]
+        return out
 
 
 class ReversedDrift:
@@ -81,10 +76,10 @@ class ReversedDrift:
         self.T = float(T)
         self.dim = backward.dim
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
         if not (-1e-12 <= t <= self.T * (1 + 1e-12)):
             raise ParameterError(f"reversed time {t} outside [0, {self.T}]")
-        return self.backward(self.T - t, x)
+        return self.backward(self.T - t, X)
 
     @property
     def floor_hits(self) -> int:
@@ -96,9 +91,9 @@ class ReversedDrift:
 
 
 def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
-                   density: DensityFlow, T: float, b_max: float = 1e6) -> ReversedDrift:
+                   density: DensityFlow, T: float) -> ReversedDrift:
     """Drift of the time-reversed diffusion on [0, T]."""
-    return ReversedDrift(BackwardDriftField(b, a, div_a, density, b_max), T)
+    return ReversedDrift(BackwardDriftField(b, a, div_a, density), T)
 
 
 @dataclass(frozen=True)
@@ -118,11 +113,10 @@ class MomentumFields:
     a: MatrixField
 
     def parallelogram_residual(self, t: float, X: np.ndarray) -> float:
-        X = np.atleast_2d(X)
-        qf = self.a.quad(t, X, np.atleast_2d(self.beta_fwd(t, X)))
-        qb = self.a.quad(t, X, np.atleast_2d(self.beta_bwd(t, X)))
-        qc = self.a.quad(t, X, np.atleast_2d(self.beta_cu(t, X)))
-        qo = self.a.quad(t, X, np.atleast_2d(self.beta_os(t, X)))
+        qf = self.a.quad(t, X, self.beta_fwd(t, X))
+        qb = self.a.quad(t, X, self.beta_bwd(t, X))
+        qc = self.a.quad(t, X, self.beta_cu(t, X))
+        qo = self.a.quad(t, X, self.beta_os(t, X))
         return float(np.abs(0.5 * qf + 0.5 * qb - qc - qo).max())
 
 
@@ -156,25 +150,25 @@ def osmotic_residual(density: DensityFlow, ref: KolmogorovSpec,
 
     rho_t = d mu_t / dm is the density of the process law against the
     reversible reference law, so grad log sqrt(rho) = (score_mu - score_m)/2.
-    Probes below the density's support floor are skipped.  Reports the sup
-    norm and the mu-weighted L2 norm over the used probes.
+    X is an (n, dim) batch of probes and times a sequence of times.  Probes
+    below the density's support floor are skipped.  Reports the sup norm
+    and the mu-weighted L2 norm over the used probes.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     sup = 0.0
     num = 0.0
     wsum = 0.0
     used = skipped = 0
-    for t in np.atleast_1d(times):
+    for t in times:
         t = float(t)
         ok = density.in_support(t, X)
         if not ok.any():
             skipped += X.shape[0]
             continue
         Xs = X[ok]
-        lhs = np.atleast_2d(momentum.beta_os(t, Xs))
-        rhs = 0.5 * (np.atleast_2d(density.score(t, Xs)) - np.atleast_2d(ref.m_score(Xs)))
+        lhs = momentum.beta_os(t, Xs)
+        rhs = 0.5 * (density.score(t, Xs) - ref.m_score(Xs))
         r = np.linalg.norm(lhs - rhs, axis=1)
-        w = np.atleast_1d(density.pdf(t, Xs))
+        w = density.pdf(t, Xs)
         sup = max(sup, float(r.max()))
         num += float((w * r ** 2).sum())
         wsum += float(w.sum())

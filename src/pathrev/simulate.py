@@ -21,6 +21,8 @@ from .core import (ConfigError, JumpPathEnsemble, ParameterError, PathEnsemble,
 from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
 
+_BLOCK = 4096  # paths per Euler block, for memory locality; no effect on results
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -35,12 +37,12 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig, block_size: int = 4096) -> PathEnsemble:
+def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
     """Explicit Euler scheme X_{k+1} = X_k + b dt + sigma sqrt(dt) xi_k.
 
     The drift is always evaluated at the left node, so nothing is ever
-    queried at t = T.  Paths are processed in blocks purely for memory
-    locality; block_size has no effect on the result.
+    queried at t = T.  Paths are processed in blocks of _BLOCK purely for
+    memory locality; the block size has no effect on the result.
     """
     grid = cfg.grid
     n, d = grid.n_steps, spec.dim
@@ -52,8 +54,8 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig, block_size: int = 4096) 
     init_factor = spec.init.factor
     out = np.empty((cfg.n_paths, n + 1, d))
 
-    for start in range(0, cfg.n_paths, block_size):
-        stop = min(start + block_size, cfg.n_paths)
+    for start in range(0, cfg.n_paths, _BLOCK):
+        stop = min(start + _BLOCK, cfg.n_paths)
         B = stop - start
         Z = np.empty((B, n + 1, d))
         for j, rng in enumerate(path_streams(cfg.seed, range(start, stop))):

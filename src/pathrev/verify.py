@@ -29,6 +29,11 @@ from .reversal import ReversedWalk
 Z_DEFAULT = 3.0
 ATOL_DEFAULT = 1e-3
 SMALL_SAMPLE = 100
+# continuity_residual: probes per coordinate and the steps of its central
+# differences in time and in space
+_N_PER_DIM = 9
+_DT_STENCIL = 1e-4
+_DX_STENCIL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,11 +52,10 @@ class TestFunction:
     name: str = "u"
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(X)), dtype=np.float64)
+        return np.asarray(self.fn(X), dtype=np.float64)
 
     def laplacian(self, a: MatrixField, t: float, X: np.ndarray) -> np.ndarray:
         """Delta_a u = sum_ij a_ij d_i d_j u, evaluated per row."""
-        X = np.atleast_2d(X)
         H = np.asarray(self.hess(X), dtype=np.float64)
         if a.is_constant:
             return np.einsum("ij,nij->n", a.constant_matrix, H)
@@ -177,9 +181,9 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
 
         (L+ u + L- u) v + Gamma(u, v)
 
-    vanishes.  X holds the slice samples; the report carries the MC mean.
+    vanishes.  X holds the slice samples as an (n, dim) batch; the report
+    carries the MC mean.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     gu = np.asarray(u.grad(X), dtype=np.float64)
     gv = np.asarray(v.grad(X), dtype=np.float64)
     drift_part = ((v_fwd(t, X) + v_bwd(t, X)) * gu).sum(axis=1)
@@ -292,56 +296,49 @@ class ContinuityReport:
         return asdict(self)
 
 
-def _stencil(f, center: float, delta: float, order: int) -> float:
-    if order == 2:
-        return (f(center + delta) - f(center - delta)) / (2.0 * delta)
-    return (-f(center + 2 * delta) + 8.0 * f(center + delta)
-            - 8.0 * f(center - delta) + f(center - 2 * delta)) / (12.0 * delta)
+def _central(f, center: float, delta: float) -> float:
+    return (f(center + delta) - f(center - delta)) / (2.0 * delta)
 
 
 def continuity_residual(flow: DensityFlow, v_cu: VectorField, grid: TimeGrid,
-                        box, times: Sequence[float] | None = None,
-                        n_per_dim: int = 9, dt_stencil: float = 1e-4,
-                        dx_stencil: float = 1e-4, order: int = 2) -> ContinuityReport:
+                        box) -> ContinuityReport:
     """Residual of d_t rho + div(rho v_cu) = 0 on a probe mesh.
 
-    box is (lo, hi) per coordinate; probes below the density's support floor
-    are skipped.  order selects the central stencil (2 or 4); with exact
-    flows the residual is limited only by stencil truncation error.
+    box is (lo, hi) per coordinate, probed by _N_PER_DIM points each, at
+    the times T/4, T/2 and 3T/4; probes below the density's support floor
+    are skipped.  Derivatives are second-order central differences, so with
+    exact flows the residual is limited only by their truncation error.
+    Each probe is queried as a one-row batch.
     """
-    if order not in (2, 4):
-        raise ParameterError("order must be 2 or 4")
     d = flow.dim
     lo = np.broadcast_to(np.asarray(box[0], dtype=np.float64), (d,))
     hi = np.broadcast_to(np.asarray(box[1], dtype=np.float64), (d,))
     if (hi <= lo).any():
         raise ParameterError("box upper bounds must exceed lower bounds")
-    if times is None:
-        times = (0.25 * grid.T, 0.5 * grid.T, 0.75 * grid.T)
-    reach = (2 if order == 4 else 1) * dt_stencil
+    times = (0.25 * grid.T, 0.5 * grid.T, 0.75 * grid.T)
     for t in times:
-        if t - reach < 0.0 or t + reach > grid.T:
+        if t - _DT_STENCIL < 0.0 or t + _DT_STENCIL > grid.T:
             raise ParameterError(f"probe time {t} too close to the interval ends")
 
-    axes = [np.linspace(lo[i], hi[i], n_per_dim) for i in range(d)]
+    axes = [np.linspace(lo[i], hi[i], _N_PER_DIM) for i in range(d)]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
     residuals = []
     n_skipped = 0
     for t in times:
         floor = flow.support_threshold(t)
-        for x in mesh:
-            if flow.pdf(t, x) < floor:
+        for x in mesh[:, None, :]:
+            if flow.pdf(t, x)[0] < floor:
                 n_skipped += 1
                 continue
-            drho_dt = _stencil(lambda s: float(flow.pdf(s, x)), t, dt_stencil, order)
+            drho_dt = _central(lambda s: float(flow.pdf(s, x)[0]), t, _DT_STENCIL)
             div = 0.0
             for i in range(d):
                 def flux(xi: float, i=i) -> float:
                     y = x.copy()
-                    y[i] = xi
-                    return float(flow.pdf(t, y) * v_cu(t, y[None, :])[0, i])
-                div += _stencil(flux, x[i], dx_stencil, order)
+                    y[0, i] = xi
+                    return float(flow.pdf(t, y)[0] * v_cu(t, y)[0, i])
+                div += _central(flux, x[0, i], _DX_STENCIL)
             residuals.append(abs(drho_dt + div))
     if not residuals:
         raise ParameterError("every probe fell below the support floor")
@@ -392,10 +389,10 @@ def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
     once, so keep pooled sizes moderate there.  Permutation streams are
     seeded per permutation index, making the p-value reproducible.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise ParameterError("A and B must be sample matrices with equal dim")
+        raise ParameterError("A and B must be (n, dim) sample matrices with equal dim")
     n, m = A.shape[0], B.shape[0]
     if n_perm < 1:
         raise ParameterError("n_perm must be at least 1")

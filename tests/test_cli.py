@@ -2,6 +2,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,3 +565,18 @@ class TestParser:
         path = _write_cfg(tmp_path, _cycle_cfg())
         with pytest.raises(SystemExit):
             main(["rw", "--config", path, "spin"])
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg roughly doubles the import time and the resident memory
+    # of `import numpy, scipy`, and only a walk whose initial law is not
+    # invariant needs it (for expm); a fresh interpreter keeps the modules
+    # this test run already imported out of the answer
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pathrev.cli; print('scipy.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
                           VectorField, ensemble_to_csv, flip_ensemble,
                           load_ensemble, make_grid, mean_stderr, path_rng,
-                          path_streams, psd_sqrt, save_ensemble, trapezoid)
+                          path_streams, psd_sqrt, save_ensemble)
 
 
 class TestTimeGrid:
@@ -213,11 +211,11 @@ class TestSerialization:
         with pytest.raises(ConsistencyError):
             load_ensemble(str(p))
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         e = _small_ensemble()
-        buf = io.StringIO()
-        ensemble_to_csv(e, buf)
-        lines = buf.getvalue().splitlines()
+        p = tmp_path / "e.csv"
+        ensemble_to_csv(e, str(p))
+        lines = p.read_text().splitlines()
         assert lines[0] == "path_id,t,x1,x2"
         assert len(lines) == 1 + 3 * 5
         # full-precision floats round-trip through repr
@@ -225,14 +223,6 @@ class TestSerialization:
         assert first[0] == "0"
         assert float(first[1]) == 0.0
         assert float(first[2]) == e.paths[0, 0, 0]
-
-    def test_csv_to_buffer(self, tmp_path):
-        e = _small_ensemble()
-        buf = io.StringIO()
-        ensemble_to_csv(e, buf)
-        p = tmp_path / "e.csv"
-        ensemble_to_csv(e, str(p))
-        assert p.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 class TestJumpPathEnsemble:
@@ -266,10 +256,13 @@ class TestJumpPathEnsemble:
 
 class TestVectorField:
     def test_single_and_batch(self):
+        # one point is a one-row batch; a bare (dim,) vector is refused
         f = VectorField.linear(np.array([[2.0]]), offset=[1.0])
-        assert np.array_equal(f(0.0, np.array([3.0])), np.array([7.0]))
+        assert np.array_equal(f(0.0, np.array([[3.0]])), np.array([[7.0]]))
         out = f(0.0, np.array([[1.0], [2.0]]))
         assert np.array_equal(out, np.array([[3.0], [5.0]]))
+        with pytest.raises(ParameterError):
+            f(0.0, np.array([3.0]))
 
     def test_zero_and_constant(self):
         z = VectorField.zero(2)
@@ -349,14 +342,6 @@ class TestPsdSqrt:
     def test_negative_raises(self):
         with pytest.raises(NumericError):
             psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_trapezoid_matches_closed_form():
-    x = np.linspace(0.0, 1.0, 101)
-    assert trapezoid(x, x) == pytest.approx(0.5, abs=1e-15)
-    Y = np.stack([x, 2 * x])
-    out = trapezoid(Y, x, axis=1)
-    assert out == pytest.approx([0.5, 1.0], abs=1e-15)
 
 
 def test_mean_stderr():

@@ -19,8 +19,8 @@ class TestExactFlowDensity:
     def test_values_follow_the_flow(self):
         flow = ou_marginal_flow([0.0], [[0.5]])
         d = exact_flow_density(flow)
-        assert d.pdf(0.3, np.zeros(1)) == pytest.approx(INV_SQRT_PI, abs=1e-15)
-        assert d.score(0.3, np.array([1.0]))[0] == pytest.approx(-2.0, abs=1e-14)
+        assert d.pdf(0.3, np.zeros((1, 1)))[0] == pytest.approx(INV_SQRT_PI, abs=1e-15)
+        assert d.score(0.3, np.array([[1.0]]))[0, 0] == pytest.approx(-2.0, abs=1e-14)
 
     def test_trust_region_is_wide(self):
         d = exact_flow_density(ou_marginal_flow([0.0], [[0.5]]))
@@ -41,7 +41,8 @@ class TestExactFlowDensity:
         assert d.gaussian_flow is flow
 
     def test_one_slice_law_call_matches_separate_queries(self):
-        d = exact_flow_density(ou_marginal_flow([1.0], [[0.5]]), floor_rel=1e-3)
+        flow = ou_marginal_flow([1.0], [[0.5]])
+        d = DensityFlow(flow.at, 1, floor_rel=1e-3)
         X = np.linspace(-4.0, 6.0, 101)[:, None]  # tails fall below the floor
         for t in (0.0, 0.5, 1.0):
             p, sc, ok = d.pdf_score_in_support(t, X)
@@ -55,16 +56,16 @@ class TestKdeModel:
     def test_two_kernel_pdf_closed_form(self):
         # centers -1 and 1 with h = 1: pdf(0) = phi(1) = e^{-1/2}/sqrt(2 pi)
         m = KdeModel(np.array([[-1.0], [1.0]]), np.array([1.0]))
-        assert m.pdf(np.zeros(1)) == pytest.approx(0.24197072451914337, abs=1e-15)
+        assert m.pdf(np.zeros((1, 1)))[0] == pytest.approx(0.24197072451914337, abs=1e-15)
 
     def test_single_kernel_score(self):
         # one center c: score(x) = -(x - c) / h^2 exactly
         m = KdeModel(np.array([[0.7]]), np.array([0.5]))
-        assert m.score(np.array([1.2]))[0] == pytest.approx(-0.5 / 0.25, abs=1e-12)
+        assert m.score(np.array([[1.2]]))[0, 0] == pytest.approx(-0.5 / 0.25, abs=1e-12)
 
     def test_symmetry_pins_score_at_zero(self):
         m = KdeModel(np.array([[-1.0], [1.0]]), np.array([1.0]))
-        assert m.score(np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
+        assert m.score(np.zeros((1, 1)))[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_pdf_integrates_to_one(self):
         x = path_rng(99, 0).standard_normal((40, 1))
@@ -77,18 +78,18 @@ class TestKdeModel:
         x = path_rng(5150, 0).standard_normal((100000, 1))
         m = kde_fit(x, rule="silverman")
         target = 1.0 / math.sqrt(2 * math.pi)
-        assert abs(float(m.pdf(np.zeros(1))) - target) <= 0.01
+        assert abs(float(m.pdf(np.zeros((1, 1)))[0]) - target) <= 0.01
 
     def test_score_accuracy_on_gaussian_sample(self):
         x = path_rng(31337, 0).standard_normal((100000, 1))
         m = kde_fit(x, rule="score")
-        assert abs(float(m.score(np.array([1.0]))[0]) + 1.0) <= 0.05
+        assert abs(float(m.score(np.array([[1.0]]))[0, 0]) + 1.0) <= 0.05
 
     def test_max_pdf_is_probe_maximum_computed_once(self):
         # probes are the sample mean 0 and both centers; pdf peaks at 0
         m = KdeModel(np.array([[-1.0], [1.0]]), np.array([1.0]))
         assert m.max_pdf() == m.pdf(np.zeros((1, 1)))[0]
-        assert m.max_pdf() > m.pdf(np.ones(1))
+        assert m.max_pdf() > m.pdf(np.ones((1, 1)))[0]
         assert "_max_pdf" in vars(m)
 
     def test_scalar_bandwidth_broadcasts(self):
@@ -100,7 +101,7 @@ class TestKdeModel:
         m = kde_fit(x)
         X = np.linspace(-2, 2, 600)[:, None]  # crosses the chunk boundary
         p_all = m.pdf(X)
-        p_one = np.array([float(m.pdf(row)) for row in X])
+        p_one = np.array([float(m.pdf(row[None, :])[0]) for row in X])
         assert np.array_equal(p_all, p_one)
 
     def test_validation(self):
@@ -170,14 +171,18 @@ class TestFusedKernelPass:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_single_point(self, dim):
+        # one point is a one-row batch, and gives the values of its row in a
+        # larger batch (the score up to the rounding of a different matmul)
         g = path_rng(22, dim)
         model = kde_fit(g.standard_normal((100, dim)))
-        x = g.standard_normal(dim)
-        lp, sc = model.logpdf_score(x)
-        assert np.ndim(lp) == 0 and sc.shape == (dim,)
-        assert np.array_equal(lp, model.logpdf(x))
-        assert np.array_equal(sc, model.score(x))
-        assert np.array_equal(sc, model.logpdf_score(x[None, :])[1][0])
+        X = g.standard_normal((5, dim))
+        lp, sc = model.logpdf_score(X[2:3])
+        assert lp.shape == (1,) and sc.shape == (1, dim)
+        assert np.array_equal(lp, model.logpdf(X[2:3]))
+        assert np.array_equal(sc, model.score(X[2:3]))
+        lp5, sc5 = model.logpdf_score(X)
+        assert np.array_equal(lp, lp5[2:3])
+        assert np.allclose(sc, sc5[2:3], rtol=1e-13, atol=0.0)
 
     def test_logpdf_only_skips_score(self):
         model = kde_fit(path_rng(23, 0).standard_normal((50, 1)))

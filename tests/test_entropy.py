@@ -6,7 +6,7 @@ import pytest
 
 from pathrev import entropy
 from pathrev.core import (DomainError, MatrixField, ParameterError,
-                          VectorField, make_grid, mean_stderr, trapezoid)
+                          VectorField, make_grid, mean_stderr)
 from pathrev.density import DensityFlow, exact_flow_density, kde_flow
 from pathrev.entropy import (ActionEstimate, EntropyReport, _boundary_entropy,
                              current_osmosis_decomposition,
@@ -152,16 +152,16 @@ def _path_major_integrals(integrands, nodes, drop):
     ok = np.ones(integrands[0].shape[0], dtype=bool)
     for arr in drop:
         ok &= np.isfinite(arr).all(axis=1)
-    return [trapezoid(arr[ok], nodes, axis=1) for arr in integrands], ok
+    return [np.trapezoid(arr[ok], nodes, axis=1) for arr in integrands], ok
 
 
-def _path_major_report(drift, density, ref, e, b_max=1e6):
+def _path_major_report(drift, density, ref, e):
     """current_osmosis_decomposition written path-major: one strided column
     per node and integrand, and np.linalg.solve on the constant a.  Returns
     the report and the per-path integrals of the four integrands."""
     nodes = e.grid.nodes
     A = ref.a.constant_matrix
-    v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density, b_max)
+    v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density)
     int_f, int_b, int_c, int_o = (np.empty((e.n_paths, nodes.size)) for _ in range(4))
     for k, t in enumerate(nodes):
         X = e.paths[:, k, :]

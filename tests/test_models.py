@@ -19,11 +19,11 @@ class TestGaussian:
     def test_pdf_value(self):
         # N(0, 1/2) density at the origin is pi^{-1/2}
         g = Gaussian(np.zeros(1), np.eye(1) * 0.5)
-        assert g.pdf(np.zeros(1)) == pytest.approx(INV_SQRT_PI, abs=1e-15)
+        assert g.pdf(np.zeros((1, 1)))[0] == pytest.approx(INV_SQRT_PI, abs=1e-15)
 
     def test_score_is_linear(self):
         g = Gaussian(np.zeros(1), np.eye(1) * 0.5)
-        assert g.score(np.array([1.0]))[0] == pytest.approx(-2.0, abs=1e-14)
+        assert g.score(np.array([[1.0]]))[0, 0] == pytest.approx(-2.0, abs=1e-14)
         S = g.score(np.array([[0.5], [-0.25]]))
         assert np.allclose(S, np.array([[-1.0], [0.5]]))
 
@@ -40,7 +40,7 @@ class TestGaussian:
     def test_singular_cov(self):
         g = Gaussian(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(NumericError):
-            g.pdf(np.zeros(2))
+            g.pdf(np.zeros((1, 2)))
         # sampling a degenerate law is still fine
         x = g.sample(path_rng(0, 0), 4)
         assert np.array_equal(x, np.zeros((4, 2)))
@@ -77,7 +77,7 @@ class TestGaussianFlow:
         flow = bm_flow([[1.0]])
         assert flow.cov(0.0)[0, 0] == 1.0
         assert flow.cov(1.0)[0, 0] == 2.0
-        assert flow.at(1.0).score(np.array([1.0]))[0] == pytest.approx(-0.5, abs=1e-15)
+        assert flow.at(1.0).score(np.array([[1.0]]))[0, 0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_validate_spd(self):
         ou_marginal_flow([0.0], [[0.5]]).validate_spd((0.0, 0.5, 1.0))
@@ -97,9 +97,9 @@ class TestKolmogorovSpec:
 
     def test_reversible_law_is_normalized_gaussian(self):
         ref, _ = ou_reference()
-        x = np.array([0.7])
-        assert np.exp(ref.m_logpdf(x)) == pytest.approx(ref.m.pdf(x), rel=1e-12)
-        assert ref.m_score(x)[0] == pytest.approx(-2.0 * 0.7, abs=1e-13)
+        x = np.array([[0.7]])
+        assert np.exp(ref.m_logpdf(x))[0] == pytest.approx(ref.m.pdf(x)[0], rel=1e-12)
+        assert ref.m_score(x)[0, 0] == pytest.approx(-2.0 * 0.7, abs=1e-13)
 
     def test_derived_drift_formula(self):
         # a = Id and U = |x|^2 give b = -x

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pathrev import reversal
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
                           VectorField, make_grid)
 from pathrev.density import DensityFlow, exact_flow_density, kde_flow
@@ -30,7 +31,7 @@ class TestBackwardDrift:
         # origin the drift is -(-0) + 0 + score = 2 e^{-1}
         ref, flow, density = _ou_setup()
         rd = reversed_drift(ref.drift, ref.a, ref.div_a, density, T=1.0)
-        got = rd(0.0, np.zeros(1))[0]
+        got = rd(0.0, np.zeros((1, 1)))[0, 0]
         assert got == TWO_OVER_E
 
     def test_stationary_start_reverses_to_itself(self):
@@ -47,9 +48,10 @@ class TestBackwardDrift:
         b = VectorField.zero(1)
         rd = reversed_drift(b, MatrixField.identity(1), VectorField.zero(1),
                             density, T=1.0)
-        assert rd(0.0, np.array([1.0]))[0] == -0.5  # original time 1, cov 2
-        assert rd(0.5, np.array([1.0]))[0] == pytest.approx(-1.0 / 1.5, abs=1e-15)
-        assert rd(1.0, np.array([1.0]))[0] == -1.0  # original time 0, cov 1
+        x = np.array([[1.0]])
+        assert rd(0.0, x)[0, 0] == -0.5  # original time 1, cov 2
+        assert rd(0.5, x)[0, 0] == pytest.approx(-1.0 / 1.5, abs=1e-15)
+        assert rd(1.0, x)[0, 0] == -1.0  # original time 0, cov 1
 
     def test_kde_fused_pass_matches_separate_passes(self):
         # the drift takes score and support from one kernel pass; the flow's
@@ -61,43 +63,42 @@ class TestBackwardDrift:
         fused = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         split_floor_hits = 0
 
-        def split(t, x):
+        def split(t, X):
             nonlocal split_floor_hits
-            X = np.atleast_2d(x)
             ok = density.in_support(t, X)
             split_floor_hits += int((~ok).sum())
             sc = np.where(ok[:, None], density.score(t, X), 0.0)
-            out = -ref.drift(t, X) + ref.div_a(t, X) + ref.a.apply(t, X, sc)
-            return out[0] if np.ndim(x) == 1 else out
+            return -ref.drift(t, X) + ref.div_a(t, X) + ref.a.apply(t, X, sc)
 
         X = np.linspace(-5.0, 7.0, 700)[:, None]  # crosses chunks and the floor
         for t in (0.05, 0.5, 1.0):
             assert np.array_equal(fused(t, X), split(t, X))
-            assert np.array_equal(fused(t, X[3]), split(t, X[3]))
+            assert np.array_equal(fused(t, X[3:4]), split(t, X[3:4]))
         assert fused.floor_hits == split_floor_hits > 0
         assert fused.cap_hits == 0
 
     def test_batch_matches_single(self):
+        # each row queried alone, as a one-row batch, gives its batch row
         ref, flow, density = _ou_setup()
         bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         X = np.array([[0.0], [0.7], [-1.3]])
         batch = bwd(0.4, X)
-        for i, row in enumerate(X):
-            assert np.array_equal(bwd(0.4, row), batch[i])
+        for i in range(len(X)):
+            assert np.array_equal(bwd(0.4, X[i:i + 1]), batch[i:i + 1])
 
     def test_floor_zeroes_score(self):
         ref, flow, _ = _ou_setup()
         tight = DensityFlow(flow.at, 1, floor_rel=0.5)
         bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, tight)
-        x = np.array([3.0])
-        out = bwd(0.0, x)
+        out = bwd(0.0, np.array([[3.0]]))
         # score dropped: only -b survives
-        assert out[0] == -(-3.0)
+        assert out[0, 0] == -(-3.0)
         assert bwd.floor_hits == 1
 
-    def test_cap_rescales_norm(self):
+    def test_cap_rescales_norm(self, monkeypatch):
+        monkeypatch.setattr(reversal, "_B_MAX", 1.0)
         ref, flow, density = _ou_setup()
-        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density, b_max=1.0)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         out = bwd(0.0, np.array([[-4.0]]))
         assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
         assert bwd.cap_hits == 1
@@ -107,14 +108,12 @@ class TestBackwardDrift:
         with pytest.raises(ParameterError):
             BackwardDriftField(VectorField.zero(2), MatrixField.identity(2),
                                VectorField.zero(2), density)
-        with pytest.raises(ParameterError):
-            BackwardDriftField(ref.drift, ref.a, ref.div_a, density, b_max=0.0)
 
     def test_reversed_time_domain(self):
         ref, flow, density = _ou_setup()
         rd = reversed_drift(ref.drift, ref.a, ref.div_a, density, T=1.0)
         with pytest.raises(ParameterError):
-            rd(1.5, np.zeros(1))
+            rd(1.5, np.zeros((1, 1)))
         with pytest.raises(ParameterError):
             ReversedDrift(BackwardDriftField(ref.drift, ref.a, ref.div_a, density),
                           T=0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pathrev import simulate
 from pathrev.core import (ConfigError, JumpPathEnsemble, MatrixField,
                           ParameterError, SimulationError, VectorField,
                           make_grid, path_rng)
@@ -30,10 +31,11 @@ class TestEulerMaruyama:
         b = euler_maruyama(_shifted_ou(), cfg)
         assert np.array_equal(a.paths, b.paths)
 
-    def test_block_size_does_not_change_output(self):
+    def test_block_size_does_not_change_output(self, monkeypatch):
         cfg = SimConfig(n_paths=50, seed=11, grid=make_grid(1.0, 20))
         a = euler_maruyama(_shifted_ou(), cfg)
-        b = euler_maruyama(_shifted_ou(), cfg, block_size=7)
+        monkeypatch.setattr(simulate, "_BLOCK", 7)
+        b = euler_maruyama(_shifted_ou(), cfg)
         assert np.array_equal(a.paths, b.paths)
 
     def test_seed_changes_output(self):

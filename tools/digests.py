@@ -4,12 +4,13 @@
 
 DIR is a pathrev checkout (default: the one holding this script); its
 `src/` goes on PYTHONPATH and its bundled `configs/` feed the cases.  Each
-case runs `python3 -m pathrev.cli <command> --config cfg.json --out out` in
-a fresh temporary directory and prints its exit code, then the sha256 of
-stdout, of stderr and of every file under `out/` ("out: absent" when the
-command created no directory).  Two checkouts whose artifacts should be
-byte-identical print the same lines.  Only the standard library is used and
-pathrev is not imported here, so the script judges any checkout alike.
+case runs `python3 -m pathrev.cli <command> --config cfg.json --out out
+<extra arguments>` in a fresh temporary directory and prints its exit code,
+then the sha256 of stdout, of stderr and of every file under `out/` ("out:
+absent" when the command created no directory).  Two checkouts whose
+artifacts should be byte-identical print the same lines.  Only the standard
+library is used and pathrev is not imported here, so the script judges any
+checkout alike.
 """
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ CUSTOM = {"type": "custom", "dim": 1,
           "diffusion_matrix": [[2.0]], "init_mean": [0.0], "init_cov": [[1.0]]}
 
 
-def cases(configs: Path) -> list[tuple[str, str, dict]]:
-    """(name, command, config) for every case, in the order they run."""
+def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
+    """(name, command, config, extra arguments) for every case, in the order
+    they run."""
     ou = json.loads((configs / "ou_reversal.json").read_text())
     cycle = json.loads((configs / "cycle_reversal.json").read_text())
     ou_kde = {**ou, "density": "kde"}
@@ -40,17 +42,20 @@ def cases(configs: Path) -> list[tuple[str, str, dict]]:
     # without "checks" a run takes the default checks of its model type
     default_checks = {k: v for k, v in ou.items() if k != "checks"}
     return [
-        ("ou-run", "run", ou),
-        ("cycle-run", "run", cycle),
-        ("cycle-simulate", "simulate", cycle),
-        ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}),
-        ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}),
-        ("ou2d-kde-entropy", "entropy", ou2d_kde),
-        ("ou2d-kde-verify", "verify", ou2d_kde),
-        ("ou2d-kde-run", "run", ou2d_kde),
-        ("bm-run", "run", {**default_checks, "model": BM, "n_paths": 2000}),
+        ("ou-run", "run", ou, []),
+        ("cycle-run", "run", cycle, []),
+        ("cycle-simulate", "simulate", cycle, []),
+        ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}, []),
+        ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}, []),
+        ("ou2d-kde-entropy", "entropy", ou2d_kde, []),
+        ("ou2d-kde-verify", "verify", ou2d_kde, []),
+        ("ou2d-kde-run", "run", ou2d_kde, []),
+        ("bm-run", "run", {**default_checks, "model": BM, "n_paths": 2000}, []),
         ("custom-kde-run", "run", {**default_checks, "model": CUSTOM, "density": "kde",
-                                   "n_paths": 300}),
+                                   "n_paths": 300}, []),
+        # ensemble.csv; rw ibp writes no directory, so its stdout is the digest
+        ("ou-simulate-csv", "simulate", {**ou, "n_paths": 200}, ["--format", "csv"]),
+        ("cycle-rw-ibp", "rw", cycle, ["ibp"]),
     ]
 
 
@@ -58,7 +63,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(src: Path, command: str, cfg: dict) -> list[str]:
+def run_case(src: Path, command: str, cfg: dict, extra: list[str]) -> list[str]:
     """Lines describing one case: exit code, stream digests, file digests."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     with tempfile.TemporaryDirectory(prefix="pathrev-digests-") as tmp:
@@ -66,7 +71,7 @@ def run_case(src: Path, command: str, cfg: dict) -> list[str]:
         (work / "cfg.json").write_text(json.dumps(cfg))
         proc = subprocess.run(
             [sys.executable, "-m", "pathrev.cli", command, "--config", "cfg.json",
-             "--out", "out"], cwd=work, env=env, capture_output=True, check=False)
+             "--out", "out", *extra], cwd=work, env=env, capture_output=True, check=False)
         lines = [f"rc {proc.returncode}", f"stdout {sha256(proc.stdout)}",
                  f"stderr {sha256(proc.stderr)}"]
         out = work / "out"
@@ -83,9 +88,9 @@ def main(argv=None) -> int:
                    help="pathrev checkout to run (its src/ and configs/)")
     args = p.parse_args(argv)
     src = args.src.resolve()
-    for name, command, cfg in cases(src / "configs"):
-        print(f"== {name} ({command})", flush=True)
-        for line in run_case(src, command, cfg):
+    for name, command, cfg, extra in cases(src / "configs"):
+        print(f"== {name} ({' '.join([command, *extra])})", flush=True)
+        for line in run_case(src, command, cfg, extra):
             print("  " + line, flush=True)
     return 0
 
