@@ -19,8 +19,7 @@ from .models import (DiffusionSpec, Gaussian, GaussianFlow, GraphWalkSpec,
                      bm_flow, diffusion_spec, graph_walk, kolmogorov_spec, load_model,
                      ou_diffusion, ou_marginal_flow, ou_reference, walk_marginal_fn)
 from .simulate import SimConfig, ctmc_simulate, euler_maruyama, jump_states_at, marginal_slice
-from .density import (DensityFlow, KdeModel, exact_flow_density, kde_fit,
-                      kde_flow, score_bandwidth, silverman_bandwidth)
+from .density import DensityFlow, KdeModel, exact_flow_density, kde_fit, kde_flow
 from .reversal import (BackwardDriftField, MomentumFields, ReversedDrift,
                        ReversedWalk, momentum_fields, osmotic_residual,
                        reversed_drift, reversed_jump_intensities)

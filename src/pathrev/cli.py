@@ -528,7 +528,7 @@ def _check_reversal_walk(run: _WalkRun) -> dict:
 
 def _check_detailed_balance(run: _WalkRun) -> dict:
     m = np.ones(run.spec.n_states)
-    res = detailed_balance_residual(m, run.spec, 0.0)
+    res = detailed_balance_residual(m, run.spec)
     return {"residual": res, "reference": "counting", "tolerance": 1e-12,
             "passed": res <= 1e-12}
 
@@ -539,8 +539,10 @@ def _check_carre(run: _DiffusionRun) -> dict:
         raise ConfigError("carre check requires a constant diffusion matrix")
     expected = float(a_mat[0, 0])
     u = coordinate_function(run.spec.dim)
-    t = run.grid.node(run.grid.n_steps // 4)
-    h = max(run.grid.dt, round(0.05 / run.grid.dt) * run.grid.dt)
+    n, dt = run.grid.n_steps, run.grid.dt
+    t = run.grid.node(n // 4)
+    # a lag of about 0.05, at least one step, ending on the grid
+    h = min(max(1, round(0.05 / dt)), n - n // 4) * dt
     rep = carre_du_champ_estimate(run.ensemble, u, u, t, h, expected, atol=0.1)
     out = rep.to_dict()
     out.update({"t": t, "h": h, "expected": expected,
@@ -552,8 +554,12 @@ def _check_carre(run: _DiffusionRun) -> dict:
 def _check_nelson(run: _DiffusionRun) -> dict:
     x0 = run.spec.init.mean
     expected = float(run.spec.drift(0.0, x0[None, :])[0, 0])
-    dt = run.grid.dt
-    h_small = max(dt, round(0.1 / dt) * dt)
+    n, dt = run.grid.n_steps, run.grid.dt
+    if n < 2:
+        return {"expected": expected, "passed": False,
+                "reason": "one grid step cannot hold the two lags h < 2h <= T"}
+    # lags h and 2h with h about 0.1, at least one step, and 2h <= T
+    h_small = min(max(1, round(0.1 / dt)), n // 2) * dt
     est = nelson_forward_derivative(run.ensemble, coordinate_function(run.spec.dim),
                                     0.0, x0, window=0.2, h_list=[h_small, 2 * h_small])
     err = abs(est - expected)

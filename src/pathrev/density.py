@@ -210,21 +210,10 @@ class KdeModel:
         return self._max_pdf
 
 
-def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
-    """Per-dimension rule sigma_d (4 / ((dim + 2) n))^(1 / (dim + 4))."""
-    S = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n, d = S.shape
-    sd = S.std(axis=0, ddof=1)
-    return sd * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
-
-
-def score_bandwidth(samples: np.ndarray) -> np.ndarray:
-    """Wider rule sigma_d (4 / ((dim + 4) n))^(1 / (dim + 6)), tuned for the
-    gradient of the estimate rather than the estimate itself."""
-    S = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n, d = S.shape
-    sd = S.std(axis=0, ddof=1)
-    return sd * (4.0 / ((d + 4) * n)) ** (1.0 / (d + 6))
+# automatic bandwidth rules: sd * (4 / ((d + k) n)) ** (1 / (d + k + 2)) per
+# coordinate, with k = 2 for the density (Silverman) and k = 4 for the wider
+# rule tuned for its gradient
+_RULES = {"silverman": 2, "score": 4}
 
 
 def kde_fit(samples: np.ndarray, rule="silverman") -> KdeModel:
@@ -238,12 +227,11 @@ def kde_fit(samples: np.ndarray, rule="silverman") -> KdeModel:
     if S.ndim == 1:
         S = S[:, None]
     if isinstance(rule, str):
-        if rule == "silverman":
-            h = silverman_bandwidth(S)
-        elif rule == "score":
-            h = score_bandwidth(S)
-        else:
+        if rule not in _RULES:
             raise BandwidthError(f"unknown bandwidth rule {rule!r}")
+        n, d = S.shape
+        k = _RULES[rule]
+        h = S.std(axis=0, ddof=1) * (4.0 / ((d + k) * n)) ** (1.0 / (d + k + 2))
         if not (h > 0).all():
             flat = np.nonzero(~(h > 0))[0]
             raise BandwidthError(

@@ -18,16 +18,13 @@ of the Fisher information of the marginals.  Monte-Carlo estimates use
 per-path trapezoid quadrature on the ensemble grid; reductions are plain
 numpy sums, so results are deterministic for a given ensemble.
 
-Path integrands are node-major: each grid node copies its slice of the
-ensemble once into a contiguous (n_paths, dim) array, evaluates every field
-on it, and writes each integrand as one contiguous row of an
-(n_integrands, n_nodes, n_paths) array.  The per-path integrals then take
-the paths in blocks of _BLOCK, one integrand at a time, transposed to a
-C-contiguous (paths, nodes) array.  Each path's row holds the same values
-as in a path-major layout and is reduced by the same trapezoid along a
-contiguous axis, so every per-path integral, and every mean and standard
-error over them, is bit-for-bit what a path-major loop gives, while the
-transient memory stays at one block.
+Path actions are summed node by node: the loop copies each grid node's
+slice of the ensemble once into a contiguous (n_paths, dim) array, evaluates
+every integrand on it, and adds the trapezoid term d_k (y_k + y_{k+1}) / 2.0
+of each integrand to a per-path accumulator, so memory stays at a few
+(n_paths,) rows.  Each per-path integral is therefore a left-to-right sum of
+np.trapezoid's terms over the nodes, where np.trapezoid sums the same terms
+pairwise; the two agree to rounding.
 """
 from __future__ import annotations
 
@@ -40,9 +37,7 @@ from .core import (DomainError, MatrixField, ParameterError, PathEnsemble,
                    TimeGrid, VectorField, mean_stderr)
 from .density import DensityFlow
 from .models import Gaussian, GaussianFlow, GraphWalkSpec, KolmogorovSpec
-from .reversal import BackwardDriftField
-
-_BLOCK = 256  # paths per transposed block when integrating node-major rows
+from .reversal import BackwardDriftField, momentum_fields
 
 
 def gaussian_relative_entropy(p: Gaussian, r: Gaussian) -> float:
@@ -69,33 +64,32 @@ def _estimate(vals: np.ndarray, n_excluded: int) -> ActionEstimate:
     return ActionEstimate(*mean_stderr(vals), vals.size, n_excluded)
 
 
-def _path_integrals(F: np.ndarray, nodes: np.ndarray,
-                    drop_rows: tuple[int, ...]) -> list[ActionEstimate]:
-    """Mean per-path trapezoid integral of each node-major integrand row.
+def _path_actions(e: PathEnsemble, integrands, n_drop: int) -> list[ActionEstimate]:
+    """Mean per-path trapezoid integral of each integrand along the ensemble.
 
-    F has shape (n_integrands, n_nodes, n_paths).  A path is left out of
-    every estimate when any row named in drop_rows is non-finite on it.
+    integrands(t, X) returns the (n_paths,) integrand rows at one grid node.
+    A path is left out of every estimate when any of the first n_drop rows
+    is non-finite on it at some node.
     """
-    ok = np.ones(F.shape[2], dtype=bool)
-    for i in drop_rows:
-        ok &= np.isfinite(F[i]).all(axis=0)
+    nodes = e.grid.nodes
+    d = np.diff(nodes)
+    ok = np.ones(e.n_paths, dtype=bool)
+    for k, t in enumerate(nodes):
+        y = np.array(integrands(t, np.ascontiguousarray(e.paths[:, k, :])))
+        ok &= np.isfinite(y[:n_drop]).all(axis=0)
+        if k == 0:
+            acc = np.zeros_like(y)
+        else:
+            with np.errstate(invalid="ignore"):  # inf - inf only on dropped paths
+                acc += d[k - 1] * (prev + y) / 2.0
+        prev = y
     dropped = int((~ok).sum())
-    out = []
-    for row in F:
-        vals = [np.trapezoid(np.ascontiguousarray(row[:, s:s + _BLOCK].T)[ok[s:s + _BLOCK]],
-                             nodes, axis=1) for s in range(0, F.shape[2], _BLOCK)]
-        out.append(_estimate(np.concatenate(vals), dropped))
-    return out
+    return [_estimate(row[ok], dropped) for row in acc]
 
 
 def girsanov_action(beta: VectorField, a: MatrixField, e: PathEnsemble) -> ActionEstimate:
     """E int_0^T |beta(t, X_t)|_a^2 / 2 dt along the ensemble."""
-    nodes = e.grid.nodes
-    F = np.empty((1, nodes.size, e.n_paths))
-    for k, t in enumerate(nodes):
-        X = np.ascontiguousarray(e.paths[:, k, :])
-        F[0, k] = 0.5 * a.quad(t, X, beta(t, X))
-    (est,) = _path_integrals(F, nodes, drop_rows=(0,))
+    (est,) = _path_actions(e, lambda t, X: [0.5 * a.quad(t, X, beta(t, X))], n_drop=1)
     return est
 
 
@@ -177,20 +171,12 @@ def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,
     """
     if drift.dim != ref.dim or density.dim != ref.dim or e.dim != ref.dim:
         raise ParameterError("dimension mismatch")
-    nodes = e.grid.nodes
-    v_bwd = BackwardDriftField(drift, ref.a, ref.div_a, density)
+    mom = momentum_fields(drift, BackwardDriftField(drift, ref.a, ref.div_a, density), ref)
 
-    F = np.empty((4, nodes.size, e.n_paths))  # rows: fwd, bwd, current, osmotic
-    for k, t in enumerate(nodes):
-        X = np.ascontiguousarray(e.paths[:, k, :])
-        vr = ref.drift(t, X)
-        bf = ref.a.solve(t, X, drift(t, X) - vr)
-        bb = ref.a.solve(t, X, v_bwd(t, X) - vr)
-        F[0, k] = 0.5 * ref.a.quad(t, X, bf)
-        F[1, k] = 0.5 * ref.a.quad(t, X, bb)
-        F[2, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf - bb))
-        F[3, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf + bb))
-    fwd, bwd, cur, osm = _path_integrals(F, nodes, drop_rows=(0, 1))
+    def integrands(t, X):  # fwd, bwd, current, osmotic
+        return [0.5 * ref.a.quad(t, X, beta) for beta in mom(t, X)]
+
+    fwd, bwd, cur, osm = _path_actions(e, integrands, n_drop=2)
 
     b0, se0 = _boundary_entropy(density, ref, 0.0, e.paths[:, 0, :])
     bT, seT = _boundary_entropy(density, ref, e.grid.T, e.paths[:, -1, :])

@@ -249,14 +249,14 @@ def diffusion_spec(drift: VectorField, a: MatrixField, init: Gaussian,
     return DiffusionSpec(dim, drift, a, sigma, init, tag)
 
 
-def ou_diffusion(init: Gaussian, tag: str = "ou") -> DiffusionSpec:
+def ou_diffusion(init: Gaussian) -> DiffusionSpec:
     d = init.dim
-    return diffusion_spec(VectorField.linear(-np.eye(d)), MatrixField.identity(d), init, tag=tag)
+    return diffusion_spec(VectorField.linear(-np.eye(d)), MatrixField.identity(d), init, tag="ou")
 
 
-def bm_diffusion(init: Gaussian, tag: str = "bm") -> DiffusionSpec:
+def bm_diffusion(init: Gaussian) -> DiffusionSpec:
     d = init.dim
-    return diffusion_spec(VectorField.zero(d), MatrixField.identity(d), init, tag=tag)
+    return diffusion_spec(VectorField.zero(d), MatrixField.identity(d), init, tag="bm")
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,9 @@ class GraphWalkSpec:
         Q = J - np.diag(J.sum(axis=1))
         return Q
 
-    def out_rates(self, t: float = 0.0) -> np.ndarray:
-        J = self.intensity(t)
-        return J.sum(axis=1)
+    def out_rates(self) -> np.ndarray:
+        """Total jump rate out of each state at time 0."""
+        return self.intensity(0.0).sum(axis=1)
 
 
 def _connected(A: np.ndarray) -> bool:

@@ -101,39 +101,32 @@ class MomentumFields:
     """Momenta of a process relative to a reversible reference.
 
     beta_dir solves a beta_dir = v_dir - v_ref for dir in {fwd, bwd}, and
-    beta_cu, beta_os are the half-difference and half-sum.  The squared-norm
-    identity |b_f|_a^2/2 + |b_b|_a^2/2 = |b_cu|_a^2 + |b_os|_a^2 is the
-    parallelogram law; parallelogram_residual evaluates it pointwise.
+    beta_cu, beta_os are the half-difference and half-sum.  A call at (t, X)
+    returns all four from one evaluation of each velocity; beta_os is the
+    osmotic one alone.
     """
 
-    beta_fwd: VectorField
-    beta_bwd: VectorField
-    beta_cu: VectorField
-    beta_os: VectorField
-    a: MatrixField
+    v_fwd: VectorField
+    v_bwd: VectorField
+    ref: KolmogorovSpec
 
-    def parallelogram_residual(self, t: float, X: np.ndarray) -> float:
-        qf = self.a.quad(t, X, self.beta_fwd(t, X))
-        qb = self.a.quad(t, X, self.beta_bwd(t, X))
-        qc = self.a.quad(t, X, self.beta_cu(t, X))
-        qo = self.a.quad(t, X, self.beta_os(t, X))
-        return float(np.abs(0.5 * qf + 0.5 * qb - qc - qo).max())
+    def __call__(self, t: float, X: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(beta_fwd, beta_bwd, beta_cu, beta_os) on the (n, dim) batch X."""
+        a, vr = self.ref.a, self.ref.drift(t, X)
+        bf = a.solve(t, X, self.v_fwd(t, X) - vr)
+        bb = a.solve(t, X, self.v_bwd(t, X) - vr)
+        return bf, bb, 0.5 * (bf - bb), 0.5 * (bf + bb)
+
+    def beta_os(self, t: float, X: np.ndarray) -> np.ndarray:
+        return self(t, X)[3]
 
 
 def momentum_fields(v_fwd: VectorField, v_bwd: VectorField,
                     ref: KolmogorovSpec) -> MomentumFields:
     """Momenta of (v_fwd, v_bwd) relative to the reference generator drift."""
-    d = ref.dim
-    if v_fwd.dim != d or v_bwd.dim != d:
+    if v_fwd.dim != ref.dim or v_bwd.dim != ref.dim:
         raise ParameterError("velocities and reference disagree on dimension")
-
-    def beta(v):
-        return VectorField(lambda t, X: ref.a.solve(t, X, v(t, X) - ref.drift(t, X)), d)
-
-    bf, bb = beta(v_fwd), beta(v_bwd)
-    cu = VectorField(lambda t, X: 0.5 * (bf(t, X) - bb(t, X)), d)
-    os_ = VectorField(lambda t, X: 0.5 * (bf(t, X) + bb(t, X)), d)
-    return MomentumFields(bf, bb, cu, os_, ref.a)
+    return MomentumFields(v_fwd, v_bwd, ref)
 
 
 @dataclass(frozen=True)
@@ -160,15 +153,15 @@ def osmotic_residual(density: DensityFlow, ref: KolmogorovSpec,
     used = skipped = 0
     for t in times:
         t = float(t)
-        ok = density.in_support(t, X)
+        pdf, score, ok = density.pdf_score_in_support(t, X)
         if not ok.any():
             skipped += X.shape[0]
             continue
         Xs = X[ok]
         lhs = momentum.beta_os(t, Xs)
-        rhs = 0.5 * (density.score(t, Xs) - ref.m_score(Xs))
+        rhs = 0.5 * (score[ok] - ref.m_score(Xs))
         r = np.linalg.norm(lhs - rhs, axis=1)
-        w = density.pdf(t, Xs)
+        w = pdf[ok]
         sup = max(sup, float(r.max()))
         num += float((w * r ** 2).sum())
         wsum += float(w.sum())

@@ -34,6 +34,7 @@ SMALL_SAMPLE = 100
 _N_PER_DIM = 9
 _DT_STENCIL = 1e-4
 _DX_STENCIL = 1e-4
+_CUBIC_WIDTH = 4.0  # width of windowed_cubic's Gaussian window
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,10 @@ def square_function(dim: int = 1, index: int = 0) -> TestFunction:
         dim, name=f"x{index}^2")
 
 
-def windowed_cubic(dim: int = 1, index: int = 0, width: float = 4.0) -> TestFunction:
-    """u(x) = x_i^3 exp(-x_i^2 / width): a cubic tamed by a Gaussian window,
-    bounded with bounded derivatives on all of R."""
-    if width <= 0:
-        raise ParameterError("width must be positive")
-    w = float(width)
+def windowed_cubic(dim: int = 1, index: int = 0) -> TestFunction:
+    """u(x) = x_i^3 exp(-x_i^2 / _CUBIC_WIDTH): a cubic tamed by a Gaussian
+    window, bounded with bounded derivatives on all of R."""
+    w = _CUBIC_WIDTH
 
     def parts(X):
         x = X[:, index]
@@ -346,16 +345,16 @@ def continuity_residual(flow: DensityFlow, v_cu: VectorField, grid: TimeGrid,
     return ContinuityReport(float(r.max()), float(r.mean()), r.size, n_skipped)
 
 
-def detailed_balance_residual(m, spec: GraphWalkSpec, t: float = 0.0) -> float:
-    """max over ordered pairs of |m(x) j(t,x;y) - m(y) j(t,y;x)|.
+def detailed_balance_residual(m, spec: GraphWalkSpec) -> float:
+    """max over ordered pairs of |m(x) j(0,x;y) - m(y) j(0,y;x)|.
 
     m is any positive measure on the states (not necessarily normalized);
-    zero means the walk is reversible for m at time t.
+    zero means the walk is reversible for m at time 0.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (spec.n_states,) or (m <= 0).any():
         raise ParameterError("m must be a positive state vector")
-    F = m[:, None] * spec.intensity(t)
+    F = m[:, None] * spec.intensity(0.0)
     return float(np.abs(F - F.T).max())
 
 

@@ -495,6 +495,34 @@ class TestVerifyCommand:
         rep = json.loads((out / "verify_report.json").read_text())["checks"]["reversal"]
         assert "reason" not in rep and len(rep["slices"]) == 5
 
+    def test_short_horizon_default_checks(self, tmp_path):
+        # at T = 0.1 the default lags (nelson 0.1 and 0.2) overran the grid
+        cfg = {k: v for k, v in _ou_cfg(n_paths=500).items() if k != "checks"}
+        path = _write_cfg(tmp_path, {**cfg, "grid": {"T": 0.1, "n_steps": 40}})
+        out = tmp_path / "run"
+        assert main(["run", "--config", path, "--out", str(out)]) in (0, 1)
+        checks = json.loads((out / "verify_report.json").read_text())["checks"]
+        assert sorted(checks) == sorted(_DEFAULT_CHECKS["ou"])
+        assert "reason" not in checks["nelson"]
+
+    def test_carre_lag_fits_the_grid(self, tmp_path):
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=500, checks=["carre"],
+                                            grid={"T": 0.05, "n_steps": 40}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", path, "--out", str(out)]) in (0, 1)
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["carre"]
+        # node(10) + 30 steps of 0.00125 ends at T; the 0.05 lag would not
+        assert rep["t"] == 10 * 0.00125 and rep["h"] == 30 * 0.00125
+
+    def test_nelson_one_step_fails_with_reason(self, tmp_path, capsys):
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=500, checks=["nelson"],
+                                            grid={"T": 1.0, "n_steps": 1}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["nelson"]
+        assert rep["passed"] is False and "two lags" in rep["reason"]
+        assert "check nelson: FAIL" in capsys.readouterr().out
+
     def test_unknown_positional_check(self, tmp_path, capsys):
         path = _write_cfg(tmp_path, _cycle_cfg())
         assert main(["verify", "--config", path, "--out",

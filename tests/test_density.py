@@ -7,8 +7,7 @@ from scipy.special import logsumexp
 
 from pathrev.core import BandwidthError, ParameterError, make_grid, path_rng
 from pathrev.density import (DensityFlow, KdeModel, _row_logsumexp,
-                             exact_flow_density, kde_fit, kde_flow,
-                             score_bandwidth, silverman_bandwidth)
+                             exact_flow_density, kde_fit, kde_flow)
 from pathrev.models import Gaussian, ou_diffusion, ou_marginal_flow
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -206,19 +205,21 @@ class TestBandwidthRules:
     def test_rules_against_formulas(self):
         x = path_rng(12, 0).standard_normal((500, 1))
         sd = x.std(ddof=1)
-        assert silverman_bandwidth(x)[0] == pytest.approx(
+        assert kde_fit(x, rule="silverman").bandwidth[0] == pytest.approx(
             sd * (4.0 / (3 * 500)) ** 0.2, rel=1e-12)
-        assert score_bandwidth(x)[0] == pytest.approx(
+        assert kde_fit(x, rule="score").bandwidth[0] == pytest.approx(
             sd * (4.0 / (5 * 500)) ** (1.0 / 7.0), rel=1e-12)
+        # a 1-d sample is n points of one coordinate, not one n-d point
+        assert kde_fit(x[:, 0], rule="score").bandwidth.tolist() == \
+            kde_fit(x, rule="score").bandwidth.tolist()
 
     def test_score_rule_is_wider(self):
         x = path_rng(12, 0).standard_normal((500, 1))
-        assert score_bandwidth(x)[0] > silverman_bandwidth(x)[0]
+        assert kde_fit(x, rule="score").bandwidth[0] > kde_fit(x).bandwidth[0]
 
     def test_kde_fit_rule_dispatch(self):
         x = path_rng(12, 0).standard_normal((100, 1))
-        assert kde_fit(x, rule="silverman").bandwidth[0] == silverman_bandwidth(x)[0]
-        assert kde_fit(x, rule="score").bandwidth[0] == score_bandwidth(x)[0]
+        assert kde_fit(x).bandwidth[0] == kde_fit(x, rule="silverman").bandwidth[0]
         assert kde_fit(x, rule=0.3).bandwidth[0] == 0.3
         with pytest.raises(BandwidthError):
             kde_fit(x, rule="sheather-jones")

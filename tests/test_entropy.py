@@ -136,6 +136,24 @@ class TestCurrentOsmosisDecomposition:
         assert rep.boundary_initial_stderr > 0.0
         assert abs(rep.boundary_initial - 1.0) <= 3 * rep.boundary_initial_stderr + 0.01
 
+    def test_backward_drift_once_per_node(self, monkeypatch):
+        # each node's backward drift is one density query; re-evaluating the
+        # drift per momentum would multiply the kernel work of a KDE density
+        ref, _ = ou_reference()
+        flow = ou_marginal_flow([1.0], [[0.5]])
+        spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+        e = euler_maruyama(spec, SimConfig(50, 3, make_grid(1.0, 16)))
+        calls = []
+        query = DensityFlow.pdf_score_in_support
+
+        def counted(self, t, X):
+            calls.append(t)
+            return query(self, t, X)
+
+        monkeypatch.setattr(DensityFlow, "pdf_score_in_support", counted)
+        current_osmosis_decomposition(ref.drift, exact_flow_density(flow), ref, e)
+        assert calls == list(e.grid.nodes)
+
     def test_dimension_mismatch(self):
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0, 0.0], np.eye(2))
@@ -146,13 +164,25 @@ class TestCurrentOsmosisDecomposition:
                                           ref, e)
 
 
+def _left_to_right_trapezoid(y, nodes):
+    """Per-path trapezoid integral of a path-major (n_paths, n_nodes) array:
+    np.trapezoid's terms, summed over the nodes from left to right."""
+    terms = np.diff(nodes) * (y[:, 1:] + y[:, :-1]) / 2.0
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 def _path_major_integrals(integrands, nodes, drop):
     """Per-path trapezoid integrals of path-major (n_paths, n_nodes) arrays,
-    dropping the paths on which any array in drop is non-finite."""
+    dropping the paths on which any array in drop is non-finite.  Each is
+    also checked against np.trapezoid, which sums the same terms pairwise."""
     ok = np.ones(integrands[0].shape[0], dtype=bool)
     for arr in drop:
         ok &= np.isfinite(arr).all(axis=1)
-    return [np.trapezoid(arr[ok], nodes, axis=1) for arr in integrands], ok
+    vals = [_left_to_right_trapezoid(arr[ok], nodes) for arr in integrands]
+    for arr, v in zip(integrands, vals):
+        pairwise = np.trapezoid(arr[ok], nodes, axis=1)
+        assert np.all(np.abs(v - pairwise) <= 1e-13 * np.abs(pairwise))
+    return vals, ok
 
 
 def _path_major_report(drift, density, ref, e):
@@ -184,10 +214,10 @@ def _path_major_report(drift, density, ref, e):
 
 
 class TestNodeMajorMatchesPathMajor:
-    """The node-major loop against a path-major one, bit for bit, on more
-    paths than two blocks and with some paths dropped.  Means can hide
-    ulp-level changes in single paths, so the per-path integrals handed to
-    mean_stderr are compared too."""
+    """The node loop against a path-major left-to-right trapezoid, bit for
+    bit, with some paths dropped.  Means can hide ulp-level changes in
+    single paths, so the per-path integrals handed to mean_stderr are
+    compared too."""
 
     N_PATHS = 2 * 256 + 3
 

@@ -137,13 +137,34 @@ class TestMomenta:
         ref, mom = self._fields()
         X = np.array([[0.3], [-0.6]])
         for t in (0.25, 0.75):
-            assert np.allclose(mom.beta_fwd(t, X), 0.0, atol=1e-14)
-            assert np.allclose(mom.beta_bwd(t, X), 2 * math.exp(-t), atol=1e-13)
+            bf, bb, _, bo = mom(t, X)
+            assert np.allclose(bf, 0.0, atol=1e-14)
+            assert np.allclose(bb, 2 * math.exp(-t), atol=1e-13)
+            assert np.array_equal(mom.beta_os(t, X), bo)
 
     def test_parallelogram_identity(self):
+        # |b_f|_a^2/2 + |b_b|_a^2/2 = |b_cu|_a^2 + |b_os|_a^2 pointwise
         ref, mom = self._fields()
         X = np.linspace(-1.5, 1.5, 7)[:, None]
-        assert mom.parallelogram_residual(0.5, X) <= 1e-12
+        qf, qb, qc, qo = (ref.a.quad(0.5, X, beta) for beta in mom(0.5, X))
+        assert np.abs(0.5 * qf + 0.5 * qb - qc - qo).max() <= 1e-12
+
+    def test_each_velocity_evaluated_once_per_call(self):
+        ref, _, density = _ou_setup()
+        calls = {"fwd": 0, "bwd": 0}
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
+
+        def counted(name, field):
+            def fn(t, X):
+                calls[name] += 1
+                return field(t, X)
+            return VectorField(fn, 1)
+
+        mom = momentum_fields(counted("fwd", ref.drift), counted("bwd", bwd), ref)
+        bf, bb, bc, bo = mom(0.5, np.linspace(-1.0, 1.0, 5)[:, None])
+        assert calls == {"fwd": 1, "bwd": 1}
+        assert np.array_equal(bc, 0.5 * (bf - bb))
+        assert np.array_equal(bo, 0.5 * (bf + bb))
 
     def test_dimension_mismatch(self):
         ref, _, _ = _ou_setup()

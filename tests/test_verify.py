@@ -36,7 +36,7 @@ class TestTestFunctions:
         assert u.hess(X)[0, 0, 0] == 2.0
 
     def test_windowed_cubic_derivatives_match_fd(self):
-        u = windowed_cubic(1, width=4.0)
+        u = windowed_cubic(1)
         xs = np.array([[0.0], [0.7], [-1.3], [2.1]])
         h = 1e-6
         for x in xs:
@@ -48,10 +48,6 @@ class TestTestFunctions:
             gn = u.grad(np.array([x - h]))[0, 0]
             assert u.hess(x[None, :])[0, 0, 0] == pytest.approx((gp - gn) / (2 * h),
                                                                 abs=1e-6)
-
-    def test_windowed_cubic_width_validation(self):
-        with pytest.raises(ParameterError):
-            windowed_cubic(width=0.0)
 
     def test_product_rule(self):
         prod = coordinate_function(1) * square_function(1)  # x^3

@@ -56,6 +56,8 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         # ensemble.csv; rw ibp writes no directory, so its stdout is the digest
         ("ou-simulate-csv", "simulate", {**ou, "n_paths": 200}, ["--format", "csv"]),
         ("cycle-rw-ibp", "rw", cycle, ["ibp"]),
+        # a horizon shorter than the default nelson and carre lags
+        ("ou-short-run", "run", {**default_checks, "grid": {"T": 0.1, "n_steps": 40}}, []),
     ]
 
 
