@@ -38,7 +38,8 @@ from .core import (BandwidthError, ConfigError, ConsistencyError, DomainError,
 from .density import exact_flow_density, kde_flow
 from .entropy import (current_osmosis_decomposition, heat_flow_dissipation,
                       rw_relative_entropy, entropy_vs_counting)
-from .models import Gaussian, ModelBundle, diffusion_spec, load_model, walk_marginal_fn
+from .models import (Gaussian, ModelBundle, _number, _require_keys, diffusion_spec,
+                     load_model, walk_marginal_fn)
 from .reversal import (BackwardDriftField, ReversedDrift, reversed_jump_intensities)
 from .simulate import SimConfig, ctmc_simulate, euler_maruyama
 from .verify import (coordinate_function, continuity_residual,
@@ -71,12 +72,7 @@ def validate_config(obj: dict) -> dict:
     """Strict schema check; returns the config with defaults filled in."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("model", "grid", "seed"):
-        if key not in obj:
-            raise ConfigError(f"missing required config key: {key}")
+    _require_keys(obj, _TOP_KEYS, {"model", "grid", "seed"}, "config")
 
     model = obj["model"]
     if not isinstance(model, dict) or "type" not in model:
@@ -88,29 +84,23 @@ def validate_config(obj: dict) -> dict:
     grid = obj["grid"]
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
-    unknown = set(grid) - _GRID_KEYS
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    for key in _GRID_KEYS:
-        if key not in grid:
-            raise ConfigError(f"grid missing key: {key}")
-    T = grid["T"]
-    n_steps = grid["n_steps"]
-    if not isinstance(T, (int, float)) or isinstance(T, bool) or T <= 0:
-        raise ConfigError(f"grid.T must be a positive number, got {T!r}")
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
-        raise ConfigError(f"grid.n_steps must be a positive integer, got {n_steps!r}")
+    _require_keys(grid, _GRID_KEYS, _GRID_KEYS, "grid")
+    T = _number(grid["T"], "T", float, "grid")
+    if T <= 0:
+        raise ConfigError(f"grid: T must be positive, got {grid['T']!r}")
+    n_steps = _number(grid["n_steps"], "n_steps", int, "grid")
+    if n_steps < 1:
+        raise ConfigError(f"grid: n_steps must be at least 1, got {n_steps!r}")
 
-    seed = obj["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = _number(obj["seed"], "seed", int, "config")
     _check_seed(seed)
 
     n_paths = obj.get("n_paths", 1000 if mtype == "cycle" else None)
     if n_paths is None:
         raise ConfigError("n_paths is required for diffusion models")
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 1:
-        raise ConfigError(f"n_paths must be a positive integer, got {n_paths!r}")
+    n_paths = _number(n_paths, "n_paths", int, "config")
+    if n_paths < 1:
+        raise ConfigError(f"config: n_paths must be at least 1, got {n_paths!r}")
 
     density = obj.get("density", "exact")
     if density not in ("exact", "kde") and not (
@@ -131,7 +121,7 @@ def validate_config(obj: dict) -> dict:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir must be a nonempty string")
 
-    return {"model": model, "grid": {"T": float(T), "n_steps": n_steps},
+    return {"model": model, "grid": {"T": T, "n_steps": n_steps},
             "n_paths": n_paths, "seed": seed, "density": density,
             "checks": checks, "out_dir": out_dir}
 
@@ -312,7 +302,7 @@ class _DiffusionRun(_Run):
         a_mat = self.spec.a.constant_matrix
         base = {"T": self.grid.T, "model": self.cfg["model"], "density": self.cfg["density"],
                 "a": None if a_mat is None else a_mat.tolist(), "times": times}
-        if self.cfg["density"] == "exact":
+        if self.density.gaussian_flow is not None:
             A_tab, c_tab = [], []
             basis = np.eye(dim)
             for s in times:
@@ -483,8 +473,8 @@ def _check_reversal(run: _DiffusionRun) -> dict:
                           f"than 1/{_REVERSAL_LEVEL:g}; the permutation test cannot reject "
                           f"at level {_REVERSAL_LEVEL:g}"}
     T = run.grid.T
-    if run.cfg["density"] == "exact":
-        init_T = run.bundle.flow.at(T)
+    if run.density.gaussian_flow is not None:
+        init_T = run.density.gaussian_flow.at(T)
     else:
         # moment-matched start; adequate for Gaussian models, noted otherwise
         XT = run.ensemble.paths[:, -1, :]

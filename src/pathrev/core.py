@@ -198,9 +198,10 @@ def flip_ensemble(e: PathEnsemble) -> PathEnsemble:
 class JumpPathEnsemble:
     """Jump paths of a finite-state walk on [0, T], stored grid-free.
 
-    events[i] is the ordered tuple of (time, from_state, to_state) for path i.
-    States are integers in 0..n_states-1.  Paths are cadlag: the state at t is
-    the target of the last event at or before t.
+    events[i] holds the (time, from_state, to_state) rows of path i in order,
+    stored as given (ctmc_simulate passes tuples).  States are integers in
+    0..n_states-1.  Paths are cadlag: the state at t is the target of the
+    last event at or before t.
     """
 
     n_states: int
@@ -218,7 +219,7 @@ class JumpPathEnsemble:
             raise ParameterError("initial state outside 0..n_states-1")
         init.flags.writeable = False
         object.__setattr__(self, "initial_states", init)
-        object.__setattr__(self, "events", tuple(tuple(ev) for ev in self.events))
+        object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "seed", int(self.seed))
         if len(self.events) != init.size:

@@ -4,10 +4,11 @@ A DensityFlow is a map from time t to a slice law, the marginal at t: a
 Gaussian for exact flows, a KdeModel for kernel estimates.  Every slice law
 answers pdf, score, logpdf_score (both from one evaluation) and max_pdf (the
 supremum, exact or approximate, behind the relative support floor below
-which scores are not trusted).  Laws and flows take query points only as
-(n, dim) batches and return (n,) values and (n, dim) scores; one point is
-the batch x[None, :].  Scores from the kernel estimator are analytic
-derivatives of the estimator itself, never finite differences.
+which scores are not trusted; 0 for exact flows, whose score is exact in
+the far tails too).  Laws and flows take query points only as (n, dim)
+batches and return (n,) values and (n, dim) scores; one point is the batch
+x[None, :].  Scores from the kernel estimator are analytic derivatives of
+the estimator itself, never finite differences.
 
 The kernel estimator makes one pass over its samples per query: each chunk
 of query rows builds its log-kernel matrix once, and that matrix and its row
@@ -27,9 +28,6 @@ from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
-# closed-form scores are valid on all of space, so the trust floor of an
-# exact flow is nominal; see exact_flow_density
-_EXACT_FLOOR_REL = 1e-12
 
 
 def _row_logsumexp(L: np.ndarray) -> np.ndarray:
@@ -64,8 +62,9 @@ class DensityFlow:
     an (n, dim) batch X and return arrays over its rows.  score values
     are returned everywhere they are finite; in_support marks where
     pdf >= floor_rel * max_pdf of the slice, and consumers (the reversal
-    module in particular) are expected to gate score usage on that mask.
-    gaussian_flow, when set, is the exact Gaussian flow behind at, for
+    module in particular) are expected to gate score usage on that mask;
+    floor_rel = 0 trusts every point.  gaussian_flow, when set, is the exact
+    Gaussian flow behind at: it marks the density as exact and serves
     closed-form quantities such as boundary entropies.
     """
 
@@ -76,8 +75,8 @@ class DensityFlow:
     gaussian_flow: GaussianFlow | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.floor_rel < 1.0):
-            raise ParameterError(f"floor_rel must lie in (0, 1), got {self.floor_rel}")
+        if not (0.0 <= self.floor_rel < 1.0):
+            raise ParameterError(f"floor_rel must lie in [0, 1), got {self.floor_rel}")
 
     def pdf(self, t: float, X: np.ndarray) -> np.ndarray:
         return self.at(t).pdf(X)
@@ -85,12 +84,12 @@ class DensityFlow:
     def score(self, t: float, X: np.ndarray) -> np.ndarray:
         return self.at(t).score(X)
 
-    def support_threshold(self, t: float) -> float:
-        return self.floor_rel * self.at(t).max_pdf()
+    def _trusted(self, law: Gaussian | KdeModel, p: np.ndarray) -> np.ndarray:
+        return p >= self.floor_rel * law.max_pdf()
 
     def in_support(self, t: float, X: np.ndarray) -> np.ndarray:
         law = self.at(t)
-        return law.pdf(X) >= self.floor_rel * law.max_pdf()
+        return self._trusted(law, law.pdf(X))
 
     def pdf_score_in_support(self, t: float,
                              X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,17 +97,18 @@ class DensityFlow:
         law = self.at(t)
         lp, sc = law.logpdf_score(X)
         p = np.exp(lp)
-        return p, sc, p >= self.floor_rel * law.max_pdf()
+        return p, sc, self._trusted(law, p)
 
 
 def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
     """Wrap a Gaussian marginal flow as a DensityFlow with exact score.
 
-    The closed-form score is valid on all of space, so the trust floor is
-    the nominal _EXACT_FLOOR_REL; the 1e-3 default of estimated densities
-    would falsely exclude tail points whose score is perfectly known.
+    The closed-form score is exact on all of space, so the trust floor is 0
+    and every point is in support, even where the pdf underflows to 0; a
+    positive floor would zero the score at tail points where it is
+    perfectly known.
     """
-    return DensityFlow(flow.at, flow.dim, _EXACT_FLOOR_REL, tag="exact:" + flow.tag,
+    return DensityFlow(flow.at, flow.dim, 0.0, tag="exact:" + flow.tag,
                        gaussian_flow=flow)
 
 

@@ -26,8 +26,9 @@ _SIGMA_TOL = 1e-12  # relative tolerance of validate_sigma
 @dataclass(frozen=True)
 class Gaussian:
     """A Gaussian law N(mean, cov).  cov may be PSD (degenerate allowed for
-    sampling; density evaluation requires SPD).  As a slice law it takes
-    (n, dim) batches: logpdf and pdf return (n,), score returns (n, dim)."""
+    sampling through factor; density evaluation requires SPD).  As a slice
+    law it takes (n, dim) batches: logpdf and pdf return (n,), score returns
+    (n, dim)."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -84,10 +85,6 @@ class Gaussian:
     def max_pdf(self) -> float:
         return float(np.exp(-0.5 * (self.dim * _LOG_2PI + self._logdet)))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        Z = rng.standard_normal((n, self.dim))
-        return self.mean + Z @ self.factor.T
-
 
 @dataclass(frozen=True)
 class GaussianFlow:
@@ -101,20 +98,13 @@ class GaussianFlow:
     def at(self, t: float) -> Gaussian:
         return Gaussian(self.mean_fn(t), self.cov_fn(t))
 
-    def mean(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.mean_fn(t), dtype=np.float64))
 
-    def cov(self, t: float) -> np.ndarray:
-        C = np.asarray(self.cov_fn(t), dtype=np.float64)
-        return C.reshape(1, 1) if C.ndim == 0 else C
-
-    def validate_spd(self, times) -> None:
-        for t in np.atleast_1d(times):
-            C = self.cov(float(t))
-            try:
-                np.linalg.cholesky(C)
-            except np.linalg.LinAlgError:
-                raise NumericError(f"flow covariance not SPD at t={t}") from None
+def _check_start_cov(init: Gaussian) -> None:
+    """A marginal flow starts from an SPD covariance, so its density exists."""
+    try:
+        np.linalg.cholesky(init.cov)
+    except np.linalg.LinAlgError:
+        raise NumericError("flow covariance not SPD at t=0.0") from None
 
 
 @dataclass(frozen=True)
@@ -197,9 +187,8 @@ def ou_marginal_flow(init_mean, init_cov) -> GaussianFlow:
         e = math.exp(-2.0 * t)
         return e * init.cov + (1.0 - e) * half
 
-    flow = GaussianFlow(mean_fn, cov_fn, d, tag="ou")
-    flow.validate_spd([0.0])
-    return flow
+    _check_start_cov(init)
+    return GaussianFlow(mean_fn, cov_fn, d, tag="ou")
 
 
 def bm_flow(init_cov, init_mean=None) -> GaussianFlow:
@@ -211,9 +200,8 @@ def bm_flow(init_cov, init_mean=None) -> GaussianFlow:
     mu = np.zeros(d) if init_mean is None else np.atleast_1d(np.asarray(init_mean, float))
     init = Gaussian(mu, C0)
     eye = np.eye(d)
-    flow = GaussianFlow(lambda t: init.mean, lambda t: init.cov + t * eye, d, tag="bm")
-    flow.validate_spd([0.0])
-    return flow
+    _check_start_cov(init)
+    return GaussianFlow(lambda t: init.mean, lambda t: init.cov + t * eye, d, tag="bm")
 
 
 @dataclass(frozen=True)
@@ -376,8 +364,10 @@ def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
 
 def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
     """Exact marginals t -> p_t.  Matrix exponential for constant intensities,
-    an ODE solve of the forward equation otherwise.  An invariant initial law
-    short-circuits both: p_t = p0 without roundoff."""
+    an ODE solve of the forward equation otherwise.  With constant
+    intensities, an initial law with p0 Q = 0 exactly short-circuits the
+    exponential: p_t = p0 without roundoff.  The ODE branch makes no such
+    check."""
     if spec.is_constant:
         Q = spec.generator(0.0)
         if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
@@ -423,7 +413,6 @@ class ModelBundle:
     simulation spec plus (when available) an exact marginal flow and a
     reversible reference; graph models carry a walk spec."""
 
-    kind: str
     dim: int
     diffusion: DiffusionSpec | None = None
     flow: GaussianFlow | None = None
@@ -440,12 +429,13 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(value, key: str, kind: type) -> int | float:
-    """value of field key as kind (int or float).  Strings and booleans are
-    rejected, not coerced, and an int field takes no fractional value."""
+def _number(value, key: str, kind: type, where: str) -> int | float:
+    """value of field key of object where as kind (int or float).  Strings
+    and booleans are rejected, not coerced, and an int field takes no
+    fractional value."""
     allowed = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ConfigError(f"model: {key} must be {'an integer' if kind is int else 'a number'}, "
+        raise ConfigError(f"{where}: {key} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
     return kind(value)
 
@@ -458,7 +448,7 @@ def _array(value, key: str) -> np.ndarray:
             for u in v:
                 check(u)
         else:
-            _number(v, f"{key} entry", float)
+            _number(v, f"{key} entry", float, "model")
 
     check(value)
     try:
@@ -470,7 +460,7 @@ def _array(value, key: str) -> np.ndarray:
 def _initial_law(obj: dict) -> Gaussian:
     """N(init_mean, init_cov) of a diffusion model; an optional dim must agree."""
     init = Gaussian(_array(obj["init_mean"], "init_mean"), _array(obj["init_cov"], "init_cov"))
-    if "dim" in obj and _number(obj["dim"], "dim", int) != init.dim:
+    if "dim" in obj and _number(obj["dim"], "dim", int, "model") != init.dim:
         raise ConfigError("model: dim disagrees with init_mean")
     return init
 
@@ -489,30 +479,30 @@ def load_model(obj) -> ModelBundle:
                       {"type", "init_mean", "init_cov"}, "model")
         init = _initial_law(obj)
         ref, _ = ou_reference(init.dim)
-        return ModelBundle("ou", init.dim, diffusion=ou_diffusion(init),
+        return ModelBundle(init.dim, diffusion=ou_diffusion(init),
                            flow=ou_marginal_flow(init.mean, init.cov), reference=ref)
     if mtype == "bm":
         _require_keys(obj, {"type", "dim", "init_mean", "init_cov"},
                       {"type", "init_mean", "init_cov"}, "model")
         init = _initial_law(obj)
-        return ModelBundle("bm", init.dim, diffusion=bm_diffusion(init),
+        return ModelBundle(init.dim, diffusion=bm_diffusion(init),
                            flow=bm_flow(init.cov, init.mean))
     if mtype == "cycle":
         _require_keys(obj, {"type", "n", "rate_cw", "rate_ccw"},
                       {"type", "n", "rate_cw", "rate_ccw"}, "model")
-        walk = biased_cycle_walk(_number(obj["n"], "n", int),
-                                 _number(obj["rate_cw"], "rate_cw", float),
-                                 _number(obj["rate_ccw"], "rate_ccw", float))
-        return ModelBundle("cycle", walk.n_states, walk=walk)
+        walk = biased_cycle_walk(_number(obj["n"], "n", int, "model"),
+                                 _number(obj["rate_cw"], "rate_cw", float, "model"),
+                                 _number(obj["rate_ccw"], "rate_ccw", float, "model"))
+        return ModelBundle(walk.n_states, walk=walk)
     if mtype == "custom":
         _require_keys(obj, {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       "model")
-        dim = _number(obj["dim"], "dim", int)
+        dim = _number(obj["dim"], "dim", int, "model")
         drift = _build_drift(obj["drift"], dim)
         a = MatrixField.constant(_array(obj["diffusion_matrix"], "diffusion_matrix"))
         init = _initial_law(obj)
-        return ModelBundle("custom", dim, diffusion=diffusion_spec(drift, a, init, tag="custom"))
+        return ModelBundle(dim, diffusion=diffusion_spec(drift, a, init, tag="custom"))
     raise ConfigError(f"model: unknown type {mtype!r}")
 
 

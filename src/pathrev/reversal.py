@@ -64,9 +64,10 @@ class BackwardDriftField:
 class ReversedDrift:
     """Drift of the reversed process as a field in reversed time.
 
-    Evaluation at reversed time t delegates to the backward drift at original
-    time T - t.  An explicit Euler run over [0, T] only ever queries reversed
-    times up to T - dt, so the original time 0 slice is never touched.
+    Evaluation at reversed time t delegates to self.backward at original time
+    T - t; its floor_hits and cap_hits count the queries.  An explicit Euler
+    run over [0, T] only ever queries reversed times up to T - dt, so the
+    original time 0 slice is never touched.
     """
 
     def __init__(self, backward: BackwardDriftField, T: float):
@@ -80,14 +81,6 @@ class ReversedDrift:
         if not (-1e-12 <= t <= self.T * (1 + 1e-12)):
             raise ParameterError(f"reversed time {t} outside [0, {self.T}]")
         return self.backward(self.T - t, X)
-
-    @property
-    def floor_hits(self) -> int:
-        return self.backward.floor_hits
-
-    @property
-    def cap_hits(self) -> int:
-        return self.backward.cap_hits
 
 
 def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
@@ -177,24 +170,19 @@ class ReversedWalk:
     """Reversed jump intensities packaged at reversed time s = T - t.
 
     intensity(s)[u, v] is the reversed walk's rate from u to v.  Entries that
-    are 0/0 (no mass and no flow) are undefined and stored as NaN with
-    defined_mask(s) false; they are flagged-absent, not zero.  p_init is the
-    terminal marginal of the forward walk, i.e. the reversed initial law.
+    are 0/0 (no mass and no flow) are undefined and stored as NaN: flagged
+    absent, not zero.  p_init is the terminal marginal of the forward walk,
+    i.e. the reversed initial law.
     """
 
     n_states: int
     adjacency: np.ndarray
     T: float
-    _intensity_fn: Callable[[float], tuple[np.ndarray, np.ndarray]]
+    _intensity_fn: Callable[[float], np.ndarray]
     p_init: np.ndarray
 
     def intensity(self, s: float) -> np.ndarray:
-        J, _ = self._intensity_fn(float(s))
-        return J
-
-    def defined_mask(self, s: float) -> np.ndarray:
-        _, mask = self._intensity_fn(float(s))
-        return mask
+        return self._intensity_fn(float(s))
 
     def backward_intensity(self, t: float) -> np.ndarray:
         """Backward intensities indexed by original time t."""
@@ -205,8 +193,8 @@ class ReversedWalk:
         from .models import graph_walk
 
         def fn(s):
-            J, mask = self._intensity_fn(float(s))
-            if not mask[self.adjacency].all():
+            J = self.intensity(s)
+            if np.isnan(J).any():
                 raise ConsistencyError("reversed intensity undefined on a charged edge")
             return J
 
@@ -226,7 +214,7 @@ def reversed_jump_intensities(spec: GraphWalkSpec, marginals: Callable[[float], 
         raise ParameterError(f"horizon must be positive, got {T}")
     A = spec.adjacency
 
-    def at_reversed(s: float) -> tuple[np.ndarray, np.ndarray]:
+    def at_reversed(s: float) -> np.ndarray:
         if not (-1e-12 <= s <= T * (1 + 1e-12)):
             raise ParameterError(f"reversed time {s} outside [0, {T}]")
         t = min(max(T - s, 0.0), T)
@@ -240,14 +228,11 @@ def reversed_jump_intensities(spec: GraphWalkSpec, marginals: Callable[[float], 
             raise ConsistencyError(
                 f"marginal mass is zero at state {y}, t={t}, but flow into it is positive")
         out = np.zeros_like(J)
-        mask = np.ones_like(A, dtype=bool)
         alive = ~dead
         out[alive] = flow.T[alive] / p[alive, None]
-        for u in np.nonzero(dead)[0]:
-            # no mass and no flow: the reversed rate out of u is 0/0
-            out[u, A[u]] = np.nan
-            mask[u, A[u]] = False
-        return out, mask
+        # no mass and no flow: the reversed rates out of a dead state are 0/0
+        out[dead[:, None] & A] = np.nan
+        return out
 
     p_T = np.asarray(marginals(T), dtype=np.float64)
     return ReversedWalk(spec.n_states, A, float(T), at_reversed, p_T)

@@ -175,6 +175,37 @@ class TestConfigValidation:
         assert not (tmp_path / "sim").exists()
 
 
+class TestConfigMessages:
+    """Config fields go through the model loader's key and number checks, so
+    each message names its object and its key."""
+
+    @pytest.mark.parametrize("cfg, line", [
+        (_ou_cfg(bogus=1), "config: unknown keys ['bogus']"),
+        (_ou_cfg(grid={"T": 1.0, "n_steps": 100, "dt": 0.01}), "grid: unknown keys ['dt']"),
+        (_ou_cfg(grid={"T": 1.0}), "grid: missing keys ['n_steps']"),
+        (_ou_cfg(grid={"T": "1", "n_steps": 100}), "grid: T must be a number, got '1'"),
+        (_ou_cfg(grid={"T": 0, "n_steps": 100}), "grid: T must be positive, got 0"),
+        (_ou_cfg(grid={"T": 1.0, "n_steps": 2.5}),
+         "grid: n_steps must be an integer, got 2.5"),
+        (_ou_cfg(grid={"T": 1.0, "n_steps": 0}), "grid: n_steps must be at least 1, got 0"),
+        (_ou_cfg(seed=True), "config: seed must be an integer, got True"),
+        (_ou_cfg(n_paths=False), "config: n_paths must be an integer, got False"),
+        (_ou_cfg(n_paths=0), "config: n_paths must be at least 1, got 0"),
+    ], ids=["unknown-top", "unknown-grid", "missing-grid", "string-T", "zero-T",
+            "float-n-steps", "zero-n-steps", "bool-seed", "bool-n-paths", "zero-n-paths"])
+    def test_one_line_names_the_key(self, tmp_path, capsys, cfg, line):
+        path = _write_cfg(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_top_keys_listed_together(self):
+        raw = _ou_cfg()
+        del raw["seed"], raw["grid"]
+        with pytest.raises(ConfigError, match=re.escape("config: missing keys ['grid', 'seed']")):
+            validate_config(raw)
+
+
 class TestErrorContract:
     """Every pathrev error exits 2 with one stderr line and no output directory."""
 

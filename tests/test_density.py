@@ -23,16 +23,19 @@ class TestExactFlowDensity:
 
     def test_trust_region_is_wide(self):
         d = exact_flow_density(ou_marginal_flow([0.0], [[0.5]]))
-        # closed-form scores stay usable far into the tail
-        assert d.in_support(0.5, np.array([[5.0]]))[0]
-        assert not d.in_support(0.5, np.array([[10.0]]))[0]
+        # closed-form scores are trusted everywhere, also where the pdf
+        # underflows to 0 (x = 40)
+        assert d.floor_rel == 0.0
+        X = np.array([[5.0], [10.0], [40.0]])
+        assert d.in_support(0.5, X).all()
+        assert d.pdf(0.5, X)[2] == 0.0
 
     def test_floor_rel_validation(self):
         flow = ou_marginal_flow([0.0], [[0.5]])
-        with pytest.raises(ParameterError):
-            DensityFlow(flow.at, 1, floor_rel=0.0)
-        with pytest.raises(ParameterError):
-            DensityFlow(flow.at, 1, floor_rel=1.0)
+        assert DensityFlow(flow.at, 1, floor_rel=0.0).floor_rel == 0.0
+        for bad in (1.0, -1e-3):
+            with pytest.raises(ParameterError, match=r"\[0, 1\)"):
+                DensityFlow(flow.at, 1, floor_rel=bad)
 
     def test_carries_gaussian_flow(self):
         flow = ou_marginal_flow([1.0], [[0.5]])

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
-                          NumericError, ParameterError, VectorField, path_rng)
-from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
+                          NumericError, ParameterError, VectorField)
+from pathrev.models import (Gaussian, GraphWalkSpec,
                             biased_cycle_walk, bm_diffusion, bm_flow,
                             diffusion_spec, graph_walk, kolmogorov_spec,
                             load_model, ou_diffusion, ou_marginal_flow,
@@ -41,15 +41,8 @@ class TestGaussian:
         g = Gaussian(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(NumericError):
             g.pdf(np.zeros((1, 2)))
-        # sampling a degenerate law is still fine
-        x = g.sample(path_rng(0, 0), 4)
-        assert np.array_equal(x, np.zeros((4, 2)))
-
-    def test_sample_moments(self):
-        g = Gaussian(np.array([1.0]), np.eye(1) * 0.5)
-        x = g.sample(path_rng(3, 0), 200000)
-        assert x.mean() == pytest.approx(1.0, abs=0.01)
-        assert x.var() == pytest.approx(0.5, abs=0.01)
+        # a degenerate law still has a factor to sample through
+        assert np.array_equal(g.factor, np.zeros((2, 2)))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -64,26 +57,28 @@ class TestGaussianFlow:
         m1 = flow.at(1.0)
         assert m1.mean[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert m1.cov[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert flow.mean(0.0)[0] == 1.0
-        assert flow.cov(0.0)[0, 0] == 0.5
+        assert flow.at(0.0).mean[0] == 1.0
+        assert flow.at(0.0).cov[0, 0] == 0.5
 
     def test_ou_marginal_flow_relaxes_cov(self):
         flow = ou_marginal_flow([0.0], [[2.0]])
-        c = flow.cov(0.7)[0, 0]
+        c = flow.at(0.7).cov[0, 0]
         expected = math.exp(-1.4) * 2.0 + (1 - math.exp(-1.4)) * 0.5
         assert c == pytest.approx(expected, abs=1e-15)
 
     def test_bm_flow(self):
         flow = bm_flow([[1.0]])
-        assert flow.cov(0.0)[0, 0] == 1.0
-        assert flow.cov(1.0)[0, 0] == 2.0
+        assert flow.at(0.0).cov[0, 0] == 1.0
+        assert flow.at(1.0).cov[0, 0] == 2.0
         assert flow.at(1.0).score(np.array([[1.0]]))[0, 0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_validate_spd(self):
-        ou_marginal_flow([0.0], [[0.5]]).validate_spd((0.0, 0.5, 1.0))
-        bad = GaussianFlow(lambda t: np.zeros(1), lambda t: np.eye(1) * (0.5 - t), 1)
-        with pytest.raises(NumericError):
-            bad.validate_spd((0.0, 1.0))
+        # a flow's start covariance must be SPD; a PSD one has no density
+        for build in (lambda C: ou_marginal_flow([0.0], C), bm_flow):
+            build([[0.5]])
+            for C in ([[-1.0]], [[0.0]]):
+                with pytest.raises(NumericError, match="not SPD at t=0.0"):
+                    build(C)
 
 
 class TestKolmogorovSpec:
@@ -93,7 +88,7 @@ class TestKolmogorovSpec:
         assert np.allclose(ref.drift(0.0, X), -X)
         assert ref.a.is_constant
         assert np.array_equal(ref.a.constant_matrix, np.eye(1))
-        assert np.allclose(flow.cov(0.3), 0.5 * np.eye(1))
+        assert np.allclose(flow.at(0.3).cov, 0.5 * np.eye(1))
 
     def test_reversible_law_is_normalized_gaussian(self):
         ref, _ = ou_reference()
@@ -240,20 +235,17 @@ class TestWalkMarginals:
 class TestLoadModel:
     def test_ou(self):
         b = load_model({"type": "ou", "init_mean": [1.0], "init_cov": [[0.5]]})
-        assert b.kind == "ou"
         assert b.dim == 1
-        assert b.flow.mean(1.0)[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert b.flow.at(1.0).mean[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert b.reference is not None
 
     def test_bm(self):
         b = load_model({"type": "bm", "init_mean": [0.0], "init_cov": [[1.0]]})
-        assert b.kind == "bm"
-        assert b.flow.cov(1.0)[0, 0] == 2.0
+        assert b.flow.at(1.0).cov[0, 0] == 2.0
         assert b.reference is None
 
     def test_cycle(self):
         b = load_model({"type": "cycle", "n": 4, "rate_cw": 2.0, "rate_ccw": 1.0})
-        assert b.kind == "cycle"
         assert b.walk.n_states == 4
         assert b.diffusion is None
 

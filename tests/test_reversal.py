@@ -121,7 +121,20 @@ class TestBackwardDrift:
     def test_counter_passthrough(self):
         ref, flow, density = _ou_setup()
         rd = reversed_drift(ref.drift, ref.a, ref.div_a, density, T=1.0)
-        assert rd.floor_hits == 0 and rd.cap_hits == 0
+        rd(0.5, np.linspace(-3.0, 3.0, 7)[:, None])
+        assert rd.backward.floor_hits == 0 and rd.backward.cap_hits == 0
+
+    @pytest.mark.parametrize("x", [8.0, 40.0])
+    def test_exact_score_trusted_in_far_tail(self, x):
+        # OU from N(1, 1/2) has marginal N(e^{-t}, 1/2), so the backward drift
+        # x + score is -x + 2 e^{-t} everywhere; at x = 40 the pdf underflows
+        ref, flow, density = _ou_setup()
+        t = 0.5
+        X = np.array([[x]])
+        assert density.in_support(t, X)[0]
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
+        assert bwd(t, X)[0, 0] == pytest.approx(-x + 2.0 * math.exp(-t), rel=1e-14)
+        assert bwd.floor_hits == 0
 
 
 class TestMomenta:
@@ -207,7 +220,7 @@ class TestWalkReversal:
             J = rw.intensity(s)
             # uniform marginals: reversal transposes the rate matrix exactly
             assert np.array_equal(J, spec.intensity(0.0).T)
-            assert rw.defined_mask(s).all()
+            assert not np.isnan(J).any()
         assert np.array_equal(rw.p_init, spec.p0)
 
     def test_double_reversal_restores_rates(self):
@@ -251,11 +264,13 @@ class TestWalkReversal:
         spec = graph_walk(A, J, np.array([0.0, 0.0, 1.0]))
         rw = reversed_jump_intensities(spec, lambda t: spec.p0, T=1.0)
         Jr = rw.intensity(0.5)
-        mask = rw.defined_mask(0.5)
         assert np.isnan(Jr[0, 1]) and np.isnan(Jr[1, 0]) and np.isnan(Jr[1, 2])
-        assert not mask[0, 1] and not mask[1, 2]
-        # the live state's outgoing rates are defined (and zero)
-        assert mask[2, 1] and Jr[2, 1] == 0.0
+        # only edges out of dead states are undefined: the live state's
+        # outgoing rate is defined (and zero), and non-edges stay zero
+        assert np.array_equal(np.isnan(Jr), np.array([[False, True, False],
+                                                      [True, False, True],
+                                                      [False, False, False]]))
+        assert Jr[2, 1] == 0.0
         with pytest.raises(ConsistencyError, match="charged edge"):
             rw.as_walk_spec(rate_bound=5.0).intensity(0.5)
 

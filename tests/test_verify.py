@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pathrev import verify
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
                           SupportError, VectorField, make_grid, path_rng)
 from pathrev.density import DensityFlow, exact_flow_density
@@ -309,6 +310,87 @@ class TestContinuity:
         with pytest.raises(ParameterError):
             continuity_residual(tight, v_cu, make_grid(1.0, 400),
                                 ([4.0], [5.0]))
+
+
+def _ou_current(mean, cov, floor_rel=None):
+    """(density, current velocity) of OU from N(mean, cov); floor_rel=None
+    takes the exact flow's floor."""
+    d = len(mean)
+    spec = ou_diffusion(Gaussian(mean, cov))
+    flow = ou_marginal_flow(mean, cov)
+    density = (exact_flow_density(flow) if floor_rel is None
+               else DensityFlow(flow.at, d, floor_rel=floor_rel))
+    bwd = BackwardDriftField(spec.drift, spec.a, VectorField.zero(d), density)
+    return density, VectorField(lambda t, X: 0.5 * (spec.drift(t, X) - bwd(t, X)), d)
+
+
+def _continuity_per_probe(flow, v_cu, grid, box):
+    """continuity_residual's report fields, with every probe and every
+    stencil point queried alone as a one-row batch."""
+    d = flow.dim
+    lo = np.broadcast_to(np.asarray(box[0], dtype=np.float64), (d,))
+    hi = np.broadcast_to(np.asarray(box[1], dtype=np.float64), (d,))
+    axes = [np.linspace(lo[i], hi[i], verify._N_PER_DIM) for i in range(d)]
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    dt, dx = verify._DT_STENCIL, verify._DX_STENCIL
+    residuals, n_skipped = [], 0
+    for t in (0.25 * grid.T, 0.5 * grid.T, 0.75 * grid.T):
+        floor = flow.floor_rel * flow.at(t).max_pdf()
+        for x in mesh[:, None, :]:
+            if not flow.pdf(t, x)[0] >= floor:
+                n_skipped += 1
+                continue
+            drho_dt = (flow.pdf(t + dt, x)[0] - flow.pdf(t - dt, x)[0]) / (2.0 * dt)
+            div = 0.0
+            for i in range(d):
+                up, down = x.copy(), x.copy()
+                up[0, i] = x[0, i] + dx
+                down[0, i] = x[0, i] - dx
+                flux_up = flow.pdf(t, up)[0] * v_cu(t, up)[0, i]
+                flux_down = flow.pdf(t, down)[0] * v_cu(t, down)[0, i]
+                div += (flux_up - flux_down) / (2.0 * dx)
+            residuals.append(abs(drho_dt + div))
+    r = np.array(residuals)
+    return float(r.max()), float(r.mean()), r.size, n_skipped
+
+
+class TestContinuityBatches:
+    @pytest.mark.parametrize("floor_rel, box", [(None, ([-1.0], [1.5])),
+                                                (1e-3, ([-4.0], [6.0]))],
+                             ids=["exact", "skipping"])
+    def test_one_dimension_matches_per_probe_loop(self, floor_rel, box):
+        density, v_cu = _ou_current([1.0], [[0.5]], floor_rel)
+        grid = make_grid(1.0, 400)
+        rep = continuity_residual(density, v_cu, grid, box)
+        ref = _continuity_per_probe(density, v_cu, grid, box)
+        assert (rep.sup_residual, rep.l1_residual, rep.n_used, rep.n_skipped) == ref
+        assert (rep.n_skipped > 0) == (floor_rel is not None)
+
+    def test_two_dimensions_match_per_probe_loop(self):
+        density, v_cu = _ou_current([1.0, -0.5], [[0.5, 0.1], [0.1, 0.3]])
+        grid = make_grid(1.0, 400)
+        box = ([-1.0], [2.0])
+        rep = continuity_residual(density, v_cu, grid, box)
+        sup, l1, n_used, n_skipped = _continuity_per_probe(density, v_cu, grid, box)
+        assert (rep.n_used, rep.n_skipped) == (n_used, n_skipped) == (243, 0)
+        assert abs(rep.sup_residual - sup) <= 1e-13
+        assert abs(rep.l1_residual - l1) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pdf_queries_are_batched_per_time(self, monkeypatch, dim):
+        # per probe time: pdf at t -+ dt, and at X -+ dx e_i for each i
+        calls = []
+        pdf = DensityFlow.pdf
+
+        def counted(self, t, X):
+            calls.append(len(X))
+            return pdf(self, t, X)
+
+        monkeypatch.setattr(DensityFlow, "pdf", counted)
+        mean, cov = [1.0, -0.5][:dim], (np.eye(dim) * 0.5).tolist()
+        density, v_cu = _ou_current(mean, cov)
+        continuity_residual(density, v_cu, make_grid(1.0, 400), ([-1.0], [2.0]))
+        assert len(calls) <= 3 * (2 + 2 * dim)
 
 
 class TestDetailedBalance:

@@ -58,6 +58,8 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("cycle-rw-ibp", "rw", cycle, ["ibp"]),
         # a horizon shorter than the default nelson and carre lags
         ("ou-short-run", "run", {**default_checks, "grid": {"T": 0.1, "n_steps": 40}}, []),
+        # a config error: exit 2 with one stderr line and no output directory
+        ("bad-grid", "run", {**ou, "grid": {**ou["grid"], "n_steps": 0}}, []),
     ]
 
 
