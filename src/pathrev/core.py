@@ -101,6 +101,20 @@ def path_streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Genera
         yield rng
 
 
+def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise M @ v_i, i.e. V @ M.T, bit for bit.
+
+    A 1 x 1 M skips the BLAS call: V * m + 0.0 is gemm's 0 + v * m, so it
+    agrees on the sign of zero, on infinities, nans and subnormals, at a
+    fraction of the cost.  A larger M keeps V @ M.T: a contiguous copy of
+    M.T would be faster, but its gemm kernel can differ in the sign of a
+    zero or of an overflowed sum.
+    """
+    if M.shape == (1, 1):
+        return V * M[0, 0] + 0.0
+    return V @ M.T
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     out.flags.writeable = False
@@ -279,7 +293,7 @@ class VectorField:
         """x -> matrix @ x + offset, constant in t."""
         A = np.asarray(matrix, dtype=np.float64)
         c = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
-        return VectorField(lambda t, X: X @ A.T + c, A.shape[1])
+        return VectorField(lambda t, X: _matvec_rows(A, X) + c, A.shape[1])
 
 
 class MatrixField:
@@ -287,8 +301,10 @@ class MatrixField:
 
     Symmetry is enforced by construction (the output is symmetrized).  A
     constant field stores its matrix and computes its inverse once, on the
-    first solve; the general pointwise form falls back to per-point loops,
-    which is acceptable because all shipped models use constant coefficients.
+    first solve; apply and solve multiply the rows by that matrix or inverse
+    through _matvec_rows, so a 1-d field is one elementwise product.  The
+    general pointwise form falls back to per-point loops, which is acceptable
+    because all shipped models use constant coefficients.
     """
 
     def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray] | None,
@@ -342,7 +358,7 @@ class MatrixField:
     def apply(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Row-wise a(t, x_i) @ v_i."""
         if self._const is not None:
-            return V @ self._const.T
+            return _matvec_rows(self._const, V)
         out = np.empty_like(V)
         for i in range(X.shape[0]):
             out[i] = self.at(t, X[i]) @ V[i]
@@ -360,7 +376,7 @@ class MatrixField:
     def solve(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Row-wise a(t, x_i)^{-1} v_i; a constant a uses its cached inverse."""
         if self._const is not None:
-            return V @ self._inv.T
+            return _matvec_rows(self._inv, V)
         out = np.empty_like(V)
         for i in range(X.shape[0]):
             out[i] = np.linalg.solve(self.at(t, X[i]), V[i])

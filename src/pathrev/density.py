@@ -63,7 +63,8 @@ class DensityFlow:
     are returned everywhere they are finite; in_support marks where
     pdf >= floor_rel * max_pdf of the slice, and consumers (the reversal
     module in particular) are expected to gate score usage on that mask;
-    floor_rel = 0 trusts every point.  gaussian_flow, when set, is the exact
+    floor_rel = 0 trusts every point, so score_in_support evaluates no pdf
+    there.  gaussian_flow, when set, is the exact
     Gaussian flow behind at: it marks the density as exact and serves
     closed-form quantities such as boundary entropies.
     """
@@ -90,6 +91,15 @@ class DensityFlow:
     def in_support(self, t: float, X: np.ndarray) -> np.ndarray:
         law = self.at(t)
         return self._trusted(law, law.pdf(X))
+
+    def score_in_support(self, t: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(score, in_support mask) at X.  At floor 0 every point is trusted
+        and no pdf is evaluated; otherwise one logpdf_score call gives both."""
+        law = self.at(t)
+        if self.floor_rel == 0.0:
+            return law.score(X), np.ones(X.shape[0], dtype=bool)
+        lp, sc = law.logpdf_score(X)
+        return sc, self._trusted(law, np.exp(lp))
 
     def pdf_score_in_support(self, t: float,
                              X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

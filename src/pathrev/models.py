@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .core import (ConfigError, ConsistencyError, MatrixField, NumericError,
-                   ParameterError, VectorField, _freeze, psd_sqrt)
+                   ParameterError, VectorField, _freeze, _matvec_rows, psd_sqrt)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA_TOL = 1e-12  # relative tolerance of validate_sigma
@@ -77,7 +77,7 @@ class Gaussian:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         """Gradient of log density: -cov^{-1} (x - mean), row-wise."""
-        return -(X - self.mean) @ self._inv.T
+        return _matvec_rows(self._inv, -(X - self.mean))
 
     def logpdf_score(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.logpdf(X), self.score(X)
@@ -88,15 +88,24 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class GaussianFlow:
-    """Marginal flow t -> N(mean(t), cov(t)) on [0, T]."""
+    """Marginal flow t -> N(mean(t), cov(t)) on [0, T].
+
+    at builds the law of each distinct t once and keeps it, so a law's
+    symmetry check, inverse and log-determinant run once per time.  Callers
+    query times derived from the grid, which keeps the cache small.
+    """
 
     mean_fn: Callable[[float], np.ndarray]
     cov_fn: Callable[[float], np.ndarray]
     dim: int
     tag: str = ""
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at(self, t: float) -> Gaussian:
-        return Gaussian(self.mean_fn(t), self.cov_fn(t))
+        law = self._laws.get(t)
+        if law is None:
+            law = self._laws[t] = Gaussian(self.mean_fn(t), self.cov_fn(t))
+        return law
 
 
 def _check_start_cov(init: Gaussian) -> None:
@@ -431,12 +440,19 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 
 def _number(value, key: str, kind: type, where: str) -> int | float:
     """value of field key of object where as kind (int or float).  Strings
-    and booleans are rejected, not coerced, and an int field takes no
-    fractional value."""
+    and booleans are rejected, not coerced, an int field takes no
+    fractional value, and a value that is not finite as a float (an
+    infinity, or an integer too large for a float) is refused."""
     allowed = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{where}: {key} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: {key} must be finite")
     return kind(value)
 
 

@@ -48,7 +48,7 @@ class BackwardDriftField:
         self.cap_hits = 0
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
-        _, sc, ok = self.density.pdf_score_in_support(t, X)
+        sc, ok = self.density.score_in_support(t, X)
         if not ok.all():
             self.floor_hits += int((~ok).sum())
             sc = np.where(ok[:, None], sc, 0.0)

@@ -362,12 +362,6 @@ class EnergyTestResult:
         return asdict(self)
 
 
-def _pairsum_sorted(z: np.ndarray) -> float:
-    """sum_{i<j} (z_j - z_i) for ascending z, via rank weights."""
-    m = z.size
-    return float(((2.0 * np.arange(m) - m + 1.0) * z).sum())
-
-
 def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
                       seed: int = 0) -> EnergyTestResult:
     """Energy-distance two-sample test with a permutation null.
@@ -396,11 +390,14 @@ def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
         order = np.argsort(np.concatenate([A[:, 0], B[:, 0]]), kind="stable")
         z = np.concatenate([A[:, 0], B[:, 0]])[order]
         sel0 = order < n
-        U_pool = _pairsum_sorted(z)
+        # sum_{i<j} (z_j - z_i) over an ascending sample of size k is
+        # (w_k * z).sum() with the rank weights w_k = 2i - k + 1
+        w_pool, w_a, w_b = (2.0 * np.arange(k) - k + 1.0 for k in (N, n, m))
+        U_pool = float((w_pool * z).sum())
 
         def stat_from(sel_a: np.ndarray) -> float:
-            ua = _pairsum_sorted(z[sel_a])
-            ub = _pairsum_sorted(z[~sel_a])
+            ua = float((w_a * np.compress(sel_a, z)).sum())
+            ub = float((w_b * np.compress(~sel_a, z)).sum())
             cross = U_pool - ua - ub
             return 2.0 * cross / (n * m) - 2.0 * ua / (n * n) - 2.0 * ub / (m * m)
     else:

@@ -251,6 +251,63 @@ class TestErrorContract:
         assert not out.exists()
 
 
+class TestNonFiniteNumbers:
+    """A number that is not finite as a float exits 2 with one stderr line,
+    before anything is simulated.  Checked in a fresh process, so a
+    traceback or a warning would show on its stderr."""
+
+    @pytest.mark.parametrize("raw, line", [
+        # an integer literal beyond the float range: float() overflows
+        (json.dumps(_ou_cfg(grid={"T": 10 ** 400, "n_steps": 100})),
+         "config error: grid: T must be finite"),
+        # a float literal beyond the float range parses as inf
+        (json.dumps(_ou_cfg(model=dict(_MODELS["ou"], init_mean=["BIG"]))).replace(
+            '"BIG"', "1e400"), "config error: model: init_mean entry must be finite"),
+    ], ids=["integer-T", "overflowing-mean"])
+    def test_exit_2_one_line(self, tmp_path, raw, line):
+        (tmp_path / "cfg.json").write_text(raw)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathrev.cli", "run", "--config", "cfg.json",
+             "--out", "o"], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == line + "\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestGaussianLawCache:
+    def test_run_builds_at_most_two_laws_per_node(self, tmp_path, monkeypatch):
+        # the run queries the flow at the grid nodes and at the reversed
+        # clock's T - s; each distinct time builds its law once
+        from pathrev import models
+
+        flows = []
+        build = models.ou_marginal_flow
+
+        def recorded(*args):
+            flows.append(build(*args))
+            return flows[-1]
+
+        calls = []
+        at = models.GaussianFlow.at
+
+        def counted(self, t):
+            calls.append(t)
+            return at(self, t)
+
+        monkeypatch.setattr(models, "ou_marginal_flow", recorded)
+        monkeypatch.setattr(models.GaussianFlow, "at", counted)
+        n_steps = 400
+        cfg = _ou_cfg(grid={"T": 1.0, "n_steps": n_steps}, n_paths=200)
+        del cfg["checks"]  # the default checks of an OU model: all six
+        rc = main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc in (0, 1)
+        (flow,) = flows
+        assert 0 < len(flow._laws) <= 2 * (n_steps + 1)
+        assert len(calls) > 2 * (n_steps + 1)
+
+
 @pytest.fixture(scope="module")
 def cycle_run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cycle")

@@ -3,9 +3,9 @@ import pytest
 
 from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
-                          VectorField, ensemble_to_csv, flip_ensemble,
-                          load_ensemble, make_grid, mean_stderr, path_rng,
-                          path_streams, psd_sqrt, save_ensemble)
+                          VectorField, _matvec_rows, ensemble_to_csv,
+                          flip_ensemble, load_ensemble, make_grid, mean_stderr,
+                          path_rng, path_streams, psd_sqrt, save_ensemble)
 
 
 class TestTimeGrid:
@@ -326,6 +326,54 @@ class TestMatrixField:
             MatrixField(None, 2, constant=np.eye(3))
         with pytest.raises(ParameterError):
             MatrixField(None, 2)
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -1e-310, 1e-200, -1e-200, 1e300, -1.5])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestMatvecRows:
+    """_matvec_rows(M, V) is V @ M.T in every bit: value, sign of zero,
+    infinities, nans and subnormals."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_matmul(self, d):
+        rng = path_rng(31, d)
+        with np.errstate(all="ignore"):
+            for trial in range(60):
+                V = rng.standard_normal((257, d)) * 10.0 ** rng.integers(-320, 300, (257, d))
+                M = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-200, 200, (d, d))
+                if trial % 2:
+                    V.flat[rng.integers(0, V.size, 60)] = rng.choice(_SPECIAL, 60)
+                    M.flat[rng.integers(0, M.size, d)] = rng.choice(_SPECIAL, d)
+                for MM in (M, M.T, 0.5 * (M + M.T)):
+                    assert _same_bits(_matvec_rows(MM, V), V @ MM.T)
+
+    def test_one_by_one_specials(self):
+        # every pair of special values, one at a time through the 1 x 1 path
+        V = np.repeat(_SPECIAL, _SPECIAL.size)[:, None]
+        with np.errstate(all="ignore"):
+            for m in _SPECIAL:
+                M = np.array([[m]])
+                assert _same_bits(_matvec_rows(M, V), V @ M.T)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fields_use_it(self, d):
+        rng = path_rng(32, d)
+        B = rng.standard_normal((d, d))
+        A = B @ B.T + d * np.eye(d)
+        V = rng.standard_normal((100, d))
+        V[:5] = -0.0
+        X = np.zeros_like(V)
+        a = MatrixField.constant(A)
+        assert _same_bits(a.apply(0.0, X, V), V @ a.constant_matrix.T)
+        assert _same_bits(a.solve(0.0, X, V), V @ np.linalg.inv(a.constant_matrix).T)
+        c = rng.standard_normal(d)
+        assert _same_bits(VectorField.linear(B, c)(0.0, V), V @ B.T + c)
 
 
 class TestPsdSqrt:

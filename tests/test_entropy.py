@@ -7,7 +7,7 @@ import pytest
 from pathrev import entropy
 from pathrev.core import (DomainError, MatrixField, ParameterError,
                           VectorField, make_grid, mean_stderr)
-from pathrev.density import DensityFlow, exact_flow_density, kde_flow
+from pathrev.density import DensityFlow, KdeModel, exact_flow_density, kde_flow
 from pathrev.entropy import (ActionEstimate, EntropyReport, _boundary_entropy,
                              current_osmosis_decomposition,
                              entropy_vs_counting, fisher_information,
@@ -136,6 +136,18 @@ class TestCurrentOsmosisDecomposition:
         assert rep.boundary_initial_stderr > 0.0
         assert abs(rep.boundary_initial - 1.0) <= 3 * rep.boundary_initial_stderr + 0.01
 
+    @staticmethod
+    def _count_drift_queries(monkeypatch):
+        calls = []
+        query = DensityFlow.score_in_support
+
+        def counted(self, t, X):
+            calls.append(t)
+            return query(self, t, X)
+
+        monkeypatch.setattr(DensityFlow, "score_in_support", counted)
+        return calls
+
     def test_backward_drift_once_per_node(self, monkeypatch):
         # each node's backward drift is one density query; re-evaluating the
         # drift per momentum would multiply the kernel work of a KDE density
@@ -143,16 +155,29 @@ class TestCurrentOsmosisDecomposition:
         flow = ou_marginal_flow([1.0], [[0.5]])
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(50, 3, make_grid(1.0, 16)))
-        calls = []
-        query = DensityFlow.pdf_score_in_support
-
-        def counted(self, t, X):
-            calls.append(t)
-            return query(self, t, X)
-
-        monkeypatch.setattr(DensityFlow, "pdf_score_in_support", counted)
+        calls = self._count_drift_queries(monkeypatch)
         current_osmosis_decomposition(ref.drift, exact_flow_density(flow), ref, e)
         assert calls == list(e.grid.nodes)
+
+    def test_kde_backward_drift_one_fused_pass_per_node(self, monkeypatch):
+        # a KDE drift query is one fused logpdf_score pass that yields the
+        # score and the trust mask together
+        ref, _ = ou_reference()
+        spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+        e = euler_maruyama(spec, SimConfig(50, 3, make_grid(1.0, 16)))
+        calls = self._count_drift_queries(monkeypatch)
+        score_passes = []
+        fused = KdeModel.logpdf_score
+
+        def counted(self, X, _score=True):
+            if _score:
+                score_passes.append(X.shape[0])
+            return fused(self, X, _score)
+
+        monkeypatch.setattr(KdeModel, "logpdf_score", counted)
+        current_osmosis_decomposition(ref.drift, kde_flow(e), ref, e)
+        assert calls == list(e.grid.nodes)
+        assert score_passes == [e.n_paths] * len(calls)
 
     def test_dimension_mismatch(self):
         ref, _ = ou_reference()

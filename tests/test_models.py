@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
                           NumericError, ParameterError, VectorField)
-from pathrev.models import (Gaussian, GraphWalkSpec,
+from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
                             biased_cycle_walk, bm_diffusion, bm_flow,
                             diffusion_spec, graph_walk, kolmogorov_spec,
                             load_model, ou_diffusion, ou_marginal_flow,
@@ -26,6 +26,14 @@ class TestGaussian:
         assert g.score(np.array([[1.0]]))[0, 0] == pytest.approx(-2.0, abs=1e-14)
         S = g.score(np.array([[0.5], [-0.25]]))
         assert np.allclose(S, np.array([[-1.0], [0.5]]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_score_is_the_matmul_bit_for_bit(self, d):
+        C = np.array([[0.5, 0.1], [0.1, 0.3]])[:d, :d]
+        g = Gaussian(np.full(d, 0.25), C)
+        X = np.vstack([np.full((1, d), 0.25), np.linspace(-3.0, 3.0, 20 * d).reshape(-1, d)])
+        expected = -(X - g.mean) @ np.linalg.inv(g.cov).T
+        assert np.array_equal(g.score(X).view(np.uint64), expected.view(np.uint64))
 
     def test_batch_pdf(self):
         g = Gaussian(np.zeros(2), np.eye(2))
@@ -71,6 +79,18 @@ class TestGaussianFlow:
         assert flow.at(0.0).cov[0, 0] == 1.0
         assert flow.at(1.0).cov[0, 0] == 2.0
         assert flow.at(1.0).score(np.array([[1.0]]))[0, 0] == pytest.approx(-0.5, abs=1e-15)
+
+    def test_at_keeps_one_law_per_time(self):
+        flow = ou_marginal_flow([1.0], [[0.5]])
+        g = flow.at(0.25)
+        assert flow.at(0.25) is g and flow.at(0.5) is not g
+        fresh = Gaussian(flow.mean_fn(0.25), flow.cov_fn(0.25))
+        X = np.linspace(-3.0, 3.0, 13)[:, None]
+        assert np.array_equal(g.score(X), fresh.score(X))
+        assert np.array_equal(g.logpdf(X), fresh.logpdf(X))
+        # the cache is not part of the flow's value
+        assert flow == GaussianFlow(flow.mean_fn, flow.cov_fn, flow.dim, flow.tag)
+        assert "_laws" not in repr(flow)
 
     def test_validate_spd(self):
         # a flow's start covariance must be SPD; a PSD one has no density

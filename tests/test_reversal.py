@@ -137,6 +137,39 @@ class TestBackwardDrift:
         assert bwd.floor_hits == 0
 
 
+class TestScoreOnlyExactDrift:
+    """At floor 0 the drift takes the score alone: no pdf is evaluated."""
+
+    def test_exact_drift_skips_the_logpdf(self, monkeypatch):
+        ref, flow, density = _ou_setup()
+        X = np.linspace(-40.0, 40.0, 801)[:, None]
+        expected = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)(0.5, X)
+
+        def refuse(self, X):
+            raise AssertionError("logpdf evaluated at floor 0")
+
+        monkeypatch.setattr(Gaussian, "logpdf", refuse)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, exact_flow_density(flow))
+        for t in (0.0, 0.25, 0.75, 1.0):
+            bwd(t, X)
+        assert np.array_equal(bwd(0.5, X), expected)
+        assert bwd.floor_hits == 0
+
+    def test_score_in_support_matches_fused_query(self):
+        # at a positive floor the mask is the pdf test of pdf_score_in_support;
+        # at floor 0 every point is trusted and the score is the same
+        ref, flow, density = _ou_setup()
+        X = np.linspace(-6.0, 8.0, 141)[:, None]
+        for floor in (0.0, 1e-3, 0.5):
+            d = DensityFlow(flow.at, 1, floor_rel=floor)
+            for t in (0.0, 0.5, 1.0):
+                sc, ok = d.score_in_support(t, X)
+                _, sc_ref, ok_ref = d.pdf_score_in_support(t, X)
+                assert np.array_equal(sc, sc_ref)
+                assert np.array_equal(ok, ok_ref)
+                assert ok.all() == (floor == 0.0)
+
+
 class TestMomenta:
     def _fields(self):
         ref, flow, density = _ou_setup()

@@ -5,7 +5,8 @@ import pytest
 
 from pathrev import verify
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
-                          SupportError, VectorField, make_grid, path_rng)
+                          SupportError, VectorField, make_grid, path_rng,
+                          path_streams)
 from pathrev.density import DensityFlow, exact_flow_density
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_diffusion,
                             bm_flow, graph_walk, ou_diffusion,
@@ -457,6 +458,37 @@ class TestTwoSampleEnergy:
         r2 = two_sample_energy(A2, B2, n_perm=49, seed=5)
         assert abs(r1.statistic - r2.statistic) <= 1e-12
         assert 0.0 < r1.p_value <= 1.0 and 0.0 < r2.p_value <= 1.0
+
+    @pytest.mark.parametrize("n, m", [(300, 300), (150, 60), (7, 41)])
+    def test_one_dimensional_matches_rank_weight_formula(self, n, m):
+        # the sorted-pool statistic, written out the long way: per sample,
+        # sum_{i<j} (z_j - z_i) from freshly built rank weights and a
+        # boolean-index gather; the test must agree in every bit
+        A = path_rng(40, n).standard_normal((n, 1))
+        B = path_rng(41, m).standard_normal((m, 1)) + 0.1
+
+        def pairsum(z):
+            k = z.size
+            return float(((2.0 * np.arange(k) - k + 1.0) * z).sum())
+
+        pooled = np.concatenate([A[:, 0], B[:, 0]])
+        order = np.argsort(pooled, kind="stable")
+        z = pooled[order]
+
+        def stat(sel):
+            ua, ub = pairsum(z[sel]), pairsum(z[~sel])
+            cross = pairsum(z) - ua - ub
+            return 2.0 * cross / (n * m) - 2.0 * ua / (n * n) - 2.0 * ub / (m * m)
+
+        obs = stat(order < n)
+        count = 0
+        for rng in path_streams(9, range(49)):
+            sel = np.zeros(n + m, dtype=bool)
+            sel[rng.permutation(n + m)[:n]] = True
+            count += stat(sel) >= obs
+        res = two_sample_energy(A, B, n_perm=49, seed=9)
+        assert res.statistic == obs
+        assert res.p_value == (count + 1) / 50
 
     def test_small_sample_note(self):
         A = path_rng(1, 0).standard_normal((20, 1))
