@@ -229,8 +229,6 @@ class _DiffusionRun(_Run):
         self.ensemble = euler_maruyama(self.spec, SimConfig(cfg["n_paths"], cfg["seed"], self.grid))
         src = cfg["density"]
         if src == "exact":
-            if bundle.flow is None:
-                raise ConfigError("model has no closed-form marginal flow; use density='kde'")
             self.density = exact_flow_density(bundle.flow)
         elif src == "kde":
             self.density = kde_flow(self.ensemble, rule="score")
@@ -294,22 +292,22 @@ class _DiffusionRun(_Run):
     def _reversed_model(self, times: list[float], b_star) -> dict:
         """Serializable description of the reversed process.
 
-        Exact Gaussian densities make the reversed drift affine in x: tabulate
-        A(s), c(s) at the snapshot times (exact).  KDE densities get the
-        pointwise probe table b_star instead (one-dimensional models only).
+        An exact flow with law N(m, Sigma) at T - s makes the reversed drift
+        affine in x: tabulate A(s) = -M - a Sigma^{-1} and c(s) = -c + a
+        Sigma^{-1} m at the snapshot times.  KDE densities get the pointwise
+        probe table b_star instead (one-dimensional models only).
         """
-        dim = self.spec.dim
         a_mat = self.spec.a.constant_matrix
         base = {"T": self.grid.T, "model": self.cfg["model"], "density": self.cfg["density"],
                 "a": None if a_mat is None else a_mat.tolist(), "times": times}
-        if self.density.gaussian_flow is not None:
+        flow = self.density.gaussian_flow
+        if flow is not None:
             A_tab, c_tab = [], []
-            basis = np.eye(dim)
             for s in times:
-                c = self.reversed_drift(s, np.zeros((1, dim)))[0]
-                cols = [self.reversed_drift(s, basis[None, j])[0] - c for j in range(dim)]
-                A_tab.append(np.stack(cols, axis=1).tolist())
-                c_tab.append(c.tolist())
+                law = flow.at(self.grid.T - s)
+                P = flow.a @ np.linalg.inv(law.cov)
+                A_tab.append((-flow.M - P).tolist())
+                c_tab.append((-flow.c + P @ law.mean).tolist())
             base.update({"kind": "reversed_drift_affine", "A": A_tab, "c": c_tab})
             return base
         base.update({"kind": "reversed_drift_probe", "x": self.xs.tolist(),
@@ -328,7 +326,7 @@ class _DiffusionRun(_Run):
     def heat_flow(self):
         """(FisherReport, residual) of the free-energy balance along the exact flow."""
         ref = self.bundle.reference
-        if ref is None or ref.m is None or self.bundle.flow is None:
+        if ref is None or ref.m is None:
             raise ConfigError("dissipation needs a reversible reference law")
         return heat_flow_dissipation(self.bundle.flow, ref.m, self.grid,
                                      self.spec.a.constant_matrix)
@@ -441,8 +439,6 @@ def _check_ibp_walk(run: _WalkRun) -> dict:
 
 
 def _check_continuity(run: _DiffusionRun) -> dict:
-    if run.bundle.flow is None:
-        raise ConfigError("continuity check needs a closed-form marginal flow")
     # the time derivative of a per-slice KDE is not meaningful; always probe
     # the exact flow here
     flow = exact_flow_density(run.bundle.flow)
@@ -587,7 +583,9 @@ CHECKS = {
     "continuity": _Check(
         "finite-difference residual of d_t rho + div(rho v_cu) = 0 for the current "
         "velocity on a probe box",
-        ("ou", "bm"), ("ou", "bm"), _check_continuity),
+        # opt-in for custom, so a custom config without checks keeps its
+        # default list, which manifest.json echoes
+        _DIFFUSIONS, ("ou", "bm"), _check_continuity),
     # the bundled cycle is biased, hence not reversible; detailed-balance
     # stays opt-in for walks
     "detailed-balance": _Check(

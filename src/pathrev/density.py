@@ -118,8 +118,7 @@ def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
     positive floor would zero the score at tail points where it is
     perfectly known.
     """
-    return DensityFlow(flow.at, flow.dim, 0.0, tag="exact:" + flow.tag,
-                       gaussian_flow=flow)
+    return DensityFlow(flow.at, flow.dim, 0.0, tag="exact:linear", gaussian_flow=flow)
 
 
 @dataclass(frozen=True)

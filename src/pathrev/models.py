@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (ConfigError, ConsistencyError, MatrixField, NumericError,
-                   ParameterError, VectorField, _freeze, _matvec_rows, psd_sqrt)
+                   ParameterError, VectorField, _freeze, _matvec_rows, expm, psd_sqrt)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA_TOL = 1e-12  # relative tolerance of validate_sigma
@@ -88,32 +88,56 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class GaussianFlow:
-    """Marginal flow t -> N(mean(t), cov(t)) on [0, T].
+    """Marginal flow t -> N(m(t), Sigma(t)) of dX = (M X + c) dt + a^{1/2} dB
+    from init.  Sigma - Sigma_0 solves Sigma' = M Sigma + Sigma M^T + Q from 0,
+    Q = Sigma'(0), so one exponential of [[M, Q, c], [0, -M^T, 0], [0, 0, 0]] t
+    gives E = e^{tM}, G, h with m = E m_0 + h, Sigma = Sigma_0 + G E^T (Van
+    Loan 1978, IEEE TAC 23:395).  An exactly stationary start is the law at
+    every t.  at keeps one law per distinct t; callers query grid times."""
 
-    at builds the law of each distinct t once and keeps it, so a law's
-    symmetry check, inverse and log-determinant run once per time.  Callers
-    query times derived from the grid, which keeps the cache small.
-    """
-
-    mean_fn: Callable[[float], np.ndarray]
-    cov_fn: Callable[[float], np.ndarray]
-    dim: int
-    tag: str = ""
+    M: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+    init: Gaussian
     _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return self.init.dim
 
     def at(self, t: float) -> Gaussian:
         law = self._laws.get(t)
         if law is None:
-            law = self._laws[t] = Gaussian(self.mean_fn(t), self.cov_fn(t))
+            law = self._laws[t] = self._law(t)
         return law
 
+    @cached_property
+    def _block(self) -> np.ndarray | None:
+        """The block of the exponential, or None for a stationary start."""
+        M, S0, d = self.M, self.init.cov, self.dim
+        Q = M @ S0 + S0 @ M.T + self.a
+        if (M @ self.init.mean + self.c == 0).all() and (Q == 0).all():
+            return None
+        B = np.zeros((2 * d + 1, 2 * d + 1))
+        B[:d, :d], B[:d, d:-1], B[:d, -1], B[d:-1, d:-1] = M, Q, self.c, -M.T
+        return B
 
-def _check_start_cov(init: Gaussian) -> None:
-    """A marginal flow starts from an SPD covariance, so its density exists."""
+    def _law(self, t: float) -> Gaussian:
+        if self._block is None:
+            return self.init
+        d = self.dim
+        F = expm(t * self._block)
+        E = F[:d, :d]
+        return Gaussian(E @ self.init.mean + F[:d, -1], self.init.cov + F[:d, d:-1] @ E.T)
+
+
+def linear_flow(M, c, a, init: Gaussian) -> GaussianFlow:
+    """Flow of dX = (M X + c) dt + a^{1/2} dB from init, whose cov must be SPD."""
     try:
         np.linalg.cholesky(init.cov)
     except np.linalg.LinAlgError:
         raise NumericError("flow covariance not SPD at t=0.0") from None
+    return GaussianFlow(_freeze(M), _freeze(c), _freeze(a), init)
 
 
 @dataclass(frozen=True)
@@ -176,41 +200,21 @@ def ou_reference(dim: int = 1) -> tuple[KolmogorovSpec, GaussianFlow]:
     m = Gaussian(np.zeros(dim), 0.5 * np.eye(dim))
     spec = kolmogorov_spec(dim, potential, grad_potential, MatrixField.identity(dim),
                            log_norm=0.0, m=m, tag="ou-ref")
-    flow = GaussianFlow(lambda t: m.mean, lambda t: m.cov, dim, tag="ou-stationary")
+    flow = linear_flow(-np.eye(dim), np.zeros(dim), np.eye(dim), m)
     return spec, flow
 
 
 def ou_marginal_flow(init_mean, init_cov) -> GaussianFlow:
-    """Marginal flow of dX = -X dt + dB started from N(init_mean, init_cov).
-
-    mean(t) = exp(-t) mean_0,  cov(t) = exp(-2t) cov_0 + (1 - exp(-2t)) Id/2.
-    """
-    init = Gaussian(init_mean, init_cov)
-    d = init.dim
-    half = 0.5 * np.eye(d)
-
-    def mean_fn(t):
-        return math.exp(-t) * init.mean
-
-    def cov_fn(t):
-        e = math.exp(-2.0 * t)
-        return e * init.cov + (1.0 - e) * half
-
-    _check_start_cov(init)
-    return GaussianFlow(mean_fn, cov_fn, d, tag="ou")
+    """Marginal flow of dX = -X dt + dB started from N(init_mean, init_cov)."""
+    d = np.size(init_mean)
+    return linear_flow(-np.eye(d), np.zeros(d), np.eye(d), Gaussian(init_mean, init_cov))
 
 
 def bm_flow(init_cov, init_mean=None) -> GaussianFlow:
     """Marginal flow of Brownian motion: mean constant, cov(t) = cov_0 + t Id."""
-    C0 = np.asarray(init_cov, dtype=np.float64)
-    if C0.ndim == 0:
-        C0 = C0.reshape(1, 1)
-    d = C0.shape[0]
-    mu = np.zeros(d) if init_mean is None else np.atleast_1d(np.asarray(init_mean, float))
-    init = Gaussian(mu, C0)
-    eye = np.eye(d)
-    _check_start_cov(init)
-    return GaussianFlow(lambda t: init.mean, lambda t: init.cov + t * eye, d, tag="bm")
+    d = np.atleast_2d(init_cov).shape[0]
+    init = Gaussian(np.zeros(d) if init_mean is None else init_mean, init_cov)
+    return linear_flow(np.zeros((d, d)), np.zeros(d), np.eye(d), init)
 
 
 @dataclass(frozen=True)
@@ -372,28 +376,21 @@ def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
 
 
 def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
-    """Exact marginals t -> p_t.  Matrix exponential for constant intensities,
-    an ODE solve of the forward equation otherwise.  With constant
-    intensities, an initial law with p0 Q = 0 exactly short-circuits the
-    exponential: p_t = p0 without roundoff.  The ODE branch makes no such
-    check."""
+    """Exact marginals t -> p_t, uncached (thinning queries continuous
+    times).  Matrix exponential for constant intensities, an ODE solve of
+    the forward equation otherwise.  With constant intensities, an initial
+    law with p0 Q = 0 exactly short-circuits the exponential: p_t = p0
+    without roundoff.  The ODE branch makes no such check."""
     if spec.is_constant:
         Q = spec.generator(0.0)
         if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
             return lambda t: spec.p0
-        # imported here so that `import pathrev` does not load scipy.linalg;
-        # the bundled cycle starts from its invariant law and never gets here
-        from scipy.linalg import expm
-
-        cache: dict[float, np.ndarray] = {}
 
         def marginals(t: float) -> np.ndarray:
             t = float(t)
             if t < 0:
                 raise ParameterError(f"negative time {t}")
-            if t not in cache:
-                cache[t] = spec.p0 @ expm(t * Q)
-            return cache[t]
+            return spec.p0 @ expm(t * Q)
 
         return marginals
 
@@ -419,8 +416,8 @@ def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
 @dataclass(frozen=True)
 class ModelBundle:
     """What a JSON model description expands to.  Diffusion models carry a
-    simulation spec plus (when available) an exact marginal flow and a
-    reversible reference; graph models carry a walk spec."""
+    simulation spec, their exact marginal flow and ("ou" only) a reversible
+    reference; graph models carry a walk spec."""
 
     dim: int
     diffusion: DiffusionSpec | None = None
@@ -456,9 +453,9 @@ def _number(value, key: str, kind: type, where: str) -> int | float:
     return kind(value)
 
 
-def _array(value, key: str) -> np.ndarray:
-    """A number or nested lists of numbers as a float array.  Every entry
-    goes through _number, and ragged nesting is refused."""
+def _array(value, key: str, shape: tuple | None = None) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, of `shape` if
+    given.  Every entry goes through _number; ragged nesting is refused."""
     def check(v):
         if isinstance(v, list):
             for u in v:
@@ -468,9 +465,12 @@ def _array(value, key: str) -> np.ndarray:
 
     check(value)
     try:
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64)
     except ValueError:
         raise ConfigError(f"model: {key} is not a rectangular array") from None
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"model: {key} shape {arr.shape} != {shape}")
+    return arr
 
 
 def _initial_law(obj: dict) -> Gaussian:
@@ -490,19 +490,16 @@ def load_model(obj) -> ModelBundle:
     if not isinstance(obj, dict):
         raise ConfigError("model description must be a JSON object")
     mtype = obj.get("type")
-    if mtype == "ou":
+    if mtype in ("ou", "bm"):
         _require_keys(obj, {"type", "dim", "init_mean", "init_cov"},
                       {"type", "init_mean", "init_cov"}, "model")
         init = _initial_law(obj)
-        ref, _ = ou_reference(init.dim)
+        if mtype == "bm":
+            return ModelBundle(init.dim, diffusion=bm_diffusion(init),
+                               flow=bm_flow(init.cov, init.mean))
         return ModelBundle(init.dim, diffusion=ou_diffusion(init),
-                           flow=ou_marginal_flow(init.mean, init.cov), reference=ref)
-    if mtype == "bm":
-        _require_keys(obj, {"type", "dim", "init_mean", "init_cov"},
-                      {"type", "init_mean", "init_cov"}, "model")
-        init = _initial_law(obj)
-        return ModelBundle(init.dim, diffusion=bm_diffusion(init),
-                           flow=bm_flow(init.cov, init.mean))
+                           flow=ou_marginal_flow(init.mean, init.cov),
+                           reference=ou_reference(init.dim)[0])
     if mtype == "cycle":
         _require_keys(obj, {"type", "n", "rate_cw", "rate_ccw"},
                       {"type", "n", "rate_cw", "rate_ccw"}, "model")
@@ -514,26 +511,26 @@ def load_model(obj) -> ModelBundle:
         _require_keys(obj, {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       "model")
-        dim = _number(obj["dim"], "dim", int, "model")
-        drift = _build_drift(obj["drift"], dim)
-        a = MatrixField.constant(_array(obj["diffusion_matrix"], "diffusion_matrix"))
         init = _initial_law(obj)
-        return ModelBundle(dim, diffusion=diffusion_spec(drift, a, init, tag="custom"))
+        d = init.dim
+        M, c = _build_drift(obj["drift"], d)
+        a = MatrixField.constant(_array(obj["diffusion_matrix"], "diffusion_matrix", (d, d)))
+        spec = diffusion_spec(VectorField.linear(M, c), a, init, tag="custom")
+        return ModelBundle(d, diffusion=spec,
+                           flow=linear_flow(M, c, a.constant_matrix, init))
     raise ConfigError(f"model: unknown type {mtype!r}")
 
 
-def _build_drift(obj: dict, dim: int) -> VectorField:
+def _build_drift(obj: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) of the drift x -> M x + c that obj names."""
     if not isinstance(obj, dict) or "name" not in obj:
         raise ConfigError("drift: expected an object with a 'name'")
     name = obj["name"]
     if name == "zero":
         _require_keys(obj, {"name"}, {"name"}, "drift")
-        return VectorField.zero(dim)
+        return np.zeros((dim, dim)), np.zeros(dim)
     if name == "linear":
         _require_keys(obj, {"name", "matrix", "offset"}, {"name", "matrix"}, "drift")
-        M = _array(obj["matrix"], "drift matrix")
-        if M.shape != (dim, dim):
-            raise ConfigError(f"drift: matrix shape {M.shape} != ({dim}, {dim})")
-        off = obj.get("offset")
-        return VectorField.linear(M, None if off is None else _array(off, "drift offset"))
+        return (_array(obj["matrix"], "drift matrix", (dim, dim)),
+                _array(obj.get("offset", [0.0] * dim), "drift offset", (dim,)))
     raise ConfigError(f"drift: unknown name {name!r}")

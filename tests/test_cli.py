@@ -48,7 +48,7 @@ def _read_lines(path):
 _README_CHECK_TABLE = {
     "reversal": {"ou", "bm", "custom", "cycle"},
     "ibp": {"ou", "bm", "custom", "cycle"},
-    "continuity": {"ou", "bm"},
+    "continuity": {"ou", "bm", "custom"},
     "detailed-balance": {"cycle"},
     "carre": {"ou", "bm", "custom"},
     "nelson": {"ou", "bm", "custom"},
@@ -217,8 +217,6 @@ class TestErrorContract:
          "config error: .*NaN is not a number"),
         ("run", _cycle_cfg(model=dict(_MODELS["cycle"], n="4")), "config error: model: n "),
         ("entropy", _ou_cfg(model=_MODELS["bm"], n_paths=100), "config error: entropy report"),
-        ("run", _ou_cfg(model=_MODELS["custom"], n_paths=100, checks=["ibp"]),
-         "config error: model has no closed-form"),
         ("run", _ou_cfg(model=dict(_MODELS["ou"], dim=True)), "config error: model: dim "),
         ("run", _ou_cfg(model=dict(_MODELS["ou"], init_mean=["1.0"])),
          "config error: model: init_mean "),
@@ -229,6 +227,8 @@ class TestErrorContract:
          "config error: model: init_mean "),
         ("run", _ou_cfg(model=dict(_MODELS["bm"], init_cov=[[True]])),
          "config error: model: init_cov "),
+        ("simulate", _ou_cfg(model=dict(_MODELS["custom"], diffusion_matrix=2.0)),
+         re.escape("config error: model: diffusion_matrix shape () != (1, 1)")),
         # n_paths x (n_steps + 1) doubles is 7.11 PiB: numpy refuses before allocating
         ("simulate", _ou_cfg(n_paths=10 ** 9, grid={"T": 1.0, "n_steps": 10 ** 6}),
          "memory error: .*7.11 PiB"),
@@ -237,9 +237,10 @@ class TestErrorContract:
          "config error: kde probe table requires a one-dimensional model"),
         ("reverse", _ou_cfg(model=_OU_2D, density="kde", n_paths=200),
          "config error: kde probe table requires a one-dimensional model"),
-    ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy", "custom-exact",
+    ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
-            "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "oversized-ensemble",
+            "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "custom-scalar-a",
+            "oversized-ensemble",
             "ou2d-kde-run", "ou2d-kde-reverse"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
         path = _write_cfg(tmp_path, cfg)
@@ -249,6 +250,58 @@ class TestErrorContract:
         assert re.match(pattern, err)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate", "reverse", "entropy", "verify"])
+    def test_singular_custom_start_fails_at_load(self, tmp_path, capsys, command):
+        # every diffusion builds its exact flow when the model is loaded, so
+        # a start without a density is refused before anything is simulated
+        model = dict(_MODELS["custom"], init_cov=[[0.0]])
+        path = _write_cfg(tmp_path, _ou_cfg(model=model, n_paths=100, checks=["ibp"]))
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numeric error: flow covariance not SPD at t=0.0\n"
+        assert not out.exists()
+
+
+# the fingerprint tool's CUSTOM model: x' = -x/2 + 0.2, a = 2, from N(0, 1)
+_CUSTOM_LINEAR = {"type": "custom", "dim": 1,
+                  "drift": {"name": "linear", "matrix": [[-0.5]], "offset": [0.2]},
+                  "diffusion_matrix": [[2.0]], "init_mean": [0.0], "init_cov": [[1.0]]}
+
+
+class TestCustomExact:
+    """A custom model runs with its exact flow, and reversed_model.json holds
+    A(s) = -M - a Sigma^{-1} and c(s) = -c + a Sigma^{-1} m at T - s."""
+
+    def _run(self, tmp_path, model):
+        # continuity probes the exact flow, so its verdict is not a matter of seed
+        cfg = _ou_cfg(model=model, n_paths=400, checks=["continuity"])
+        out = tmp_path / "o"
+        assert main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "reversed_model.json") as f:
+            return json.load(f)
+
+    def test_one_dimensional_closed_form(self, tmp_path):
+        rm = self._run(tmp_path, _CUSTOM_LINEAR)
+        assert rm["kind"] == "reversed_drift_affine"
+        for s, A, c in zip(rm["times"], rm["A"], rm["c"]):
+            # m and Sigma relax to 0.4 and 2 at rate 1/2 and 1
+            t = rm["T"] - s
+            m = 0.4 - 0.4 * math.exp(-0.5 * t)
+            var = 2.0 - 1.0 * math.exp(-t)
+            assert A[0][0] == pytest.approx(0.5 - 2.0 / var, rel=1e-14, abs=1e-15)
+            assert c[0] == pytest.approx(-0.2 + 2.0 * m / var, rel=1e-14, abs=1e-15)
+
+    def test_stationary_rotation_reverses_the_rotation(self, tmp_path):
+        # M = -I + J from its invariant law N(0, I/2): stationary but not
+        # reversible, and the reversed drift is (-I - J) x at every time
+        model = {"type": "custom", "dim": 2,
+                 "drift": {"name": "linear", "matrix": [[-1.0, 1.0], [-1.0, -1.0]]},
+                 "diffusion_matrix": [[1.0, 0.0], [0.0, 1.0]],
+                 "init_mean": [0.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+        rm = self._run(tmp_path, model)
+        assert rm["A"] == [[[-1.0, -1.0], [1.0, -1.0]]] * 5
+        assert rm["c"] == [[0.0, 0.0]] * 5
 
 
 class TestNonFiniteNumbers:
@@ -683,16 +736,29 @@ class TestParser:
             main(["rw", "--config", path, "spin"])
 
 
-def test_import_leaves_scipy_linalg_unloaded():
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
     # scipy.linalg roughly doubles the import time and the resident memory
-    # of `import numpy, scipy`, and only a walk whose initial law is not
-    # invariant needs it (for expm); a fresh interpreter keeps the modules
-    # this test run already imported out of the answer
+    # of `import numpy, scipy`; the exact flows and walk marginals take
+    # their exponentials from core.expm, so neither the import nor a
+    # one-dimensional run of any diffusion model loads it.  Each fresh
+    # interpreter keeps the modules this test run already imported out of
+    # the answer
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pathrev.cli; print('scipy.linalg' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        timeout=120, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = "print('scipy.linalg' in sys.modules)"
+    codes = {"import": f"import sys, pathrev.cli; {loaded}"}
+    for model in ("ou", "bm", "custom"):
+        cfg = _ou_cfg(model=_MODELS[model], n_paths=200, grid={"T": 1.0, "n_steps": 50})
+        del cfg["checks"]  # the model type's default checks
+        _write_cfg(tmp_path, cfg, f"{model}.json")
+        codes[model] = ("import sys, pathrev.cli; "
+                        f"rc = pathrev.cli.main(['run', '--config', '{model}.json', "
+                        f"'--out', '{model}-out']); print(rc); {loaded}")
+    for name, code in codes.items():
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, (name, proc.stderr)
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "False", name
+        if name != "import":
+            assert lines[-2] in ("0", "1"), (name, proc.stdout)

@@ -353,6 +353,15 @@ class TestMatvecRows:
                 for MM in (M, M.T, 0.5 * (M + M.T)):
                     assert _same_bits(_matvec_rows(MM, V), V @ MM.T)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_bits_do_not_depend_on_batch(self, d):
+        # one row alone would take gemv, which sums in another order
+        rng = path_rng(33, d)
+        M = rng.standard_normal((d, d))
+        V = rng.standard_normal((300, d))
+        rows = np.vstack([_matvec_rows(M, V[i:i + 1]) for i in range(V.shape[0])])
+        assert _same_bits(rows, _matvec_rows(M, V))
+
     def test_one_by_one_specials(self):
         # every pair of special values, one at a time through the 1 x 1 path
         V = np.repeat(_SPECIAL, _SPECIAL.size)[:, None]

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from pathrev import core
 from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
-                          NumericError, ParameterError, VectorField)
+                          NumericError, ParameterError, VectorField, make_grid)
 from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
                             biased_cycle_walk, bm_diffusion, bm_flow,
                             diffusion_spec, graph_walk, kolmogorov_spec,
-                            load_model, ou_diffusion, ou_marginal_flow,
-                            ou_reference, walk_marginal_fn)
+                            linear_flow, load_model, ou_diffusion,
+                            ou_marginal_flow, ou_reference, walk_marginal_fn)
 
 INV_SQRT_PI = 0.5641895835477563
 
@@ -84,12 +87,12 @@ class TestGaussianFlow:
         flow = ou_marginal_flow([1.0], [[0.5]])
         g = flow.at(0.25)
         assert flow.at(0.25) is g and flow.at(0.5) is not g
-        fresh = Gaussian(flow.mean_fn(0.25), flow.cov_fn(0.25))
+        fresh = ou_marginal_flow([1.0], [[0.5]]).at(0.25)
         X = np.linspace(-3.0, 3.0, 13)[:, None]
         assert np.array_equal(g.score(X), fresh.score(X))
         assert np.array_equal(g.logpdf(X), fresh.logpdf(X))
         # the cache is not part of the flow's value
-        assert flow == GaussianFlow(flow.mean_fn, flow.cov_fn, flow.dim, flow.tag)
+        assert flow == GaussianFlow(flow.M, flow.c, flow.a, flow.init)
         assert "_laws" not in repr(flow)
 
     def test_validate_spd(self):
@@ -99,6 +102,110 @@ class TestGaussianFlow:
             for C in ([[-1.0]], [[0.0]]):
                 with pytest.raises(NumericError, match="not SPD at t=0.0"):
                     build(C)
+
+
+class TestExpm:
+    def test_matches_scipy(self):
+        # sizes 1 to 5, 1-norms from 1e-3 to 50: with and without squaring
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            A = rng.standard_normal((n, n))
+            A *= 10.0 ** rng.uniform(-3.0, math.log10(50.0)) / np.abs(A).sum(axis=0).max()
+            R = expm(A)
+            assert np.abs(core.expm(A) - R).max() <= 1e-11 * np.abs(R).max()
+
+    @pytest.mark.parametrize("t", [1.0, 12.0])
+    def test_nilpotent_jordan_block(self, t):
+        # exp(tJ) for the 5 x 5 shift J is the finite series t^k / k!; at
+        # t = 12 scipy is 2.2e-14 off it
+        J = np.diag(np.ones(4), 1)
+        exact = sum(np.linalg.matrix_power(t * J, k) / math.factorial(k) for k in range(5))
+        assert np.allclose(core.expm(t * J), exact, rtol=1e-15, atol=0.0)
+        assert np.allclose(core.expm(t * J), expm(t * J), rtol=1e-13, atol=0.0)
+
+    def test_zero_is_identity_and_nonfinite_is_refused(self):
+        assert np.array_equal(core.expm(np.zeros((3, 3))), np.eye(3))
+        with pytest.raises(NumericError, match="non-finite"):
+            core.expm(np.array([[np.inf]]))
+
+
+def _ou_closed_form(m0, S0, t):
+    """The hand-written OU flow: exp(-t) m0, exp(-2t) S0 + (1 - exp(-2t)) Id/2."""
+    e = math.exp(-2.0 * t)
+    return math.exp(-t) * np.asarray(m0), e * np.asarray(S0) + (1.0 - e) * (0.5 * np.eye(len(m0)))
+
+
+def _bm_closed_form(m0, S0, t):
+    """The hand-written Brownian flow: m0, S0 + t Id."""
+    return np.asarray(m0, dtype=float), np.asarray(S0) + t * np.eye(len(m0))
+
+
+def _ulps(x, y):
+    """|x - y| in units in the last place of the largest entry of y."""
+    return float(np.abs(x - y).max() / np.spacing(np.abs(y).max()))
+
+
+_ROT = np.array([[-1.0, 1.0], [-1.0, -1.0]])  # -I + J, J = [[0, 1], [-1, 0]]
+
+
+class TestLinearFlow:
+    def test_matches_moment_odes(self):
+        # a non-reversible drift, a full a, an offset and a start far from
+        # stationarity against m' = M m + c, S' = M S + S M^T + a
+        c, a = np.array([0.3, -0.2]), np.array([[1.0, 0.2], [0.2, 0.5]])
+        init = Gaussian([1.0, -0.5], [[0.5, 0.1], [0.1, 0.3]])
+        flow = linear_flow(_ROT, c, a, init)
+
+        def rhs(t, y):
+            m, S = y[:2], y[2:].reshape(2, 2)
+            return np.concatenate([_ROT @ m + c, (_ROT @ S + S @ _ROT.T + a).ravel()])
+
+        ts = np.linspace(0.0, 3.0, 13)
+        sol = solve_ivp(rhs, (0.0, 3.0), np.concatenate([init.mean, init.cov.ravel()]),
+                        t_eval=ts, rtol=1e-12, atol=1e-14)
+        for k, t in enumerate(ts):
+            law = flow.at(float(t))
+            assert np.allclose(law.mean, sol.y[:2, k], rtol=0.0, atol=1e-10)
+            assert np.allclose(law.cov, sol.y[2:, k].reshape(2, 2), rtol=0.0, atol=1e-10)
+
+    # the bundled OU start, the fingerprint tool's BM and 2-d OU starts, and
+    # a start at 4 times the stationary variance, whose Sigma_0 + G E^T
+    # cancels about two thirds of Sigma_0 by t = 1
+    @pytest.mark.parametrize("kind, m0, S0, bound", [
+        ("ou", [1.0], [[0.5]], 4), ("ou", [0.5], [[0.4]], 4),
+        ("ou", [1.0, -0.5], [[0.5, 0.1], [0.1, 0.3]], 4), ("ou", [0.0], [[2.0]], 6),
+        ("bm", [0.5], [[0.4]], 4), ("bm", [1.0, -0.5], [[0.5, 0.1], [0.1, 0.3]], 4)])
+    def test_matches_hand_written_flows(self, kind, m0, S0, bound):
+        flow = ou_marginal_flow(m0, S0) if kind == "ou" else bm_flow(S0, m0)
+        closed = _ou_closed_form if kind == "ou" else _bm_closed_form
+        for t in make_grid(1.0, 400).nodes:
+            law = flow.at(float(t))
+            m, S = closed(m0, S0, float(t))
+            assert _ulps(law.mean, m) <= bound and _ulps(law.cov, S) <= bound
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reference_flow_is_its_law_bit_for_bit(self, dim):
+        ref, flow = ou_reference(dim)
+        for t in make_grid(1.0, 400).nodes:
+            law = flow.at(float(t))
+            assert law is flow.init
+            assert np.array_equal(law.mean.view(np.uint64), ref.m.mean.view(np.uint64))
+            assert np.array_equal(law.cov.view(np.uint64), ref.m.cov.view(np.uint64))
+
+    def test_exactly_stationary_start_with_offset_is_returned(self):
+        # x' = -x/2 + 0.2 with a = 2 keeps N(0.4, 2): both derivatives are 0
+        init = Gaussian([0.4], [[2.0]])
+        flow = linear_flow(np.array([[-0.5]]), np.array([0.2]), np.array([[2.0]]), init)
+        assert all(flow.at(t) is init for t in (0.0, 0.3, 1.7))
+        # the rotation keeps N(0, I/2), and the flow says so without roundoff
+        half = Gaussian(np.zeros(2), 0.5 * np.eye(2))
+        assert linear_flow(_ROT, np.zeros(2), np.eye(2), half).at(0.9) is half
+
+    def test_start_must_be_spd(self):
+        for C in ([[-1.0]], [[0.0]]):
+            with pytest.raises(NumericError, match="not SPD at t=0.0"):
+                linear_flow(np.array([[-0.5]]), np.zeros(1), np.eye(1), Gaussian([0.0], C))
 
 
 class TestKolmogorovSpec:
@@ -251,6 +358,24 @@ class TestWalkMarginals:
         expected = spec.p0 @ expm(1.5 * base.generator(0.0))
         assert np.allclose(p(1.0), expected, atol=1e-9)
 
+    def test_keeps_nothing_per_time(self):
+        # thinning queries continuous event times, which never repeat, so a
+        # per-time cache would grow by one entry per candidate event
+        base = _c4()
+        spec = graph_walk(base.adjacency, base.intensity_matrix,
+                          np.array([0.4, 0.3, 0.2, 0.1]))
+        p = walk_marginal_fn(spec)
+        p(0.5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for t in np.linspace(0.001, 1.0, 2000):
+                p(t)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 20_000
+
 
 class TestLoadModel:
     def test_ou(self):
@@ -276,7 +401,23 @@ class TestLoadModel:
                         "init_mean": [1.0], "init_cov": [[0.5]]})
         X = np.array([[2.0]])
         assert np.allclose(b.diffusion.drift(0.0, X), -X)
-        assert b.flow is None
+        # the flow comes from the same drift and diffusion arrays
+        assert b.flow.at(1.0).mean[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert b.flow.at(1.0).cov[0, 0] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"drift": {"name": "linear", "matrix": [[-1.0]], "offset": [0.1, 0.2]}},
+         "drift offset shape (2,) != (1,)"),
+        ({"drift": {"name": "linear", "matrix": [[-1.0, 0.0]]}},
+         "drift matrix shape (1, 2) != (1, 1)"),
+        ({"diffusion_matrix": 2.0}, "diffusion_matrix shape () != (1, 1)")])
+    def test_custom_arrays_must_match_dim(self, field, message):
+        obj = {"type": "custom", "dim": 1, "drift": {"name": "zero"},
+               "diffusion_matrix": [[1.0]], "init_mean": [1.0], "init_cov": [[0.5]]}
+        obj.update(field)
+        with pytest.raises(ConfigError) as exc:
+            load_model(obj)
+        assert str(exc.value) == "model: " + message
 
     def test_json_string(self):
         # a string is neither parsed nor opened as a path

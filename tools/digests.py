@@ -53,6 +53,8 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("bm-run", "run", {**default_checks, "model": BM, "n_paths": 2000}, []),
         ("custom-kde-run", "run", {**default_checks, "model": CUSTOM, "density": "kde",
                                    "n_paths": 300}, []),
+        # the same ensemble with the exact flow
+        ("custom-exact-run", "run", {**default_checks, "model": CUSTOM, "n_paths": 300}, []),
         # ensemble.csv; rw ibp writes no directory, so its stdout is the digest
         ("ou-simulate-csv", "simulate", {**ou, "n_paths": 200}, ["--format", "csv"]),
         ("cycle-rw-ibp", "rw", cycle, ["ibp"]),
