@@ -118,6 +118,19 @@ def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V @ M.T
 
 
+def _sq_distances(X: np.ndarray, YT: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(m, n) squared Euclidean distances between the rows of X (m, dim) and
+    the columns of YT (dim, n), summed one coordinate at a time in the order
+    of scipy's cdist, so its square root is cdist's value bit for bit."""
+    out = np.subtract(X[:, :1], YT[0], out=out)
+    out *= out
+    for k in range(1, X.shape[1]):
+        T = np.subtract(X[:, k:k + 1], YT[k])
+        T *= T
+        out += T
+    return out
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     out.flags.writeable = False

@@ -11,8 +11,8 @@ x[None, :].  Scores from the kernel estimator are analytic derivatives of
 the estimator itself, never finite differences.
 
 The kernel estimator makes one pass over its samples per query: each chunk
-of query rows builds its log-kernel matrix once, and that matrix and its row
-log-sum-exp give both the log density and the score.
+of query rows exponentiates its scaled squared distances once, shifted so the
+nearest kernel is 1, and those values give both the log density and the score.
 """
 from __future__ import annotations
 
@@ -23,34 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BandwidthError, ParameterError, PathEnsemble, _freeze
+from .core import BandwidthError, ParameterError, PathEnsemble, _freeze, _sq_distances
 from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
-
-
-def _row_logsumexp(L: np.ndarray) -> np.ndarray:
-    """log(sum(exp(L), axis=1)) with the arithmetic of scipy.special.logsumexp
-    (scipy 1.17), so results match it bit for bit.
-
-    The row maximum is shifted out and its ties are excluded from the sum:
-    lse = log1p(s / count) + log(count) + max, where s sums exp(L - max) over
-    the other entries.  A row whose result is not finite (all -inf, or inf or
-    nan entries) falls back to log(sum(exp(L))), as scipy does.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        top = L.max(axis=1, keepdims=True)
-        E = L - top
-        tied = E == 0
-        count = tied.sum(axis=1, dtype=np.float64)
-        E[tied] = -np.inf
-        np.exp(E, out=E)  # in place: a fresh (m, n) buffer costs more than the exp
-        out = np.log1p(E.sum(axis=1) / count) + np.log(count) + top[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(L[bad]).sum(axis=1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -126,10 +103,10 @@ class KdeModel:
     """Gaussian product-kernel density estimate of one time slice.
 
     pdf integrates to one analytically; score is the analytic gradient
-    grad pdf / pdf, evaluated with log-sum-exp weights for stability.
-    logpdf_score computes both in one pass over the samples; logpdf and
-    score are views of that pass, so all three agree bit for bit.  Queries
-    are (n, dim) batches.
+    grad pdf / pdf, the kernel-weighted mean of the samples minus x, over
+    h^2.  logpdf_score computes both in one pass over the samples, with one
+    exp per kernel entry; logpdf and score are views of that pass, so all
+    three agree bit for bit.  Queries are (n, dim) batches.
     """
 
     samples: np.ndarray
@@ -159,43 +136,39 @@ class KdeModel:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def _log_kernels(self, X: np.ndarray) -> np.ndarray:
-        # (m, n) matrix of log kernel values for a chunk of queries; the
-        # in-place steps do the arithmetic of -0.5 |(x - s) / h|^2 - log_norm
-        U = X[:, None, :] - self.samples[None, :, :]
-        U /= self.bandwidth
-        U *= U
-        L = U.sum(axis=2)
-        L *= -0.5
-        L -= self._log_norm
-        return L
-
     def logpdf_score(self, X: np.ndarray, _score: bool = True):
         """(logpdf, score) at X from one kernel pass per chunk of _CHUNK rows.
 
-        The chunk's log-kernel matrix L and its row log-sum-exp give
-        logpdf = lse - log n and the normalised weights W = exp(L - lse) of
-        score = (W @ samples - x sum W) / h^2.  _score=False skips the score
-        half and returns None in its place.
+        With c = 1 / (h sqrt 2), Q = |x c - s c|^2 and q its row minimum, one
+        exp gives E = exp(q - Q) and sum = E.sum(axis=1); then logpdf =
+        log sum - q - log_norm - log n and score = (E @ samples / sum - x) / h^2.
+        A row without a finite Q stays unshifted: logpdf -inf (or nan) and a
+        nan score.  _score=False returns None in place of the score.
         """
         X = np.asarray(X, dtype=np.float64)
         lp = np.empty(X.shape[0])
         sc = np.empty_like(X) if _score else None
-        log_n = math.log(self.n_samples)
+        c = 1.0 / (self.bandwidth * math.sqrt(2.0))
+        XC = X * c
+        SC = self.samples.T * c[:, None]  # (dim, n): one contiguous row per coordinate
+        shift = self._log_norm + math.log(self.n_samples)
         h2 = self.bandwidth ** 2
-        for s in range(0, X.shape[0], _CHUNK):
-            Xc = X[s:s + _CHUNK]
-            L = self._log_kernels(Xc)
-            lse = _row_logsumexp(L)
-            lp[s:s + _CHUNK] = lse - log_n
-            if _score:
-                W = np.exp(np.subtract(L, lse[:, None], out=L), out=L)
-                sc[s:s + _CHUNK] = (W @ self.samples - Xc * W.sum(axis=1, keepdims=True)) / h2
-                del W
-            # free this chunk's matrix before the next chunk builds its own,
-            # so one chunk's matrices are alive at a time: with two, the heap
-            # can shrink and grow again, faulting its pages back in per chunk
-            del L
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s in range(0, X.shape[0], _CHUNK):
+                Q = _sq_distances(XC[s:s + _CHUNK], SC)
+                q = Q.min(axis=1)
+                q[~np.isfinite(q)] = 0.0
+                E = np.exp(np.subtract(q[:, None], Q, out=Q), out=Q)
+                total = E.sum(axis=1)
+                lp[s:s + _CHUNK] = np.log(total) - q - shift
+                if _score:
+                    sc[s:s + _CHUNK] = ((E @ self.samples) / total[:, None]
+                                        - X[s:s + _CHUNK]) / h2
+                # free this chunk's matrix before the next chunk builds its
+                # own, so one kernel matrix is alive at a time: with two, the
+                # heap can shrink and grow again, faulting its pages back in
+                # per chunk
+                del Q, E
         return lp, sc
 
     def logpdf(self, X: np.ndarray) -> np.ndarray:

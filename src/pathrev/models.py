@@ -69,7 +69,7 @@ class Gaussian:
 
     def logpdf(self, X: np.ndarray) -> np.ndarray:
         D = X - self.mean
-        q = np.einsum("ni,ij,nj->n", D, self._inv, D)
+        q = (D * _matvec_rows(self._inv, D)).sum(axis=1)  # a row's bits do not depend on its batch
         return -0.5 * (q + self.dim * _LOG_2PI + self._logdet)
 
     def pdf(self, X: np.ndarray) -> np.ndarray:

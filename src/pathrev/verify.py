@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (ConsistencyError, MatrixField, ParameterError, PathEnsemble,
-                   SupportError, TimeGrid, VectorField, mean_stderr, path_streams)
+                   SupportError, TimeGrid, VectorField, _sq_distances, mean_stderr,
+                   path_streams)
 # unused here; perfbench/tracer.py patches path_rng by name in this module
 from .core import path_rng  # noqa: F401
 from .density import DensityFlow
@@ -35,6 +36,7 @@ _N_PER_DIM = 9
 _DT_STENCIL = 1e-4
 _DX_STENCIL = 1e-4
 _CUBIC_WIDTH = 4.0  # width of windowed_cubic's Gaussian window
+_DIST_ROWS = 256  # pooled-distance rows per block
 
 
 @dataclass(frozen=True)
@@ -401,8 +403,15 @@ def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
             cross = U_pool - ua - ub
             return 2.0 * cross / (n * m) - 2.0 * ua / (n * n) - 2.0 * ub / (m * m)
     else:
-        from scipy.spatial.distance import cdist
-        D = cdist(np.concatenate([A, B], axis=0), np.concatenate([A, B], axis=0))
+        # cdist's values without loading scipy.spatial; row blocks bound the
+        # temporary, where a broadcast (N, N, dim) array would take dim
+        # times the memory of D
+        P = np.concatenate([A, B], axis=0)
+        PT = np.ascontiguousarray(P.T)
+        D = np.empty((N, N))
+        for s in range(0, N, _DIST_ROWS):
+            _sq_distances(P[s:s + _DIST_ROWS], PT, out=D[s:s + _DIST_ROWS])
+        np.sqrt(D, out=D)
         sel0 = np.zeros(N, dtype=bool)
         sel0[:n] = True
 

@@ -762,3 +762,22 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
         assert lines[-1] == "False", name
         if name != "import":
             assert lines[-2] in ("0", "1"), (name, proc.stdout)
+
+
+def test_two_dimensional_run_leaves_scipy_spatial_unloaded(tmp_path):
+    # the reversal check of a 2-d run builds its pooled distance matrix in
+    # numpy: scipy.spatial's cdist would load scipy.linalg with it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cfg = _ou_cfg(model=_OU_2D, n_paths=200, grid={"T": 1.0, "n_steps": 50})
+    del cfg["checks"]  # the default checks, reversal among them
+    _write_cfg(tmp_path, cfg)
+    code = ("import sys, pathrev.cli; "
+            "rc = pathrev.cli.main(['run', '--config', 'cfg.json', '--out', 'out']); "
+            "print(rc, 'scipy.spatial' in sys.modules, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] in ("0 False False", "1 False False"), proc.stdout
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert "reversal" in report["checks"]

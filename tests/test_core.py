@@ -3,7 +3,7 @@ import pytest
 
 from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
-                          VectorField, _matvec_rows, ensemble_to_csv,
+                          VectorField, _matvec_rows, _sq_distances, ensemble_to_csv,
                           flip_ensemble, load_ensemble, make_grid, mean_stderr,
                           path_rng, path_streams, psd_sqrt, save_ensemble)
 
@@ -383,6 +383,30 @@ class TestMatvecRows:
         assert _same_bits(a.solve(0.0, X, V), V @ np.linalg.inv(a.constant_matrix).T)
         c = rng.standard_normal(d)
         assert _same_bits(VectorField.linear(B, c)(0.0, V), V @ B.T + c)
+
+
+class TestSqDistances:
+    """The square root of _sq_distances is scipy's cdist in every bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_bitwise_cdist(self, d):
+        from scipy.spatial.distance import cdist
+        rng = path_rng(36, d)
+        with np.errstate(all="ignore"):
+            for trial in range(10):
+                X = rng.standard_normal((70, d)) * 10.0 ** rng.integers(-150, 150, (70, d))
+                Y = rng.standard_normal((90, d)) * 10.0 ** rng.integers(-150, 150, (90, d))
+                if trial % 2:
+                    X.flat[rng.integers(0, X.size, 20)] = rng.choice(_SPECIAL, 20)
+                assert _same_bits(np.sqrt(_sq_distances(X, Y.T)), cdist(X, Y))
+                assert _same_bits(np.sqrt(_sq_distances(X, X.T)), cdist(X, X))
+
+    def test_writes_into_out(self):
+        rng = path_rng(37, 0)
+        X, Y = rng.standard_normal((4, 2)), rng.standard_normal((6, 2))
+        out = np.empty((10, 6))
+        got = _sq_distances(X, Y.T, out=out[3:7])
+        assert np.shares_memory(got, out) and _same_bits(out[3:7], _sq_distances(X, Y.T))
 
 
 class TestPsdSqrt:

@@ -6,8 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from pathrev.core import BandwidthError, ParameterError, make_grid, path_rng
-from pathrev.density import (DensityFlow, KdeModel, _row_logsumexp,
-                             exact_flow_density, kde_fit, kde_flow)
+from pathrev.density import DensityFlow, KdeModel, exact_flow_density, kde_fit, kde_flow
 from pathrev.models import Gaussian, ou_diffusion, ou_marginal_flow
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -117,50 +116,128 @@ class TestKdeModel:
             KdeModel(np.zeros((3, 1)), np.array([-1.0]))
 
 
+def _log_kernels(model, X):
+    # the (m, n) log-kernel matrix, built directly
+    S, h = model.samples, model.bandwidth
+    return -0.5 * (((X[:, None, :] - S[None, :, :]) / h) ** 2).sum(axis=2) - model._log_norm
+
+
+def _direct_kde(model, X):
+    """logpdf and score of the KDE from its log-kernel matrix L: scipy's
+    logsumexp of L, and the score from the weights exp(L - lse)."""
+    L = _log_kernels(model, X)
+    lse = logsumexp(L, axis=1)
+    with np.errstate(invalid="ignore"):  # rows of L that are all -inf
+        W = np.exp(L - lse[:, None])
+    S, h = model.samples, model.bandwidth
+    return lse - math.log(S.shape[0]), (W @ S - X * W.sum(axis=1, keepdims=True)) / h ** 2
+
+
+# The kernel pass squares x c - s c with c = 1 / (h sqrt 2) where the direct
+# matrix halves ((x - s) / h)^2, so the two round differently.  Over 30 seeds
+# of 500 samples and 513 queries at dim 1, 2 and 3, ties and far queries
+# included, the largest differences read 9.3e-16 (1 + |lp|) on logpdf and
+# 2.3e-13 (1 + |score|) on the score; the bounds are about twice that.  Both
+# grow with |lp|, the size of the squared distances whose last bits differ.
+_LP_TOL, _SCORE_TOL = 2e-15, 5e-13
+
+
+def _close(got, ref, tol):
+    # equal where not finite (the same infinities and nans), within
+    # tol (1 + |ref|) elsewhere
+    fin = np.isfinite(ref)
+    assert np.array_equal(got[~fin], ref[~fin], equal_nan=True)
+    assert np.all(np.abs(got[fin] - ref[fin]) <= tol * (1.0 + np.abs(ref[fin])))
+
+
 class TestRowLogsumexp:
-    """The in-house log-sum-exp reproduces scipy's arithmetic bit for bit."""
+    """The row log-sum-exp inside the kernel pass, logpdf + log n, agrees with
+    scipy's logsumexp of the directly built log-kernel matrix."""
 
     @staticmethod
-    def _same(L):
-        ref = logsumexp(L, axis=1)
-        before = L.copy()
-        got = _row_logsumexp(L)
-        assert np.array_equal(got, ref), (got, ref)
-        assert np.array_equal(L, before)  # the kernel pass reuses L afterwards
+    def _same(model, X):
+        _close(model.logpdf(X), _direct_kde(model, X)[0], _LP_TOL)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_rows(self, seed):
         g = path_rng(seed, 7)
-        m, n = 1 + seed % 7, 1 + 37 * seed
-        self._same(g.standard_normal((m, n)) * g.uniform(0.1, 60.0))
+        n, dim = 1 + 37 * seed, 1 + seed % 3
+        model = KdeModel(g.standard_normal((n, dim)), g.uniform(0.05, 2.0, dim))
+        self._same(model, g.standard_normal((1 + seed % 7, dim)) * g.uniform(0.1, 60.0))
 
     def test_kernel_shaped_rows(self):
-        # the shape and scale the KDE produces: one chunk of 256 x 500
+        # the shape the KDE produces: one chunk of 256 queries on 500 samples
         g = path_rng(11, 0)
-        self._same(-0.5 * (g.standard_normal((256, 500)) * 4.0) ** 2 - 1.3)
+        model = kde_fit(g.standard_normal((500, 1)), rule="score")
+        self._same(model, g.standard_normal((256, 1)) * 4.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tied_maxima(self, seed):
         g = path_rng(seed, 8)
-        L = np.round(g.standard_normal((6, 40)) * 2.0)  # many exact ties
-        L[0] = 3.25  # a row that is one value throughout
-        L[1, :5] = L[1].max() + 1.0  # five tied maxima
-        self._same(L)
+        S = np.round(g.standard_normal((40, 1)) * 2.0)  # many repeated centers
+        self._same(KdeModel(S, 0.7), np.vstack([S[:6], [[S.max() + 1.0]]]))
+        # every center alike: each row is one value throughout
+        self._same(KdeModel(np.full((40, 1), 3.25), 0.7), S[:6])
 
     def test_single_column(self):
-        self._same(np.array([[0.0], [-3.5], [1e300], [-1e-320]]))
+        # one sample: the log-kernel row is one entry, overflowed at 1e200
+        model = KdeModel(np.array([[0.4]]), 0.3)
+        with np.errstate(over="ignore"):
+            self._same(model, np.array([[0.0], [-3.5], [1e200], [-1e-320], [0.4]]))
 
     def test_row_of_minus_infinity(self):
-        L = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
-        self._same(L)
-        assert _row_logsumexp(L)[0] == -np.inf
+        # an infinite coordinate makes every log kernel -inf: logpdf -inf; a
+        # nan one makes logpdf nan; the score is nan on both
+        for dim in (1, 2):
+            model = kde_fit(path_rng(26, dim).standard_normal((50, dim)))
+            X = np.zeros((4, dim))
+            X[:3, 0] = [np.inf, -np.inf, np.nan]
+            with np.errstate(invalid="ignore"):
+                self._same(model, X)
+            lp, sc = model.logpdf_score(X)
+            assert lp[0] == -np.inf and lp[1] == -np.inf and np.isnan(lp[2])
+            assert np.isnan(sc[:3]).all() and np.isfinite(sc[3]).all()
+
+
+class TestKernelPass:
+    """logpdf and score of the one-exp kernel pass against the direct
+    log-kernel matrix and its weight-matrix score."""
+
+    @staticmethod
+    def _check(model, X):
+        lp, sc = model.logpdf_score(X)
+        ref_lp, ref_sc = _direct_kde(model, X)
+        _close(lp, ref_lp, _LP_TOL)
+        _close(sc, ref_sc, _SCORE_TOL)
+        return lp, sc
+
+    @pytest.mark.parametrize("m", [1, 256, 257, 513])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_direct_kde(self, m, dim):
+        g = path_rng(24, dim)
+        model = kde_fit(g.standard_normal((500, dim)), rule="score")
+        X = g.standard_normal((m, dim)) * 2.0
+        X[:min(m, 5)] = model.samples[:min(m, 5)]  # the query ties a kernel center
+        self._check(model, X)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_far_query_stays_finite(self, dim):
+        # 40 bandwidths and more from every sample, every kernel underflows:
+        # exp(-Q) sums to 0 unshifted, and the shift keeps logpdf finite
+        g = path_rng(25, dim)
+        model = kde_fit(g.standard_normal((500, dim)), rule="score")
+        X = model.samples.max(axis=0) + np.array([[40.0], [45.0], [60.0]]) * model.bandwidth
+        assert (np.exp(_log_kernels(model, X)) == 0.0).all()
+        lp, sc = self._check(model, X)
+        assert np.isfinite(lp).all() and np.isfinite(sc).all()
+        assert (lp < -800.0).all() and (sc < 0.0).all()
 
 
 class TestFusedKernelPass:
     """logpdf_score equals separate logpdf and score calls bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 256, 257, 513])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_separate_passes(self, m, dim):
         g = path_rng(21, dim)
         model = kde_fit(g.standard_normal((300, dim)), rule="score")

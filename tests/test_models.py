@@ -8,7 +8,8 @@ from scipy.linalg import expm
 
 from pathrev import core
 from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
-                          NumericError, ParameterError, VectorField, make_grid)
+                          NumericError, ParameterError, VectorField, make_grid,
+                          path_rng)
 from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
                             biased_cycle_walk, bm_diffusion, bm_flow,
                             diffusion_spec, graph_walk, kolmogorov_spec,
@@ -37,6 +38,30 @@ class TestGaussian:
         X = np.vstack([np.full((1, d), 0.25), np.linspace(-3.0, 3.0, 20 * d).reshape(-1, d)])
         expected = -(X - g.mean) @ np.linalg.inv(g.cov).T
         assert np.array_equal(g.score(X).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_logpdf_row_bits_do_not_depend_on_batch(self, d):
+        # einsum's quadratic form gave a 2-d row other last bits in a batch
+        # of 1 or 2 than in a larger one
+        rng = path_rng(34, d)
+        B = rng.standard_normal((d, d))
+        g = Gaussian(rng.standard_normal(d), B @ B.T + d * np.eye(d))
+        X = rng.standard_normal((300, d)) * 3.0
+        rows = np.concatenate([g.logpdf(X[i:i + 1]) for i in range(X.shape[0])])
+        pairs = np.concatenate([g.logpdf(X[i:i + 2]) for i in range(0, X.shape[0], 2)])
+        batch = g.logpdf(X)
+        assert np.array_equal(rows.view(np.uint64), batch.view(np.uint64))
+        assert np.array_equal(pairs.view(np.uint64), batch.view(np.uint64))
+
+    def test_one_dimensional_logpdf_is_the_einsum_bit_for_bit(self):
+        # the 1-d exact density, and so every 1-d artifact, kept its bits
+        # when the quadratic form left einsum
+        g = Gaussian(np.array([0.3]), np.array([[0.7]]))
+        X = path_rng(35, 0).standard_normal((100000, 1)) * 4.0
+        D = X - g.mean
+        q = np.einsum("ni,ij,nj->n", D, g._inv, D)
+        expected = -0.5 * (q + math.log(2.0 * math.pi) + g._logdet)
+        assert np.array_equal(g.logpdf(X).view(np.uint64), expected.view(np.uint64))
 
     def test_batch_pdf(self):
         g = Gaussian(np.zeros(2), np.eye(2))

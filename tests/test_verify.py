@@ -459,6 +459,23 @@ class TestTwoSampleEnergy:
         assert abs(r1.statistic - r2.statistic) <= 1e-12
         assert 0.0 < r1.p_value <= 1.0 and 0.0 < r2.p_value <= 1.0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_distance_matrix_statistic_matches_cdist(self, d):
+        # the observed statistic from scipy's pooled distance matrix, across
+        # more than one block of rows, agrees in every bit
+        from scipy.spatial.distance import cdist
+        n, m = 300, 250
+        A = path_rng(42, d).standard_normal((n, d))
+        B = path_rng(43, d).standard_normal((m, d)) + 0.05
+        P = np.concatenate([A, B])
+        D = cdist(P, P)
+        sa = np.r_[np.ones(n), np.zeros(m)]
+        sb = 1.0 - sa
+        Dsa = D @ sa
+        obs = (2.0 * float(sb @ Dsa) / (n * m) - float(sa @ Dsa) / (n * n)
+               - float(sb @ (D @ sb)) / (m * m))
+        assert two_sample_energy(A, B, n_perm=9, seed=2).statistic == obs
+
     @pytest.mark.parametrize("n, m", [(300, 300), (150, 60), (7, 41)])
     def test_one_dimensional_matches_rank_weight_formula(self, n, m):
         # the sorted-pool statistic, written out the long way: per sample,

@@ -24,6 +24,8 @@ import tempfile
 from pathlib import Path
 
 OU_2D = {"type": "ou", "init_mean": [1.0, -0.5], "init_cov": [[0.5, 0.1], [0.1, 0.3]]}
+OU_3D = {"type": "ou", "init_mean": [1.0, -0.5, 0.25],
+         "init_cov": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.4]]}
 # BM takes the default checks of a model without a reference; CUSTOM has the
 # noise factor sigma = sqrt(2), not the identity
 BM = {"type": "bm", "init_mean": [0.5], "init_cov": [[0.4]]}
@@ -50,6 +52,8 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("ou2d-kde-entropy", "entropy", ou2d_kde, []),
         ("ou2d-kde-verify", "verify", ou2d_kde, []),
         ("ou2d-kde-run", "run", ou2d_kde, []),
+        # the KDE's per-coordinate accumulation beyond two coordinates
+        ("ou3d-kde-entropy", "entropy", {**ou_kde, "model": OU_3D, "n_paths": 200}, []),
         ("bm-run", "run", {**default_checks, "model": BM, "n_paths": 2000}, []),
         ("custom-kde-run", "run", {**default_checks, "model": CUSTOM, "density": "kde",
                                    "n_paths": 300}, []),
