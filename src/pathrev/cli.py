@@ -305,7 +305,7 @@ class _DiffusionRun(_Run):
             A_tab, c_tab = [], []
             for s in times:
                 law = flow.at(self.grid.T - s)
-                P = flow.a @ np.linalg.inv(law.cov)
+                P = flow.a @ law._inv
                 A_tab.append((-flow.M - P).tolist())
                 c_tab.append((-flow.c + P @ law.mean).tolist())
             base.update({"kind": "reversed_drift_affine", "A": A_tab, "c": c_tab})
@@ -493,14 +493,15 @@ def _check_reversal(run: _DiffusionRun) -> dict:
 
 @_check_reversal.register
 def _check_reversal_walk(run: _WalkRun) -> dict:
-    """Reversing the reversed walk must return the forward intensities."""
+    """Reversing the reversed walk must return the forward intensities.  The
+    reversed walk is reversed as it stands; nothing simulates it, so it needs
+    no rate bound."""
     T = run.grid.T
-    rev_spec = run.reversed_walk.as_walk_spec(rate_bound=float(run.spec.out_rates().max()) * 4 + 1)
 
     def rev_marginals(s: float) -> np.ndarray:
         return run.marginals(T - s)
 
-    double = reversed_jump_intensities(rev_spec, rev_marginals, T)
+    double = reversed_jump_intensities(run.reversed_walk, rev_marginals, T)
     worst = 0.0
     for _, t in _snap_times(run.grid):
         J0 = run.spec.intensity(t)

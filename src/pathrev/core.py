@@ -118,6 +118,13 @@ def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V @ M.T
 
 
+def _quad_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise quadratic form v_i . M v_i through _matvec_rows, so a row's
+    bits do not depend on its batch.  At d = 1 it is einsum's value bit for
+    bit."""
+    return (V * _matvec_rows(M, V)).sum(axis=1)
+
+
 def _sq_distances(X: np.ndarray, YT: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(m, n) squared Euclidean distances between the rows of X (m, dim) and
     the columns of YT (dim, n), summed one coordinate at a time in the order
@@ -231,7 +238,8 @@ class JumpPathEnsemble:
     events[i] holds the (time, from_state, to_state) rows of path i in order,
     stored as given (ctmc_simulate passes tuples).  States are integers in
     0..n_states-1.  Paths are cadlag: the state at t is the target of the
-    last event at or before t.
+    last event at or before t.  The construction checks the shapes and the
+    initial states only; ctmc_simulate builds every chain event by event.
     """
 
     n_states: int
@@ -239,7 +247,6 @@ class JumpPathEnsemble:
     initial_states: np.ndarray
     events: tuple
     seed: int
-    model_tag: str = ""
 
     def __post_init__(self):
         init = np.asarray(self.initial_states, dtype=np.int64)
@@ -258,20 +265,6 @@ class JumpPathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.initial_states.size
-
-    def validate(self, adjacency: np.ndarray | None = None) -> None:
-        """Check event ordering, chain consistency and (optionally) edges."""
-        for i, evs in enumerate(self.events):
-            prev_t = 0.0
-            state = int(self.initial_states[i])
-            for (s, u, v) in evs:
-                if not (prev_t < s <= self.T):
-                    raise ConsistencyError(f"path {i}: event time {s} not increasing in (0, T]")
-                if u != state:
-                    raise ConsistencyError(f"path {i}: event from-state {u} != current {state}")
-                if adjacency is not None and not adjacency[u, v]:
-                    raise ConsistencyError(f"path {i}: jump {u}->{v} not an edge")
-                prev_t, state = s, int(v)
 
 
 class VectorField:
@@ -317,8 +310,9 @@ class MatrixField:
 
     Symmetry is enforced by construction (the output is symmetrized).  A
     constant field stores its matrix and computes its inverse once, on the
-    first solve; apply and solve multiply the rows by that matrix or inverse
-    through _matvec_rows, so a 1-d field is one elementwise product.  The
+    first solve; apply, quad and solve multiply the rows by that matrix or
+    inverse through _matvec_rows, so a 1-d field is one elementwise product
+    and a row's bits do not depend on its batch.  The
     general pointwise form falls back to per-point loops, which is acceptable
     because all shipped models use constant coefficients.
     """
@@ -383,7 +377,7 @@ class MatrixField:
     def quad(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Row-wise quadratic form v_i . a(t, x_i) v_i."""
         if self._const is not None:
-            return np.einsum("ni,ij,nj->n", V, self._const, V)
+            return _quad_rows(self._const, V)
         out = np.empty(X.shape[0])
         for i in range(X.shape[0]):
             out[i] = V[i] @ self.at(t, X[i]) @ V[i]

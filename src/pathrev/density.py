@@ -98,6 +98,14 @@ def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
     return DensityFlow(flow.at, flow.dim, 0.0, tag="exact:linear", gaussian_flow=flow)
 
 
+def _slice_samples(samples) -> np.ndarray:
+    """samples as an (n, dim) float array with n >= 1, else ParameterError."""
+    S = np.asarray(samples, dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] < 1:
+        raise ParameterError(f"samples must be (n, dim) with n >= 1, got {S.shape}")
+    return S
+
+
 @dataclass(frozen=True)
 class KdeModel:
     """Gaussian product-kernel density estimate of one time slice.
@@ -106,19 +114,16 @@ class KdeModel:
     grad pdf / pdf, the kernel-weighted mean of the samples minus x, over
     h^2.  logpdf_score computes both in one pass over the samples, with one
     exp per kernel entry; logpdf and score are views of that pass, so all
-    three agree bit for bit.  Queries are (n, dim) batches.
+    three agree bit for bit.  samples is an (n, dim) array and bandwidth the
+    (dim,) array of per-coordinate bandwidths.  Queries are (n, dim) batches.
     """
 
     samples: np.ndarray
     bandwidth: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.samples, dtype=np.float64)
-        if S.ndim != 2 or S.shape[0] < 1:
-            raise ParameterError(f"samples must be (n, dim) with n >= 1, got {S.shape}")
+        S = _slice_samples(self.samples)
         h = np.atleast_1d(np.asarray(self.bandwidth, dtype=np.float64))
-        if h.size == 1 and S.shape[1] > 1:
-            h = np.full(S.shape[1], float(h[0]))
         if h.shape != (S.shape[1],):
             raise ParameterError(f"bandwidth shape {h.shape} != (dim,)")
         if not ((h > 0) & np.isfinite(h)).all():
@@ -198,33 +203,28 @@ class KdeModel:
 _RULES = {"silverman": 2, "score": 4}
 
 
-def kde_fit(samples: np.ndarray, rule="silverman") -> KdeModel:
-    """Fit a Gaussian KDE to one slice.
+def kde_fit(samples: np.ndarray, rule: str = "silverman") -> KdeModel:
+    """Fit a Gaussian KDE to one (n, dim) slice with an automatic bandwidth.
 
-    rule is "silverman" (default), "score", or an explicit positive scalar or
-    per-dimension array.  A slice with zero variance in some coordinate has
-    no usable automatic bandwidth; supply one explicitly in that case.
+    rule names the bandwidth rule, "silverman" (default) or "score".  A
+    slice with zero variance in some coordinate has no automatic bandwidth;
+    KdeModel(samples, h) takes a fixed one.
     """
-    S = np.asarray(samples, dtype=np.float64)
-    if S.ndim == 1:
-        S = S[:, None]
-    if isinstance(rule, str):
-        if rule not in _RULES:
-            raise BandwidthError(f"unknown bandwidth rule {rule!r}")
-        n, d = S.shape
-        k = _RULES[rule]
-        h = S.std(axis=0, ddof=1) * (4.0 / ((d + k) * n)) ** (1.0 / (d + k + 2))
-        if not (h > 0).all():
-            flat = np.nonzero(~(h > 0))[0]
-            raise BandwidthError(
-                f"sample variance vanishes in coordinate(s) {flat.tolist()}; "
-                "pass an explicit bandwidth instead of a rule")
-    else:
-        h = np.atleast_1d(np.asarray(rule, dtype=np.float64))
+    S = _slice_samples(samples)
+    if not (isinstance(rule, str) and rule in _RULES):
+        raise BandwidthError(f"unknown bandwidth rule {rule!r}")
+    n, d = S.shape
+    k = _RULES[rule]
+    h = S.std(axis=0, ddof=1) * (4.0 / ((d + k) * n)) ** (1.0 / (d + k + 2))
+    if not (h > 0).all():
+        flat = np.nonzero(~(h > 0))[0]
+        raise BandwidthError(
+            f"sample variance vanishes in coordinate(s) {flat.tolist()}; "
+            "fix a bandwidth with KdeModel(samples, h) instead of a rule")
     return KdeModel(S, h)
 
 
-def kde_flow(e: PathEnsemble, rule="silverman") -> DensityFlow:
+def kde_flow(e: PathEnsemble, rule: str = "silverman") -> DensityFlow:
     """Per-slice KDE wrapped as a DensityFlow with DensityFlow's default
     trust floor.
 

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (ConfigError, ConsistencyError, MatrixField, NumericError,
-                   ParameterError, VectorField, _freeze, _matvec_rows, expm, psd_sqrt)
+                   ParameterError, VectorField, _freeze, _matvec_rows, _quad_rows, expm,
+                   psd_sqrt)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA_TOL = 1e-12  # relative tolerance of validate_sigma
@@ -68,9 +69,7 @@ class Gaussian:
         return float(val)
 
     def logpdf(self, X: np.ndarray) -> np.ndarray:
-        D = X - self.mean
-        q = (D * _matvec_rows(self._inv, D)).sum(axis=1)  # a row's bits do not depend on its batch
-        return -0.5 * (q + self.dim * _LOG_2PI + self._logdet)
+        return -0.5 * (_quad_rows(self._inv, X - self.mean) + self.dim * _LOG_2PI + self._logdet)
 
     def pdf(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(X))
@@ -144,9 +143,10 @@ def linear_flow(M, c, a, init: Gaussian) -> GaussianFlow:
 class KolmogorovSpec:
     """Reversible reference diffusion with generator drift (div a - a grad U)/2.
 
-    The reversible law has density proportional to exp(-U); log_norm holds the
-    normalizing constant so m_logpdf is an actual probability density.  When
-    the law is Gaussian it is also stored as m for closed-form entropies.
+    The reversible law has density exp(-U): the potential U includes the
+    normalizing constant, so m_logpdf = -U is an actual log probability
+    density.  When the law is Gaussian it is also stored as m for
+    closed-form entropies.
     """
 
     dim: int
@@ -155,21 +155,23 @@ class KolmogorovSpec:
     a: MatrixField
     div_a: VectorField
     drift: VectorField
-    log_norm: float
     m: Gaussian | None = None
-    tag: str = ""
 
     def m_logpdf(self, X: np.ndarray) -> np.ndarray:
-        return -np.asarray(self.potential(X), dtype=np.float64) + self.log_norm
+        return -np.asarray(self.potential(X), dtype=np.float64)
 
     def m_score(self, X: np.ndarray) -> np.ndarray:
         return -np.asarray(self.grad_potential(X), dtype=np.float64)
 
 
 def kolmogorov_spec(dim: int, potential, grad_potential, a: MatrixField,
-                    div_a: VectorField | None = None, log_norm: float = 0.0,
-                    m: Gaussian | None = None, tag: str = "") -> KolmogorovSpec:
-    """Assemble a reversible reference; the drift is derived, not supplied."""
+                    div_a: VectorField | None = None,
+                    m: Gaussian | None = None) -> KolmogorovSpec:
+    """Assemble a reversible reference; the drift is derived, not supplied.
+
+    potential is U with its normalizing constant included, so that exp(-U)
+    integrates to one; grad_potential is its gradient.
+    """
     if div_a is None:
         if not a.is_constant:
             raise ParameterError("div_a must be supplied for non-constant a")
@@ -180,11 +182,12 @@ def kolmogorov_spec(dim: int, potential, grad_potential, a: MatrixField,
         return 0.5 * (div_a(t, X) - a.apply(t, X, g))
 
     return KolmogorovSpec(dim, potential, grad_potential, a, div_a,
-                          VectorField(drift_fn, dim), float(log_norm), m, tag)
+                          VectorField(drift_fn, dim), m)
 
 
 def ou_reference(dim: int = 1) -> tuple[KolmogorovSpec, GaussianFlow]:
-    """The standard reference: a = Id, U(x) = |x|^2 + (dim/2) log pi.
+    """The standard reference: a = Id, U(x) = |x|^2 + (dim/2) log pi, whose
+    constant normalizes exp(-U).
 
     Generator drift is -x and the reversible law is N(0, Id/2), returned both
     inside the spec and as a constant-in-time flow.
@@ -198,8 +201,7 @@ def ou_reference(dim: int = 1) -> tuple[KolmogorovSpec, GaussianFlow]:
         return 2.0 * X
 
     m = Gaussian(np.zeros(dim), 0.5 * np.eye(dim))
-    spec = kolmogorov_spec(dim, potential, grad_potential, MatrixField.identity(dim),
-                           log_norm=0.0, m=m, tag="ou-ref")
+    spec = kolmogorov_spec(dim, potential, grad_potential, MatrixField.identity(dim), m=m)
     flow = linear_flow(-np.eye(dim), np.zeros(dim), np.eye(dim), m)
     return spec, flow
 
@@ -275,7 +277,6 @@ class GraphWalkSpec:
     intensity_matrix: np.ndarray | None = None
     intensity_fn: Callable[[float], np.ndarray] | None = None
     rate_bound: float | None = None
-    tag: str = ""
 
     def __post_init__(self):
         A = np.asarray(self.adjacency, dtype=bool)
@@ -319,10 +320,6 @@ class GraphWalkSpec:
         Q = J - np.diag(J.sum(axis=1))
         return Q
 
-    def out_rates(self) -> np.ndarray:
-        """Total jump rate out of each state at time 0."""
-        return self.intensity(0.0).sum(axis=1)
-
 
 def _connected(A: np.ndarray) -> bool:
     n = A.shape[0]
@@ -349,14 +346,14 @@ def _check_intensity(J: np.ndarray, A: np.ndarray) -> None:
         raise ParameterError("intensity must vanish off the edge set")
 
 
-def graph_walk(adjacency, intensity, p0, rate_bound=None, tag="") -> GraphWalkSpec:
+def graph_walk(adjacency, intensity, p0, rate_bound=None) -> GraphWalkSpec:
     A = np.asarray(adjacency, dtype=bool)
     if callable(intensity):
         if rate_bound is None:
             raise ParameterError("time-dependent intensities need rate_bound")
         return GraphWalkSpec(A.shape[0], A, p0, intensity_fn=intensity,
-                             rate_bound=float(rate_bound), tag=tag)
-    return GraphWalkSpec(A.shape[0], A, p0, intensity_matrix=np.asarray(intensity, float), tag=tag)
+                             rate_bound=float(rate_bound))
+    return GraphWalkSpec(A.shape[0], A, p0, intensity_matrix=np.asarray(intensity, float))
 
 
 def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
@@ -372,7 +369,7 @@ def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
         A[x, (x + 1) % n] = A[x, (x - 1) % n] = True
         J[x, (x + 1) % n] = rate_cw
         J[x, (x - 1) % n] = rate_ccw
-    return graph_walk(A, J, np.full(n, 1.0 / n), tag=f"cycle{n}")
+    return graph_walk(A, J, np.full(n, 1.0 / n))
 
 
 def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:

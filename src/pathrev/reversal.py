@@ -198,17 +198,20 @@ class ReversedWalk:
                 raise ConsistencyError("reversed intensity undefined on a charged edge")
             return J
 
-        return graph_walk(self.adjacency, fn, self.p_init, rate_bound=rate_bound,
-                          tag="reversed-walk")
+        return graph_walk(self.adjacency, fn, self.p_init, rate_bound=rate_bound)
 
 
-def reversed_jump_intensities(spec: GraphWalkSpec, marginals: Callable[[float], np.ndarray],
+def reversed_jump_intensities(spec: GraphWalkSpec | ReversedWalk,
+                              marginals: Callable[[float], np.ndarray],
                               T: float) -> ReversedWalk:
     """Reverse a walk using its marginal flow.
 
-    marginals(t) must return the law p_t of the forward walk.  A state y with
-    p_t(y) = 0 but incoming flow p_t(x) j(t, x; y) > 0 is inconsistent and
-    raises; a state with neither mass nor flow yields undefined (NaN) rows.
+    spec is a GraphWalkSpec or a ReversedWalk: only n_states, adjacency and
+    intensity(t) are read, so a reversed walk reverses again without a
+    simulatable spec.  marginals(t) must return the law p_t of the walk
+    being reversed.  A state y with p_t(y) = 0 but incoming flow
+    p_t(x) j(t, x; y) > 0 is inconsistent and raises; a state with neither
+    mass nor flow yields undefined (NaN) rows.
     """
     if not (T > 0):
         raise ParameterError(f"horizon must be positive, got {T}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, JumpPathEnsemble, ParameterError, PathEnsemble,
-                   SimulationError, TimeGrid, path_streams)
+                   SimulationError, TimeGrid, _matvec_rows, path_streams)
 # unused here; perfbench/tracer.py patches path_rng by name in this module
 from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
@@ -42,7 +42,10 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
 
     The drift is always evaluated at the left node, so nothing is ever
     queried at t = T.  Paths are processed in blocks of _BLOCK purely for
-    memory locality; the block size has no effect on the result.
+    memory locality; the block size has no effect on the result, because
+    every row product, the initial draw's included, goes through
+    _matvec_rows, whose row bits do not depend on the batch (a last block
+    of one row among them).
     """
     grid = cfg.grid
     n, d = grid.n_steps, spec.dim
@@ -60,7 +63,7 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
         Z = np.empty((B, n + 1, d))
         for j, rng in enumerate(path_streams(cfg.seed, range(start, stop))):
             Z[j] = rng.standard_normal((n + 1, d))
-        X = spec.init.mean + Z[:, 0, :] @ init_factor.T
+        X = spec.init.mean + _matvec_rows(init_factor, Z[:, 0, :])
         out[start:stop, 0] = X
         for k in range(n):
             b = spec.drift(nodes[k], X)
@@ -148,7 +151,7 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
                     x = y
             all_events.append(tuple(events))
 
-    return JumpPathEnsemble(spec.n_states, T, initial, tuple(all_events), seed, spec.tag)
+    return JumpPathEnsemble(spec.n_states, T, initial, tuple(all_events), seed)
 
 
 def jump_states_at(e: JumpPathEnsemble, t: float) -> np.ndarray:

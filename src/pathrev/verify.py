@@ -30,6 +30,7 @@ from .reversal import ReversedWalk
 Z_DEFAULT = 3.0
 ATOL_DEFAULT = 1e-3
 SMALL_SAMPLE = 100
+_GRAPH_ATOL = 1e-12  # graph_ibp_residual's pass bound on an exact finite sum
 # continuity_residual: probes per coordinate and the steps of its central
 # differences in time and in space
 _N_PER_DIM = 9
@@ -154,26 +155,24 @@ class ResidualReport:
     mc_stderr: float
     n_samples: int
     passed: bool
-    z: float = Z_DEFAULT
-    atol: float = ATOL_DEFAULT
+    z: float
+    atol: float
     note: str = ""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _report(vals: np.ndarray, z: float, atol: float, note: str = "") -> ResidualReport:
+def _report(vals: np.ndarray, atol: float) -> ResidualReport:
     est, se = mean_stderr(vals)
     n = vals.size
-    if n < SMALL_SAMPLE:
-        note = (note + "; " if note else "") + f"small sample (n={n})"
-    passed = np.isfinite(se) and abs(est) <= z * se + atol
-    return ResidualReport(est, se, n, bool(passed), z, atol, note)
+    note = f"small sample (n={n})" if n < SMALL_SAMPLE else ""
+    passed = np.isfinite(se) and abs(est) <= Z_DEFAULT * se + atol
+    return ResidualReport(est, se, n, bool(passed), Z_DEFAULT, atol, note)
 
 
 def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
-                 X: np.ndarray, t: float, u: TestFunction, v: TestFunction,
-                 z: float = Z_DEFAULT, atol: float = ATOL_DEFAULT) -> ResidualReport:
+                 X: np.ndarray, t: float, u: TestFunction, v: TestFunction) -> ResidualReport:
     """Integration-by-parts bracket at one time slice.
 
     With forward and backward generators L+ u = v_fwd . grad u + Delta_a u / 2
@@ -183,7 +182,7 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
         (L+ u + L- u) v + Gamma(u, v)
 
     vanishes.  X holds the slice samples as an (n, dim) batch; the report
-    carries the MC mean.
+    carries the MC mean and passes at z = Z_DEFAULT, atol = ATOL_DEFAULT.
     """
     gu = np.asarray(u.grad(X), dtype=np.float64)
     gv = np.asarray(v.grad(X), dtype=np.float64)
@@ -191,13 +190,13 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
     lap = u.laplacian(a, t, X)
     gamma = (gu * a.apply(t, X, gv)).sum(axis=1)
     bracket = (drift_part + lap) * v(X) + gamma
-    return _report(bracket, z, atol)
+    return _report(bracket, ATOL_DEFAULT)
 
 
 def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
-                       p: np.ndarray, t: float, u: np.ndarray, v: np.ndarray,
-                       atol: float = 1e-12) -> ResidualReport:
-    """Exact graph analogue of ibp_residual: no sampling, a finite sum.
+                       p: np.ndarray, t: float, u: np.ndarray, v: np.ndarray) -> ResidualReport:
+    """Exact graph analogue of ibp_residual: no sampling, a finite sum,
+    passing at |sum| <= _GRAPH_ATOL.
 
     sum_x p(x) [ (L+ u + L- u)(x) v(x) + Gamma(u, v)(x) ] with the graph
     carre du champ Gamma(u, v)(x) = sum_y (u(y)-u(x))(v(y)-v(x)) j(t, x; y).
@@ -222,7 +221,7 @@ def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
     Lb = (Jb * du).sum(axis=1)
     gamma = (J * du * dv).sum(axis=1)
     est = float(p @ ((Lf + Lb) * v + gamma))
-    return ResidualReport(est, 0.0, n, bool(abs(est) <= atol), z=0.0, atol=atol)
+    return ResidualReport(est, 0.0, n, bool(abs(est) <= _GRAPH_ATOL), z=0.0, atol=_GRAPH_ATOL)
 
 
 def _node_pair(grid: TimeGrid, t: float, h: float) -> tuple[int, int, float]:
@@ -239,7 +238,7 @@ def _node_pair(grid: TimeGrid, t: float, h: float) -> tuple[int, int, float]:
 
 def carre_du_champ_estimate(e: PathEnsemble, u: TestFunction, v: TestFunction,
                             t: float, h: float, expected: float,
-                            z: float = Z_DEFAULT, atol: float = ATOL_DEFAULT) -> ResidualReport:
+                            atol: float = ATOL_DEFAULT) -> ResidualReport:
     """Short-time product-increment estimate of E Gamma(u, v) at time t.
 
     mean[ (u(X_{t+h}) - u(X_t)) (v(X_{t+h}) - v(X_t)) ] / h converges to
@@ -250,7 +249,7 @@ def carre_du_champ_estimate(e: PathEnsemble, u: TestFunction, v: TestFunction,
     X0 = e.paths[:, k0, :]
     X1 = e.paths[:, k1, :]
     vals = (u(X1) - u(X0)) * (v(X1) - v(X0)) / dt
-    return _report(vals - expected, z, atol)
+    return _report(vals - expected, atol)
 
 
 def nelson_forward_derivative(e: PathEnsemble, u: TestFunction, t: float,

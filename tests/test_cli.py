@@ -616,6 +616,32 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path, "--out",
                      str(tmp_path / "ver")]) == 0
 
+    def test_walk_involution_from_a_non_invariant_start(self, tmp_path, monkeypatch):
+        # the 4-cycle with rates 2 and 1 from p0 = (0.4, 0.3, 0.2, 0.1): the
+        # reversed out-rate of state 3 reaches 8 at t = 0, and reversing the
+        # reversed walk as it stands returns the forward rates
+        from pathrev import models
+        from pathrev.reversal import reversed_jump_intensities
+
+        p0 = np.array([0.4, 0.3, 0.2, 0.1])
+        cycle = models.biased_cycle_walk
+
+        def started(n, rate_cw, rate_ccw):
+            base = cycle(n, rate_cw, rate_ccw)
+            return models.graph_walk(base.adjacency, base.intensity_matrix, p0)
+
+        monkeypatch.setattr(models, "biased_cycle_walk", started)
+        spec = started(4, 2.0, 1.0)
+        rw = reversed_jump_intensities(spec, models.walk_marginal_fn(spec), 1.0)
+        assert rw.backward_intensity(0.0).sum(axis=1).max() == pytest.approx(8.0, rel=1e-12)
+
+        path = _write_cfg(tmp_path, _cycle_cfg())
+        out = tmp_path / "ver"
+        assert main(["verify", "--config", path, "--out", str(out), "reversal"]) == 0
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["reversal"]
+        assert rep["passed"] is True
+        assert rep["involution_residual"] <= 1e-12
+
     @pytest.mark.parametrize("n_paths", [1, 4])
     def test_reversal_too_small_to_reject_fails(self, tmp_path, capsys, n_paths):
         # n paths per side give C(2n, n) splits; below 1/0.01 the permutation

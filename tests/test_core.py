@@ -3,9 +3,9 @@ import pytest
 
 from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
-                          VectorField, _matvec_rows, _sq_distances, ensemble_to_csv,
-                          flip_ensemble, load_ensemble, make_grid, mean_stderr,
-                          path_rng, path_streams, psd_sqrt, save_ensemble)
+                          VectorField, _matvec_rows, _quad_rows, _sq_distances,
+                          ensemble_to_csv, flip_ensemble, load_ensemble, make_grid,
+                          mean_stderr, path_rng, path_streams, psd_sqrt, save_ensemble)
 
 
 class TestTimeGrid:
@@ -229,7 +229,6 @@ class TestJumpPathEnsemble:
     def test_valid(self):
         e = JumpPathEnsemble(3, 1.0, [0, 2], (((0.3, 0, 1), (0.7, 1, 2)), ()), 9)
         assert e.n_paths == 2
-        e.validate()
 
     def test_size_mismatch(self):
         with pytest.raises(ParameterError):
@@ -238,20 +237,6 @@ class TestJumpPathEnsemble:
     def test_bad_initial_state(self):
         with pytest.raises(ParameterError):
             JumpPathEnsemble(3, 1.0, [0, 7], ((), ()), 0)
-
-    def test_validate_catches_bad_chains(self):
-        e = JumpPathEnsemble(3, 1.0, [0], (((0.5, 1, 2),),), 0)
-        with pytest.raises(ConsistencyError):
-            e.validate()  # from-state disagrees with the current state
-        e = JumpPathEnsemble(3, 1.0, [0], (((0.5, 0, 1), (0.4, 1, 2)),), 0)
-        with pytest.raises(ConsistencyError):
-            e.validate()  # times not increasing
-        A = np.array([[False, True, False],
-                      [True, False, True],
-                      [False, True, False]])
-        e = JumpPathEnsemble(3, 1.0, [0], (((0.5, 0, 2),),), 0)
-        with pytest.raises(ConsistencyError):
-            e.validate(adjacency=A)  # 0 -> 2 is not an edge
 
 
 class TestVectorField:
@@ -383,6 +368,23 @@ class TestMatvecRows:
         assert _same_bits(a.solve(0.0, X, V), V @ np.linalg.inv(a.constant_matrix).T)
         c = rng.standard_normal(d)
         assert _same_bits(VectorField.linear(B, c)(0.0, V), V @ B.T + c)
+        assert _same_bits(a.quad(0.0, X, V), _quad_rows(a.constant_matrix, V))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_quad_row_bits_do_not_depend_on_batch(self, d):
+        # einsum's quadratic form gave a 2-d row other last bits alone than
+        # in a batch
+        rng = path_rng(36, d)
+        B = rng.standard_normal((d, d))
+        a = MatrixField.constant(B @ B.T + d * np.eye(d))
+        V = rng.standard_normal((300, d)) * 3.0
+        X = np.zeros_like(V)
+        rows = np.concatenate([a.quad(0.0, X[i:i + 1], V[i:i + 1]) for i in range(V.shape[0])])
+        pairs = np.concatenate([a.quad(0.0, X[i:i + 2], V[i:i + 2])
+                                for i in range(0, V.shape[0], 2)])
+        batch = a.quad(0.0, X, V)
+        assert _same_bits(rows, batch)
+        assert _same_bits(pairs, batch)
 
 
 class TestSqDistances:

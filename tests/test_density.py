@@ -93,10 +93,6 @@ class TestKdeModel:
         assert m.max_pdf() > m.pdf(np.ones((1, 1)))[0]
         assert "_max_pdf" in vars(m)
 
-    def test_scalar_bandwidth_broadcasts(self):
-        m = KdeModel(np.zeros((3, 2)), 0.5)
-        assert np.array_equal(m.bandwidth, np.array([0.5, 0.5]))
-
     def test_chunking_invisible(self):
         x = path_rng(4, 0).standard_normal((50, 1))
         m = kde_fit(x)
@@ -110,6 +106,8 @@ class TestKdeModel:
             KdeModel(np.zeros((0, 1)), np.array([1.0]))
         with pytest.raises(ParameterError):
             KdeModel(np.zeros(5), np.array([1.0]))  # 1-d samples
+        with pytest.raises(ParameterError):
+            KdeModel(np.zeros((3, 2)), 0.5)  # one bandwidth for two coordinates
         with pytest.raises(BandwidthError):
             KdeModel(np.zeros((3, 1)), np.array([0.0]))
         with pytest.raises(BandwidthError):
@@ -289,9 +287,9 @@ class TestBandwidthRules:
             sd * (4.0 / (3 * 500)) ** 0.2, rel=1e-12)
         assert kde_fit(x, rule="score").bandwidth[0] == pytest.approx(
             sd * (4.0 / (5 * 500)) ** (1.0 / 7.0), rel=1e-12)
-        # a 1-d sample is n points of one coordinate, not one n-d point
-        assert kde_fit(x[:, 0], rule="score").bandwidth.tolist() == \
-            kde_fit(x, rule="score").bandwidth.tolist()
+        # a 1-d sample is refused, as KdeModel refuses it
+        with pytest.raises(ParameterError, match=r"\(n, dim\)"):
+            kde_fit(x[:, 0], rule="score")
 
     def test_score_rule_is_wider(self):
         x = path_rng(12, 0).standard_normal((500, 1))
@@ -300,15 +298,15 @@ class TestBandwidthRules:
     def test_kde_fit_rule_dispatch(self):
         x = path_rng(12, 0).standard_normal((100, 1))
         assert kde_fit(x).bandwidth[0] == kde_fit(x, rule="silverman").bandwidth[0]
-        assert kde_fit(x, rule=0.3).bandwidth[0] == 0.3
-        with pytest.raises(BandwidthError):
-            kde_fit(x, rule="sheather-jones")
+        for rule in ("sheather-jones", 0.3, np.array([0.3])):
+            with pytest.raises(BandwidthError, match="unknown bandwidth rule"):
+                kde_fit(x, rule=rule)
 
     def test_degenerate_sample_refused(self):
-        with pytest.raises(BandwidthError):
+        with pytest.raises(BandwidthError, match=r"KdeModel\(samples, h\)"):
             kde_fit(np.ones((50, 1)))
-        # explicit bandwidth rescues it
-        m = kde_fit(np.ones((50, 1)), rule=0.1)
+        # a fixed bandwidth rescues it
+        m = KdeModel(np.ones((50, 1)), np.array([0.1]))
         assert m.bandwidth[0] == 0.1
 
 

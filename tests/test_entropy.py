@@ -300,30 +300,30 @@ class TestFisherInformation:
         ref, _ = ou_reference()
         mu = Gaussian(np.array([1.0]), np.eye(1) * 0.8)
         # A = (2 - 1.25)/2, c = 1: (A^2 * 0.8 + 1)/2 = 0.55625
-        assert fisher_information(mu, ref.m) == pytest.approx(0.55625, abs=1e-15)
+        assert fisher_information(mu, ref.m, np.eye(1)) == pytest.approx(0.55625, abs=1e-15)
 
     def test_vanishes_at_equilibrium(self):
         ref, _ = ou_reference()
-        assert fisher_information(ref.m, ref.m) == pytest.approx(0.0, abs=1e-15)
+        assert fisher_information(ref.m, ref.m, np.eye(1)) == pytest.approx(0.0, abs=1e-15)
 
     def test_scales_with_a(self):
         ref, _ = ou_reference()
         mu = Gaussian(np.array([1.0]), np.eye(1) * 0.8)
-        base = fisher_information(mu, ref.m)
-        assert fisher_information(mu, ref.m, a=2 * np.eye(1)) == \
+        base = fisher_information(mu, ref.m, np.eye(1))
+        assert fisher_information(mu, ref.m, 2 * np.eye(1)) == \
             pytest.approx(2 * base, rel=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             fisher_information(Gaussian(np.zeros(2), np.eye(2)),
-                               Gaussian(np.zeros(1), np.eye(1)))
+                               Gaussian(np.zeros(1), np.eye(1)), np.eye(2))
 
 
 class TestHeatFlowDissipation:
     def test_identity_residual(self):
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0], [[0.5]])
-        report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 400))
+        report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 400), np.eye(1))
         assert residual <= 1e-5
         assert report.free_energy[-1] - report.free_energy[0] == \
             pytest.approx(F_DROP, abs=1e-14)
@@ -332,7 +332,7 @@ class TestHeatFlowDissipation:
     def test_rows_iterate_in_order(self):
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0], [[0.5]])
-        report, _ = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 4))
+        report, _ = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 4), np.eye(1))
         rows = list(report.to_rows())
         assert len(rows) == 5
         assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
@@ -340,7 +340,7 @@ class TestHeatFlowDissipation:
 
     def test_stationary_flow_is_flat(self):
         ref, flow = ou_reference()
-        report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 50))
+        report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 50), np.eye(1))
         assert residual <= 1e-14
         assert np.allclose(report.fisher, 0.0, atol=1e-15)
 

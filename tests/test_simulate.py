@@ -38,6 +38,21 @@ class TestEulerMaruyama:
         b = euler_maruyama(_shifted_ou(), cfg)
         assert np.array_equal(a.paths, b.paths)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_row_block_keeps_its_bits(self, monkeypatch, d):
+        # a last block of one path took the initial draw through gemv, which
+        # sums in another order than the full block's gemm: at d >= 2 path 4
+        # differed from node 0 on in 4 of these 40 seeds
+        C = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.4]])[:d, :d]
+        spec = ou_diffusion(Gaussian(np.array([1.0, -0.5, 0.25])[:d], C))
+        for seed in range(40):
+            cfg = SimConfig(n_paths=5, seed=seed, grid=make_grid(1.0, 3))
+            a = euler_maruyama(spec, cfg)
+            monkeypatch.setattr(simulate, "_BLOCK", 4)
+            b = euler_maruyama(spec, cfg)
+            monkeypatch.undo()
+            assert np.array_equal(a.paths.view(np.uint64), b.paths.view(np.uint64)), seed
+
     def test_seed_changes_output(self):
         grid = make_grid(1.0, 20)
         a = euler_maruyama(_shifted_ou(), SimConfig(50, 11, grid))

@@ -61,6 +61,11 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("custom-exact-run", "run", {**default_checks, "model": CUSTOM, "n_paths": 300}, []),
         # ensemble.csv; rw ibp writes no directory, so its stdout is the digest
         ("ou-simulate-csv", "simulate", {**ou, "n_paths": 200}, ["--format", "csv"]),
+        # a last Euler block of one path (4097 = 4096 + 1), at a seed where
+        # taking that path's initial draw alone once changed its bits
+        ("ou2d-simulate-4097", "simulate", {**ou, "model": OU_2D, "n_paths": 4097,
+                                            "grid": {**ou["grid"], "n_steps": 4},
+                                            "seed": 4}, []),
         ("cycle-rw-ibp", "rw", cycle, ["ibp"]),
         # a horizon shorter than the default nelson and carre lags
         ("ou-short-run", "run", {**default_checks, "grid": {"T": 0.1, "n_steps": 40}}, []),
