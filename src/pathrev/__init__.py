@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (BandwidthError, ConfigError, ConsistencyError, DomainError,
                    JumpPathEnsemble, MatrixField, NumericError, ParameterError,
-                   PathEnsemble, SimulationError, SupportError, TimeGrid,
+                   PathEnsemble, PathrevError, SimulationError, SupportError, TimeGrid,
                    VectorField, ensemble_to_csv, flip_ensemble, load_ensemble,
                    make_grid, path_rng, path_streams, save_ensemble)
 from .models import (DiffusionSpec, Gaussian, GaussianFlow, GraphWalkSpec,

@@ -31,11 +31,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import (BandwidthError, ConfigError, ConsistencyError, DomainError,
-                   NumericError, ParameterError, SimulationError, SupportError,
-                   TimeGrid, VectorField, ensemble_to_csv, load_ensemble,
-                   make_grid, save_ensemble)
-from .density import exact_flow_density, kde_flow
+from .core import (ConfigError, PathrevError, TimeGrid, VectorField, ensemble_to_csv,
+                   load_ensemble, make_grid, save_ensemble)
+from .density import _KDE_MIN_SAMPLES, exact_flow_density, kde_flow
 from .entropy import (current_osmosis_decomposition, heat_flow_dissipation,
                       rw_relative_entropy, entropy_vs_counting)
 from .models import (Gaussian, ModelBundle, _number, _require_keys, diffusion_spec,
@@ -54,10 +52,6 @@ _GRID_KEYS = {"T", "n_steps"}
 _INTENSITY_HEADER = ("from_state", "to_state", "t", "j_fwd", "j_bwd")
 # the reversal check's permutation tests reject law equality below this p-value
 _REVERSAL_LEVEL = 0.01
-
-# every error class of pathrev.core; main maps each to exit code 2
-_ERRORS = (BandwidthError, ConfigError, ConsistencyError, DomainError,
-           NumericError, ParameterError, SimulationError, SupportError)
 
 
 def _check_seed(seed: int) -> None:
@@ -107,6 +101,8 @@ def validate_config(obj: dict) -> dict:
             isinstance(density, str) and density.startswith("kde:")):
         raise ConfigError("density must be 'exact', 'kde', or 'kde:<ensemble file>', "
                           f"got {density!r}")
+    if density == "kde" and n_paths < _KDE_MIN_SAMPLES:
+        raise ConfigError(f"density 'kde' needs n_paths >= {_KDE_MIN_SAMPLES}, got {n_paths}")
 
     checks = obj.get("checks", [name for name, c in CHECKS.items() if mtype in c.defaults])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
@@ -240,6 +236,9 @@ class _DiffusionRun(_Run):
                 raise ConfigError(f"cannot read ensemble {path}: {exc}")
             if stored.dim != self.spec.dim or abs(stored.grid.T - self.grid.T) > 1e-12:
                 raise ConfigError(f"stored ensemble {path} does not match the config grid")
+            if stored.n_paths < _KDE_MIN_SAMPLES:
+                raise ConfigError(f"stored ensemble {path} holds {stored.n_paths} path, "
+                                  "too few for a KDE")
             self.density = kde_flow(stored, rule="score")
         dim = self.spec.dim
         self.backward = BackwardDriftField(self.spec.drift, self.spec.a,
@@ -527,12 +526,12 @@ def _check_carre(run: _DiffusionRun) -> dict:
     expected = float(a_mat[0, 0])
     u = coordinate_function(run.spec.dim)
     n, dt = run.grid.n_steps, run.grid.dt
-    t = run.grid.node(n // 4)
+    k0 = n // 4
     # a lag of about 0.05, at least one step, ending on the grid
-    h = min(max(1, round(0.05 / dt)), n - n // 4) * dt
-    rep = carre_du_champ_estimate(run.ensemble, u, u, t, h, expected, atol=0.1)
+    lag = min(max(1, round(0.05 / dt)), n - k0)
+    rep = carre_du_champ_estimate(run.ensemble, u, u, k0, k0 + lag, expected, atol=0.1)
     out = rep.to_dict()
-    out.update({"t": t, "h": h, "expected": expected,
+    out.update({"t": run.grid.node(k0), "h": lag * dt, "expected": expected,
                 "note": (out["note"] + "; " if out["note"] else "")
                 + "atol covers the O(h) increment bias"})
     return out
@@ -546,9 +545,9 @@ def _check_nelson(run: _DiffusionRun) -> dict:
         return {"expected": expected, "passed": False,
                 "reason": "one grid step cannot hold the two lags h < 2h <= T"}
     # lags h and 2h with h about 0.1, at least one step, and 2h <= T
-    h_small = min(max(1, round(0.1 / dt)), n // 2) * dt
+    lag = min(max(1, round(0.1 / dt)), n // 2)
     est = nelson_forward_derivative(run.ensemble, coordinate_function(run.spec.dim),
-                                    0.0, x0, window=0.2, h_list=[h_small, 2 * h_small])
+                                    0, x0, window=0.2, lag=lag)
     err = abs(est - expected)
     return {"estimate": est, "expected": expected, "abs_error": err,
             "tolerance": 0.1, "passed": err <= 0.1}
@@ -742,7 +741,7 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, out_dir, list(args.checks))
         if args.command == "rw":
             return cmd_rw(cfg, args.out or "", args.action, args.format)
-    except (*_ERRORS, MemoryError) as exc:
+    except (PathrevError, MemoryError) as exc:
         # "ParameterError" -> "parameter error: ..."; one line, whatever the message.
         # An ensemble too large to allocate is a bad config too, so it exits 2
         # as "memory error: ..." (numpy raises a MemoryError subclass).

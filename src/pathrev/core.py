@@ -8,6 +8,7 @@ small, immutable and numpy-only.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,38 +21,44 @@ _ZERO4 = np.zeros(4, dtype=np.uint64)
 _ZERO4.flags.writeable = False
 
 _MAGIC = b"PENS1\x00"
-_HEADER = struct.Struct("<HIQQdQ")  # version, dim, n_paths, n_steps, T, seed
+# version, dim, n_paths, n_steps, T, seed and the byte length of the UTF-8
+# model tag that follows; then the paths as little-endian float64, and no more
+_HEADER = struct.Struct("<HIQQdQI")
 
 
-class ParameterError(ValueError):
+class PathrevError(Exception):
+    """Base of every pathrev error; the command line exits 2 on each."""
+
+
+class ParameterError(PathrevError, ValueError):
     """Invalid model or grid parameters."""
 
 
-class SimulationError(RuntimeError):
+class SimulationError(PathrevError, RuntimeError):
     """A simulation produced a non-finite state."""
 
 
-class SupportError(RuntimeError):
+class SupportError(PathrevError, RuntimeError):
     """Evaluation requested outside the trusted support of a density."""
 
 
-class BandwidthError(ValueError):
+class BandwidthError(PathrevError, ValueError):
     """A bandwidth rule could not produce a usable bandwidth."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(PathrevError, RuntimeError):
     """Inputs violate a structural consistency requirement."""
 
 
-class NumericError(RuntimeError):
+class NumericError(PathrevError, RuntimeError):
     """A numerically degenerate quantity was encountered."""
 
 
-class DomainError(ValueError):
+class DomainError(PathrevError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class ConfigError(ValueError):
+class ConfigError(PathrevError, ValueError):
     """Invalid run configuration."""
 
 
@@ -454,34 +461,44 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 
 def save_ensemble(e: PathEnsemble, path: str) -> None:
-    """Write an ensemble to the binary container (bit-exact round trip).
-
-    The header stores the seed as a signed 64-bit value, so a seed outside
-    [-2^63, 2^63) is refused rather than read back as a different number.
-    """
+    """Write an ensemble to the binary container (bit-exact round trip),
+    the paths straight from their array, with no bytes copy.  The header
+    stores the seed as a signed 64-bit value, so a seed outside
+    [-2^63, 2^63) is refused rather than read back as a different number."""
     if not -(1 << 63) <= e.seed < (1 << 63):
         raise ParameterError(f"seed {e.seed} outside [-2^63, 2^63) cannot be stored")
     tag = e.model_tag.encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(_HEADER.pack(1, e.dim, e.n_paths, e.grid.n_steps,
-                             e.grid.T, e.seed & _U64))
-        f.write(struct.pack("<I", len(tag)))
+                             e.grid.T, e.seed & _U64, len(tag)))
         f.write(tag)
-        f.write(np.ascontiguousarray(e.paths, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(e.paths, dtype="<f8"))
 
 
 def load_ensemble(path: str) -> PathEnsemble:
+    """Read a container written by save_ensemble.  A file that is not exactly
+    what its header describes (cut short, padded, a tag that is not UTF-8)
+    raises ConsistencyError naming the file."""
     with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(_MAGIC) + _HEADER.size)
+        if not head.startswith(_MAGIC):
             raise ConsistencyError(f"{path}: not an ensemble container")
-        version, dim, n_paths, n_steps, T, seed_u = _HEADER.unpack(f.read(_HEADER.size))
+        if len(head) < len(_MAGIC) + _HEADER.size:
+            raise ConsistencyError(f"{path}: container header cut short")
+        version, dim, n_paths, n_steps, T, seed_u, taglen = _HEADER.unpack_from(head, len(_MAGIC))
         if version != 1:
             raise ConsistencyError(f"{path}: unsupported container version {version}")
-        (taglen,) = struct.unpack("<I", f.read(4))
-        tag = f.read(taglen).decode("utf-8")
         count = n_paths * (n_steps + 1) * dim
-        data = np.frombuffer(f.read(count * 8), dtype="<f8", count=count)
+        want = len(head) + taglen + 8 * count
+        if size != want:
+            raise ConsistencyError(f"{path}: {size} bytes where the header describes {want}")
+        try:
+            tag = f.read(taglen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConsistencyError(f"{path}: model tag is not UTF-8") from None
+        data = np.frombuffer(f.read(8 * count), dtype="<f8")
     seed = seed_u - (1 << 64) if seed_u >= (1 << 63) else seed_u
     paths = data.reshape(n_paths, n_steps + 1, dim)
     return PathEnsemble(TimeGrid(T, n_steps), paths, seed, tag)

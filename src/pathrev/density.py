@@ -137,10 +137,6 @@ class KdeModel:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
     def logpdf_score(self, X: np.ndarray, _score: bool = True):
         """(logpdf, score) at X from one kernel pass per chunk of _CHUNK rows.
 
@@ -201,19 +197,23 @@ class KdeModel:
 # coordinate, with k = 2 for the density (Silverman) and k = 4 for the wider
 # rule tuned for its gradient
 _RULES = {"silverman": 2, "score": 4}
+_KDE_MIN_SAMPLES = 2  # both rules scale the sample standard deviation
 
 
 def kde_fit(samples: np.ndarray, rule: str = "silverman") -> KdeModel:
     """Fit a Gaussian KDE to one (n, dim) slice with an automatic bandwidth.
 
-    rule names the bandwidth rule, "silverman" (default) or "score".  A
-    slice with zero variance in some coordinate has no automatic bandwidth;
-    KdeModel(samples, h) takes a fixed one.
+    rule names the bandwidth rule, "silverman" (default) or "score".  Both
+    scale the sample standard deviation, so a slice of one sample or of zero
+    variance in some coordinate has none; KdeModel(samples, h) takes a fixed one.
     """
     S = _slice_samples(samples)
     if not (isinstance(rule, str) and rule in _RULES):
         raise BandwidthError(f"unknown bandwidth rule {rule!r}")
     n, d = S.shape
+    if n < _KDE_MIN_SAMPLES:
+        raise BandwidthError(
+            f"an automatic bandwidth needs at least {_KDE_MIN_SAMPLES} samples, got {n}")
     k = _RULES[rule]
     h = S.std(axis=0, ddof=1) * (4.0 / ((d + k) * n)) ** (1.0 / (d + k + 2))
     if not (h > 0).all():

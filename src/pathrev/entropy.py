@@ -232,8 +232,9 @@ def heat_flow_dissipation(flow: GaussianFlow, m: Gaussian, grid: TimeGrid,
     reference).  Returns the sampled report and the absolute residual of the
     identity under trapezoid quadrature."""
     ts = grid.nodes
-    F = np.array([0.5 * gaussian_relative_entropy(flow.at(t), m) for t in ts])
-    I = np.array([fisher_information(flow.at(t), m, a) for t in ts])
+    laws = [flow.at(t) for t in ts]
+    F = np.array([0.5 * gaussian_relative_entropy(law, m) for law in laws])
+    I = np.array([fisher_information(law, m, a) for law in laws])
     residual = abs(float(F[-1] - F[0] + 2.0 * np.trapezoid(I, ts)))
     return FisherReport(ts, F, I), residual
 

@@ -61,13 +61,20 @@ class BackwardDriftField:
         return out
 
 
+def _original_time(s: float, T: float) -> float:
+    """T - s clamped to [0, T], for a reversed time s in [0, T] up to roundoff."""
+    if not (-1e-12 <= s <= T * (1 + 1e-12)):
+        raise ParameterError(f"reversed time {s} outside [0, {T}]")
+    return min(max(T - s, 0.0), T)
+
+
 class ReversedDrift:
     """Drift of the reversed process as a field in reversed time.
 
-    Evaluation at reversed time t delegates to self.backward at original time
-    T - t; its floor_hits and cap_hits count the queries.  An explicit Euler
-    run over [0, T] only ever queries reversed times up to T - dt, so the
-    original time 0 slice is never touched.
+    Evaluation at reversed time t in [0, T] delegates to self.backward at
+    original time T - t; its floor_hits and cap_hits count the queries.  An
+    explicit Euler run over [0, T] only ever queries reversed times up to
+    T - dt, so the original time 0 slice is never touched.
     """
 
     def __init__(self, backward: BackwardDriftField, T: float):
@@ -78,9 +85,7 @@ class ReversedDrift:
         self.dim = backward.dim
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
-        if not (-1e-12 <= t <= self.T * (1 + 1e-12)):
-            raise ParameterError(f"reversed time {t} outside [0, {self.T}]")
-        return self.backward(self.T - t, X)
+        return self.backward(_original_time(t, self.T), X)
 
 
 def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
@@ -95,8 +100,7 @@ class MomentumFields:
 
     beta_dir solves a beta_dir = v_dir - v_ref for dir in {fwd, bwd}, and
     beta_cu, beta_os are the half-difference and half-sum.  A call at (t, X)
-    returns all four from one evaluation of each velocity; beta_os is the
-    osmotic one alone.
+    returns all four from one evaluation of each velocity.
     """
 
     v_fwd: VectorField
@@ -109,9 +113,6 @@ class MomentumFields:
         bf = a.solve(t, X, self.v_fwd(t, X) - vr)
         bb = a.solve(t, X, self.v_bwd(t, X) - vr)
         return bf, bb, 0.5 * (bf - bb), 0.5 * (bf + bb)
-
-    def beta_os(self, t: float, X: np.ndarray) -> np.ndarray:
-        return self(t, X)[3]
 
 
 def momentum_fields(v_fwd: VectorField, v_bwd: VectorField,
@@ -151,7 +152,7 @@ def osmotic_residual(density: DensityFlow, ref: KolmogorovSpec,
             skipped += X.shape[0]
             continue
         Xs = X[ok]
-        lhs = momentum.beta_os(t, Xs)
+        lhs = momentum(t, Xs)[3]
         rhs = 0.5 * (score[ok] - ref.m_score(Xs))
         r = np.linalg.norm(lhs - rhs, axis=1)
         w = pdf[ok]
@@ -218,9 +219,7 @@ def reversed_jump_intensities(spec: GraphWalkSpec | ReversedWalk,
     A = spec.adjacency
 
     def at_reversed(s: float) -> np.ndarray:
-        if not (-1e-12 <= s <= T * (1 + 1e-12)):
-            raise ParameterError(f"reversed time {s} outside [0, {T}]")
-        t = min(max(T - s, 0.0), T)
+        t = _original_time(s, T)
         p = np.asarray(marginals(t), dtype=np.float64)
         J = spec.intensity(t)
         flow = p[:, None] * J  # flow[x, y] = p(x) j(x, y)

@@ -13,8 +13,8 @@ thresholds encode only estimator noise and quadrature bias.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -98,20 +98,9 @@ def coordinate_function(dim: int = 1, index: int = 0) -> TestFunction:
 
 
 def square_function(dim: int = 1, index: int = 0) -> TestFunction:
-    """u(x) = x_i^2."""
-    H = np.zeros((dim, dim))
-    H[index, index] = 2.0
-
-    def grad(X):
-        out = np.zeros_like(X)
-        out[:, index] = 2.0 * X[:, index]
-        return out
-
-    return TestFunction(
-        lambda X: X[:, index] ** 2,
-        grad,
-        lambda X: np.broadcast_to(H, (X.shape[0], dim, dim)).copy(),
-        dim, name=f"x{index}^2")
+    """u(x) = x_i^2, the product of coordinate_function with itself."""
+    x = coordinate_function(dim, index)
+    return replace(x * x, name=f"x{index}^2")
 
 
 def windowed_cubic(dim: int = 1, index: int = 0) -> TestFunction:
@@ -224,61 +213,53 @@ def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
     return ResidualReport(est, 0.0, n, bool(abs(est) <= _GRAPH_ATOL), z=0.0, atol=_GRAPH_ATOL)
 
 
-def _node_pair(grid: TimeGrid, t: float, h: float) -> tuple[int, int, float]:
-    """Indices of t and t+h on the grid; h must land on a node."""
-    k0 = grid.index_of(t)
-    k1 = grid.index_of(t + h)
-    if k1 <= k0:
-        raise ParameterError(f"h={h} too small for the grid (dt={grid.dt})")
-    for tt, kk in ((t, k0), (t + h, k1)):
-        if abs(grid.node(kk) - tt) > 1e-9 * max(1.0, grid.T):
-            raise ParameterError(f"time {tt} is not a grid node")
-    return k0, k1, grid.node(k1) - grid.node(k0)
-
-
 def carre_du_champ_estimate(e: PathEnsemble, u: TestFunction, v: TestFunction,
-                            t: float, h: float, expected: float,
+                            k0: int, k1: int, expected: float,
                             atol: float = ATOL_DEFAULT) -> ResidualReport:
     """Short-time product-increment estimate of E Gamma(u, v) at time t.
 
+    t and t + h are the times of the grid nodes k0 < k1, and
     mean[ (u(X_{t+h}) - u(X_t)) (v(X_{t+h}) - v(X_t)) ] / h converges to
     E Gamma(u, v)(X_t) linearly in h; the report holds estimate - expected,
     so the bias floor is O(h) and pass needs atol sized accordingly.
     """
-    k0, k1, dt = _node_pair(e.grid, t, h)
+    n = e.grid.n_steps
+    if not 0 <= k0 < k1 <= n:
+        raise ParameterError(f"need 0 <= k0 < k1 <= {n}, got k0={k0}, k1={k1}")
     X0 = e.paths[:, k0, :]
     X1 = e.paths[:, k1, :]
-    vals = (u(X1) - u(X0)) * (v(X1) - v(X0)) / dt
+    vals = (u(X1) - u(X0)) * (v(X1) - v(X0)) / (e.grid.node(k1) - e.grid.node(k0))
     return _report(vals - expected, atol)
 
 
-def nelson_forward_derivative(e: PathEnsemble, u: TestFunction, t: float,
-                              x0, window: float, h_list: Sequence[float]) -> float:
-    """Windowed forward difference quotient of E[u(X)|X_t near x0].
+def nelson_forward_derivative(e: PathEnsemble, u: TestFunction, k0: int,
+                              x0, window: float, lag: int) -> float:
+    """Windowed forward difference quotient of E[u(X)|X_t near x0], t at node k0.
 
-    Averages (u(X_{t+h}) - u(X_t)) / h over paths with |X_t - x0| <= window,
-    then Richardson-extrapolates the two smallest h to kill the O(h) term.
-    A pointwise estimator of the forward generator applied to u, not a limit.
+    Averages (u(X_{t+h}) - u(X_t)) / h over paths with |X_t - x0| <= window
+    for h of lag and of 2 lag grid steps, then Richardson-extrapolates the
+    two to kill the O(h) term.  A pointwise estimator of the forward
+    generator applied to u, not a limit.
     """
     if window <= 0:
         raise ParameterError("window must be positive")
-    hs = sorted(float(h) for h in h_list)
-    if len(hs) < 2:
-        raise ParameterError("need at least two step sizes")
+    n = e.grid.n_steps
+    if lag < 1 or not 0 <= k0 <= n - 2 * lag:
+        raise ParameterError(f"need lag >= 1 and 0 <= k0 <= k0 + 2 lag <= {n}, "
+                             f"got k0={k0}, lag={lag}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    k0 = e.grid.index_of(t)
     X0 = e.paths[:, k0, :]
     sel = np.linalg.norm(X0 - x0[None, :], axis=1) <= window
     if not sel.any():
-        raise SupportError(f"no paths within {window} of {x0} at t={t}")
+        raise SupportError(f"no paths within {window} of {x0} at t={e.grid.node(k0)}")
     u0 = u(X0[sel])
 
-    def quotient(h: float) -> tuple[float, float]:
-        _, k1, dt = _node_pair(e.grid, t, h)
+    def quotient(k1: int) -> tuple[float, float]:
+        dt = e.grid.node(k1) - e.grid.node(k0)
         return float((u(e.paths[sel, k1, :]) - u0).mean() / dt), dt
 
-    d1, h1 = quotient(hs[0])
-    d2, h2 = quotient(hs[1])
+    d1, h1 = quotient(k0 + lag)
+    d2, h2 = quotient(k0 + 2 * lag)
     return (h2 * d1 - h1 * d2) / (h2 - h1)
 
 
@@ -358,9 +339,6 @@ class EnergyTestResult:
     n_a: int
     n_b: int
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,

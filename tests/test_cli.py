@@ -329,6 +329,64 @@ class TestNonFiniteNumbers:
         assert not (tmp_path / "o").exists()
 
 
+def _cli(tmp_path, *args):
+    """pathrev in a fresh process, so a traceback or a warning shows on its
+    stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "pathrev.cli", *args], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+class TestStoredKde:
+    """A kde:<file> ensemble must hold exactly what its header describes and
+    at least two paths; else reverse exits 2 with one stderr line and writes
+    no directory."""
+
+    def _stored(self, tmp_path, n_paths):
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=n_paths, grid={"T": 1.0, "n_steps": 10}),
+                          name="sim.json")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+        return tmp_path / "sim" / "ensemble.bin"
+
+    def _reverse(self, tmp_path, stored):
+        _write_cfg(tmp_path, _ou_cfg(n_paths=20, grid={"T": 1.0, "n_steps": 10},
+                                     density=f"kde:{stored}"))
+        return _cli(tmp_path, "reverse", "--config", "cfg.json", "--out", "o")
+
+    @pytest.mark.parametrize("cut, line", [
+        (lambda b: b[:30], "container header cut short"),
+        (lambda b: b[:-100], "bytes where the header describes"),
+        (lambda b: b + bytes(8), "bytes where the header describes"),
+        # the model tag starts after the 6-byte magic and the 42-byte header
+        (lambda b: b[:48] + b"\xff" + b[49:], "model tag is not UTF-8"),
+    ], ids=["header", "short-data", "padded", "tag"])
+    def test_damaged_container(self, tmp_path, cut, line):
+        stored = self._stored(tmp_path, 20)
+        stored.write_bytes(cut(stored.read_bytes()))
+        proc = self._reverse(tmp_path, stored)
+        assert proc.returncode == 2
+        assert re.fullmatch(f"consistency error: {re.escape(str(stored))}: .*{line}.*\n",
+                            proc.stderr)
+        assert not (tmp_path / "o").exists()
+
+    def test_one_stored_path(self, tmp_path):
+        stored = self._stored(tmp_path, 1)
+        proc = self._reverse(tmp_path, stored)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: stored ensemble {stored} holds 1 path, "
+                               "too few for a KDE\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_one_path_kde_run(self, tmp_path):
+        _write_cfg(tmp_path, _ou_cfg(n_paths=1, density="kde",
+                                     grid={"T": 1.0, "n_steps": 10}))
+        proc = _cli(tmp_path, "run", "--config", "cfg.json", "--out", "o")
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: density 'kde' needs n_paths >= 2, got 1\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestGaussianLawCache:
     def test_run_builds_at_most_two_laws_per_node(self, tmp_path, monkeypatch):
         # the run queries the flow at the grid nodes and at the reversed

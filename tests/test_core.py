@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pathrev import core
 from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
                           VectorField, _matvec_rows, _quad_rows, _sq_distances,
@@ -204,6 +207,50 @@ class TestSerialization:
         with pytest.raises(ParameterError, match="seed"):
             save_ensemble(e, str(p))
         assert not p.exists()
+
+    def test_save_makes_no_copy_of_the_paths(self, tmp_path):
+        # 2000 x 401 x 1 float64 paths take 6.4 MB; writing them through a
+        # bytes copy would allocate all of it again
+        e = PathEnsemble(make_grid(1.0, 400), np.zeros((2000, 401, 1)), 3, "ou")
+        p = str(tmp_path / "big.bin")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            save_ensemble(e, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert np.array_equal(load_ensemble(p).paths, e.paths)
+
+    @staticmethod
+    def _stored(tmp_path, tag="ou") -> bytes:
+        e = PathEnsemble(make_grid(1.0, 2), np.arange(6.0).reshape(2, 3, 1), 7, tag)
+        p = tmp_path / "e.bin"
+        save_ensemble(e, str(p))
+        return p.read_bytes()
+
+    @pytest.mark.parametrize("cut, match", [
+        (lambda b: b[:20], "header cut short"),   # inside the header
+        (lambda b: b[:-8], "bytes where the header describes"),  # one value short
+        (lambda b: b + bytes(8), "bytes where the header describes"),  # one value long
+    ])
+    def test_length_follows_the_header(self, tmp_path, cut, match):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(cut(self._stored(tmp_path)))
+        with pytest.raises(ConsistencyError, match=match) as info:
+            load_ensemble(str(p))
+        assert str(p) in str(info.value)
+
+    def test_undecodable_tag(self, tmp_path):
+        data = self._stored(tmp_path, tag="ab")
+        at = data.index(b"ab")
+        p = tmp_path / "bad.bin"
+        p.write_bytes(data[:at] + b"\xff\xfe" + data[at + 2:])
+        with pytest.raises(ConsistencyError, match="not UTF-8") as info:
+            load_ensemble(str(p))
+        assert str(p) in str(info.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -425,6 +472,18 @@ class TestPsdSqrt:
     def test_negative_raises(self):
         with pytest.raises(NumericError):
             psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def test_every_error_is_a_pathrev_error():
+    # the command line catches PathrevError; each class keeps its builtin base
+    for cls, base in ((core.ParameterError, ValueError), (core.SimulationError, RuntimeError),
+                      (core.SupportError, RuntimeError), (core.BandwidthError, ValueError),
+                      (core.ConsistencyError, RuntimeError), (core.NumericError, RuntimeError),
+                      (core.DomainError, ValueError), (core.ConfigError, ValueError)):
+        assert issubclass(cls, core.PathrevError) and issubclass(cls, base)
+    errors = [obj for obj in vars(core).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(errors) == 9 and all(issubclass(cls, core.PathrevError) for cls in errors)
 
 
 def test_mean_stderr():

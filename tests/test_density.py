@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,14 @@ class TestBandwidthRules:
         # a fixed bandwidth rescues it
         m = KdeModel(np.ones((50, 1)), np.array([0.1]))
         assert m.bandwidth[0] == 0.1
+
+    def test_one_sample_refused_without_warnings(self):
+        # a sample standard deviation needs two values; numpy would warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule in ("silverman", "score"):
+                with pytest.raises(BandwidthError, match="at least 2 samples, got 1"):
+                    kde_fit(np.ones((1, 2)), rule=rule)
 
 
 class TestKdeFlow:

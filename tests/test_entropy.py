@@ -338,6 +338,23 @@ class TestHeatFlowDissipation:
         assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
         assert rows[0][1] == pytest.approx(0.5, abs=1e-14)
 
+    def test_one_law_per_node(self):
+        ref, _ = ou_reference()
+        flow = ou_marginal_flow([1.0], [[0.5]])
+        asked = []
+
+        class Counted:
+            def at(self, t):
+                asked.append(t)
+                return flow.at(t)
+
+        grid = make_grid(1.0, 4)
+        got = heat_flow_dissipation(Counted(), ref.m, grid, np.eye(1))
+        assert asked == list(grid.nodes)
+        want = heat_flow_dissipation(flow, ref.m, grid, np.eye(1))
+        assert got[1] == want[1]
+        assert np.array_equal(got[0].fisher, want[0].fisher)
+
     def test_stationary_flow_is_flat(self):
         ref, flow = ou_reference()
         report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 50), np.eye(1))

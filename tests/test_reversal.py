@@ -179,14 +179,15 @@ class TestMomenta:
 
     def test_shifted_ou_momenta(self):
         # beta_fwd = 0 (the forward process is the reference itself);
-        # beta_bwd = 2 e^{-t}
+        # beta_bwd = 2 e^{-t}, so beta_cu = -e^{-t} and beta_os = e^{-t}
         ref, mom = self._fields()
         X = np.array([[0.3], [-0.6]])
         for t in (0.25, 0.75):
-            bf, bb, _, bo = mom(t, X)
+            bf, bb, bc, bo = mom(t, X)
             assert np.allclose(bf, 0.0, atol=1e-14)
             assert np.allclose(bb, 2 * math.exp(-t), atol=1e-13)
-            assert np.array_equal(mom.beta_os(t, X), bo)
+            assert np.allclose(bc, -math.exp(-t), atol=1e-13)
+            assert np.allclose(bo, math.exp(-t), atol=1e-13)
 
     def test_parallelogram_identity(self):
         # |b_f|_a^2/2 + |b_b|_a^2/2 = |b_cu|_a^2 + |b_os|_a^2 pointwise

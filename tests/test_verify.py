@@ -37,6 +37,15 @@ class TestTestFunctions:
         assert u.grad(X)[0, 0] == 6.0
         assert u.hess(X)[0, 0, 0] == 2.0
 
+    def test_square_is_the_coordinate_product(self):
+        u = square_function(2, index=1)
+        X = np.array([[1.5, -2.0], [-0.5, 3.0]])
+        assert u.name == "x1^2"
+        assert np.array_equal(u(X), X[:, 1] ** 2)
+        assert np.array_equal(u.grad(X), [[0.0, -4.0], [0.0, 6.0]])
+        assert np.array_equal(u.hess(X), np.broadcast_to([[0.0, 0.0], [0.0, 2.0]],
+                                                         (2, 2, 2)))
+
     def test_windowed_cubic_derivatives_match_fd(self):
         u = windowed_cubic(1)
         xs = np.array([[0.0], [0.7], [-1.3], [2.1]])
@@ -176,6 +185,7 @@ def ou3_ensemble():
 
 
 class TestCarreDuChamp:
+    # ou3_ensemble has 100 steps on [0, 1]: node 25 is t = 1/4, one step 0.01
     def test_bias_shrinks_linearly_in_h(self, ou3_ensemble):
         # E Gamma(x^2, x^2) at t = 1/4 is 4 (m_t^2 + 1/2); the product
         # increment over-shoots by O(h), so halving h should roughly halve
@@ -184,35 +194,46 @@ class TestCarreDuChamp:
         expected = 4.0 * (m_t ** 2 + 0.5)
         sq = square_function(1)
         excess = {}
-        for h in (0.04, 0.02, 0.01):
-            rep = carre_du_champ_estimate(ou3_ensemble, sq, sq, 0.25, h,
+        for lag in (4, 2, 1):
+            rep = carre_du_champ_estimate(ou3_ensemble, sq, sq, 25, 25 + lag,
                                           expected, atol=5.0)
-            excess[h] = rep.estimate
-        assert 1.4 <= excess[0.04] / excess[0.02] <= 2.8
-        assert 1.4 <= excess[0.02] / excess[0.01] <= 2.8
+            excess[lag] = rep.estimate
+        assert 1.4 <= excess[4] / excess[2] <= 2.8
+        assert 1.4 <= excess[2] / excess[1] <= 2.8
 
     def test_brownian_slice_value(self):
         spec = bm_diffusion(Gaussian([0.0], [[1.0]]))
         e = euler_maruyama(spec, SimConfig(200_000, 920, make_grid(1.0, 200)))
         sq = square_function(1)
-        # E Gamma(x^2, x^2) = 4 E X_t^2 = 4 (1 + t) = 5 at t = 1/4
-        rep = carre_du_champ_estimate(e, sq, sq, 0.25, 0.02, 5.0, atol=0.35)
+        # E Gamma(x^2, x^2) = 4 E X_t^2 = 4 (1 + t) = 5 at t = 1/4 (node 50),
+        # lag h = 0.02 (4 steps)
+        rep = carre_du_champ_estimate(e, sq, sq, 50, 54, 5.0, atol=0.35)
         assert rep.passed
         assert abs(rep.estimate) <= 0.15
 
     def test_constant_function_is_exact(self, ou3_ensemble):
         c = _TestFunction(lambda X: np.full(X.shape[0], 3.0), np.zeros_like,
                           lambda X: np.zeros((X.shape[0], 1, 1)), 1, name="3")
-        rep = carre_du_champ_estimate(ou3_ensemble, c, c, 0.25, 0.02, 0.0)
+        rep = carre_du_champ_estimate(ou3_ensemble, c, c, 25, 27, 0.0)
         assert rep.estimate == 0.0
         assert rep.passed
 
-    def test_grid_snap_errors(self, ou3_ensemble):
+    def test_divides_by_the_node_times(self, ou3_ensemble):
+        x = coordinate_function(1)
+        grid = ou3_ensemble.grid
+        X0, X1 = ou3_ensemble.paths[:, 25, :], ou3_ensemble.paths[:, 29, :]
+        vals = (X1[:, 0] - X0[:, 0]) ** 2 / (grid.node(29) - grid.node(25))
+        rep = carre_du_champ_estimate(ou3_ensemble, x, x, 25, 29, 1.0)
+        assert rep.estimate == float((vals - 1.0).mean())
+        assert rep.n_samples == ou3_ensemble.n_paths
+
+    def test_node_range_errors(self, ou3_ensemble):
         sq = square_function(1)
-        with pytest.raises(ParameterError, match="too small"):
-            carre_du_champ_estimate(ou3_ensemble, sq, sq, 0.25, 1e-4, 0.0)
-        with pytest.raises(ParameterError, match="not a grid node"):
-            carre_du_champ_estimate(ou3_ensemble, sq, sq, 0.253, 0.02, 0.0)
+        for k0, k1 in ((25, 25), (25, 24), (-1, 3), (99, 101)):
+            with pytest.raises(ParameterError, match="k1 <= 100, got k0="):
+                carre_du_champ_estimate(ou3_ensemble, sq, sq, k0, k1, 0.0)
+        rep = carre_du_champ_estimate(ou3_ensemble, sq, sq, 99, 100, 0.0, atol=1e9)
+        assert rep.passed
 
 
 @pytest.fixture(scope="module")
@@ -222,41 +243,52 @@ def shifted_ensemble():
 
 
 class TestNelson:
+    # shifted_ensemble has 400 steps on [0, 1]: a lag of 40 steps is h = 0.1
     def test_generator_of_coordinate(self, shifted_ensemble):
         # L x = b(x) = -x, so the windowed quotient near x0 = 1 tends to -1
         est = nelson_forward_derivative(shifted_ensemble, coordinate_function(1),
-                                        0.0, [1.0], window=0.05,
-                                        h_list=[0.1, 0.2])
+                                        0, [1.0], window=0.05, lag=40)
         assert abs(est + 1.0) <= 0.1
 
     def test_generator_of_square(self, shifted_ensemble):
         # L x^2 = 2x b(x) + 1 = -2x^2 + 1 = -1 at x0 = 1
         est = nelson_forward_derivative(shifted_ensemble, square_function(1),
-                                        0.0, [1.0], window=0.1,
-                                        h_list=[0.1, 0.2])
+                                        0, [1.0], window=0.1, lag=40)
         assert abs(est + 1.0) <= 0.1
 
     def test_driftless_process_is_flat(self):
         spec = bm_diffusion(Gaussian([0.0], [[1.0]]))
         e = euler_maruyama(spec, SimConfig(100_000, 616, make_grid(1.0, 100)))
-        est = nelson_forward_derivative(e, coordinate_function(1), 0.0, [0.5],
-                                        window=0.1, h_list=[0.1, 0.2])
+        est = nelson_forward_derivative(e, coordinate_function(1), 0, [0.5],
+                                        window=0.1, lag=10)
         assert abs(est) <= 0.1
+
+    def test_richardson_of_lag_and_twice_lag(self, shifted_ensemble):
+        # 2 d(h) - d(2h) over the paths in the window, with h = lag steps
+        u, e = coordinate_function(1), shifted_ensemble
+        X0 = e.paths[:, 80, :]
+        sel = np.abs(X0[:, 0] - 0.5) <= 0.1
+        d = [float((e.paths[sel, 80 + k, 0] - X0[sel, 0]).mean()
+                   / (e.grid.node(80 + k) - e.grid.node(80))) for k in (20, 40)]
+        est = nelson_forward_derivative(e, u, 80, [0.5], window=0.1, lag=20)
+        assert est == pytest.approx(2.0 * d[0] - d[1], rel=1e-12)
 
     def test_parameter_errors(self, shifted_ensemble):
         u = coordinate_function(1)
-        with pytest.raises(ParameterError):
-            nelson_forward_derivative(shifted_ensemble, u, 0.0, [1.0],
-                                      window=0.0, h_list=[0.1, 0.2])
-        with pytest.raises(ParameterError):
-            nelson_forward_derivative(shifted_ensemble, u, 0.0, [1.0],
-                                      window=0.1, h_list=[0.1])
+        with pytest.raises(ParameterError, match="window"):
+            nelson_forward_derivative(shifted_ensemble, u, 0, [1.0],
+                                      window=0.0, lag=40)
+        # the node and both lags must lie on the 400-step grid
+        for k0, lag in ((0, 0), (-1, 40), (321, 40), (0, 201)):
+            with pytest.raises(ParameterError, match=r"2 lag <= 400, got k0="):
+                nelson_forward_derivative(shifted_ensemble, u, k0, [1.0],
+                                          window=0.1, lag=lag)
+        nelson_forward_derivative(shifted_ensemble, u, 320, [0.4], window=0.1, lag=40)
 
     def test_empty_window(self, shifted_ensemble):
         with pytest.raises(SupportError):
             nelson_forward_derivative(shifted_ensemble, coordinate_function(1),
-                                      0.0, [50.0], window=0.01,
-                                      h_list=[0.1, 0.2])
+                                      0, [50.0], window=0.01, lag=40)
 
 
 class TestContinuity:
