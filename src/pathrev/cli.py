@@ -234,7 +234,8 @@ class _DiffusionRun(_Run):
                 stored = load_ensemble(path)
             except OSError as exc:
                 raise ConfigError(f"cannot read ensemble {path}: {exc}")
-            if stored.dim != self.spec.dim or abs(stored.grid.T - self.grid.T) > 1e-12:
+            if (stored.dim != self.spec.dim or stored.grid.n_steps != self.grid.n_steps
+                    or abs(stored.grid.T - self.grid.T) > 1e-12):
                 raise ConfigError(f"stored ensemble {path} does not match the config grid")
             if stored.n_paths < _KDE_MIN_SAMPLES:
                 raise ConfigError(f"stored ensemble {path} holds {stored.n_paths} path, "
@@ -291,19 +292,20 @@ class _DiffusionRun(_Run):
     def _reversed_model(self, times: list[float], b_star) -> dict:
         """Serializable description of the reversed process.
 
-        An exact flow with law N(m, Sigma) at T - s makes the reversed drift
-        affine in x: tabulate A(s) = -M - a Sigma^{-1} and c(s) = -c + a
-        Sigma^{-1} m at the snapshot times.  KDE densities get the pointwise
-        probe table b_star instead (one-dimensional models only).
+        Gaussian laws N(m, Sigma) at T - s of the model's linear flow
+        dX = (M X + c) dt + a^{1/2} dB make the reversed drift affine in x:
+        tabulate A(s) = -M - a Sigma^{-1} and c(s) = -c + a Sigma^{-1} m at
+        the snapshot times.  KDE densities get the pointwise probe table
+        b_star instead (one-dimensional models only).
         """
         a_mat = self.spec.a.constant_matrix
         base = {"T": self.grid.T, "model": self.cfg["model"], "density": self.cfg["density"],
                 "a": None if a_mat is None else a_mat.tolist(), "times": times}
-        flow = self.density.gaussian_flow
-        if flow is not None:
+        laws = [self.density.at(self.grid.T - s) for s in times]
+        if all(isinstance(law, Gaussian) for law in laws):
+            flow = self.bundle.flow
             A_tab, c_tab = [], []
-            for s in times:
-                law = flow.at(self.grid.T - s)
+            for law in laws:
                 P = flow.a @ law._inv
                 A_tab.append((-flow.M - P).tolist())
                 c_tab.append((-flow.c + P @ law.mean).tolist())
@@ -467,11 +469,10 @@ def _check_reversal(run: _DiffusionRun) -> dict:
                 "reason": f"{n_cmp} paths per side give {splits} distinct splits, fewer "
                           f"than 1/{_REVERSAL_LEVEL:g}; the permutation test cannot reject "
                           f"at level {_REVERSAL_LEVEL:g}"}
-    T = run.grid.T
-    if run.density.gaussian_flow is not None:
-        init_T = run.density.gaussian_flow.at(T)
-    else:
-        # moment-matched start; adequate for Gaussian models, noted otherwise
+    init_T = run.density.at(run.grid.T)
+    if not isinstance(init_T, Gaussian):
+        # the Gaussian with the terminal slice's moments; exact only when the
+        # model's terminal law is Gaussian
         XT = run.ensemble.paths[:, -1, :]
         init_T = Gaussian(XT.mean(axis=0), np.atleast_2d(np.cov(XT.T)))
     rev_spec = diffusion_spec(VectorField(run.reversed_drift, run.spec.dim),

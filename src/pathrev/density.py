@@ -2,13 +2,13 @@
 
 A DensityFlow is a map from time t to a slice law, the marginal at t: a
 Gaussian for exact flows, a KdeModel for kernel estimates.  Every slice law
-answers pdf, score, logpdf_score (both from one evaluation) and max_pdf (the
-supremum, exact or approximate, behind the relative support floor below
-which scores are not trusted; 0 for exact flows, whose score is exact in
-the far tails too).  Laws and flows take query points only as (n, dim)
-batches and return (n,) values and (n, dim) scores; one point is the batch
-x[None, :].  Scores from the kernel estimator are analytic derivatives of
-the estimator itself, never finite differences.
+answers pdf, score and logpdf_score (both from one evaluation); a KdeModel
+also has max_pdf, the approximate supremum behind the relative support floor
+below which its scores are not trusted.  A Gaussian needs none: its score is
+exact in the far tails too.  Laws and flows take query points only as
+(n, dim) batches and return (n,) values and (n, dim) scores; one point is
+the batch x[None, :].  Scores from the kernel estimator are analytic
+derivatives of the estimator itself, never finite differences.
 
 The kernel estimator makes one pass over its samples per query: each chunk
 of query rows exponentiates its scaled squared distances once, shifted so the
@@ -28,6 +28,16 @@ from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
+_FLOOR_REL = 1e-3  # a KDE score is trusted where pdf >= _FLOOR_REL * max_pdf
+
+
+def _trusted(law: Gaussian | KdeModel, p: np.ndarray) -> np.ndarray:
+    """Where the score of law is trusted, given its pdf values p.  A Gaussian
+    slice law is exact, so its score is trusted everywhere, even where the
+    pdf underflows to 0; any other law where p >= _FLOOR_REL * max_pdf."""
+    if isinstance(law, Gaussian):
+        return np.ones(p.shape, dtype=bool)
+    return p >= _FLOOR_REL * law.max_pdf
 
 
 @dataclass(frozen=True)
@@ -37,24 +47,16 @@ class DensityFlow:
     at(t) returns the slice law at time t (a Gaussian or a KdeModel), and
     every query below takes its values from one at(t) call.  Queries take
     an (n, dim) batch X and return arrays over its rows.  score values
-    are returned everywhere they are finite; in_support marks where
-    pdf >= floor_rel * max_pdf of the slice, and consumers (the reversal
-    module in particular) are expected to gate score usage on that mask;
-    floor_rel = 0 trusts every point, so score_in_support evaluates no pdf
-    there.  gaussian_flow, when set, is the exact
-    Gaussian flow behind at: it marks the density as exact and serves
-    closed-form quantities such as boundary entropies.
+    are returned everywhere they are finite; in_support marks where the
+    slice law's score is trusted (everywhere for a Gaussian, above the
+    relative floor for a KdeModel), and consumers (the reversal module in
+    particular) are expected to gate score usage on that mask.  tag names
+    the source; perfbench/tracer.py reads its "exact:" prefix.
     """
 
     at: Callable[[float], Gaussian | KdeModel]
     dim: int
-    floor_rel: float = 1e-3
     tag: str = ""
-    gaussian_flow: GaussianFlow | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.floor_rel < 1.0):
-            raise ParameterError(f"floor_rel must lie in [0, 1), got {self.floor_rel}")
 
     def pdf(self, t: float, X: np.ndarray) -> np.ndarray:
         return self.at(t).pdf(X)
@@ -62,21 +64,19 @@ class DensityFlow:
     def score(self, t: float, X: np.ndarray) -> np.ndarray:
         return self.at(t).score(X)
 
-    def _trusted(self, law: Gaussian | KdeModel, p: np.ndarray) -> np.ndarray:
-        return p >= self.floor_rel * law.max_pdf()
-
     def in_support(self, t: float, X: np.ndarray) -> np.ndarray:
         law = self.at(t)
-        return self._trusted(law, law.pdf(X))
+        return _trusted(law, law.pdf(X))
 
     def score_in_support(self, t: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(score, in_support mask) at X.  At floor 0 every point is trusted
-        and no pdf is evaluated; otherwise one logpdf_score call gives both."""
+        """(score, in_support mask) at X.  A Gaussian slice law is trusted
+        everywhere, so no pdf is evaluated; otherwise one logpdf_score call
+        gives both."""
         law = self.at(t)
-        if self.floor_rel == 0.0:
+        if isinstance(law, Gaussian):
             return law.score(X), np.ones(X.shape[0], dtype=bool)
         lp, sc = law.logpdf_score(X)
-        return sc, self._trusted(law, np.exp(lp))
+        return sc, _trusted(law, np.exp(lp))
 
     def pdf_score_in_support(self, t: float,
                              X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,18 +84,12 @@ class DensityFlow:
         law = self.at(t)
         lp, sc = law.logpdf_score(X)
         p = np.exp(lp)
-        return p, sc, self._trusted(law, p)
+        return p, sc, _trusted(law, p)
 
 
 def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
-    """Wrap a Gaussian marginal flow as a DensityFlow with exact score.
-
-    The closed-form score is exact on all of space, so the trust floor is 0
-    and every point is in support, even where the pdf underflows to 0; a
-    positive floor would zero the score at tail points where it is
-    perfectly known.
-    """
-    return DensityFlow(flow.at, flow.dim, 0.0, tag="exact:linear", gaussian_flow=flow)
+    """Wrap a Gaussian marginal flow as a DensityFlow with exact score."""
+    return DensityFlow(flow.at, flow.dim, tag="exact:linear")
 
 
 def _slice_samples(samples) -> np.ndarray:
@@ -182,15 +176,12 @@ class KdeModel:
         return self.logpdf_score(X)[1]
 
     @cached_property
-    def _max_pdf(self) -> float:
-        probes = np.vstack([self.samples.mean(axis=0, keepdims=True), self.samples[:256]])
-        return float(self.pdf(probes).max())
-
     def max_pdf(self) -> float:
         """Approximate supremum: max of pdf over the sample mean and a fixed
         subsample of kernel centers, computed once per model.  Used only for
         the relative floor."""
-        return self._max_pdf
+        probes = np.vstack([self.samples.mean(axis=0, keepdims=True), self.samples[:256]])
+        return float(self.pdf(probes).max())
 
 
 # automatic bandwidth rules: sd * (4 / ((d + k) n)) ** (1 / (d + k + 2)) per
@@ -225,11 +216,12 @@ def kde_fit(samples: np.ndarray, rule: str = "silverman") -> KdeModel:
 
 
 def kde_flow(e: PathEnsemble, rule: str = "silverman") -> DensityFlow:
-    """Per-slice KDE wrapped as a DensityFlow with DensityFlow's default
-    trust floor.
+    """Per-slice KDE of the ensemble e wrapped as a DensityFlow.
 
-    Queries snap to the nearest grid node (same convention as marginal_slice)
-    and each slice model is fitted lazily, then cached.
+    A query at time t reads the slice at e's grid node nearest to t
+    (TimeGrid.index_of), so between nodes the density is constant in time;
+    the CLI refuses a stored ensemble on another grid than its config's.
+    Each slice model is fitted lazily, then cached.
     """
     cache: dict[int, KdeModel] = {}
 

@@ -151,11 +151,12 @@ class EntropyReport:
 
 def _boundary_entropy(density: DensityFlow, ref: KolmogorovSpec, t: float,
                       X: np.ndarray) -> tuple[float, float]:
-    """H(P_t | m): closed form for Gaussian data, else a Monte-Carlo mean of
-    log(dP_t/dm) over the slice."""
-    if density.gaussian_flow is not None and ref.m is not None:
-        return gaussian_relative_entropy(density.gaussian_flow.at(t), ref.m), 0.0
-    vals = np.log(np.maximum(density.pdf(t, X), 1e-300)) - ref.m_logpdf(X)
+    """H(P_t | m): closed form when the slice law at t and m are Gaussian,
+    else a Monte-Carlo mean of log(dP_t/dm) over the slice X."""
+    law = density.at(t)
+    if isinstance(law, Gaussian) and ref.m is not None:
+        return gaussian_relative_entropy(law, ref.m), 0.0
+    vals = np.log(np.maximum(law.pdf(X), 1e-300)) - ref.m_logpdf(X)
     return mean_stderr(vals)
 
 

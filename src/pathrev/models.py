@@ -81,9 +81,6 @@ class Gaussian:
     def logpdf_score(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.logpdf(X), self.score(X)
 
-    def max_pdf(self) -> float:
-        return float(np.exp(-0.5 * (self.dim * _LOG_2PI + self._logdet)))
-
 
 @dataclass(frozen=True)
 class GaussianFlow:

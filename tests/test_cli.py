@@ -339,12 +339,12 @@ def _cli(tmp_path, *args):
 
 
 class TestStoredKde:
-    """A kde:<file> ensemble must hold exactly what its header describes and
-    at least two paths; else reverse exits 2 with one stderr line and writes
-    no directory."""
+    """A kde:<file> ensemble must hold exactly what its header describes,
+    at least two paths and the config's grid; else reverse exits 2 with one
+    stderr line and writes no directory."""
 
-    def _stored(self, tmp_path, n_paths):
-        path = _write_cfg(tmp_path, _ou_cfg(n_paths=n_paths, grid={"T": 1.0, "n_steps": 10}),
+    def _stored(self, tmp_path, n_paths, n_steps=10):
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=n_paths, grid={"T": 1.0, "n_steps": n_steps}),
                           name="sim.json")
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
         return tmp_path / "sim" / "ensemble.bin"
@@ -376,6 +376,16 @@ class TestStoredKde:
         assert proc.returncode == 2
         assert proc.stderr == (f"config error: stored ensemble {stored} holds 1 path, "
                                "too few for a KDE\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_other_step_count(self, tmp_path):
+        # the KDE would snap each query of the 10-step run to one of the 5
+        # stored nodes
+        stored = self._stored(tmp_path, 300, n_steps=4)
+        proc = self._reverse(tmp_path, stored)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: stored ensemble {stored} does not match "
+                               "the config grid\n")
         assert not (tmp_path / "o").exists()
 
     def test_one_path_kde_run(self, tmp_path):
@@ -673,6 +683,36 @@ class TestVerifyCommand:
         path = _write_cfg(tmp_path, _cycle_cfg())
         assert main(["verify", "--config", path, "--out",
                      str(tmp_path / "ver")]) == 0
+
+    @pytest.mark.parametrize("density", ["exact", "kde"])
+    def test_reversal_start_law(self, tmp_path, monkeypatch, density):
+        # the reversed ensemble starts from the exact law at T, else from the
+        # mean and covariance of the forward ensemble's terminal slice
+        from pathrev import cli
+        from pathrev.models import load_model
+
+        runs = []
+        simulate = cli.euler_maruyama
+
+        def recorded(spec, sim):
+            runs.append((spec, simulate(spec, sim)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, "euler_maruyama", recorded)
+        cfg = _ou_cfg(n_paths=200, grid={"T": 1.0, "n_steps": 20}, density=density)
+        rc = main(["verify", "--config", _write_cfg(tmp_path, cfg), "--out",
+                   str(tmp_path / "ver"), "reversal"])
+        assert rc in (0, 1)
+        (_, fwd), (rev_spec, _) = runs
+        assert rev_spec.tag.endswith("~rev")
+        if density == "exact":
+            law = load_model(cfg["model"]).flow.at(1.0)
+            mean, cov = law.mean, law.cov
+        else:
+            XT = fwd.paths[:, -1, :]
+            mean, cov = XT.mean(axis=0), np.atleast_2d(np.cov(XT.T))
+        assert np.array_equal(rev_spec.init.mean, mean)
+        assert np.array_equal(rev_spec.init.cov, cov)
 
     def test_walk_involution_from_a_non_invariant_start(self, tmp_path, monkeypatch):
         # the 4-cycle with rates 2 and 1 from p0 = (0.4, 0.3, 0.2, 0.1): the

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from pathrev.core import BandwidthError, ParameterError, make_grid, path_rng
-from pathrev.density import DensityFlow, KdeModel, exact_flow_density, kde_fit, kde_flow
+from pathrev.density import KdeModel, exact_flow_density, kde_fit, kde_flow
 from pathrev.models import Gaussian, ou_diffusion, ou_marginal_flow
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -25,26 +25,15 @@ class TestExactFlowDensity:
         d = exact_flow_density(ou_marginal_flow([0.0], [[0.5]]))
         # closed-form scores are trusted everywhere, also where the pdf
         # underflows to 0 (x = 40)
-        assert d.floor_rel == 0.0
         X = np.array([[5.0], [10.0], [40.0]])
         assert d.in_support(0.5, X).all()
+        assert d.score_in_support(0.5, X)[1].all()
+        assert d.pdf_score_in_support(0.5, X)[2].all()
         assert d.pdf(0.5, X)[2] == 0.0
 
-    def test_floor_rel_validation(self):
-        flow = ou_marginal_flow([0.0], [[0.5]])
-        assert DensityFlow(flow.at, 1, floor_rel=0.0).floor_rel == 0.0
-        for bad in (1.0, -1e-3):
-            with pytest.raises(ParameterError, match=r"\[0, 1\)"):
-                DensityFlow(flow.at, 1, floor_rel=bad)
-
-    def test_carries_gaussian_flow(self):
+    def test_one_slice_law_call_matches_separate_queries(self, floored):
         flow = ou_marginal_flow([1.0], [[0.5]])
-        d = exact_flow_density(flow)
-        assert d.gaussian_flow is flow
-
-    def test_one_slice_law_call_matches_separate_queries(self):
-        flow = ou_marginal_flow([1.0], [[0.5]])
-        d = DensityFlow(flow.at, 1, floor_rel=1e-3)
+        d = floored(flow, 1e-3)
         X = np.linspace(-4.0, 6.0, 101)[:, None]  # tails fall below the floor
         for t in (0.0, 0.5, 1.0):
             p, sc, ok = d.pdf_score_in_support(t, X)
@@ -90,9 +79,9 @@ class TestKdeModel:
     def test_max_pdf_is_probe_maximum_computed_once(self):
         # probes are the sample mean 0 and both centers; pdf peaks at 0
         m = KdeModel(np.array([[-1.0], [1.0]]), np.array([1.0]))
-        assert m.max_pdf() == m.pdf(np.zeros((1, 1)))[0]
-        assert m.max_pdf() > m.pdf(np.ones((1, 1)))[0]
-        assert "_max_pdf" in vars(m)
+        assert m.max_pdf == m.pdf(np.zeros((1, 1)))[0]
+        assert m.max_pdf > m.pdf(np.ones((1, 1)))[0]
+        assert "max_pdf" in vars(m)
 
     def test_chunking_invisible(self):
         x = path_rng(4, 0).standard_normal((50, 1))
@@ -370,7 +359,7 @@ class TestKdeSupremumAccuracy:
         m = kde_fit(x, rule=rule)
         g = Gaussian(np.zeros(1), np.eye(1) * 0.5)
         xs = np.linspace(-3.0, 3.0, 301)[:, None]
-        keep = g.pdf(xs) >= 0.05 * g.max_pdf()
+        keep = g.pdf(xs) >= 0.05 * INV_SQRT_PI  # the peak of N(0, 1/2)
         return m, g, xs[keep]
 
     @pytest.mark.parametrize("rule", ["silverman", "score"])

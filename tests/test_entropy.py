@@ -125,11 +125,11 @@ class TestCurrentOsmosisDecomposition:
         assert len(d) == 20
         assert d["backward_total"] == report.backward_total
 
-    def test_mc_boundary_route(self):
-        # densities without Gaussian structure fall back to slice averages
+    def test_mc_boundary_route(self, floored):
+        # slice laws that are not Gaussians fall back to slice averages
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0], [[0.5]])
-        plain = DensityFlow(flow.at, 1, 1e-12)
+        plain = floored(flow, 1e-12)
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(2000, 43, make_grid(1.0, 100)))
         rep = current_osmosis_decomposition(ref.drift, plain, ref, e)

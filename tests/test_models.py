@@ -69,10 +69,6 @@ class TestGaussian:
         assert p.shape == (3,)
         assert np.allclose(p, 1.0 / (2 * math.pi))
 
-    def test_max_pdf(self):
-        g = Gaussian(np.array([3.0]), np.eye(1) * 0.5)
-        assert g.max_pdf() == pytest.approx(INV_SQRT_PI, abs=1e-15)
-
     def test_singular_cov(self):
         g = Gaussian(np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(NumericError):

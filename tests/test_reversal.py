@@ -6,7 +6,7 @@ import pytest
 from pathrev import reversal
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
                           VectorField, make_grid)
-from pathrev.density import DensityFlow, exact_flow_density, kde_flow
+from pathrev.density import exact_flow_density, kde_flow
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_flow, graph_walk,
                             ou_diffusion, ou_marginal_flow, ou_reference,
                             walk_marginal_fn)
@@ -86,9 +86,9 @@ class TestBackwardDrift:
         for i in range(len(X)):
             assert np.array_equal(bwd(0.4, X[i:i + 1]), batch[i:i + 1])
 
-    def test_floor_zeroes_score(self):
+    def test_floor_zeroes_score(self, floored):
         ref, flow, _ = _ou_setup()
-        tight = DensityFlow(flow.at, 1, floor_rel=0.5)
+        tight = floored(flow, 0.5)
         bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, tight)
         out = bwd(0.0, np.array([[3.0]]))
         # score dropped: only -b survives
@@ -155,19 +155,19 @@ class TestScoreOnlyExactDrift:
         assert np.array_equal(bwd(0.5, X), expected)
         assert bwd.floor_hits == 0
 
-    def test_score_in_support_matches_fused_query(self):
+    def test_score_in_support_matches_fused_query(self, floored):
         # at a positive floor the mask is the pdf test of pdf_score_in_support;
-        # at floor 0 every point is trusted and the score is the same
+        # a Gaussian slice law trusts every point and the score is the same
         ref, flow, density = _ou_setup()
         X = np.linspace(-6.0, 8.0, 141)[:, None]
-        for floor in (0.0, 1e-3, 0.5):
-            d = DensityFlow(flow.at, 1, floor_rel=floor)
+        for floor in (None, 1e-3, 0.5):
+            d = density if floor is None else floored(flow, floor)
             for t in (0.0, 0.5, 1.0):
                 sc, ok = d.score_in_support(t, X)
                 _, sc_ref, ok_ref = d.pdf_score_in_support(t, X)
                 assert np.array_equal(sc, sc_ref)
                 assert np.array_equal(ok, ok_ref)
-                assert ok.all() == (floor == 0.0)
+                assert ok.all() == (floor is None)
 
 
 class TestMomenta:
@@ -232,9 +232,9 @@ class TestOsmoticIdentity:
         assert res.n_used == 33
         assert res.n_skipped == 0
 
-    def test_all_probes_skipped(self):
+    def test_all_probes_skipped(self, floored):
         ref, flow, _ = _ou_setup()
-        tight = DensityFlow(flow.at, 1, floor_rel=0.99)
+        tight = floored(flow, 0.99)
         bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, tight)
         v_bwd = VectorField(lambda t, X: bwd(t, X), 1)
         mom = momentum_fields(ref.drift, v_bwd, ref)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pathrev.density
 from pathrev import verify
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
                           SupportError, VectorField, make_grid, path_rng,
@@ -334,9 +335,9 @@ class TestContinuity:
         with pytest.raises(ParameterError, match="too close to the interval ends"):
             continuity_residual(density, v_cu, make_grid(2e-4, 4), ([-1.0], [1.5]))
 
-    def test_all_probes_below_floor(self):
+    def test_all_probes_below_floor(self, floored):
         flow = ou_marginal_flow([1.0], [[0.5]])
-        tight = DensityFlow(flow.at, 1, floor_rel=0.99)
+        tight = floored(flow, 0.99)
         spec = ou_diffusion(Gaussian([1.0], [[0.5]]))
         bwd = BackwardDriftField(spec.drift, spec.a, VectorField.zero(1), tight)
         v_cu = VectorField(lambda t, X: 0.5 * (spec.drift(t, X) - bwd(t, X)), 1)
@@ -345,14 +346,12 @@ class TestContinuity:
                                 ([4.0], [5.0]))
 
 
-def _ou_current(mean, cov, floor_rel=None):
-    """(density, current velocity) of OU from N(mean, cov); floor_rel=None
-    takes the exact flow's floor."""
+def _ou_current(mean, cov, wrap=exact_flow_density):
+    """(density, current velocity) of OU from N(mean, cov); wrap turns the
+    exact flow into the density."""
     d = len(mean)
     spec = ou_diffusion(Gaussian(mean, cov))
-    flow = ou_marginal_flow(mean, cov)
-    density = (exact_flow_density(flow) if floor_rel is None
-               else DensityFlow(flow.at, d, floor_rel=floor_rel))
+    density = wrap(ou_marginal_flow(mean, cov))
     bwd = BackwardDriftField(spec.drift, spec.a, VectorField.zero(d), density)
     return density, VectorField(lambda t, X: 0.5 * (spec.drift(t, X) - bwd(t, X)), d)
 
@@ -368,7 +367,8 @@ def _continuity_per_probe(flow, v_cu, grid, box):
     dt, dx = verify._DT_STENCIL, verify._DX_STENCIL
     residuals, n_skipped = [], 0
     for t in (0.25 * grid.T, 0.5 * grid.T, 0.75 * grid.T):
-        floor = flow.floor_rel * flow.at(t).max_pdf()
+        law = flow.at(t)
+        floor = 0.0 if isinstance(law, Gaussian) else pathrev.density._FLOOR_REL * law.max_pdf
         for x in mesh[:, None, :]:
             if not flow.pdf(t, x)[0] >= floor:
                 n_skipped += 1
@@ -391,8 +391,10 @@ class TestContinuityBatches:
     @pytest.mark.parametrize("floor_rel, box", [(None, ([-1.0], [1.5])),
                                                 (1e-3, ([-4.0], [6.0]))],
                              ids=["exact", "skipping"])
-    def test_one_dimension_matches_per_probe_loop(self, floor_rel, box):
-        density, v_cu = _ou_current([1.0], [[0.5]], floor_rel)
+    def test_one_dimension_matches_per_probe_loop(self, floored, floor_rel, box):
+        wrap = (exact_flow_density if floor_rel is None
+                else lambda flow: floored(flow, floor_rel))
+        density, v_cu = _ou_current([1.0], [[0.5]], wrap)
         grid = make_grid(1.0, 400)
         rep = continuity_residual(density, v_cu, grid, box)
         ref = _continuity_per_probe(density, v_cu, grid, box)
