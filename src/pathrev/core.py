@@ -503,19 +503,3 @@ def load_ensemble(path: str) -> PathEnsemble:
     paths = data.reshape(n_paths, n_steps + 1, dim)
     return PathEnsemble(TimeGrid(T, n_steps), paths, seed, tag)
 
-
-def ensemble_to_csv(e: PathEnsemble, path: str) -> None:
-    """CSV export to the file at path: one row per (path, node), full float
-    precision.
-
-    Intended for slices and small ensembles; the binary container is the
-    interchange format for anything large.
-    """
-    with open(path, "w", newline="") as f:
-        cols = ",".join(f"x{d + 1}" for d in range(e.dim))
-        f.write(f"path_id,t,{cols}\n")
-        nodes = e.grid.nodes
-        for i in range(e.n_paths):
-            for k in range(e.grid.n_steps + 1):
-                vals = ",".join(repr(float(v)) for v in e.paths[i, k])
-                f.write(f"{i},{float(nodes[k])!r},{vals}\n")

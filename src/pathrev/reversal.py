@@ -5,7 +5,9 @@ densities mu_t, the reversed process solves an SDE with the same a and drift
 
     b_rev(t, x) = -b(T - t, x) + div a(T - t, x) + a(T - t, x) grad log mu_{T-t}(x),
 
-where (div a)_i = sum_j d_j a_ij.  The same data split symmetrically gives
+where (div a)_i = sum_j d_j a_ij.  BackwardDriftField computes it at original
+time T - t; its reversed(T), which reversed_drift returns, reads it on the
+reversed clock t.  The same data split symmetrically gives
 the current and osmotic velocities: with v_fwd = b and v_bwd the backward
 drift at original time (v_bwd(t, x) = b_rev(T - t, x)),
 
@@ -60,6 +62,15 @@ class BackwardDriftField:
             out[over] *= (_B_MAX / norms[over])[:, None]
         return out
 
+    def reversed(self, T: float) -> VectorField:
+        """This field on the reversed clock: its value at s in [0, T] is the
+        field's at T - s, counted in this field's floor_hits and cap_hits.  An
+        Euler run over [0, T] queries s <= T - dt only, never original time 0."""
+        if not (T > 0):
+            raise ParameterError(f"horizon must be positive, got {T}")
+        T = float(T)
+        return VectorField(lambda s, X: self(_original_time(s, T), X), self.dim)
+
 
 def _original_time(s: float, T: float) -> float:
     """T - s clamped to [0, T], for a reversed time s in [0, T] up to roundoff."""
@@ -68,30 +79,10 @@ def _original_time(s: float, T: float) -> float:
     return min(max(T - s, 0.0), T)
 
 
-class ReversedDrift:
-    """Drift of the reversed process as a field in reversed time.
-
-    Evaluation at reversed time t in [0, T] delegates to self.backward at
-    original time T - t; its floor_hits and cap_hits count the queries.  An
-    explicit Euler run over [0, T] only ever queries reversed times up to
-    T - dt, so the original time 0 slice is never touched.
-    """
-
-    def __init__(self, backward: BackwardDriftField, T: float):
-        if not (T > 0):
-            raise ParameterError(f"horizon must be positive, got {T}")
-        self.backward = backward
-        self.T = float(T)
-        self.dim = backward.dim
-
-    def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
-        return self.backward(_original_time(t, self.T), X)
-
-
 def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
-                   density: DensityFlow, T: float) -> ReversedDrift:
-    """Drift of the time-reversed diffusion on [0, T]."""
-    return ReversedDrift(BackwardDriftField(b, a, div_a, density), T)
+                   density: DensityFlow, T: float) -> VectorField:
+    """Drift of the time-reversed diffusion on [0, T], on the reversed clock."""
+    return BackwardDriftField(b, a, div_a, density).reversed(T)
 
 
 @dataclass(frozen=True)

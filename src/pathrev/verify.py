@@ -30,7 +30,10 @@ from .reversal import ReversedWalk
 Z_DEFAULT = 3.0
 ATOL_DEFAULT = 1e-3
 SMALL_SAMPLE = 100
-_GRAPH_ATOL = 1e-12  # graph_ibp_residual's pass bound on an exact finite sum
+# pass bound of an identity computed exactly, as a finite sum: graph_ibp_residual
+# and the walk reversal and detailed-balance checks; the CLI also matches a
+# stored ensemble's horizon to the config's within it
+EXACT_ATOL = 1e-12
 # continuity_residual: probes per coordinate and the steps of its central
 # differences in time and in space
 _N_PER_DIM = 9
@@ -185,7 +188,7 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
 def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
                        p: np.ndarray, t: float, u: np.ndarray, v: np.ndarray) -> ResidualReport:
     """Exact graph analogue of ibp_residual: no sampling, a finite sum,
-    passing at |sum| <= _GRAPH_ATOL.
+    passing at |sum| <= EXACT_ATOL.
 
     sum_x p(x) [ (L+ u + L- u)(x) v(x) + Gamma(u, v)(x) ] with the graph
     carre du champ Gamma(u, v)(x) = sum_y (u(y)-u(x))(v(y)-v(x)) j(t, x; y).
@@ -210,7 +213,7 @@ def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
     Lb = (Jb * du).sum(axis=1)
     gamma = (J * du * dv).sum(axis=1)
     est = float(p @ ((Lf + Lb) * v + gamma))
-    return ResidualReport(est, 0.0, n, bool(abs(est) <= _GRAPH_ATOL), z=0.0, atol=_GRAPH_ATOL)
+    return ResidualReport(est, 0.0, n, bool(abs(est) <= EXACT_ATOL), z=0.0, atol=EXACT_ATOL)
 
 
 def carre_du_champ_estimate(e: PathEnsemble, u: TestFunction, v: TestFunction,
@@ -338,7 +341,6 @@ class EnergyTestResult:
     n_perm: int
     n_a: int
     n_b: int
-    note: str = ""
 
 
 def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
@@ -359,9 +361,6 @@ def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
     n, m = A.shape[0], B.shape[0]
     if n_perm < 1:
         raise ParameterError("n_perm must be at least 1")
-    note = ""
-    if min(n, m) < 50:
-        note = f"small sample (n={n}, m={m})"
     N = n + m
     identical = n == m and np.array_equal(A, B)
 
@@ -410,4 +409,4 @@ def two_sample_energy(A: np.ndarray, B: np.ndarray, n_perm: int = 199,
             count += 1
 
     p = (count + 1) / (n_perm + 1)
-    return EnergyTestResult(float(obs), float(p), n_perm, n, m, note)
+    return EnergyTestResult(float(obs), float(p), n_perm, n, m)

@@ -262,6 +262,19 @@ class TestErrorContract:
         assert capsys.readouterr().err == "numeric error: flow covariance not SPD at t=0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "reverse"])
+    @pytest.mark.parametrize("out", ["", "taken"])
+    def test_unusable_out_dir(self, tmp_path, command, out):
+        # an empty name, or the name of an existing file, which stays as it was
+        _write_cfg(tmp_path, _cycle_cfg())
+        (tmp_path / "taken").write_text("keep\n")
+        proc = _cli(tmp_path, command, "--config", "cfg.json", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: cannot create output directory {out!r}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+        assert (tmp_path / "taken").read_text() == "keep\n"
+
 
 # the fingerprint tool's CUSTOM model: x' = -x/2 + 0.2, a = 2, from N(0, 1)
 _CUSTOM_LINEAR = {"type": "custom", "dim": 1,
@@ -576,6 +589,21 @@ class TestSimulateCommand:
         assert lines[0] == "path_id,t,x1"
         assert len(lines) == 1 + 200 * 51
 
+    def test_csv_layout(self, tmp_path):
+        path = _write_cfg(tmp_path, _ou_cfg(model=_OU_2D, n_paths=3,
+                                            grid={"T": 1.0, "n_steps": 4}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out), "--format", "csv"]) == 0
+        e = load_ensemble(str(out / "ensemble.bin"))
+        lines = _read_lines(out / "ensemble.csv")
+        assert lines[0] == "path_id,t,x1,x2"
+        assert len(lines) == 1 + 3 * 5
+        # full-precision floats round-trip through repr
+        first = lines[1].split(",")
+        assert first[0] == "0"
+        assert float(first[1]) == 0.0
+        assert float(first[2]) == e.paths[0, 0, 0]
+
     def test_walk_events(self, tmp_path):
         path = _write_cfg(tmp_path, _cycle_cfg(n_paths=50))
         out = tmp_path / "sim"
@@ -858,6 +886,17 @@ class TestParser:
         path = _write_cfg(tmp_path, _cycle_cfg())
         with pytest.raises(SystemExit):
             main(["rw", "--config", path, "spin"])
+
+
+def test_package_import_loads_no_submodule():
+    # every name is imported from its module; the package re-exports nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, pathrev; "
+            "print(sorted(m for m in sys.modules if m.startswith('pathrev.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):

@@ -7,8 +7,8 @@ from pathrev import core
 from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
                           VectorField, _matvec_rows, _quad_rows, _sq_distances,
-                          ensemble_to_csv, flip_ensemble, load_ensemble, make_grid,
-                          mean_stderr, path_rng, path_streams, psd_sqrt, save_ensemble)
+                          flip_ensemble, load_ensemble, make_grid, mean_stderr,
+                          path_rng, path_streams, psd_sqrt, save_ensemble)
 
 
 class TestTimeGrid:
@@ -257,19 +257,6 @@ class TestSerialization:
         p.write_bytes(b"not an ensemble at all")
         with pytest.raises(ConsistencyError):
             load_ensemble(str(p))
-
-    def test_csv_layout(self, tmp_path):
-        e = _small_ensemble()
-        p = tmp_path / "e.csv"
-        ensemble_to_csv(e, str(p))
-        lines = p.read_text().splitlines()
-        assert lines[0] == "path_id,t,x1,x2"
-        assert len(lines) == 1 + 3 * 5
-        # full-precision floats round-trip through repr
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == 0.0
-        assert float(first[2]) == e.paths[0, 0, 0]
 
 
 class TestJumpPathEnsemble:

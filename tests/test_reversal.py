@@ -10,9 +10,9 @@ from pathrev.density import exact_flow_density, kde_flow
 from pathrev.models import (Gaussian, biased_cycle_walk, bm_flow, graph_walk,
                             ou_diffusion, ou_marginal_flow, ou_reference,
                             walk_marginal_fn)
-from pathrev.reversal import (BackwardDriftField, ReversedDrift,
-                              momentum_fields, osmotic_residual,
-                              reversed_drift, reversed_jump_intensities)
+from pathrev.reversal import (BackwardDriftField, momentum_fields,
+                              osmotic_residual, reversed_drift,
+                              reversed_jump_intensities)
 from pathrev.simulate import SimConfig, euler_maruyama
 
 TWO_OVER_E = 0.7357588823428847
@@ -109,20 +109,39 @@ class TestBackwardDrift:
             BackwardDriftField(VectorField.zero(2), MatrixField.identity(2),
                                VectorField.zero(2), density)
 
+    def test_reversed_clock_is_the_field_at_t_minus_s(self):
+        # the bundled OU config's probe line: 11 points on 1 +- (2 sd + 0.5)
+        ref, flow, density = _ou_setup()
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
+        rev = bwd.reversed(1.0)
+        half = 2.0 * math.sqrt(0.5) + 0.5
+        X = np.linspace(1.0 - half, 1.0 + half, 11)[:, None]
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert np.array_equal(rev(s, X), bwd(1.0 - s, X))
+
     def test_reversed_time_domain(self):
         ref, flow, density = _ou_setup()
-        rd = reversed_drift(ref.drift, ref.a, ref.div_a, density, T=1.0)
-        with pytest.raises(ParameterError):
-            rd(1.5, np.zeros((1, 1)))
-        with pytest.raises(ParameterError):
-            ReversedDrift(BackwardDriftField(ref.drift, ref.a, ref.div_a, density),
-                          T=0.0)
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
+        for T in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                bwd.reversed(T)
+        rev = bwd.reversed(1.0)
+        for s in (-0.1, 1.5):
+            with pytest.raises(ParameterError):
+                rev(s, np.zeros((1, 1)))
 
-    def test_counter_passthrough(self):
-        ref, flow, density = _ou_setup()
-        rd = reversed_drift(ref.drift, ref.a, ref.div_a, density, T=1.0)
-        rd(0.5, np.linspace(-3.0, 3.0, 7)[:, None])
-        assert rd.backward.floor_hits == 0 and rd.backward.cap_hits == 0
+    def test_counter_passthrough(self, floored, monkeypatch):
+        # queries on the reversed clock count in the field's own counters;
+        # at T - s = 0 the law is N(1, 1/2): x = 3 lies below the floor and
+        # its drift 3 is capped, x = 0.3 is inside with drift 2 - x = 1.7
+        monkeypatch.setattr(reversal, "_B_MAX", 1.0)
+        ref, flow, _ = _ou_setup()
+        bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, floored(flow, 0.5))
+        rev = bwd.reversed(1.0)
+        rev(1.0, np.array([[3.0]]))
+        assert bwd.floor_hits == 1 and bwd.cap_hits == 1
+        rev(1.0, np.array([[0.3]]))
+        assert bwd.floor_hits == 1 and bwd.cap_hits == 2
 
     @pytest.mark.parametrize("x", [8.0, 40.0])
     def test_exact_score_trusted_in_far_tail(self, x):

@@ -465,7 +465,6 @@ class TestTwoSampleEnergy:
         res = two_sample_energy(A, B, n_perm=199, seed=5)
         assert res.p_value > 0.01
         assert res.statistic >= 0.0
-        assert res.note == ""
 
     def test_detects_mean_shift(self):
         A = path_rng(21, 0).standard_normal((800, 1))
@@ -540,12 +539,6 @@ class TestTwoSampleEnergy:
         res = two_sample_energy(A, B, n_perm=49, seed=9)
         assert res.statistic == obs
         assert res.p_value == (count + 1) / 50
-
-    def test_small_sample_note(self):
-        A = path_rng(1, 0).standard_normal((20, 1))
-        B = path_rng(2, 0).standard_normal((20, 1))
-        res = two_sample_energy(A, B, n_perm=19, seed=0)
-        assert "small sample" in res.note
 
     def test_unbalanced_sizes(self):
         A = path_rng(1, 0).standard_normal((150, 1))

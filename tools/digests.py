@@ -71,6 +71,8 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("ou-short-run", "run", {**default_checks, "grid": {"T": 0.1, "n_steps": 40}}, []),
         # a config error: exit 2 with one stderr line and no output directory
         ("bad-grid", "run", {**ou, "grid": {**ou["grid"], "n_steps": 0}}, []),
+        # an output directory that cannot be created: the appended --out wins
+        ("bad-out", "run", cycle, ["--out", ""]),
     ]
 
 
