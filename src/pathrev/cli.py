@@ -306,9 +306,8 @@ class _DiffusionRun(_Run):
         the snapshot times.  KDE densities get the pointwise probe table
         b_star instead (one-dimensional models only).
         """
-        a_mat = self.spec.a.constant_matrix
         base = {"T": self.grid.T, "model": self.cfg["model"], "density": self.cfg["density"],
-                "a": None if a_mat is None else a_mat.tolist(), "times": times}
+                "a": self.spec.a.constant_matrix.tolist(), "times": times}
         laws = [self.density.at(self.grid.T - s) for s in times]
         if all(isinstance(law, Gaussian) for law in laws):
             flow = self.bundle.flow
@@ -529,10 +528,7 @@ def _check_detailed_balance(run: _WalkRun) -> dict:
 
 
 def _check_carre(run: _DiffusionRun) -> dict:
-    a_mat = run.spec.a.constant_matrix
-    if a_mat is None:
-        raise ConfigError("carre check requires a constant diffusion matrix")
-    expected = float(a_mat[0, 0])
+    expected = float(run.spec.a.constant_matrix[0, 0])
     u = coordinate_function(run.spec.dim)
     n, dt = run.grid.n_steps, run.grid.dt
     k0 = n // 4

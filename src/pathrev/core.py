@@ -151,6 +151,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetric(A: np.ndarray, name: str) -> np.ndarray:
+    """The square matrix A symmetrized and frozen.  A matrix farther than
+    atol 1e-12 (np.allclose) from its transpose is refused: covariances and
+    diffusion matrices are symmetric, and averaging a non-symmetric one with
+    its transpose would run another model than the one asked for."""
+    if not np.allclose(A, A.T, atol=1e-12):
+        raise ParameterError(f"{name} must be symmetric")
+    return _freeze(0.5 * (A + A.T))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, T] with n_steps intervals."""
@@ -313,92 +323,43 @@ class VectorField:
 
 
 class MatrixField:
-    """Symmetric matrix field (t, x) -> dim x dim.
+    """A constant symmetric diffusion matrix a, queried like a field.
 
-    Symmetry is enforced by construction (the output is symmetrized).  A
-    constant field stores its matrix and computes its inverse once, on the
-    first solve; apply, quad and solve multiply the rows by that matrix or
-    inverse through _matvec_rows, so a 1-d field is one elementwise product
-    and a row's bits do not depend on its batch.  The
-    general pointwise form falls back to per-point loops, which is acceptable
-    because all shipped models use constant coefficients.
+    apply, quad and solve take the (t, X) of a field query and multiply the
+    rows of V by a, or by its inverse, computed once on the first solve,
+    through _matvec_rows: a 1-d matrix is one elementwise product and a
+    row's bits do not depend on its batch.
     """
 
-    def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray] | None,
-                 dim: int, constant: np.ndarray | None = None):
-        self.dim = int(dim)
-        if constant is not None:
-            A = np.asarray(constant, dtype=np.float64)
-            if A.shape != (self.dim, self.dim):
-                raise ParameterError(f"constant matrix shape {A.shape} != ({dim}, {dim})")
-            A = 0.5 * (A + A.T)
-            self._const = _freeze(A)
-            self._fn = None
-        else:
-            if fn is None:
-                raise ParameterError("need either fn or constant")
-            self._const = None
-            self._fn = fn
-
-    @classmethod
-    def constant(cls, matrix: np.ndarray) -> "MatrixField":
-        M = np.asarray(matrix, dtype=np.float64)
-        return cls(None, M.shape[0], constant=M)
+    def __init__(self, matrix: np.ndarray):
+        A = np.asarray(matrix, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ParameterError(f"diffusion matrix shape {A.shape} is not square")
+        self.dim = A.shape[0]
+        self.constant_matrix = _symmetric(A, "diffusion matrix")
 
     @classmethod
     def identity(cls, dim: int) -> "MatrixField":
-        return cls(None, dim, constant=np.eye(dim))
-
-    @property
-    def is_constant(self) -> bool:
-        return self._const is not None
-
-    @property
-    def constant_matrix(self) -> np.ndarray | None:
-        return self._const
+        return cls(np.eye(dim))
 
     @cached_property
     def _inv(self) -> np.ndarray:
         try:
-            return np.linalg.inv(self._const)
+            return np.linalg.inv(self.constant_matrix)
         except np.linalg.LinAlgError:
-            raise NumericError("constant matrix field is singular") from None
-
-    def at(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self._const is not None:
-            return self._const
-        M = np.asarray(self._fn(t, np.asarray(x, dtype=np.float64)), dtype=np.float64)
-        if M.shape != (self.dim, self.dim):
-            raise NumericError(f"matrix field returned shape {M.shape}")
-        return 0.5 * (M + M.T)
+            raise NumericError("diffusion matrix is singular") from None
 
     def apply(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Row-wise a(t, x_i) @ v_i."""
-        if self._const is not None:
-            return _matvec_rows(self._const, V)
-        out = np.empty_like(V)
-        for i in range(X.shape[0]):
-            out[i] = self.at(t, X[i]) @ V[i]
-        return out
+        """Row-wise a v_i."""
+        return _matvec_rows(self.constant_matrix, V)
 
     def quad(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Row-wise quadratic form v_i . a(t, x_i) v_i."""
-        if self._const is not None:
-            return _quad_rows(self._const, V)
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            out[i] = V[i] @ self.at(t, X[i]) @ V[i]
-        return out
+        """Row-wise quadratic form v_i . a v_i."""
+        return _quad_rows(self.constant_matrix, V)
 
     def solve(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Row-wise a(t, x_i)^{-1} v_i; a constant a uses its cached inverse."""
-        if self._const is not None:
-            return _matvec_rows(self._inv, V)
-        out = np.empty_like(V)
-        for i in range(X.shape[0]):
-            out[i] = np.linalg.solve(self.at(t, X[i]), V[i])
-        return out
-
+        """Row-wise a^{-1} v_i."""
+        return _matvec_rows(self._inv, V)
 
 
 def psd_sqrt(A: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Model builders: reversible reference diffusions, Gaussian marginal flows,
 generic diffusion specifications and finite-graph walks.
 
-The shipped oracles are deliberately simple (constant diffusion matrix,
-linear drift, Gaussian marginals) so that every downstream quantity has a
-closed form to test against.  Spatially varying coefficients are supported
-through the field abstractions but ship without oracles.
+The shipped models are deliberately simple (linear drift, Gaussian
+marginals) so that every downstream quantity has a closed form to test
+against.  Every diffusion matrix is constant, and every walk that is
+simulated or whose marginals are taken has constant jump rates.
 """
 from __future__ import annotations
 
@@ -17,11 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .core import (ConfigError, ConsistencyError, MatrixField, NumericError,
-                   ParameterError, VectorField, _freeze, _matvec_rows, _quad_rows, expm,
-                   psd_sqrt)
+                   ParameterError, VectorField, _freeze, _matvec_rows, _quad_rows,
+                   _symmetric, expm, psd_sqrt)
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SIGMA_TOL = 1e-12  # relative tolerance of validate_sigma
+# relative tolerance of sigma sigma^T = a, checked once per spec: psd_sqrt
+# sets eigenvalues down to -1e-10 of the largest to zero, and a factor that
+# misses a by more than roundoff would simulate another diffusion
+_SIGMA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,8 @@ class Gaussian:
             C = C.reshape(1, 1)
         if C.shape != (m.size, m.size):
             raise ParameterError(f"cov shape {C.shape} incompatible with mean size {m.size}")
-        if not np.allclose(C, C.T, atol=1e-12):
-            raise ParameterError("cov must be symmetric")
         object.__setattr__(self, "mean", _freeze(m))
-        object.__setattr__(self, "cov", _freeze(0.5 * (C + C.T)))
+        object.__setattr__(self, "cov", _symmetric(C, "cov"))
 
     @property
     def dim(self) -> int:
@@ -162,17 +163,14 @@ class KolmogorovSpec:
 
 
 def kolmogorov_spec(dim: int, potential, grad_potential, a: MatrixField,
-                    div_a: VectorField | None = None,
                     m: Gaussian | None = None) -> KolmogorovSpec:
     """Assemble a reversible reference; the drift is derived, not supplied.
 
     potential is U with its normalizing constant included, so that exp(-U)
-    integrates to one; grad_potential is its gradient.
+    integrates to one; grad_potential is its gradient.  a is constant, so
+    div a is zero.
     """
-    if div_a is None:
-        if not a.is_constant:
-            raise ParameterError("div_a must be supplied for non-constant a")
-        div_a = VectorField.zero(dim)
+    div_a = VectorField.zero(dim)
 
     def drift_fn(t, X):
         g = np.asarray(grad_potential(X), dtype=np.float64)
@@ -218,35 +216,30 @@ def bm_flow(init_cov, init_mean=None) -> GaussianFlow:
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """What the path simulator needs: drift b, diffusion matrix a = sigma sigma^T,
-    a factor sigma, and an initial law."""
+    """What the path simulator needs: drift b, the constant diffusion matrix
+    a, its frozen (dim, dim) noise factor sigma with sigma sigma^T = a, and
+    an initial law."""
 
     dim: int
     drift: VectorField
     a: MatrixField
-    sigma: MatrixField
+    sigma: np.ndarray
     init: Gaussian
     tag: str = ""
 
-    def validate_sigma(self, points: np.ndarray) -> None:
-        """sigma sigma^T = a at t = 0 on each row of the (n, dim) points."""
-        for x in points:
-            S = self.sigma.at(0.0, x)
-            A = self.a.at(0.0, x)
-            if np.abs(S @ S.T - A).max() > _SIGMA_TOL * max(1.0, np.abs(A).max()):
-                raise ConsistencyError(f"sigma sigma^T != a at t=0.0, x={x}")
-
 
 def diffusion_spec(drift: VectorField, a: MatrixField, init: Gaussian,
-                   sigma: MatrixField | None = None, tag: str = "") -> DiffusionSpec:
+                   tag: str = "") -> DiffusionSpec:
+    """The spec with sigma = psd_sqrt(a), a lower-triangular Cholesky factor
+    when a is SPD, so correlated noise keeps its correlation."""
     dim = drift.dim
     if init.dim != dim or a.dim != dim:
         raise ParameterError("drift, a and init disagree on dimension")
-    if sigma is None:
-        if not a.is_constant:
-            raise ParameterError("sigma must be supplied for non-constant a")
-        sigma = MatrixField.constant(psd_sqrt(a.constant_matrix))
-    return DiffusionSpec(dim, drift, a, sigma, init, tag)
+    A = a.constant_matrix
+    sigma = psd_sqrt(A)
+    if np.abs(sigma @ sigma.T - A).max() > _SIGMA_TOL * max(1.0, np.abs(A).max()):
+        raise ConsistencyError("sigma sigma^T != a")
+    return DiffusionSpec(dim, drift, a, _freeze(sigma), init, tag)
 
 
 def ou_diffusion(init: Gaussian) -> DiffusionSpec:
@@ -264,8 +257,10 @@ class GraphWalkSpec:
     """Continuous-time walk on a finite graph.
 
     adjacency is symmetric with no self-loops and must be connected.  The
-    intensity j(t, x; y) lives on directed edges; a constant matrix enables
-    the fast simulation path, a callable needs rate_bound for thinning.
+    intensity j(t, x; y) lives on directed edges: a constant matrix, or a
+    callable of t with a rate_bound on the total out-rate.  Only a constant
+    matrix can be simulated or have its marginals taken; a callable serves
+    as the reversed walk that is reversed again.
     """
 
     n_states: int
@@ -310,9 +305,9 @@ class GraphWalkSpec:
         _check_intensity(J, self.adjacency)
         return J
 
-    def generator(self, t: float = 0.0) -> np.ndarray:
-        """Rate matrix Q with zero row sums."""
-        J = np.array(self.intensity(t))
+    def generator(self) -> np.ndarray:
+        """Rate matrix Q with zero row sums, of constant intensities."""
+        J = np.array(self.intensity_matrix)
         np.fill_diagonal(J, 0.0)
         Q = J - np.diag(J.sum(axis=1))
         return Q
@@ -370,35 +365,21 @@ def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
 
 
 def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
-    """Exact marginals t -> p_t, uncached (thinning queries continuous
-    times).  Matrix exponential for constant intensities, an ODE solve of
-    the forward equation otherwise.  With constant intensities, an initial
-    law with p0 Q = 0 exactly short-circuits the exponential: p_t = p0
-    without roundoff.  The ODE branch makes no such check."""
-    if spec.is_constant:
-        Q = spec.generator(0.0)
-        if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
-            return lambda t: spec.p0
-
-        def marginals(t: float) -> np.ndarray:
-            t = float(t)
-            if t < 0:
-                raise ParameterError(f"negative time {t}")
-            return spec.p0 @ expm(t * Q)
-
-        return marginals
-
-    from scipy.integrate import solve_ivp
+    """Exact marginals t -> p_t = p0 expm(t Q) of a walk with constant
+    intensities, uncached (a reversal queries any time).  An initial law
+    with p0 Q = 0 exactly short-circuits the exponential: p_t = p0 without
+    roundoff."""
+    if not spec.is_constant:
+        raise ParameterError("walk marginals need constant intensities")
+    Q = spec.generator()
+    if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
+        return lambda t: spec.p0
 
     def marginals(t: float) -> np.ndarray:
         t = float(t)
         if t < 0:
             raise ParameterError(f"negative time {t}")
-        if t == 0.0:
-            return np.array(spec.p0)
-        sol = solve_ivp(lambda s, p: p @ spec.generator(s), (0.0, t), spec.p0,
-                        rtol=1e-12, atol=1e-14, dense_output=False)
-        return sol.y[:, -1]
+        return spec.p0 @ expm(t * Q)
 
     return marginals
 
@@ -508,7 +489,7 @@ def load_model(obj) -> ModelBundle:
         init = _initial_law(obj)
         d = init.dim
         M, c = _build_drift(obj["drift"], d)
-        a = MatrixField.constant(_array(obj["diffusion_matrix"], "diffusion_matrix", (d, d)))
+        a = MatrixField(_array(obj["diffusion_matrix"], "diffusion_matrix", (d, d)))
         spec = diffusion_spec(VectorField.linear(M, c), a, init, tag="custom")
         return ModelBundle(d, diffusion=spec,
                            flow=linear_flow(M, c, a.constant_matrix, init))

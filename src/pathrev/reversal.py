@@ -181,7 +181,10 @@ class ReversedWalk:
         return self.intensity(self.T - t)
 
     def as_walk_spec(self, rate_bound: float) -> GraphWalkSpec:
-        """Materialize as a simulatable walk; requires every edge defined."""
+        """This walk as a spec with callable intensities, which
+        reversed_jump_intensities reverses again; every edge must be defined.
+        rate_bound bounds the total out-rate for a thinning simulation, which
+        ctmc_simulate does not offer: it refuses the spec."""
         from .models import graph_walk
 
         def fn(s):

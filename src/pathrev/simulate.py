@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, JumpPathEnsemble, ParameterError, PathEnsemble,
-                   SimulationError, TimeGrid, _matvec_rows, path_streams)
+from .core import (JumpPathEnsemble, ParameterError, PathEnsemble, SimulationError,
+                   TimeGrid, _matvec_rows, path_streams)
 # unused here; perfbench/tracer.py patches path_rng by name in this module
 from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
@@ -52,7 +52,6 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
     nodes = grid.nodes
     dt = grid.dt
     sq = math.sqrt(dt)
-    spec.validate_sigma(spec.init.mean[None, :])
 
     init_factor = spec.init.factor
     out = np.empty((cfg.n_paths, n + 1, d))
@@ -67,7 +66,7 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
         out[start:stop, 0] = X
         for k in range(n):
             b = spec.drift(nodes[k], X)
-            noise = spec.sigma.apply(nodes[k], X, Z[:, k + 1, :])
+            noise = _matvec_rows(spec.sigma, Z[:, k + 1, :])
             X = X + b * dt + noise * sq
             if not np.isfinite(X).all():
                 bad = int(np.nonzero(~np.isfinite(X).all(axis=1))[0][0])
@@ -86,12 +85,10 @@ def _cum_list(weights: np.ndarray) -> list[float]:
 
 
 def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> JumpPathEnsemble:
-    """Simulate the walk on [0, T].
-
-    Constant intensities use direct exponential waiting times; time-dependent
-    intensities use thinning against spec.rate_bound, with a configuration
-    error if the realized total rate ever exceeds the bound.
-    """
+    """Simulate the walk, which must have constant intensities, on [0, T]
+    with direct exponential waiting times."""
+    if not spec.is_constant:
+        raise ParameterError("walk simulation needs constant intensities")
     if not (np.isfinite(T) and T > 0):
         raise ParameterError(f"horizon must be positive, got {T}")
     if int(n_paths) != n_paths or n_paths < 1:
@@ -106,81 +103,25 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
     initial = np.empty(n_paths, dtype=np.int64)
     all_events = []
 
-    if spec.is_constant:
-        J = spec.intensity_matrix
-        rates = J.sum(axis=1).tolist()
-        cum_rows = [_cum_list(row) for row in J]
-        for i, rng in enumerate(path_streams(seed, range(n_paths))):
-            random, exponential = rng.random, rng.exponential
-            x = bisect_right(cum_p0, random())
-            initial[i] = x
-            t = 0.0
-            events = []
-            while True:
-                lam = rates[x]
-                if lam <= 0.0:
-                    break
-                t += exponential(1.0 / lam)
-                if t > T:
-                    break
-                y = bisect_right(cum_rows[x], random() * lam)
-                events.append((t, x, y))
-                x = y
-            all_events.append(tuple(events))
-    else:
-        bound = spec.rate_bound
-        if bound is None or not (bound > 0):
-            raise ConfigError("time-dependent walk needs a positive rate_bound")
-        for i, rng in enumerate(path_streams(seed, range(n_paths))):
-            x = bisect_right(cum_p0, rng.random())
-            initial[i] = x
-            t = 0.0
-            events = []
-            while True:
-                t += rng.exponential(1.0 / bound)
-                if t > T:
-                    break
-                row = spec.intensity(t)[x]
-                lam = row.sum()
-                if lam > bound * (1.0 + 1e-12):
-                    raise ConfigError(
-                        f"total rate {lam} at t={t} exceeds rate_bound {bound}")
-                if rng.random() * bound < lam:
-                    y = bisect_right(_cum_list(row), rng.random() * lam)
-                    events.append((t, x, y))
-                    x = y
-            all_events.append(tuple(events))
+    J = spec.intensity_matrix
+    rates = J.sum(axis=1).tolist()
+    cum_rows = [_cum_list(row) for row in J]
+    for i, rng in enumerate(path_streams(seed, range(n_paths))):
+        random, exponential = rng.random, rng.exponential
+        x = bisect_right(cum_p0, random())
+        initial[i] = x
+        t = 0.0
+        events = []
+        while True:
+            lam = rates[x]
+            if lam <= 0.0:
+                break
+            t += exponential(1.0 / lam)
+            if t > T:
+                break
+            y = bisect_right(cum_rows[x], random() * lam)
+            events.append((t, x, y))
+            x = y
+        all_events.append(tuple(events))
 
     return JumpPathEnsemble(spec.n_states, T, initial, tuple(all_events), seed)
-
-
-def jump_states_at(e: JumpPathEnsemble, t: float) -> np.ndarray:
-    """Cadlag state of every path at time t, via bisection on event times."""
-    if not (0 <= t <= e.T):
-        raise ParameterError(f"time {t} outside [0, {e.T}]")
-    out = np.array(e.initial_states)
-    for i, evs in enumerate(e.events):
-        if not evs:
-            continue
-        times = [ev[0] for ev in evs]
-        k = bisect_right(times, t)
-        if k > 0:
-            out[i] = evs[k - 1][2]
-    return out
-
-
-def marginal_slice(e, t: float):
-    """Marginal of an ensemble at time t.
-
-    Diffusion ensembles: t is snapped to the nearest grid node and the
-    (n_paths, dim) sample matrix at that node is returned; t = 0 is an exact
-    draw of the initial law.  Jump ensembles: returns the normalized state
-    histogram at t (cadlag lookup).
-    """
-    if isinstance(e, PathEnsemble):
-        idx = e.grid.index_of(t)
-        return np.array(e.paths[:, idx, :])
-    if isinstance(e, JumpPathEnsemble):
-        states = jump_states_at(e, t)
-        return np.bincount(states, minlength=e.n_states) / e.n_paths
-    raise ParameterError(f"unsupported ensemble type {type(e).__name__}")

@@ -229,6 +229,10 @@ class TestErrorContract:
          "config error: model: init_cov "),
         ("simulate", _ou_cfg(model=dict(_MODELS["custom"], diffusion_matrix=2.0)),
          re.escape("config error: model: diffusion_matrix shape () != (1, 1)")),
+        ("simulate", _ou_cfg(model=dict(_MODELS["custom"], dim=2, init_mean=[0.0, 0.0],
+                                        init_cov=[[1.0, 0.0], [0.0, 1.0]],
+                                        diffusion_matrix=[[2.0, 1.0], [0.0, 2.0]])),
+         "parameter error: diffusion matrix must be symmetric"),
         # n_paths x (n_steps + 1) doubles is 7.11 PiB: numpy refuses before allocating
         ("simulate", _ou_cfg(n_paths=10 ** 9, grid={"T": 1.0, "n_steps": 10 ** 6}),
          "memory error: .*7.11 PiB"),
@@ -240,7 +244,7 @@ class TestErrorContract:
     ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
             "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "custom-scalar-a",
-            "oversized-ensemble",
+            "custom-nonsymmetric-a", "oversized-ensemble",
             "ou2d-kde-run", "ou2d-kde-reverse"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
         path = _write_cfg(tmp_path, cfg)
@@ -349,6 +353,43 @@ def _cli(tmp_path, *args):
     return subprocess.run([sys.executable, "-m", "pathrev.cli", *args], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120, check=False)
+
+
+# correlated noise: a = [[2, 1], [1, 2]], simulated through its Cholesky factor
+_CORRELATED_A = [[2.0, 1.0], [1.0, 2.0]]
+
+
+class TestCorrelatedNoise:
+    """A custom model with an off-diagonal diffusion matrix simulates with
+    noise of covariance a, and its reversal certifies."""
+
+    def test_increment_covariance_is_a(self, tmp_path):
+        model = {"type": "custom", "dim": 2, "drift": {"name": "zero"},
+                 "diffusion_matrix": _CORRELATED_A,
+                 "init_mean": [0.0, 0.0], "init_cov": [[1.0, 0.0], [0.0, 1.0]]}
+        _write_cfg(tmp_path, _ou_cfg(model=model, n_paths=2000,
+                                     grid={"T": 1.0, "n_steps": 50}))
+        proc = _cli(tmp_path, "simulate", "--config", "cfg.json", "--out", "o")
+        assert proc.returncode == 0, proc.stderr
+        e = load_ensemble(str(tmp_path / "o" / "ensemble.bin"))
+        dX = np.diff(e.paths, axis=1).reshape(-1, 2)
+        # 1e5 increments: each entry's standard error is under 0.01
+        assert np.abs(np.cov(dX.T) / e.grid.dt - _CORRELATED_A).max() <= 0.05
+
+    def test_non_reversible_model_reverses(self, tmp_path):
+        model = {"type": "custom", "dim": 2,
+                 "drift": {"name": "linear", "matrix": [[-1.0, 0.5], [-0.5, -1.0]],
+                           "offset": [0.2, 0.0]},
+                 "diffusion_matrix": _CORRELATED_A,
+                 "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+        _write_cfg(tmp_path, _ou_cfg(model=model, n_paths=2000,
+                                     grid={"T": 1.0, "n_steps": 200}))
+        proc = _cli(tmp_path, "verify", "--config", "cfg.json", "--out", "o",
+                    "reversal", "ibp")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert sorted(report["checks"]) == ["ibp", "reversal"]
+        assert all(c["passed"] for c in report["checks"].values())
 
 
 class TestStoredKde:

@@ -303,8 +303,7 @@ class TestVectorField:
 
 class TestMatrixField:
     def test_constant(self):
-        a = MatrixField.constant([[2.0, 0.0], [0.0, 3.0]])
-        assert a.is_constant
+        a = MatrixField([[2.0, 0.0], [0.0, 3.0]])
         X = np.array([[1.0, 1.0], [2.0, -1.0]])
         V = np.array([[1.0, 2.0], [0.0, 1.0]])
         assert np.array_equal(a.apply(0.0, X, V), np.array([[2.0, 6.0], [0.0, 3.0]]))
@@ -323,28 +322,30 @@ class TestMatrixField:
 
     def test_solve_spd_constant_matches_linalg(self):
         M = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.7]])
-        a = MatrixField.constant(M)
+        a = MatrixField(M)
         V = path_rng(7, 1).standard_normal((50, 3))
         out = a.solve(0.0, np.zeros((50, 3)), V)
         assert np.allclose(out, np.linalg.solve(M, V.T).T, rtol=1e-13, atol=1e-15)
         assert np.allclose(out @ M, V, rtol=1e-13, atol=1e-14)
 
     def test_solve_singular_constant(self):
-        a = MatrixField.constant([[1.0, 1.0], [1.0, 1.0]])
+        a = MatrixField([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericError):
             a.solve(0.0, np.zeros((2, 2)), np.ones((2, 2)))
 
-    def test_pointwise_fn_is_symmetrized(self):
-        a = MatrixField(lambda t, x: np.array([[1.0, 2.0], [0.0, 1.0]]), 2)
-        assert not a.is_constant
-        M = a.at(0.0, np.zeros(2))
-        assert np.array_equal(M, M.T)
+    def test_refuses_a_nonsymmetric_matrix(self):
+        # the rule Gaussian applies to cov: within atol 1e-12 of symmetric,
+        # and then symmetrized exactly
+        with pytest.raises(ParameterError, match="diffusion matrix must be symmetric"):
+            MatrixField([[2.0, 1.0], [0.0, 2.0]])
+        M = MatrixField([[2.0, 1.0 + 1e-13], [1.0, 2.0]]).constant_matrix
+        assert np.array_equal(M, M.T) and not M.flags.writeable
 
     def test_shape_validation(self):
         with pytest.raises(ParameterError):
-            MatrixField(None, 2, constant=np.eye(3))
+            MatrixField(np.eye(3)[:2])
         with pytest.raises(ParameterError):
-            MatrixField(None, 2)
+            MatrixField(np.ones(2))
 
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -397,7 +398,7 @@ class TestMatvecRows:
         V = rng.standard_normal((100, d))
         V[:5] = -0.0
         X = np.zeros_like(V)
-        a = MatrixField.constant(A)
+        a = MatrixField(A)
         assert _same_bits(a.apply(0.0, X, V), V @ a.constant_matrix.T)
         assert _same_bits(a.solve(0.0, X, V), V @ np.linalg.inv(a.constant_matrix).T)
         c = rng.standard_normal(d)
@@ -410,7 +411,7 @@ class TestMatvecRows:
         # in a batch
         rng = path_rng(36, d)
         B = rng.standard_normal((d, d))
-        a = MatrixField.constant(B @ B.T + d * np.eye(d))
+        a = MatrixField(B @ B.T + d * np.eye(d))
         V = rng.standard_normal((300, d)) * 3.0
         X = np.zeros_like(V)
         rows = np.concatenate([a.quad(0.0, X[i:i + 1], V[i:i + 1]) for i in range(V.shape[0])])

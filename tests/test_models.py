@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from pathrev import core
+from pathrev.cli import main
 from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
                           NumericError, ParameterError, VectorField, make_grid,
                           path_rng)
@@ -15,6 +17,7 @@ from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
                             diffusion_spec, graph_walk, kolmogorov_spec,
                             linear_flow, load_model, ou_diffusion,
                             ou_marginal_flow, ou_reference, walk_marginal_fn)
+from pathrev.reversal import reversed_jump_intensities
 
 INV_SQRT_PI = 0.5641895835477563
 
@@ -234,7 +237,6 @@ class TestKolmogorovSpec:
         ref, flow = ou_reference()
         X = np.array([[0.5], [-2.0]])
         assert np.allclose(ref.drift(0.0, X), -X)
-        assert ref.a.is_constant
         assert np.array_equal(ref.a.constant_matrix, np.eye(1))
         assert np.allclose(flow.at(0.3).cov, 0.5 * np.eye(1))
 
@@ -251,30 +253,43 @@ class TestKolmogorovSpec:
         X = np.array([[1.5], [-0.25]])
         assert np.allclose(spec.drift(0.0, X), -X)
 
-    def test_nonconstant_a_needs_div(self):
-        af = MatrixField(lambda t, x: np.eye(1), 1)
-        with pytest.raises(ParameterError):
-            kolmogorov_spec(1, lambda X: (X ** 2).sum(axis=1),
-                            lambda X: 2.0 * X, af)
-
 
 class TestDiffusionSpec:
     def test_ou_diffusion(self):
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         X = np.array([[2.0]])
         assert np.allclose(spec.drift(0.0, X), -X)
-        assert np.array_equal(spec.sigma.at(0.0, X[0]), np.eye(1))
+        assert np.array_equal(spec.sigma, np.eye(1))
 
     def test_bm_diffusion(self):
         spec = bm_diffusion(Gaussian(np.zeros(1), np.eye(1)))
         assert np.allclose(spec.drift(0.0, np.array([[3.0]])), 0.0)
 
-    def test_sigma_consistency_check(self):
-        spec = diffusion_spec(VectorField.zero(1), MatrixField.identity(1),
-                              Gaussian(np.zeros(1), np.eye(1)),
-                              sigma=MatrixField.constant([[2.0]]))
-        with pytest.raises(ConsistencyError):
-            spec.validate_sigma(np.zeros((1, 1)))
+    def test_correlated_noise_factor(self):
+        # the lower-triangular Cholesky factor, not its symmetrization
+        spec = diffusion_spec(VectorField.zero(2), MatrixField([[2.0, 1.0], [1.0, 2.0]]),
+                              Gaussian(np.zeros(2), np.eye(2)))
+        S = spec.sigma
+        assert S[0, 1] == 0.0 and not S.flags.writeable
+        assert np.allclose(S @ S.T, [[2.0, 1.0], [1.0, 2.0]], rtol=0, atol=1e-15)
+
+    def test_sigma_consistency_check(self, tmp_path, capsys):
+        # a = Q diag(1, -5e-11) Q^T passes psd_sqrt's eigenvalue tolerance,
+        # but the factor of its clipped spectrum misses a by 5e-11
+        c, s = math.cos(0.3), math.sin(0.3)
+        Q = np.array([[c, -s], [s, c]])
+        model = {"type": "custom", "dim": 2, "drift": {"name": "zero"},
+                 "diffusion_matrix": (Q @ np.diag([1.0, -5e-11]) @ Q.T).tolist(),
+                 "init_mean": [0.0, 0.0], "init_cov": [[1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(ConsistencyError, match=r"^sigma sigma\^T != a$"):
+            load_model(model)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "grid": {"T": 1.0, "n_steps": 10},
+                                   "n_paths": 10, "seed": 1}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "consistency error: sigma sigma^T != a\n"
+        assert not out.exists()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -298,7 +313,7 @@ class TestGraphWalkSpec:
         spec = _c4()
         J = spec.intensity(0.0)
         assert J[0, 1] == 2.0 and J[1, 0] == 1.0
-        Q = spec.generator(0.0)
+        Q = spec.generator()
         assert np.allclose(Q.sum(axis=1), 0.0)
         assert np.allclose(np.diag(Q), -3.0)
 
@@ -360,7 +375,7 @@ class TestWalkMarginals:
         spec = graph_walk(base.adjacency, base.intensity_matrix,
                           np.array([1.0, 0.0, 0.0, 0.0]))
         p = walk_marginal_fn(spec)
-        Q = spec.generator(0.0)
+        Q = spec.generator()
         assert np.allclose(p(1.0), spec.p0 @ expm(Q), atol=1e-12)
         # independent first-order check of the forward equation
         h = 1e-4
@@ -369,19 +384,15 @@ class TestWalkMarginals:
         with pytest.raises(ParameterError):
             p(-0.5)
 
-    def test_time_dependent_route(self):
-        base = _c4()
-        fn = lambda t: (1.0 + t) * base.intensity_matrix
-        spec = graph_walk(base.adjacency, fn, np.array([1.0, 0.0, 0.0, 0.0]),
-                          rate_bound=7.0)
-        p = walk_marginal_fn(spec)
-        # commuting generators: p(t) = p0 expm((t + t^2/2) Q0)
-        expected = spec.p0 @ expm(1.5 * base.generator(0.0))
-        assert np.allclose(p(1.0), expected, atol=1e-9)
+    def test_refuses_callable_intensities(self):
+        spec = _c4()
+        rev = reversed_jump_intensities(spec, walk_marginal_fn(spec), 1.0)
+        with pytest.raises(ParameterError, match="walk marginals need constant intensities"):
+            walk_marginal_fn(rev.as_walk_spec(rate_bound=13.0))
 
     def test_keeps_nothing_per_time(self):
-        # thinning queries continuous event times, which never repeat, so a
-        # per-time cache would grow by one entry per candidate event
+        # a reversal queries the marginals at whatever times it is asked
+        # for, so a per-time cache would grow by one entry per query
         base = _c4()
         spec = graph_walk(base.adjacency, base.intensity_matrix,
                           np.array([0.4, 0.3, 0.2, 0.1]))

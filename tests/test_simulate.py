@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pathrev import simulate
-from pathrev.core import (ConfigError, JumpPathEnsemble, MatrixField,
-                          ParameterError, SimulationError, VectorField,
-                          make_grid, path_rng)
-from pathrev.models import (Gaussian, biased_cycle_walk, bm_diffusion,
-                            diffusion_spec, graph_walk, ou_diffusion)
-from pathrev.simulate import (SimConfig, ctmc_simulate, euler_maruyama,
-                              jump_states_at, marginal_slice)
+from pathrev.core import (MatrixField, ParameterError, SimulationError,
+                          VectorField, make_grid, path_rng)
+from pathrev.models import (Gaussian, biased_cycle_walk, diffusion_spec,
+                            graph_walk, ou_diffusion, walk_marginal_fn)
+from pathrev.reversal import reversed_jump_intensities
+from pathrev.simulate import SimConfig, ctmc_simulate, euler_maruyama
 
 
 def _shifted_ou():
@@ -93,6 +92,14 @@ class TestEulerMaruyama:
         assert 1.6 <= ratio <= 2.6
 
 
+def _occupation(e, t):
+    """Share of the paths in each state at time t; a path is in the state
+    its last jump at or before t entered (cadlag)."""
+    states = [next((y for s, _, y in reversed(evs) if s <= t), x0)
+              for x0, evs in zip(e.initial_states.tolist(), e.events)]
+    return np.bincount(states, minlength=e.n_states) / e.n_paths
+
+
 class TestCtmcSimulate:
     def test_exponential_holding_times(self):
         from scipy.stats import kstest
@@ -111,14 +118,14 @@ class TestCtmcSimulate:
         spec = graph_walk(base.adjacency, base.intensity_matrix,
                           np.array([1.0, 0.0, 0.0, 0.0]))
         e = ctmc_simulate(spec, T=1.0, n_paths=20000, seed=111)
-        emp = marginal_slice(e, 1.0)
-        exact = spec.p0 @ expm(spec.generator(0.0) * 1.0)
+        emp = _occupation(e, 1.0)
+        exact = spec.p0 @ expm(spec.generator() * 1.0)
         assert np.abs(emp - exact).sum() <= 0.02
 
     def test_uniform_start_stays_uniform(self):
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
         e = ctmc_simulate(spec, T=1.0, n_paths=20000, seed=112)
-        emp = marginal_slice(e, 0.7)
+        emp = _occupation(e, 0.7)
         se = math.sqrt(0.25 * 0.75 / 20000)
         assert np.abs(emp - 0.25).max() <= 3 * se
 
@@ -129,20 +136,11 @@ class TestCtmcSimulate:
         assert a.events == b.events
         assert np.array_equal(a.initial_states, b.initial_states)
 
-    def test_thinning_requires_honest_bound(self):
-        base = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        fn = lambda t: (1.0 + t) * base.intensity_matrix
-        spec = graph_walk(base.adjacency, fn, base.p0, rate_bound=3.0)
-        with pytest.raises(ConfigError):
-            ctmc_simulate(spec, T=1.0, n_paths=10, seed=0)
-
-    def test_thinning_route(self):
-        base = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        fn = lambda t: (1.0 + t) * base.intensity_matrix
-        spec = graph_walk(base.adjacency, fn, base.p0, rate_bound=7.0)
-        e = ctmc_simulate(spec, T=1.0, n_paths=5000, seed=77)
-        emp = marginal_slice(e, 1.0)
-        assert np.abs(emp - 0.25).max() <= 0.03
+    def test_refuses_callable_intensities(self):
+        spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
+        rev = reversed_jump_intensities(spec, walk_marginal_fn(spec), 1.0)
+        with pytest.raises(ParameterError, match="walk simulation needs constant intensities"):
+            ctmc_simulate(rev.as_walk_spec(rate_bound=13.0), T=1.0, n_paths=10, seed=0)
 
     def test_parameter_errors(self):
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
@@ -164,22 +162,13 @@ def _reference_ctmc(spec, T, n_paths, seed):
         initial.append(x)
         t, events = 0.0, []
         while True:
-            if spec.is_constant:
-                row = spec.intensity_matrix[x]
-                lam = row.sum()
-                if lam <= 0.0:
-                    break
-                t += rng.exponential(1.0 / lam)
-                if t > T:
-                    break
-            else:
-                t += rng.exponential(1.0 / spec.rate_bound)
-                if t > T:
-                    break
-                row = spec.intensity(t)[x]
-                lam = row.sum()
-                if not rng.random() * spec.rate_bound < lam:
-                    continue
+            row = spec.intensity_matrix[x]
+            lam = row.sum()
+            if lam <= 0.0:
+                break
+            t += rng.exponential(1.0 / lam)
+            if t > T:
+                break
             y = min(int(np.searchsorted(np.cumsum(row), rng.random() * lam,
                                         side="right")), last)
             events.append((t, x, y))
@@ -209,41 +198,6 @@ class TestCtmcMatchesReference:
         J[2] = 0.0
         spec = graph_walk(base.adjacency, J, np.array([0.1, 0.0, 0.2, 0.3, 0.4]))
         self._check(spec, 2.0, 8)
-
-    def test_thinning(self):
-        base = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        fn = lambda t: (1.0 + t) * base.intensity_matrix
-        self._check(graph_walk(base.adjacency, fn, base.p0, rate_bound=7.0), 1.0, 77)
-
-
-class TestSliceHelpers:
-    def test_jump_states_at_cadlag(self):
-        chain = JumpPathEnsemble(4, 1.0, [0],
-                                 (((0.25, 0, 1), (0.5, 1, 2)),), 0)
-        assert jump_states_at(chain, 0.0)[0] == 0
-        assert jump_states_at(chain, 0.25)[0] == 1  # new state at the jump time
-        assert jump_states_at(chain, 0.4999)[0] == 1
-        assert jump_states_at(chain, 1.0)[0] == 2
-        with pytest.raises(ParameterError):
-            jump_states_at(chain, 1.5)
-
-    def test_jump_marginal_is_histogram(self):
-        chain = JumpPathEnsemble(3, 1.0, [0, 1],
-                                 (((0.5, 0, 1),), ()), 0)
-        p = marginal_slice(chain, 0.75)
-        assert np.array_equal(p, np.array([0.0, 1.0, 0.0]))
-
-    def test_marginal_slice_diffusion_snaps(self):
-        spec = bm_diffusion(Gaussian(np.zeros(1), np.eye(1)))
-        cfg = SimConfig(n_paths=4, seed=0, grid=make_grid(1.0, 10))
-        e = euler_maruyama(spec, cfg)
-        sl = marginal_slice(e, 0.301)  # snaps to node 3
-        assert sl.shape == (4, 1)
-        assert np.array_equal(sl, e.paths[:, 3, :])
-
-    def test_marginal_slice_rejects_junk(self):
-        with pytest.raises(ParameterError):
-            marginal_slice("not an ensemble", 0.0)
 
 
 def test_sim_config_validation():

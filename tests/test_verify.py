@@ -75,15 +75,9 @@ class TestTestFunctions:
 
     def test_laplacian_constant_a(self):
         u = square_function(2, index=1)
-        a = MatrixField.constant([[2.0, 0.0], [0.0, 3.0]])
+        a = MatrixField([[2.0, 0.0], [0.0, 3.0]])
         X = np.zeros((4, 2))
         assert np.array_equal(u.laplacian(a, 0.0, X), np.full(4, 6.0))
-
-    def test_laplacian_pointwise_a(self):
-        u = square_function(1)
-        a = MatrixField(lambda t, x: np.array([[1.0 + x[0] ** 2]]), 1)
-        X = np.array([[0.0], [2.0]])
-        assert np.allclose(u.laplacian(a, 0.0, X), [2.0, 10.0])
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,12 @@ BM = {"type": "bm", "init_mean": [0.5], "init_cov": [[0.4]]}
 CUSTOM = {"type": "custom", "dim": 1,
           "drift": {"name": "linear", "matrix": [[-0.5]], "offset": [0.2]},
           "diffusion_matrix": [[2.0]], "init_mean": [0.0], "init_cov": [[1.0]]}
+# correlated noise, a = [[2, 1], [1, 2]], and a non-reversible drift
+CUSTOM_2D_CORR = {"type": "custom", "dim": 2,
+                  "drift": {"name": "linear", "matrix": [[-1.0, 0.5], [-0.5, -1.0]],
+                            "offset": [0.2, 0.0]},
+                  "diffusion_matrix": [[2.0, 1.0], [1.0, 2.0]],
+                  "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
 def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
@@ -73,6 +79,13 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("bad-grid", "run", {**ou, "grid": {**ou["grid"], "n_steps": 0}}, []),
         # an output directory that cannot be created: the appended --out wins
         ("bad-out", "run", cycle, ["--out", ""]),
+        ("custom2d-corr-simulate", "simulate",
+         {**default_checks, "model": CUSTOM_2D_CORR, "grid": {**ou["grid"], "n_steps": 200},
+          "n_paths": 2000, "seed": 11}, []),
+        # a diffusion matrix that is not symmetric: exit 2, one stderr line
+        ("bad-diffusion-matrix", "simulate",
+         {**default_checks,
+          "model": {**CUSTOM_2D_CORR, "diffusion_matrix": [[2.0, 1.0], [0.0, 2.0]]}}, []),
     ]
 
 
