@@ -325,15 +325,17 @@ class _DiffusionRun(_Run):
     @functools.cached_property
     def entropy(self) -> dict:
         if not self.has_reference:
-            raise ConfigError("entropy report needs a model with a reversible "
-                              "reference; only 'ou' provides one")
+            raise ConfigError("entropy report needs the reversible reference N(0, a/2), "
+                              "which a singular diffusion matrix does not have")
         return current_osmosis_decomposition(self.spec.drift, self.density,
                                              self.bundle.reference, self.ensemble).to_dict()
 
     @functools.cached_property
     def heat_flow(self):
-        """(FisherReport, residual) of the free-energy balance along the exact flow;
-        only ou gets here (dissipation is ou-only, cmd_entropy refuses the rest)."""
+        """(FisherReport, residual) along the exact flow.  The table holds for
+        any model with a reference; the residual is the free-energy balance of
+        the reference restarted from P_0, which is the model's flow only for ou,
+        so only the ou-only dissipation check reads it."""
         return heat_flow_dissipation(self.bundle.flow, self.bundle.reference.m, self.grid,
                                      self.spec.a.constant_matrix)
 
@@ -528,7 +530,10 @@ def _check_detailed_balance(run: _WalkRun) -> dict:
 
 
 def _check_carre(run: _DiffusionRun) -> dict:
-    expected = float(run.spec.a.constant_matrix[0, 0])
+    """Gamma(x1, x1) = a[0, 0] and, from two coordinates on, Gamma(x1, x2) =
+    a[0, 1] under "cross"; the check passes when both estimates do."""
+    a = run.spec.a.constant_matrix
+    expected = float(a[0, 0])
     u = coordinate_function(run.spec.dim)
     n, dt = run.grid.n_steps, run.grid.dt
     k0 = n // 4
@@ -539,6 +544,11 @@ def _check_carre(run: _DiffusionRun) -> dict:
     out.update({"t": run.grid.node(k0), "h": lag * dt, "expected": expected,
                 "note": (out["note"] + "; " if out["note"] else "")
                 + "atol covers the O(h) increment bias"})
+    if run.spec.dim > 1:
+        cross = carre_du_champ_estimate(run.ensemble, u, coordinate_function(run.spec.dim, 1),
+                                        k0, k0 + lag, float(a[0, 1]), atol=0.1)
+        out["cross"] = {**cross.to_dict(), "expected": float(a[0, 1])}
+        out["passed"] = rep.passed and cross.passed
     return out
 
 

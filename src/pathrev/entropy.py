@@ -1,8 +1,8 @@
 """Relative entropy, Girsanov-type path actions and their decompositions.
 
-For a process P with momenta beta_fwd, beta_bwd relative to a reversible
-reference R (drift v_ref, matrix a, invariant law m), the path entropy
-splits two ways:
+For a process P with diffusion matrix a and momenta beta_fwd, beta_bwd
+relative to the reversible reference R with the same a (drift v_ref = -x,
+invariant law m = N(0, a/2), so R* = R), the path entropy splits two ways:
 
     H(P|R) = H(P_0|m) + E int |beta_fwd|_a^2 / 2 dt
            = H(P_T|m) + E int |beta_bwd|_a^2 / 2 dt
@@ -151,12 +151,12 @@ class EntropyReport:
 
 def _boundary_entropy(density: DensityFlow, ref: KolmogorovSpec, t: float,
                       X: np.ndarray) -> tuple[float, float]:
-    """H(P_t | m): closed form when the slice law at t and m are Gaussian,
-    else a Monte-Carlo mean of log(dP_t/dm) over the slice X."""
+    """H(P_t | m): closed form when the slice law at t is Gaussian, else a
+    Monte-Carlo mean of log(dP_t/dm) over the slice X."""
     law = density.at(t)
-    if isinstance(law, Gaussian) and ref.m is not None:
+    if isinstance(law, Gaussian):
         return gaussian_relative_entropy(law, ref.m), 0.0
-    vals = np.log(np.maximum(law.pdf(X), 1e-300)) - ref.m_logpdf(X)
+    vals = np.log(np.maximum(law.pdf(X), 1e-300)) - ref.m.logpdf(X)
     return mean_stderr(vals)
 
 

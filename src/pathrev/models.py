@@ -1,5 +1,6 @@
-"""Model builders: reversible reference diffusions, Gaussian marginal flows,
-generic diffusion specifications and finite-graph walks.
+"""Model builders: Gaussian marginal flows, the Gaussian reversible
+reference of a diffusion matrix, generic diffusion specifications and
+finite-graph walks.
 
 The shipped models are deliberately simple (linear drift, Gaussian
 marginals) so that every downstream quantity has a closed form to test
@@ -139,66 +140,31 @@ def linear_flow(M, c, a, init: Gaussian) -> GaussianFlow:
 
 @dataclass(frozen=True)
 class KolmogorovSpec:
-    """Reversible reference diffusion with generator drift (div a - a grad U)/2.
-
-    The reversible law has density exp(-U): the potential U includes the
-    normalizing constant, so m_logpdf = -U is an actual log probability
-    density.  When the law is Gaussian it is also stored as m for
-    closed-form entropies.
+    """Reversible reference diffusion with constant diffusion matrix a and
+    invariant law m = N(0, a/2).  m's density is exp(-U) with U(x) = x^T a^{-1} x
+    plus its normalizing constant, so the generator drift
+    (div a - a grad U) / 2 = a grad log m / 2 is -x.
     """
 
     dim: int
-    potential: Callable[[np.ndarray], np.ndarray]
-    grad_potential: Callable[[np.ndarray], np.ndarray]
     a: MatrixField
+    m: Gaussian
     div_a: VectorField
     drift: VectorField
-    m: Gaussian | None = None
-
-    def m_logpdf(self, X: np.ndarray) -> np.ndarray:
-        return -np.asarray(self.potential(X), dtype=np.float64)
-
-    def m_score(self, X: np.ndarray) -> np.ndarray:
-        return -np.asarray(self.grad_potential(X), dtype=np.float64)
 
 
-def kolmogorov_spec(dim: int, potential, grad_potential, a: MatrixField,
-                    m: Gaussian | None = None) -> KolmogorovSpec:
-    """Assemble a reversible reference; the drift is derived, not supplied.
-
-    potential is U with its normalizing constant included, so that exp(-U)
-    integrates to one; grad_potential is its gradient.  a is constant, so
-    div a is zero.
-    """
-    div_a = VectorField.zero(dim)
-
-    def drift_fn(t, X):
-        g = np.asarray(grad_potential(X), dtype=np.float64)
-        return 0.5 * (div_a(t, X) - a.apply(t, X, g))
-
-    return KolmogorovSpec(dim, potential, grad_potential, a, div_a,
-                          VectorField(drift_fn, dim), m)
+def gaussian_reference(a: MatrixField) -> KolmogorovSpec:
+    """The reference of a constant positive definite a: drift -x, law N(0, a/2)."""
+    d = a.dim
+    return KolmogorovSpec(d, a, Gaussian(np.zeros(d), 0.5 * a.constant_matrix),
+                          VectorField.zero(d), VectorField.linear(-np.eye(d)))
 
 
 def ou_reference(dim: int = 1) -> tuple[KolmogorovSpec, GaussianFlow]:
-    """The standard reference: a = Id, U(x) = |x|^2 + (dim/2) log pi, whose
-    constant normalizes exp(-U).
-
-    Generator drift is -x and the reversible law is N(0, Id/2), returned both
-    inside the spec and as a constant-in-time flow.
-    """
-    const = 0.5 * dim * math.log(math.pi)
-
-    def potential(X):
-        return (X ** 2).sum(axis=1) + const
-
-    def grad_potential(X):
-        return 2.0 * X
-
-    m = Gaussian(np.zeros(dim), 0.5 * np.eye(dim))
-    spec = kolmogorov_spec(dim, potential, grad_potential, MatrixField.identity(dim), m=m)
-    flow = linear_flow(-np.eye(dim), np.zeros(dim), np.eye(dim), m)
-    return spec, flow
+    """The reference of a = Id, with its law N(0, Id/2) also returned as a
+    constant-in-time flow."""
+    ref = gaussian_reference(MatrixField.identity(dim))
+    return ref, linear_flow(-np.eye(dim), np.zeros(dim), np.eye(dim), ref.m)
 
 
 def ou_marginal_flow(init_mean, init_cov) -> GaussianFlow:
@@ -391,8 +357,9 @@ def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
 @dataclass(frozen=True)
 class ModelBundle:
     """What a JSON model description expands to.  Diffusion models carry a
-    simulation spec, their exact marginal flow and ("ou" only) a reversible
-    reference; graph models carry a walk spec."""
+    simulation spec, their exact marginal flow and, when a is positive
+    definite, the reversible reference N(0, a/2); graph models carry a walk
+    spec."""
 
     dim: int
     diffusion: DiffusionSpec | None = None
@@ -470,19 +437,17 @@ def load_model(obj) -> ModelBundle:
                       {"type", "init_mean", "init_cov"}, "model")
         init = _initial_law(obj)
         if mtype == "bm":
-            return ModelBundle(init.dim, diffusion=bm_diffusion(init),
-                               flow=bm_flow(init.cov, init.mean))
-        return ModelBundle(init.dim, diffusion=ou_diffusion(init),
-                           flow=ou_marginal_flow(init.mean, init.cov),
-                           reference=ou_reference(init.dim)[0])
-    if mtype == "cycle":
+            spec, flow = bm_diffusion(init), bm_flow(init.cov, init.mean)
+        else:
+            spec, flow = ou_diffusion(init), ou_marginal_flow(init.mean, init.cov)
+    elif mtype == "cycle":
         _require_keys(obj, {"type", "n", "rate_cw", "rate_ccw"},
                       {"type", "n", "rate_cw", "rate_ccw"}, "model")
         walk = biased_cycle_walk(_number(obj["n"], "n", int, "model"),
                                  _number(obj["rate_cw"], "rate_cw", float, "model"),
                                  _number(obj["rate_ccw"], "rate_ccw", float, "model"))
         return ModelBundle(walk.n_states, walk=walk)
-    if mtype == "custom":
+    elif mtype == "custom":
         _require_keys(obj, {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       {"type", "dim", "drift", "diffusion_matrix", "init_mean", "init_cov"},
                       "model")
@@ -491,9 +456,15 @@ def load_model(obj) -> ModelBundle:
         M, c = _build_drift(obj["drift"], d)
         a = MatrixField(_array(obj["diffusion_matrix"], "diffusion_matrix", (d, d)))
         spec = diffusion_spec(VectorField.linear(M, c), a, init, tag="custom")
-        return ModelBundle(d, diffusion=spec,
-                           flow=linear_flow(M, c, a.constant_matrix, init))
-    raise ConfigError(f"model: unknown type {mtype!r}")
+        flow = linear_flow(M, c, a.constant_matrix, init)
+    else:
+        raise ConfigError(f"model: unknown type {mtype!r}")
+    try:
+        np.linalg.cholesky(spec.a.constant_matrix)
+    except np.linalg.LinAlgError:  # a singular a has no law N(0, a/2)
+        return ModelBundle(spec.dim, diffusion=spec, flow=flow)
+    return ModelBundle(spec.dim, diffusion=spec, flow=flow,
+                       reference=gaussian_reference(spec.a))
 
 
 def _build_drift(obj: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -144,7 +144,7 @@ def osmotic_residual(density: DensityFlow, ref: KolmogorovSpec,
             continue
         Xs = X[ok]
         lhs = momentum(t, Xs)[3]
-        rhs = 0.5 * (score[ok] - ref.m_score(Xs))
+        rhs = 0.5 * (score[ok] - ref.m.score(Xs))
         r = np.linalg.norm(lhs - rhs, axis=1)
         w = pdf[ok]
         sup = max(sup, float(r.max()))

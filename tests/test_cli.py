@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from pathrev.cli import CHECKS, main, validate_config
 from pathrev.core import ConfigError, load_ensemble
+from pathrev.entropy import gaussian_relative_entropy
+from pathrev.models import Gaussian
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):
@@ -216,7 +219,9 @@ class TestErrorContract:
         ("run", _ou_cfg(model={"type": "ou", "init_mean": [math.nan], "init_cov": [[0.5]]}),
          "config error: .*NaN is not a number"),
         ("run", _cycle_cfg(model=dict(_MODELS["cycle"], n="4")), "config error: model: n "),
-        ("entropy", _ou_cfg(model=_MODELS["bm"], n_paths=100), "config error: entropy report"),
+        # a singular a has no reversible reference N(0, a/2)
+        ("entropy", _ou_cfg(model=dict(_MODELS["custom"], diffusion_matrix=[[0.0]]),
+                            n_paths=100), "config error: entropy report needs the reversible"),
         ("run", _ou_cfg(model=dict(_MODELS["ou"], dim=True)), "config error: model: dim "),
         ("run", _ou_cfg(model=dict(_MODELS["ou"], init_mean=["1.0"])),
          "config error: model: init_mean "),
@@ -241,7 +246,7 @@ class TestErrorContract:
          "config error: kde probe table requires a one-dimensional model"),
         ("reverse", _ou_cfg(model=_OU_2D, density="kde", n_paths=200),
          "config error: kde probe table requires a one-dimensional model"),
-    ], ids=["negative-cov", "nan-mean", "string-n", "bm-entropy",
+    ], ids=["negative-cov", "nan-mean", "string-n", "singular-a-entropy",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
             "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "custom-scalar-a",
             "custom-nonsymmetric-a", "oversized-ensemble",
@@ -284,6 +289,11 @@ class TestErrorContract:
 _CUSTOM_LINEAR = {"type": "custom", "dim": 1,
                   "drift": {"name": "linear", "matrix": [[-0.5]], "offset": [0.2]},
                   "diffusion_matrix": [[2.0]], "init_mean": [0.0], "init_cov": [[1.0]]}
+# M = -I + J from its invariant law N(0, I/2): stationary but not reversible
+_ROTATION_M = [[-1.0, 1.0], [-1.0, -1.0]]
+_ROTATION = {"type": "custom", "dim": 2, "drift": {"name": "linear", "matrix": _ROTATION_M},
+             "diffusion_matrix": [[1.0, 0.0], [0.0, 1.0]],
+             "init_mean": [0.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
 class TestCustomExact:
@@ -310,13 +320,8 @@ class TestCustomExact:
             assert c[0] == pytest.approx(-0.2 + 2.0 * m / var, rel=1e-14, abs=1e-15)
 
     def test_stationary_rotation_reverses_the_rotation(self, tmp_path):
-        # M = -I + J from its invariant law N(0, I/2): stationary but not
-        # reversible, and the reversed drift is (-I - J) x at every time
-        model = {"type": "custom", "dim": 2,
-                 "drift": {"name": "linear", "matrix": [[-1.0, 1.0], [-1.0, -1.0]]},
-                 "diffusion_matrix": [[1.0, 0.0], [0.0, 1.0]],
-                 "init_mean": [0.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
-        rm = self._run(tmp_path, model)
+        # the reversed drift is (-I - J) x at every time
+        rm = self._run(tmp_path, _ROTATION)
         assert rm["A"] == [[[-1.0, -1.0], [1.0, -1.0]]] * 5
         assert rm["c"] == [[0.0, 0.0]] * 5
 
@@ -357,6 +362,12 @@ def _cli(tmp_path, *args):
 
 # correlated noise: a = [[2, 1], [1, 2]], simulated through its Cholesky factor
 _CORRELATED_A = [[2.0, 1.0], [1.0, 2.0]]
+# the fingerprint tool's CUSTOM_2D_CORR: that a and a non-reversible drift
+_CUSTOM_2D_CORR = {"type": "custom", "dim": 2,
+                   "drift": {"name": "linear", "matrix": [[-1.0, 0.5], [-0.5, -1.0]],
+                             "offset": [0.2, 0.0]},
+                   "diffusion_matrix": _CORRELATED_A,
+                   "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
 class TestCorrelatedNoise:
@@ -377,12 +388,7 @@ class TestCorrelatedNoise:
         assert np.abs(np.cov(dX.T) / e.grid.dt - _CORRELATED_A).max() <= 0.05
 
     def test_non_reversible_model_reverses(self, tmp_path):
-        model = {"type": "custom", "dim": 2,
-                 "drift": {"name": "linear", "matrix": [[-1.0, 0.5], [-0.5, -1.0]],
-                           "offset": [0.2, 0.0]},
-                 "diffusion_matrix": _CORRELATED_A,
-                 "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
-        _write_cfg(tmp_path, _ou_cfg(model=model, n_paths=2000,
+        _write_cfg(tmp_path, _ou_cfg(model=_CUSTOM_2D_CORR, n_paths=2000,
                                      grid={"T": 1.0, "n_steps": 200}))
         proc = _cli(tmp_path, "verify", "--config", "cfg.json", "--out", "o",
                     "reversal", "ibp")
@@ -390,6 +396,31 @@ class TestCorrelatedNoise:
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         assert sorted(report["checks"]) == ["ibp", "reversal"]
         assert all(c["passed"] for c in report["checks"].values())
+
+    @pytest.mark.parametrize("sigma, passed", [(None, True), (math.sqrt(2.0), False)],
+                             ids=["cholesky", "uncorrelated"])
+    def test_carre_checks_the_off_diagonal(self, tmp_path, monkeypatch, sigma, passed):
+        # noise factor sqrt(2) I gives increments of covariance 2 I: the
+        # declared a[0, 0] = 2 still holds, a[0, 1] = 1 does not
+        from pathrev import cli
+        if sigma is not None:
+            load = cli.load_model
+
+            def uncorrelated(obj):
+                b = load(obj)
+                return replace(b, diffusion=replace(b.diffusion, sigma=sigma * np.eye(2)))
+
+            monkeypatch.setattr(cli, "load_model", uncorrelated)
+        cfg = _ou_cfg(model=_CUSTOM_2D_CORR, n_paths=2000, grid={"T": 1.0, "n_steps": 200},
+                      checks=["carre"])
+        out = tmp_path / "o"
+        rc = main(["verify", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert rc == (0 if passed else 1)
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["carre"]
+        assert rep["expected"] == 2.0 and rep["cross"]["expected"] == 1.0
+        # the diagonal estimate passes either way
+        assert abs(rep["estimate"]) <= rep["z"] * rep["mc_stderr"] + rep["atol"]
+        assert rep["cross"]["passed"] is passed and rep["passed"] is passed
 
 
 class TestStoredKde:
@@ -725,13 +756,39 @@ class TestEntropyCommand:
         # one row per grid node
         assert len(lines) == 1 + 101
 
-    def test_brownian_has_no_reference(self, tmp_path, capsys):
-        cfg = {"model": {"type": "bm", "init_mean": [0.0], "init_cov": [[1.0]]},
-               "grid": {"T": 1.0, "n_steps": 50}, "n_paths": 100, "seed": 1}
-        path = _write_cfg(tmp_path, cfg)
-        assert main(["entropy", "--config", path, "--out",
-                     str(tmp_path / "o")]) == 2
-        assert "reference" in capsys.readouterr().err
+    def _report(self, tmp_path, model, n_steps):
+        cfg = _ou_cfg(model=model, n_paths=2000, grid={"T": 1.0, "n_steps": n_steps})
+        out = tmp_path / "o"
+        assert main(["entropy", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        return json.loads((out / "entropy_report.json").read_text())
+
+    def test_brownian_reference(self, tmp_path):
+        # against N(0, 1/2) with drift -x, beta_fwd = x; BM's Euler marginals
+        # are exact and E X_t^2 = m0^2 + v0 + t is linear in t, so the
+        # trapezoid sum has no bias: E A_fwd = T (m0^2 + v0) / 2 + T^2 / 4
+        m0, v0 = 0.5, 0.4
+        rep = self._report(tmp_path, {"type": "bm", "init_mean": [m0], "init_cov": [[v0]]}, 50)
+        assert rep["boundary_initial"] == gaussian_relative_entropy(
+            Gaussian([m0], [[v0]]), Gaussian([0.0], [[0.5]]))
+        want = (m0 ** 2 + v0) / 2 + 1 / 4
+        assert abs(rep["action_fwd"] - want) <= 3 * rep["action_fwd_stderr"]
+
+    def test_stationary_rotation(self, tmp_path):
+        # both boundary terms vanish, beta_os = 0 and beta_cu = beta_fwd = J x
+        n, dt = 100, 0.01
+        rep = self._report(tmp_path, _ROTATION, n)
+        assert rep["boundary_initial"] == 0.0 and rep["boundary_terminal"] == 0.0
+        # |beta_os|^2 is rounding of |x|^2-sized terms
+        assert 0.0 <= rep["action_osmotic"] <= np.finfo(float).eps ** 2 * rep["action_current"]
+        # E |J X_t|^2 / 2 = tr(Sigma_k) / 2 for the Euler covariances Sigma_k
+        # of the simulated chain, summed by the trapezoid rule
+        S, F = 0.5 * np.eye(2), np.eye(2) + np.array(_ROTATION_M) * dt
+        vals = [np.trace(S) / 2]
+        for _ in range(n):
+            S = F @ S @ F.T + dt * np.eye(2)
+            vals.append(np.trace(S) / 2)
+        want = dt * (sum(vals) - (vals[0] + vals[-1]) / 2)
+        assert abs(rep["action_current"] - want) <= 3 * rep["action_current_stderr"]
 
 
 class TestVerifyCommand:

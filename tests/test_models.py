@@ -14,7 +14,7 @@ from pathrev.core import (ConfigError, ConsistencyError, MatrixField,
                           path_rng)
 from pathrev.models import (Gaussian, GaussianFlow, GraphWalkSpec,
                             biased_cycle_walk, bm_diffusion, bm_flow,
-                            diffusion_spec, graph_walk, kolmogorov_spec,
+                            diffusion_spec, gaussian_reference, graph_walk,
                             linear_flow, load_model, ou_diffusion,
                             ou_marginal_flow, ou_reference, walk_marginal_fn)
 from pathrev.reversal import reversed_jump_intensities
@@ -241,17 +241,24 @@ class TestKolmogorovSpec:
         assert np.allclose(flow.at(0.3).cov, 0.5 * np.eye(1))
 
     def test_reversible_law_is_normalized_gaussian(self):
+        # N(0, 1/2): density exp(-x^2) / sqrt(pi), score -2x
         ref, _ = ou_reference()
         x = np.array([[0.7]])
-        assert np.exp(ref.m_logpdf(x))[0] == pytest.approx(ref.m.pdf(x)[0], rel=1e-12)
-        assert ref.m_score(x)[0, 0] == pytest.approx(-2.0 * 0.7, abs=1e-13)
+        assert np.exp(ref.m.logpdf(x))[0] == pytest.approx(
+            math.exp(-0.49) * INV_SQRT_PI, rel=1e-15)
+        assert ref.m.score(x)[0, 0] == -2.0 * 0.7
 
-    def test_derived_drift_formula(self):
-        # a = Id and U = |x|^2 give b = -x
-        spec = kolmogorov_spec(1, lambda X: (X ** 2).sum(axis=1),
-                               lambda X: 2.0 * X, MatrixField.identity(1))
-        X = np.array([[1.5], [-0.25]])
-        assert np.allclose(spec.drift(0.0, X), -X)
+    def test_gaussian_reference_of_a_correlated_matrix(self):
+        # m = N(0, a/2), and the generator drift a grad log m / 2 is -x
+        a = MatrixField(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        ref = gaussian_reference(a)
+        assert ref.dim == 2 and ref.a is a
+        assert np.array_equal(ref.m.mean, np.zeros(2))
+        assert np.array_equal(ref.m.cov, [[1.0, 0.5], [0.5, 1.0]])
+        X = np.array([[1.5, -0.25], [0.0, 2.0]])
+        assert np.array_equal(ref.drift(0.0, X), -X)
+        assert np.array_equal(ref.div_a(0.0, X), np.zeros_like(X))
+        assert np.allclose(0.5 * a.apply(0.0, X, ref.m.score(X)), -X, rtol=0, atol=1e-15)
 
 
 class TestDiffusionSpec:
@@ -419,7 +426,20 @@ class TestLoadModel:
     def test_bm(self):
         b = load_model({"type": "bm", "init_mean": [0.0], "init_cov": [[1.0]]})
         assert b.flow.at(1.0).cov[0, 0] == 2.0
-        assert b.reference is None
+        assert b.reference.m.cov[0, 0] == 0.5
+
+    @pytest.mark.parametrize("a, cov", [
+        ([[2.0, 1.0], [1.0, 2.0]], [[1.0, 0.5], [0.5, 1.0]]),
+        ([[1.0, 1.0], [1.0, 1.0]], None), ([[1.0, 0.0], [0.0, 0.0]], None)])
+    def test_custom_reference_exactly_when_a_is_positive_definite(self, a, cov):
+        b = load_model({"type": "custom", "dim": 2, "drift": {"name": "zero"},
+                        "diffusion_matrix": a, "init_mean": [0.0, 0.0],
+                        "init_cov": [[1.0, 0.0], [0.0, 1.0]]})
+        if cov is None:
+            assert b.reference is None
+        else:
+            assert np.array_equal(b.reference.m.cov, cov)
+            assert b.reference.a is b.diffusion.a
 
     def test_cycle(self):
         b = load_model({"type": "cycle", "n": 4, "rate_cw": 2.0, "rate_ccw": 1.0})

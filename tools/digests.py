@@ -26,8 +26,8 @@ from pathlib import Path
 OU_2D = {"type": "ou", "init_mean": [1.0, -0.5], "init_cov": [[0.5, 0.1], [0.1, 0.3]]}
 OU_3D = {"type": "ou", "init_mean": [1.0, -0.5, 0.25],
          "init_cov": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.4]]}
-# BM takes the default checks of a model without a reference; CUSTOM has the
-# noise factor sigma = sqrt(2), not the identity
+# BM takes bm's default checks, which leave out the ou-only dissipation;
+# CUSTOM has the noise factor sigma = sqrt(2), not the identity
 BM = {"type": "bm", "init_mean": [0.5], "init_cov": [[0.4]]}
 CUSTOM = {"type": "custom", "dim": 1,
           "drift": {"name": "linear", "matrix": [[-0.5]], "offset": [0.2]},
@@ -38,6 +38,11 @@ CUSTOM_2D_CORR = {"type": "custom", "dim": 2,
                             "offset": [0.2, 0.0]},
                   "diffusion_matrix": [[2.0, 1.0], [1.0, 2.0]],
                   "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+# M = -I + J from its invariant law N(0, I/2): stationary, not reversible
+ROTATION = {"type": "custom", "dim": 2,
+            "drift": {"name": "linear", "matrix": [[-1.0, 1.0], [-1.0, -1.0]]},
+            "diffusion_matrix": [[1.0, 0.0], [0.0, 1.0]],
+            "init_mean": [0.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
 def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
@@ -86,6 +91,15 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("bad-diffusion-matrix", "simulate",
          {**default_checks,
           "model": {**CUSTOM_2D_CORR, "diffusion_matrix": [[2.0, 1.0], [0.0, 2.0]]}}, []),
+        # every diffusion with a positive definite a has the reference N(0, a/2)
+        ("bm-entropy", "entropy", {**default_checks, "model": BM, "n_paths": 2000}, []),
+        ("rotation-entropy", "entropy",
+         {**default_checks, "model": ROTATION, "grid": {**ou["grid"], "n_steps": 100},
+          "n_paths": 2000}, []),
+        # carre with the off-diagonal entry of a
+        ("custom2d-corr-verify-carre", "verify",
+         {**default_checks, "model": CUSTOM_2D_CORR, "grid": {**ou["grid"], "n_steps": 200},
+          "n_paths": 2000, "seed": 11}, ["carre"]),
     ]
 
 
