@@ -250,38 +250,80 @@ def flip_ensemble(e: PathEnsemble) -> PathEnsemble:
 
 @dataclass(frozen=True)
 class JumpPathEnsemble:
-    """Jump paths of a finite-state walk on [0, T], stored grid-free.
+    """Jump paths of a finite-state walk on [0, T], stored grid-free in
+    columns.
 
-    events[i] holds the (time, from_state, to_state) rows of path i in order,
-    stored as given (ctmc_simulate passes tuples).  States are integers in
+    The jumps of path i are rows offsets[i]:offsets[i+1] of the columns
+    times, src and dst, in time order.  States are integers in
     0..n_states-1.  Paths are cadlag: the state at t is the target of the
-    last event at or before t.  The construction checks the shapes and the
-    initial states only; ctmc_simulate builds every chain event by event.
+    last jump at or before t.  The construction refuses offsets that do not
+    run from 0 to the number of jumps without decreasing, states out of
+    range, a jump that does not leave the state its path is in, and times
+    outside [0, T] or decreasing within a path.
     """
 
     n_states: int
     T: float
     initial_states: np.ndarray
-    events: tuple
+    offsets: np.ndarray
+    times: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     seed: int
 
     def __post_init__(self):
-        init = np.asarray(self.initial_states, dtype=np.int64)
-        if init.ndim != 1 or init.size < 1:
-            raise ParameterError("initial_states must be a non-empty 1-d array")
-        if init.min() < 0 or init.max() >= self.n_states:
-            raise ParameterError("initial state outside 0..n_states-1")
-        init.flags.writeable = False
-        object.__setattr__(self, "initial_states", init)
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "seed", int(self.seed))
-        if len(self.events) != init.size:
-            raise ParameterError("events and initial_states disagree on n_paths")
+        T = float(self.T)
+        init, offsets, src, dst = (_frozen_ints(getattr(self, name), name) for name in
+                                   ("initial_states", "offsets", "src", "dst"))
+        times = _freeze(self.times)
+        if init.size < 1:
+            raise ParameterError("initial_states must be non-empty")
+        if offsets.size != init.size + 1:
+            raise ParameterError("offsets and initial_states disagree on n_paths")
+        if times.ndim != 1 or not times.size == src.size == dst.size:
+            raise ParameterError("times, src and dst must be 1-d columns of one length")
+        if offsets[0] != 0 or offsets[-1] != times.size or (np.diff(offsets) < 0).any():
+            raise ParameterError("offsets must run from 0 to the number of jumps "
+                                 "without decreasing")
+        for name, states in (("initial", init), ("source", src), ("target", dst)):
+            if states.size and (states.min() < 0 or states.max() >= self.n_states):
+                raise ParameterError(f"{name} state outside 0..n_states-1")
+        # each jump leaves its path's initial state or the last jump's target
+        jumped = offsets[:-1] < offsets[1:]
+        first = offsets[:-1][jumped]
+        prev = np.empty_like(src)
+        prev[1:] = dst[:-1]
+        prev[first] = init[jumped]
+        if (src != prev).any():
+            raise ParameterError("a jump leaves a state its path is not in")
+        if not ((times >= 0.0) & (times <= T)).all():
+            raise ParameterError(f"jump time outside [0, {T}]")
+        back = np.diff(times) < 0.0
+        back[first[first > 0] - 1] = False  # the step into the next path
+        if back.any():
+            raise ParameterError("jump times decrease within a path")
+        for name, value in (("initial_states", init), ("offsets", offsets), ("times", times),
+                            ("src", src), ("dst", dst), ("T", T), ("seed", int(self.seed))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_paths(self) -> int:
         return self.initial_states.size
+
+    @cached_property
+    def events(self) -> tuple:
+        """Per path, its (time, src, dst) tuples in order."""
+        rows = list(zip(self.times.tolist(), self.src.tolist(), self.dst.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(tuple(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _frozen_ints(arr, name: str) -> np.ndarray:
+    out = np.array(arr, dtype=np.int64)
+    if out.ndim != 1:
+        raise ParameterError(f"{name} must be a 1-d array")
+    out.flags.writeable = False
+    return out
 
 
 class VectorField:

@@ -271,6 +271,24 @@ class TestErrorContract:
         assert capsys.readouterr().err == "numeric error: flow covariance not SPD at t=0.0\n"
         assert not out.exists()
 
+    def test_entropy_without_reference_refused_before_simulating(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        from pathrev import cli
+
+        def refuse(*args):
+            raise AssertionError("simulated before refusing")
+
+        monkeypatch.setattr(cli, "euler_maruyama", refuse)
+        model = dict(_MODELS["custom"], diffusion_matrix=[[0.0]])
+        path = _write_cfg(tmp_path, _ou_cfg(model=model, n_paths=20000,
+                                            grid={"T": 1.0, "n_steps": 400}))
+        out = tmp_path / "o"
+        assert main(["entropy", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: entropy report needs the reversible reference")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "reverse"])
     @pytest.mark.parametrize("out", ["", "taken"])
     def test_unusable_out_dir(self, tmp_path, command, out):

@@ -259,18 +259,67 @@ class TestSerialization:
             load_ensemble(str(p))
 
 
+def _jumps(**over):
+    """Two paths on 3 states over [0, 1]: 0 -> 1 -> 2, and 2 without a jump."""
+    cols = {"n_states": 3, "T": 1.0, "initial_states": [0, 2], "offsets": [0, 2, 2],
+            "times": [0.3, 0.7], "src": [0, 1], "dst": [1, 2], "seed": 9}
+    cols.update(over)
+    return JumpPathEnsemble(**cols)
+
+
 class TestJumpPathEnsemble:
     def test_valid(self):
-        e = JumpPathEnsemble(3, 1.0, [0, 2], (((0.3, 0, 1), (0.7, 1, 2)), ()), 9)
+        e = _jumps()
         assert e.n_paths == 2
+        assert e.events == (((0.3, 0, 1), (0.7, 1, 2)), ())
 
     def test_size_mismatch(self):
-        with pytest.raises(ParameterError):
-            JumpPathEnsemble(3, 1.0, [0], ((), ()), 0)
+        with pytest.raises(ParameterError, match="disagree on n_paths"):
+            _jumps(initial_states=[0])
 
     def test_bad_initial_state(self):
-        with pytest.raises(ParameterError):
-            JumpPathEnsemble(3, 1.0, [0, 7], ((), ()), 0)
+        with pytest.raises(ParameterError, match="initial state outside"):
+            _jumps(initial_states=[0, 7])
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ParameterError, match="columns of one length"):
+            _jumps(dst=[1, 2, 0])
+
+    @pytest.mark.parametrize("offsets", [[1, 2, 2], [0, 2, 1], [0, 2, 3], [0, 3, 2]],
+                             ids=["start", "end-short", "end-long", "decreasing"])
+    def test_offsets_must_span_the_jumps(self, offsets):
+        with pytest.raises(ParameterError, match="offsets must run from 0"):
+            _jumps(offsets=offsets)
+
+    @pytest.mark.parametrize("column, states, which", [
+        ("src", [0, 3], "source"), ("dst", [-1, 2], "target")])
+    def test_state_out_of_range(self, column, states, which):
+        with pytest.raises(ParameterError, match=f"{which} state outside"):
+            _jumps(**{column: states})
+
+    @pytest.mark.parametrize("over", [
+        {"src": [1, 1]},                      # first jump not from the initial state
+        {"src": [0, 2]},                      # second jump not from the first's target
+        {"initial_states": [1, 2]},
+    ], ids=["first", "second", "initial"])
+    def test_chain_break(self, over):
+        with pytest.raises(ParameterError, match="leaves a state its path is not in"):
+            _jumps(**over)
+
+    @pytest.mark.parametrize("times", [[-0.1, 0.7], [0.3, 1.5], [0.3, float("nan")]])
+    def test_time_outside_horizon(self, times):
+        with pytest.raises(ParameterError, match=r"jump time outside \[0, 1.0\]"):
+            _jumps(times=times)
+
+    def test_time_decreasing_within_a_path(self):
+        with pytest.raises(ParameterError, match="decrease within a path"):
+            _jumps(times=[0.7, 0.3])
+
+    def test_time_may_fall_between_paths(self):
+        # path 0 ends at 0.5 and path 1 jumps at 0.2; ties within a path pass
+        e = _jumps(initial_states=[0, 2], offsets=[0, 2, 3], times=[0.5, 0.5, 0.2],
+                   src=[0, 1, 2], dst=[1, 2, 0])
+        assert e.events == (((0.5, 0, 1), (0.5, 1, 2)), ((0.2, 2, 0),))
 
 
 class TestVectorField:

@@ -151,8 +151,9 @@ class TestCtmcSimulate:
 
 
 def _reference_ctmc(spec, T, n_paths, seed):
-    """The walk simulation written out on path_rng and np.searchsorted:
-    one fresh stream per path and one numpy search per draw."""
+    """The walk simulation written out on path_rng and np.searchsorted: one
+    fresh stream per path, read one uniform at a time in the documented
+    layout, and one numpy search per draw."""
     cum_p0 = np.cumsum(spec.p0)
     last = spec.n_states - 1
     initial, all_events = [], []
@@ -166,20 +167,27 @@ def _reference_ctmc(spec, T, n_paths, seed):
             lam = row.sum()
             if lam <= 0.0:
                 break
-            t += rng.exponential(1.0 / lam)
+            t += -np.log1p(-rng.random()) / lam
             if t > T:
                 break
             y = min(int(np.searchsorted(np.cumsum(row), rng.random() * lam,
                                         side="right")), last)
-            events.append((t, x, y))
+            events.append((float(t), x, y))
             x = y
         all_events.append(tuple(events))
     return initial, tuple(all_events)
 
 
+def _skewed_walk_with_absorbing_state():
+    base = biased_cycle_walk(5, rate_cw=1.5, rate_ccw=0.5)
+    J = base.intensity_matrix.copy()
+    J[2] = 0.0
+    return graph_walk(base.adjacency, J, np.array([0.1, 0.0, 0.2, 0.3, 0.4]))
+
+
 class TestCtmcMatchesReference:
-    """ctmc_simulate draws from reused streams and searches Python lists; the
-    events must equal, float for float, those of the plain loop."""
+    """ctmc_simulate moves whole blocks of paths in lockstep; the events must
+    equal, float for float, those of the plain per-path loop."""
 
     @staticmethod
     def _check(spec, T, seed):
@@ -193,11 +201,44 @@ class TestCtmcMatchesReference:
         self._check(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0), 1.0, 7)
 
     def test_constant_rates_absorbing_state_and_skewed_start(self):
-        base = biased_cycle_walk(5, rate_cw=1.5, rate_ccw=0.5)
-        J = base.intensity_matrix.copy()
-        J[2] = 0.0
-        spec = graph_walk(base.adjacency, J, np.array([0.1, 0.0, 0.2, 0.3, 0.4]))
-        self._check(spec, 2.0, 8)
+        self._check(_skewed_walk_with_absorbing_state(), 2.0, 8)
+
+    def test_one_way_cycle(self):
+        # zero-rate edges: the target search must never land on one
+        self._check(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=0.0), 1.0, 9)
+        e = ctmc_simulate(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=0.0), T=1.0,
+                          n_paths=500, seed=9)
+        assert ((e.dst - e.src) % 4 == 1).all()
+
+
+class TestCtmcLockstep:
+    @staticmethod
+    def _columns(e):
+        return (e.initial_states, e.offsets, e.times, e.src, e.dst)
+
+    @pytest.mark.parametrize("spec", [biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0),
+                                      _skewed_walk_with_absorbing_state()],
+                             ids=["cycle", "absorbing"])
+    def test_block_size_and_redraws_do_not_change_output(self, monkeypatch, spec):
+        a = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
+        monkeypatch.setattr(simulate, "_WALK_BLOCK", 7)
+        b = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
+        # rows of two uniforms: every path that jumps is drawn again, with
+        # 4, 8, 16, ... uniforms, until its row reaches past T
+        monkeypatch.setattr(simulate, "_jump_cap", lambda mu: 0)
+        c = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
+        assert np.diff(a.offsets).max() > 3
+        for x, y, z in zip(self._columns(a), self._columns(b), self._columns(c)):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+            assert np.array_equal(x.view(np.uint64), z.view(np.uint64))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 3.0, 40.0, 2500.0])
+    def test_jump_cap_is_the_poisson_tail(self, mu):
+        from scipy.stats import poisson
+
+        k = simulate._jump_cap(mu)
+        assert poisson.sf(k, mu) < simulate._WALK_TAIL
+        assert k == 0 or poisson.sf(k - 1, mu) >= simulate._WALK_TAIL * (1 - 1e-6)
 
 
 def test_sim_config_validation():

@@ -58,6 +58,9 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("ou-run", "run", ou, []),
         ("cycle-run", "run", cycle, []),
         ("cycle-simulate", "simulate", cycle, []),
+        # zero-rate edges in the walk's target search
+        ("cycle-oneway-simulate", "simulate",
+         {**cycle, "model": {**cycle["model"], "rate_ccw": 0.0}}, []),
         ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}, []),
         ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}, []),
         ("ou2d-kde-entropy", "entropy", ou2d_kde, []),
