@@ -302,23 +302,18 @@ class _DiffusionRun(_Run):
     def _reversed_model(self, times: list[float], b_star) -> dict:
         """Serializable description of the reversed process.
 
-        Gaussian laws N(m, Sigma) at T - s of the model's linear flow
-        dX = (M X + c) dt + a^{1/2} dB make the reversed drift affine in x:
-        tabulate A(s) = -M - a Sigma^{-1} and c(s) = -c + a Sigma^{-1} m at
-        the snapshot times.  KDE densities get the pointwise probe table
-        b_star instead (one-dimensional models only).
+        Gaussian laws at T - s of the model's linear flow make the reversed
+        drift affine in x: tabulate the backward drift's A(s) and c(s)
+        (BackwardDriftField.affine) at the snapshot times.  KDE densities get
+        the pointwise probe table b_star instead (one-dimensional models only).
         """
         base = {"T": self.grid.T, "model": self.cfg["model"], "density": self.cfg["density"],
                 "a": self.spec.a.constant_matrix.tolist(), "times": times}
-        laws = [self.density.at(self.grid.T - s) for s in times]
-        if all(isinstance(law, Gaussian) for law in laws):
-            flow = self.bundle.flow
-            A_tab, c_tab = [], []
-            for law in laws:
-                P = flow.a @ law._inv
-                A_tab.append((-flow.M - P).tolist())
-                c_tab.append((-flow.c + P @ law.mean).tolist())
-            base.update({"kind": "reversed_drift_affine", "A": A_tab, "c": c_tab})
+        tables = [self.backward.affine(self.grid.T - s) for s in times]
+        if all(table is not None for table in tables):
+            base.update({"kind": "reversed_drift_affine",
+                         "A": [A.tolist() for A, _ in tables],
+                         "c": [c.tolist() for _, c in tables]})
             return base
         base.update({"kind": "reversed_drift_probe", "x": self.xs.tolist(),
                      "b_star": [vals.tolist() for vals in b_star]})

@@ -331,12 +331,16 @@ class VectorField:
 
     The wrapped function receives (t, X) with X of shape (n, dim) and must
     return an (n, dim) array.  A query is always an (n, dim) batch; a single
-    point is the batch x[None, :], and a (dim,) array is refused.
+    point is the batch x[None, :], and a (dim,) array is refused.  linear is
+    the frozen (M, c) of a field x -> M x + c built by linear or zero, else
+    None; the reversal and the entropy report take closed forms from it.
     """
 
-    def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray], dim: int):
+    def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray], dim: int,
+                 linear: tuple[np.ndarray, np.ndarray] | None = None):
         self._fn = fn
         self.dim = int(dim)
+        self.linear = linear
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -349,7 +353,9 @@ class VectorField:
 
     @staticmethod
     def zero(dim: int) -> "VectorField":
-        return VectorField(lambda t, X: np.zeros_like(X), dim)
+        """The zero field, which is linear with M = 0 and c = 0."""
+        zeros = (_freeze(np.zeros((dim, dim))), _freeze(np.zeros(dim)))
+        return VectorField(lambda t, X: np.zeros_like(X), dim, zeros)
 
     @staticmethod
     def constant(vec: Sequence[float]) -> "VectorField":
@@ -359,9 +365,10 @@ class VectorField:
     @staticmethod
     def linear(matrix: np.ndarray, offset: Sequence[float] | None = None) -> "VectorField":
         """x -> matrix @ x + offset, constant in t."""
-        A = np.asarray(matrix, dtype=np.float64)
-        c = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
-        return VectorField(lambda t, X: _matvec_rows(A, X) + c, A.shape[1])
+        A = _freeze(np.array(matrix, dtype=np.float64))
+        c = _freeze(np.zeros(A.shape[0]) if offset is None
+                    else np.array(offset, dtype=np.float64))
+        return VectorField(lambda t, X: _matvec_rows(A, X) + c, A.shape[1], (A, c))
 
 
 class MatrixField:

@@ -18,13 +18,25 @@ of the Fisher information of the marginals.  Monte-Carlo estimates use
 per-path trapezoid quadrature on the ensemble grid; reductions are plain
 numpy sums, so results are deterministic for a given ensemble.
 
-Path actions are summed node by node: the loop copies each grid node's
-slice of the ensemble once into a contiguous (n_paths, dim) array, evaluates
-every integrand on it, and adds the trapezoid term d_k (y_k + y_{k+1}) / 2.0
-of each integrand to a per-path accumulator, so memory stays at a few
-(n_paths,) rows.  Each per-path integral is therefore a left-to-right sum of
+The report's four actions take one of two paths.  On an exact flow, where
+the forward and reference drifts are linear and the backward drift is
+affine at every node (BackwardDriftField.affine), every momentum is affine
+in x and every integrand a quadratic in the path values: _affine_actions
+sums its coefficients, weighted by the trapezoid rule, against each path's
+values and squares, in blocks of paths and reduced along the nodes, and
+drops a path whose forward or backward integral is non-finite.  It applies
+only where the backward drift's cap cannot fire on the ensemble, so it
+needs every path value finite.  Otherwise (a KDE density, a drift that is
+not linear, the cap in reach), and for girsanov_action, the node loop
+_path_actions runs: it copies each grid node's slice of the ensemble once
+into a contiguous (n_paths, dim) array, evaluates every integrand on it,
+and adds the trapezoid term d_k (y_k + y_{k+1}) / 2.0 of each integrand to
+a per-path accumulator, so memory stays at a few (n_paths,) rows; a path
+is dropped where a forward or backward integrand is non-finite at some
+node.  Each per-path integral of the loop is a left-to-right sum of
 np.trapezoid's terms over the nodes, where np.trapezoid sums the same terms
-pairwise; the two agree to rounding.
+pairwise; the two agree to rounding, and the closed form agrees with the
+loop to rounding.
 """
 from __future__ import annotations
 
@@ -33,11 +45,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import reversal
 from .core import (DomainError, MatrixField, ParameterError, PathEnsemble,
                    TimeGrid, VectorField, mean_stderr)
 from .density import DensityFlow
 from .models import Gaussian, GaussianFlow, GraphWalkSpec, KolmogorovSpec
 from .reversal import BackwardDriftField, momentum_fields
+
+_ROW_BLOCK = 256  # paths per block of the closed-form sums; no effect on results
 
 
 def gaussian_relative_entropy(p: Gaussian, r: Gaussian) -> float:
@@ -84,6 +99,77 @@ def _path_actions(e: PathEnsemble, integrands, n_drop: int) -> list[ActionEstima
         prev = y
     dropped = int((~ok).sum())
     return [_estimate(row[ok], dropped) for row in acc]
+
+
+def _affine_actions(drift: VectorField, field: BackwardDriftField, ref: KolmogorovSpec,
+                    e: PathEnsemble) -> list[ActionEstimate] | None:
+    """The report's four actions in closed form, or None where it does not
+    apply.
+
+    It applies when drift and ref.drift are linear and field is affine at
+    every node.  Then momentum j at node k is beta = G_jk x + g_jk, and its
+    integrand |beta|_a^2 / 2 is the quadratic x.Q_jk x + l_jk.x + q_jk.  A
+    path's trapezoid integral, sum_k w_k (...) over the nodes, is reduced
+    along the nodes by einsum (no BLAS) for blocks of _ROW_BLOCK paths, so
+    it does not depend on the block size.  The largest |x_ik| per node k,
+    taken on the way, must keep ||A_k||_F max_i |x_ik| + |c_k| <= _B_MAX at
+    every node, so that the backward drift's cap cannot fire; else None, and
+    the node loop applies the cap.  A path whose forward or backward
+    integral is non-finite is dropped from every estimate.
+    """
+    lin_b, lin_ref = drift.linear, ref.drift.linear
+    if lin_b is None or lin_ref is None:
+        return None
+    tables = []
+    for t in e.grid.nodes:
+        table = field.affine(t)
+        if table is None:
+            return None
+        tables.append(table)
+    A = np.array([A for A, _ in tables])  # (nodes, dim, dim)
+    c = np.array([c for _, c in tables])
+    a, a_inv = ref.a.constant_matrix, ref.a._inv
+    (M, cb), (MR, cR) = lin_b, lin_ref
+    Gb = np.einsum("ij,kjl->kil", a_inv, A - MR)
+    gb = np.einsum("ij,kj->ki", a_inv, c - cR)
+    Gf = np.broadcast_to(a_inv @ (M - MR), Gb.shape)
+    gf = np.broadcast_to(a_inv @ (cb - cR), gb.shape)
+    # fwd, bwd, current, osmotic: (4, nodes, dim, dim) and (4, nodes, dim)
+    G = np.stack([Gf, Gb, 0.5 * (Gf - Gb), 0.5 * (Gf + Gb)])
+    g = np.stack([gf, gb, 0.5 * (gf - gb), 0.5 * (gf + gb)])
+    dt = np.diff(e.grid.nodes)
+    w = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))  # trapezoid weights
+    Q = 0.5 * w[:, None, None] * np.einsum("jkai,ab,jkbl->jkil", G, a, G)
+    lin = w[:, None] * np.einsum("jkai,ab,jkb->jki", G, a, g)
+    const = (w * 0.5 * np.einsum("jka,ab,jkb->jk", g, a, g)).sum(axis=1)
+    dim = e.dim
+    quad = [(i, j, Q[:, :, i, i] if i == j else Q[:, :, i, j] + Q[:, :, j, i])
+            for i in range(dim) for j in range(i, dim)]
+
+    sums = np.empty((4, e.n_paths))
+    top = np.zeros(e.grid.nodes.size)  # per node, the largest |x|^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, e.n_paths, _ROW_BLOCK):
+            X = e.paths[s:s + _ROW_BLOCK]
+            acc = np.einsum("bk,jk->jb", X[:, :, 0], lin[:, :, 0])
+            for i in range(1, dim):
+                acc += np.einsum("bk,jk->jb", X[:, :, i], lin[:, :, i])
+            sq = None
+            for i, j, coef in quad:
+                prod = X[:, :, i] * X[:, :, j]
+                acc += np.einsum("bk,jk->jb", prod, coef)
+                if i == j:
+                    sq = prod if sq is None else sq + prod
+            sums[:, s:s + X.shape[0]] = acc + const[:, None]
+            top = np.maximum(top, sq.max(axis=0))
+    # a non-finite path value makes its node's bound nan or inf, so such an
+    # ensemble goes to the node loop too
+    bound = np.linalg.norm(A, axis=(1, 2)) * np.sqrt(top) + np.linalg.norm(c, axis=1)
+    if not (bound <= reversal._B_MAX).all():
+        return None
+    ok = np.isfinite(sums[:2]).all(axis=0)
+    dropped = int((~ok).sum())
+    return [_estimate(row[ok], dropped) for row in sums]
 
 
 def girsanov_action(beta: VectorField, a: MatrixField, e: PathEnsemble) -> ActionEstimate:
@@ -171,12 +257,16 @@ def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,
     """
     if drift.dim != ref.dim or density.dim != ref.dim or e.dim != ref.dim:
         raise ParameterError("dimension mismatch")
-    mom = momentum_fields(drift, BackwardDriftField(drift, ref.a, ref.div_a, density), ref)
+    field = BackwardDriftField(drift, ref.a, ref.div_a, density)
+    actions = _affine_actions(drift, field, ref, e)
+    if actions is None:
+        mom = momentum_fields(drift, field, ref)
 
-    def integrands(t, X):  # fwd, bwd, current, osmotic
-        return [0.5 * ref.a.quad(t, X, beta) for beta in mom(t, X)]
+        def integrands(t, X):  # fwd, bwd, current, osmotic
+            return [0.5 * ref.a.quad(t, X, beta) for beta in mom(t, X)]
 
-    fwd, bwd, cur, osm = _path_actions(e, integrands, n_drop=2)
+        actions = _path_actions(e, integrands, n_drop=2)
+    fwd, bwd, cur, osm = actions
 
     b0, se0 = _boundary_entropy(density, ref, 0.0, e.paths[:, 0, :])
     bT, seT = _boundary_entropy(density, ref, e.grid.T, e.paths[:, -1, :])

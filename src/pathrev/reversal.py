@@ -24,9 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (ConsistencyError, MatrixField, ParameterError, VectorField)
+from .core import (ConsistencyError, MatrixField, ParameterError, VectorField,
+                   _matvec_rows)
 from .density import DensityFlow
-from .models import GraphWalkSpec, KolmogorovSpec
+from .models import Gaussian, GraphWalkSpec, KolmogorovSpec
 
 _B_MAX = 1e6  # backward drift norms above this are rescaled to it (cap_hits)
 
@@ -34,10 +35,15 @@ _B_MAX = 1e6  # backward drift norms above this are rescaled to it (cap_hits)
 class BackwardDriftField:
     """Backward drift at original time: -b + div a + a score.
 
-    Evaluated on (n, dim) batches.  Score values below the density's
-    support floor are replaced by zero and counted in floor_hits.  Output
-    norms above _B_MAX are rescaled to it and counted in cap_hits; both
-    counters are diagnostics, not errors.
+    Evaluated on (n, dim) batches.  When b is linear (VectorField.linear
+    records its (M, c)), div a is the linear zero and the slice law at t is a
+    Gaussian N(m_t, Sigma_t), the field is affine at t: A(t) x + c(t) with
+    A = -M - a Sigma_t^{-1} and c = -c_b + a Sigma_t^{-1} m_t, which affine(t)
+    returns and keeps, one (A, c) per distinct t.  Otherwise, as for a
+    KdeModel slice law, it is evaluated through the score: score values
+    below the density's support floor are replaced by zero and counted in
+    floor_hits.  On either path, output norms above _B_MAX are rescaled to
+    it and counted in cap_hits; both counters are diagnostics, not errors.
     """
 
     def __init__(self, b: VectorField, a: MatrixField, div_a: VectorField,
@@ -48,13 +54,38 @@ class BackwardDriftField:
         self.dim = density.dim
         self.floor_hits = 0
         self.cap_hits = 0
+        div_zero = div_a.linear is not None and not any(v.any() for v in div_a.linear)
+        self._linear_b = b.linear if div_zero else None
+        self._tables: dict = {}
+
+    def affine(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """(A, c) with the field equal to A x + c at t before the cap, or
+        None where it is not affine."""
+        if self._linear_b is None:
+            return None
+        if t not in self._tables:
+            law = self.density.at(t)
+            table = None
+            if isinstance(law, Gaussian):
+                M, cb = self._linear_b
+                P = self.a.constant_matrix @ law._inv
+                table = (-M - P, -cb + P @ law.mean)
+            self._tables[t] = table
+        return self._tables[t]
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
-        sc, ok = self.density.score_in_support(t, X)
-        if not ok.all():
-            self.floor_hits += int((~ok).sum())
-            sc = np.where(ok[:, None], sc, 0.0)
-        out = -self.b(t, X) + self.div_a(t, X) + self.a.apply(t, X, sc)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ParameterError(f"expected points of dimension {self.dim}, got shape {X.shape}")
+        table = self.affine(t)
+        if table is None:
+            sc, ok = self.density.score_in_support(t, X)
+            if not ok.all():
+                self.floor_hits += int((~ok).sum())
+                sc = np.where(ok[:, None], sc, 0.0)
+            out = -self.b(t, X) + self.div_a(t, X) + self.a.apply(t, X, sc)
+        else:
+            out = _matvec_rows(table[0], X) + table[1]
         norms = np.linalg.norm(out, axis=1)
         over = norms > _B_MAX
         if over.any():

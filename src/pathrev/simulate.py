@@ -46,11 +46,12 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
     """Explicit Euler scheme X_{k+1} = X_k + b dt + sigma sqrt(dt) xi_k.
 
     The drift is always evaluated at the left node, so nothing is ever
-    queried at t = T.  Paths are processed in blocks of _BLOCK purely for
-    memory locality; the block size has no effect on the result, because
-    every row product, the initial draw's included, goes through
-    _matvec_rows, whose row bits do not depend on the batch (a last block
-    of one row among them).
+    queried at t = T.  Each path's draws fill its row of the output, and
+    node k's draws are read before X overwrites them.  Paths are processed
+    in blocks of _BLOCK purely for memory locality; the block size has no
+    effect on the result, because every row product, the initial draw's
+    included, goes through _matvec_rows, whose row bits do not depend on the
+    batch (a last block of one row among them).
     """
     grid = cfg.grid
     n, d = grid.n_steps, spec.dim
@@ -63,15 +64,13 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
 
     for start in range(0, cfg.n_paths, _BLOCK):
         stop = min(start + _BLOCK, cfg.n_paths)
-        B = stop - start
-        Z = np.empty((B, n + 1, d))
-        for j, rng in enumerate(path_streams(cfg.seed, range(start, stop))):
-            Z[j] = rng.standard_normal((n + 1, d))
-        X = spec.init.mean + _matvec_rows(init_factor, Z[:, 0, :])
+        for row, rng in zip(out[start:stop], path_streams(cfg.seed, range(start, stop))):
+            rng.standard_normal(out=row)
+        X = spec.init.mean + _matvec_rows(init_factor, out[start:stop, 0])
         out[start:stop, 0] = X
         for k in range(n):
             b = spec.drift(nodes[k], X)
-            noise = _matvec_rows(spec.sigma, Z[:, k + 1, :])
+            noise = _matvec_rows(spec.sigma, out[start:stop, k + 1])
             X = X + b * dt + noise * sq
             if not np.isfinite(X).all():
                 bad = int(np.nonzero(~np.isfinite(X).all(axis=1))[0][0])

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pathrev import entropy
+from pathrev import entropy, reversal
 from pathrev.core import (DomainError, MatrixField, ParameterError,
                           VectorField, make_grid, mean_stderr)
 from pathrev.density import DensityFlow, KdeModel, exact_flow_density, kde_flow
@@ -14,9 +14,9 @@ from pathrev.entropy import (ActionEstimate, EntropyReport, _boundary_entropy,
                              gaussian_relative_entropy,
                              girsanov_action, heat_flow_dissipation,
                              jump_entropy_integrand, rw_relative_entropy)
-from pathrev.models import (Gaussian, biased_cycle_walk, bm_diffusion,
-                            ou_diffusion, ou_marginal_flow, ou_reference,
-                            walk_marginal_fn)
+from pathrev.models import (Gaussian, GaussianFlow, biased_cycle_walk, bm_diffusion,
+                            load_model, ou_diffusion, ou_marginal_flow,
+                            ou_reference, walk_marginal_fn)
 from pathrev.reversal import BackwardDriftField
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -149,15 +149,25 @@ class TestCurrentOsmosisDecomposition:
         return calls
 
     def test_backward_drift_once_per_node(self, monkeypatch):
-        # each node's backward drift is one density query; re-evaluating the
-        # drift per momentum would multiply the kernel work of a KDE density
+        # on an exact flow the backward drift is affine and makes no score
+        # query; each node's (A, c) is one slice-law query, and the two
+        # boundary entropies ask the laws at 0 and T once more
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0], [[0.5]])
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(50, 3, make_grid(1.0, 16)))
         calls = self._count_drift_queries(monkeypatch)
+        laws = []
+        at = GaussianFlow.at
+
+        def counted(self, t):
+            laws.append(t)
+            return at(self, t)
+
+        monkeypatch.setattr(GaussianFlow, "at", counted)
         current_osmosis_decomposition(ref.drift, exact_flow_density(flow), ref, e)
-        assert calls == list(e.grid.nodes)
+        assert calls == []
+        assert laws == [*e.grid.nodes, 0.0, e.grid.T]
 
     def test_kde_backward_drift_one_fused_pass_per_node(self, monkeypatch):
         # a KDE drift query is one fused logpdf_score pass that yields the
@@ -293,6 +303,106 @@ class TestNodeMajorMatchesPathMajor:
         assert est == ActionEstimate(*mean_stderr(want_vals), int(ok.sum()),
                                      int((~ok).sum()))
         assert np.array_equal(seen[0], want_vals)
+
+
+# x' = -x/2 + 0.2 with a = 2; the bundled OU is too weak a case for the
+# closed form, as there beta_fwd = 0 and beta_bwd is constant per node
+_CUSTOM_1D = {"type": "custom", "dim": 1,
+              "drift": {"name": "linear", "matrix": [[-0.5]], "offset": [0.2]},
+              "diffusion_matrix": [[2.0]], "init_mean": [0.0], "init_cov": [[1.0]]}
+_BM = {"type": "bm", "init_mean": [0.5], "init_cov": [[0.4]]}
+# correlated a and a non-reversible drift with an offset
+_CUSTOM_2D_CORR = {"type": "custom", "dim": 2,
+                   "drift": {"name": "linear", "matrix": [[-1.0, 0.5], [-0.5, -1.0]],
+                             "offset": [0.2, 0.0]},
+                   "diffusion_matrix": [[2.0, 1.0], [1.0, 2.0]],
+                   "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+# M = -I + J from its invariant law N(0, I/2): the osmotic action vanishes
+_ROTATION = {"type": "custom", "dim": 2,
+             "drift": {"name": "linear", "matrix": [[-1.0, 1.0], [-1.0, -1.0]]},
+             "diffusion_matrix": [[1.0, 0.0], [0.0, 1.0]],
+             "init_mean": [0.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+
+
+class TestClosedFormActions:
+    """On an exact flow with linear drifts the report sums quadratics in the
+    path values (entropy._affine_actions); the node loop _path_actions is
+    its reference, to rounding."""
+
+    MODELS = {"custom": _CUSTOM_1D, "bm": _BM, "custom2d-corr": _CUSTOM_2D_CORR,
+              "rotation": _ROTATION}
+
+    @staticmethod
+    def _setup(model, n_paths=400, n_steps=50):
+        bundle = load_model(model)
+        e = euler_maruyama(bundle.diffusion, SimConfig(n_paths, 17, make_grid(1.0, n_steps)))
+        return bundle, e
+
+    @staticmethod
+    def _report(bundle, e, monkeypatch):
+        """The report, the per-path integrals handed to mean_stderr and the
+        backward drift fields queried point by point, with their times."""
+        seen, queried = [], []
+
+        def recording(vals):
+            seen.append(vals.copy())
+            return mean_stderr(vals)
+
+        call = BackwardDriftField.__call__
+
+        def counted(self, t, X):
+            queried.append((self, t))
+            return call(self, t, X)
+
+        with monkeypatch.context() as m:
+            m.setattr(entropy, "mean_stderr", recording)
+            m.setattr(BackwardDriftField, "__call__", counted)
+            rep = current_osmosis_decomposition(bundle.diffusion.drift,
+                                                exact_flow_density(bundle.flow),
+                                                bundle.reference, e)
+        return rep, seen[:4], queried
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_node_loop(self, name, monkeypatch):
+        bundle, e = self._setup(self.MODELS[name])
+        got, got_vals, queried = self._report(bundle, e, monkeypatch)
+        assert queried == []  # no point query: the closed form ran
+        monkeypatch.setattr(entropy, "_affine_actions", lambda *args: None)
+        want, want_vals, queried = self._report(bundle, e, monkeypatch)
+        assert len(queried) == e.grid.nodes.size
+        # an action that vanishes in exact arithmetic (the rotation's
+        # osmotic one) is compared on the scale of the others
+        scale = max(np.abs(v).max() for v in want_vals)
+        for g, w in zip(got_vals, want_vals):
+            assert g.shape == w.shape == (e.n_paths,)
+            assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), scale))
+        for key in ("action_fwd", "action_bwd", "action_current", "action_osmotic"):
+            g, w = getattr(got, key), getattr(want, key)
+            assert abs(g - w) <= 1e-12 * max(abs(w), scale), key
+        assert (got.n_paths, got.n_excluded) == (want.n_paths, want.n_excluded) == (400, 0)
+        assert got.boundary_initial == want.boundary_initial
+        assert got.boundary_terminal == want.boundary_terminal
+
+    @pytest.mark.parametrize("name", ["custom", "custom2d-corr"])
+    def test_row_block_does_not_change_results(self, name, monkeypatch):
+        bundle, e = self._setup(self.MODELS[name], n_paths=2 * 7 + 3, n_steps=20)
+        want, want_vals, _ = self._report(bundle, e, monkeypatch)
+        for block in (1, 7):
+            monkeypatch.setattr(entropy, "_ROW_BLOCK", block)
+            got, got_vals, _ = self._report(bundle, e, monkeypatch)
+            assert got.to_dict() == want.to_dict()
+            for g, w in zip(got_vals, want_vals):
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    def test_cap_sends_the_report_to_the_node_loop(self, monkeypatch):
+        # a cap below the largest backward drift on the ensemble could fire,
+        # so the closed form declines and the node loop applies the cap
+        bundle, e = self._setup(_CUSTOM_1D)
+        monkeypatch.setattr(reversal, "_B_MAX", 1.0)
+        _, _, queried = self._report(bundle, e, monkeypatch)
+        assert [t for _, t in queried] == list(e.grid.nodes)
+        (field,) = {f for f, _ in queried}
+        assert field.cap_hits > 0
 
 
 class TestFisherInformation:

@@ -7,9 +7,9 @@ from pathrev import reversal
 from pathrev.core import (ConsistencyError, MatrixField, ParameterError,
                           VectorField, make_grid)
 from pathrev.density import exact_flow_density, kde_flow
-from pathrev.models import (Gaussian, biased_cycle_walk, bm_flow, graph_walk,
-                            ou_diffusion, ou_marginal_flow, ou_reference,
-                            walk_marginal_fn)
+from pathrev.models import (Gaussian, GaussianFlow, biased_cycle_walk, bm_flow,
+                            graph_walk, linear_flow, ou_diffusion,
+                            ou_marginal_flow, ou_reference, walk_marginal_fn)
 from pathrev.reversal import (BackwardDriftField, momentum_fields,
                               osmotic_residual, reversed_drift,
                               reversed_jump_intensities)
@@ -154,6 +154,73 @@ class TestBackwardDrift:
         bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, density)
         assert bwd(t, X)[0, 0] == pytest.approx(-x + 2.0 * math.exp(-t), rel=1e-14)
         assert bwd.floor_hits == 0
+
+
+class TestAffineBackwardDrift:
+    """On a Gaussian slice law with a linear b and a zero div a, the field is
+    A(t) x + c(t), with A = -M - a Sigma^{-1} and c = -c_b + a Sigma^{-1} m."""
+
+    # correlated a, a drift with an offset, a start off stationarity
+    M = np.array([[-1.0, 0.5], [-0.5, -1.0]])
+    C = np.array([0.2, 0.0])
+    A = np.array([[2.0, 1.0], [1.0, 2.0]])
+
+    def _flow(self):
+        return linear_flow(self.M, self.C, self.A, Gaussian([1.0, 0.0], 0.5 * np.eye(2)))
+
+    def _field(self, b=None, div_a=None, density=None):
+        b = b or VectorField.linear(self.M, self.C)
+        return b, BackwardDriftField(b, MatrixField(self.A), div_a or VectorField.zero(2),
+                                     density or exact_flow_density(self._flow()))
+
+    def test_table_and_values(self):
+        b, bwd = self._field()
+        flow = self._flow()
+        X = np.linspace(-3.0, 3.0, 14).reshape(7, 2)
+        for t in (0.0, 0.3, 1.0):
+            law = flow.at(t)
+            P = self.A @ np.linalg.inv(law.cov)
+            A, c = bwd.affine(t)
+            assert np.allclose(A, -self.M - P, rtol=1e-14, atol=1e-14)
+            assert np.allclose(c, -self.C + P @ law.mean, rtol=1e-14, atol=1e-14)
+            # the score formula on the same law
+            want = -b(t, X) + law.score(X) @ self.A.T
+            assert np.allclose(bwd(t, X), want, rtol=1e-13, atol=1e-13)
+        assert bwd.floor_hits == bwd.cap_hits == 0
+
+    def test_one_table_per_distinct_time(self, monkeypatch):
+        laws = []
+        at = GaussianFlow.at
+
+        def counted(self, t):
+            laws.append(t)
+            return at(self, t)
+
+        monkeypatch.setattr(GaussianFlow, "at", counted)
+        _, bwd = self._field()
+        X = np.ones((3, 2))
+        for t in (0.5, 0.25, 0.5, 0.5):
+            bwd(t, X)
+        assert laws == [0.5, 0.25]
+
+    def test_score_path_elsewhere(self, floored):
+        # a law that is not a Gaussian, a drift that is not linear, or a
+        # div a that is not the linear zero: no table, and the field goes
+        # through the score
+        linear = VectorField.linear(self.M, self.C)
+        for b, div_a, density in (
+                (None, None, floored(self._flow(), 1e-12)),
+                (VectorField(lambda t, X: linear(t, X), 2), None, None),
+                (None, VectorField.linear(np.eye(2)), None),
+                (None, VectorField.constant([0.0, 0.0]), None)):
+            _, bwd = self._field(b, div_a, density)
+            assert bwd.affine(0.5) is None
+            assert bwd(0.5, np.ones((2, 2))).shape == (2, 2)
+
+    def test_refuses_a_bare_vector(self):
+        _, bwd = self._field()
+        with pytest.raises(ParameterError):
+            bwd(0.5, np.ones(2))
 
 
 class TestScoreOnlyExactDrift:

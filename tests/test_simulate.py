@@ -5,7 +5,7 @@ import pytest
 
 from pathrev import simulate
 from pathrev.core import (MatrixField, ParameterError, SimulationError,
-                          VectorField, make_grid, path_rng)
+                          VectorField, _matvec_rows, make_grid, path_rng)
 from pathrev.models import (Gaussian, biased_cycle_walk, diffusion_spec,
                             graph_walk, ou_diffusion, walk_marginal_fn)
 from pathrev.reversal import reversed_jump_intensities
@@ -148,6 +148,44 @@ class TestCtmcSimulate:
             ctmc_simulate(spec, T=0.0, n_paths=10, seed=0)
         with pytest.raises(ParameterError):
             ctmc_simulate(spec, T=1.0, n_paths=0, seed=0)
+
+
+def _reference_euler(spec, cfg):
+    """The Euler scheme written out per path on path_rng: one fresh stream
+    per path, its (n_steps + 1, dim) normals drawn at once in the documented
+    layout, and one row at a time through the row products."""
+    grid = cfg.grid
+    n, d = grid.n_steps, spec.dim
+    sq = math.sqrt(grid.dt)
+    out = np.empty((cfg.n_paths, n + 1, d))
+    for i in range(cfg.n_paths):
+        Z = path_rng(cfg.seed, i).standard_normal((n + 1, d))
+        x = spec.init.mean + _matvec_rows(spec.init.factor, Z[:1])
+        out[i, 0] = x
+        for k in range(n):
+            noise = _matvec_rows(spec.sigma, Z[k + 1:k + 2])
+            x = x + spec.drift(grid.nodes[k], x) * grid.dt + noise * sq
+            out[i, k + 1] = x
+    return out
+
+
+class TestEulerMatchesReference:
+    """euler_maruyama draws each path's normals straight into its output row
+    and steps a block of paths at once; the paths must equal, float for
+    float, those of the plain per-path loop."""
+
+    @pytest.mark.parametrize("spec", [
+        _shifted_ou(),
+        # correlated noise through its Cholesky factor, and a drift with an offset
+        diffusion_spec(VectorField.linear([[-1.0, 0.5], [-0.5, -1.0]], [0.2, 0.0]),
+                       MatrixField([[2.0, 1.0], [1.0, 2.0]]),
+                       Gaussian(np.array([1.0, 0.0]), np.array([[0.5, 0.1], [0.1, 0.3]])))],
+        ids=["d1", "d2-correlated"])
+    def test_float_for_float(self, monkeypatch, spec):
+        monkeypatch.setattr(simulate, "_BLOCK", 64)  # two full blocks and a last one of 2
+        cfg = SimConfig(n_paths=130, seed=5, grid=make_grid(1.0, 25))
+        got = euler_maruyama(spec, cfg).paths
+        assert np.array_equal(got.view(np.uint64), _reference_euler(spec, cfg).view(np.uint64))
 
 
 def _reference_ctmc(spec, T, n_paths, seed):
