@@ -108,6 +108,76 @@ def path_streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Genera
         yield rng
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): the multipliers and key increments of Random123, as numpy's
+# Philox uses them
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhi(m: int, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products m * x, from 32-bit halves, in a
+    new array; a and b are scratch arrays of x's shape."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    hi, lo = x >> _S32, x & _LO32
+    # a collects the middle column: the carry of lo * m_lo plus the low
+    # halves of the two cross products, each term below 2^32
+    np.multiply(lo, m_lo, out=a)
+    a >>= _S32
+    lo *= m_hi
+    a += np.bitwise_and(lo, _LO32, out=b)
+    lo >>= _S32
+    np.multiply(hi, m_lo, out=b)
+    hi *= m_hi
+    hi += lo
+    a += np.bitwise_and(b, _LO32, out=lo)
+    b >>= _S32
+    hi += b
+    a >>= _S32
+    hi += a
+    return hi
+
+
+def philox_uniforms(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
+    """The (n, 4) uniforms 4(block - 1) ... 4 block - 1 of path_rng(seed, i)
+    for each i in the integer array indices, bit for bit, with block >= 1.
+
+    Philox is counter-based: numpy's generator computes its block c, four
+    64-bit words, from the counter (c, 0, 0, 0) and the key alone, and
+    random() turns word x into the double (x >> 11) 2^-53.  So a block is
+    computed here for many keys at once, without a generator per path.
+    Keys are masked as in _philox_state.  uint64 arrays wrap silently and
+    the seed word's schedule is computed on Python ints, so nothing warns.
+    """
+    if indices.dtype.kind not in "iu":
+        # a list of ints past 2^63 converts to float64 and loses its low bits
+        raise ParameterError(f"path indices must be an integer array, got {indices.dtype}")
+    k0 = int(seed) & _U64
+    k1 = indices.astype(np.uint64)
+    c0 = np.full(k1.shape, int(block) & _U64, dtype=np.uint64)
+    c1, c2, c3 = np.zeros_like(c0), np.zeros_like(c0), np.zeros_like(c0)
+    a, b = np.empty_like(c0), np.empty_like(c0)
+    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k1 += np.uint64(_PHILOX_W[1])
+        hi0, hi1 = _mulhi(_PHILOX_M[0], c0, a, b), _mulhi(_PHILOX_M[1], c2, a, b)
+        hi1 ^= c1
+        hi1 ^= np.uint64((k0 + r * _PHILOX_W[0]) & _U64)
+        hi0 ^= c3
+        hi0 ^= k1
+        c0 *= m0
+        c2 *= m1
+        c0, c1, c2, c3 = hi1, c2, hi0, c0
+    words = np.stack((c0, c1, c2, c3), axis=1)
+    words >>= np.uint64(11)
+    out = words.astype(np.float64)
+    out *= 2.0 ** -53
+    return out
+
+
 def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise M @ v_i, i.e. V @ M.T, bit for bit.
 

@@ -858,6 +858,16 @@ class TestVerifyCommand:
         assert np.array_equal(rev_spec.init.mean, mean)
         assert np.array_equal(rev_spec.init.cov, cov)
 
+    @pytest.mark.parametrize("density", ["exact", "kde"])
+    def test_continuity_names_the_flow_it_probed(self, tmp_path, density):
+        # a KDE run's continuity probes the model's exact flow too
+        cfg = _ou_cfg(n_paths=200, grid={"T": 1.0, "n_steps": 20}, density=density)
+        out = tmp_path / "ver"
+        assert main(["verify", "--config", _write_cfg(tmp_path, cfg), "--out", str(out),
+                     "continuity"]) == 0
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["continuity"]
+        assert rep["flow"] == "exact:linear"
+
     def test_walk_involution_from_a_non_invariant_start(self, tmp_path, monkeypatch):
         # the 4-cycle with rates 2 and 1 from p0 = (0.4, 0.3, 0.2, 0.1): the
         # reversed out-rate of state 3 reaches 8 at t = 0, and reversing the

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from pathrev.core import (ConsistencyError, JumpPathEnsemble, MatrixField,
                           NumericError, ParameterError, PathEnsemble, TimeGrid,
                           VectorField, _matvec_rows, _quad_rows, _sq_distances,
                           flip_ensemble, load_ensemble, make_grid, mean_stderr,
-                          path_rng, path_streams, psd_sqrt, save_ensemble)
+                          path_rng, path_streams, philox_uniforms, psd_sqrt,
+                          save_ensemble)
 
 
 class TestTimeGrid:
@@ -131,6 +133,34 @@ class TestPathStreams:
         assert (rng.random(3, dtype=np.float32).tolist()
                 == fresh.random(3, dtype=np.float32).tolist())
         assert rng.random() == fresh.random()
+
+
+class TestPhiloxUniforms:
+    """philox_uniforms computes Philox blocks for many keys at once; each
+    must be path_rng's block bit for bit."""
+
+    # index words at the edges of the 32-bit halves and of the 64-bit word
+    _INDICES = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 20260822, 2**63 - 1, -1])
+    def test_matches_path_rng(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [philox_uniforms(seed, self._INDICES, block) for block in range(1, 13)]
+        for block, U in enumerate(got, start=1):
+            want = np.array([path_rng(seed, int(i)).random(4 * block)[-4:]
+                             for i in self._INDICES])
+            assert np.array_equal(U.view(np.uint64), want.view(np.uint64))
+
+    def test_signed_indices_are_masked(self):
+        # -1 is index 2^64 - 1, as _philox_state masks it
+        U = philox_uniforms(3, np.array([-1, 5]), 2)
+        assert np.array_equal(U, philox_uniforms(3, np.array([2**64 - 1, 5], dtype=np.uint64), 2))
+
+    def test_refuses_float_indices(self):
+        # a list of ints past 2^63 becomes float64 and loses its low bits
+        with pytest.raises(ParameterError, match="integer array"):
+            philox_uniforms(0, np.asarray([0, 2**64 - 1]), 1)
 
 
 def _small_ensemble(seed=5, n_paths=3, n_steps=4, dim=2):

@@ -250,33 +250,31 @@ class TestCtmcMatchesReference:
 
 
 class TestCtmcLockstep:
-    @staticmethod
-    def _columns(e):
-        return (e.initial_states, e.offsets, e.times, e.src, e.dst)
-
     @pytest.mark.parametrize("spec", [biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0),
                                       _skewed_walk_with_absorbing_state()],
                              ids=["cycle", "absorbing"])
-    def test_block_size_and_redraws_do_not_change_output(self, monkeypatch, spec):
+    def test_a_path_does_not_depend_on_the_others(self, spec):
+        # the live paths of a lockstep step share one Philox evaluation; a
+        # path's jumps are the same with 40 paths as with 300
         a = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
-        monkeypatch.setattr(simulate, "_WALK_BLOCK", 7)
-        b = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
-        # rows of two uniforms: every path that jumps is drawn again, with
-        # 4, 8, 16, ... uniforms, until its row reaches past T
-        monkeypatch.setattr(simulate, "_jump_cap", lambda mu: 0)
-        c = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
+        b = ctmc_simulate(spec, T=2.0, n_paths=40, seed=3)
+        n = b.offsets[-1]
         assert np.diff(a.offsets).max() > 3
-        for x, y, z in zip(self._columns(a), self._columns(b), self._columns(c)):
-            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
-            assert np.array_equal(x.view(np.uint64), z.view(np.uint64))
+        assert np.array_equal(a.initial_states[:40], b.initial_states)
+        assert np.array_equal(a.offsets[:41], b.offsets)
+        assert np.array_equal(a.times[:n].view(np.uint64), b.times.view(np.uint64))
+        assert np.array_equal(a.src[:n], b.src)
+        assert np.array_equal(a.dst[:n], b.dst)
 
-    @pytest.mark.parametrize("mu", [0.0, 0.3, 3.0, 40.0, 2500.0])
-    def test_jump_cap_is_the_poisson_tail(self, mu):
-        from scipy.stats import poisson
-
-        k = simulate._jump_cap(mu)
-        assert poisson.sf(k, mu) < simulate._WALK_TAIL
-        assert k == 0 or poisson.sf(k - 1, mu) >= simulate._WALK_TAIL * (1 - 1e-6)
+    def test_many_blocks_per_path(self):
+        # about 80 jumps per path, two uniforms each: a path reads some 40
+        # Philox blocks, every one computed for the live paths at once
+        spec = biased_cycle_walk(4, rate_cw=30.0, rate_ccw=10.0)
+        e = ctmc_simulate(spec, T=2.0, n_paths=60, seed=21)
+        initial, events = _reference_ctmc(spec, 2.0, 60, 21)
+        assert np.diff(e.offsets).max() > 90
+        assert e.initial_states.tolist() == initial
+        assert e.events == events
 
 
 def test_sim_config_validation():

@@ -61,6 +61,10 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         # zero-rate edges in the walk's target search
         ("cycle-oneway-simulate", "simulate",
          {**cycle, "model": {**cycle["model"], "rate_ccw": 0.0}}, []),
+        # up to about 120 jumps a path: its uniforms span some 60 Philox blocks
+        ("fast-cycle-simulate", "simulate",
+         {**cycle, "model": {**cycle["model"], "rate_cw": 30.0, "rate_ccw": 10.0},
+          "grid": {**cycle["grid"], "T": 2.0}, "n_paths": 3000}, []),
         ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}, []),
         ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}, []),
         ("ou2d-kde-entropy", "entropy", ou2d_kde, []),
