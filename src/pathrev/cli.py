@@ -752,23 +752,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            _check_seed(args.seed)
-            cfg["seed"] = args.seed
-        out_dir = args.out if args.out is not None else cfg["out_dir"]
-        if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, args.format)
-        if args.command == "reverse":
-            return cmd_reverse(cfg, out_dir)
-        if args.command == "entropy":
-            return cmd_entropy(cfg, out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, list(args.checks))
-        if args.command == "rw":
-            return cmd_rw(cfg, args.out or "", args.action, args.format)
+        # finite but degenerate input (a mean of 1e308, say) overflows on the
+        # way to a finiteness check; its error line is the one report, so
+        # numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                _check_seed(args.seed)
+                cfg["seed"] = args.seed
+            out_dir = args.out if args.out is not None else cfg["out_dir"]
+            if args.command == "run":
+                return cmd_run(cfg, out_dir)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, out_dir, args.format)
+            if args.command == "reverse":
+                return cmd_reverse(cfg, out_dir)
+            if args.command == "entropy":
+                return cmd_entropy(cfg, out_dir)
+            if args.command == "verify":
+                return cmd_verify(cfg, out_dir, list(args.checks))
+            if args.command == "rw":
+                return cmd_rw(cfg, args.out or "", args.action, args.format)
     except (PathrevError, MemoryError) as exc:
         # "ParameterError" -> "parameter error: ..."; one line, whatever the message.
         # An ensemble too large to allocate is a bad config too, so it exits 2

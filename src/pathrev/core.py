@@ -444,10 +444,10 @@ class VectorField:
 class MatrixField:
     """A constant symmetric diffusion matrix a, queried like a field.
 
-    apply, quad and solve take the (t, X) of a field query and multiply the
-    rows of V by a, or by its inverse, computed once on the first solve,
-    through _matvec_rows: a 1-d matrix is one elementwise product and a
-    row's bits do not depend on its batch.
+    apply, quad and solve multiply the rows of V by a, or by its inverse,
+    computed once on the first solve, through _matvec_rows: a 1-d matrix is
+    one elementwise product and a row's bits do not depend on its batch.
+    A constant a needs no query point, so they take the rows alone.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -468,15 +468,15 @@ class MatrixField:
         except np.linalg.LinAlgError:
             raise NumericError("diffusion matrix is singular") from None
 
-    def apply(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def apply(self, V: np.ndarray) -> np.ndarray:
         """Row-wise a v_i."""
         return _matvec_rows(self.constant_matrix, V)
 
-    def quad(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def quad(self, V: np.ndarray) -> np.ndarray:
         """Row-wise quadratic form v_i . a v_i."""
         return _quad_rows(self.constant_matrix, V)
 
-    def solve(self, t: float, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def solve(self, V: np.ndarray) -> np.ndarray:
         """Row-wise a^{-1} v_i."""
         return _matvec_rows(self._inv, V)
 

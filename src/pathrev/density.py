@@ -49,9 +49,10 @@ class DensityFlow:
     an (n, dim) batch X and return arrays over its rows.  score values
     are returned everywhere they are finite; in_support marks where the
     slice law's score is trusted (everywhere for a Gaussian, above the
-    relative floor for a KdeModel), and consumers (the reversal module in
-    particular) are expected to gate score usage on that mask.  tag names
-    the source; perfbench/tracer.py reads its "exact:" prefix.
+    relative floor for a KdeModel), and consumers are expected to gate score
+    usage on that mask.  pdf_score_in_support gives all three from one
+    logpdf_score call; it is the one query of the reversal module's score
+    path.  tag names the source; perfbench/tracer.py reads its "exact:" prefix.
     """
 
     at: Callable[[float], Gaussian | KdeModel]
@@ -67,16 +68,6 @@ class DensityFlow:
     def in_support(self, t: float, X: np.ndarray) -> np.ndarray:
         law = self.at(t)
         return _trusted(law, law.pdf(X))
-
-    def score_in_support(self, t: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(score, in_support mask) at X.  A Gaussian slice law is trusted
-        everywhere, so no pdf is evaluated; otherwise one logpdf_score call
-        gives both."""
-        law = self.at(t)
-        if isinstance(law, Gaussian):
-            return law.score(X), np.ones(X.shape[0], dtype=bool)
-        lp, sc = law.logpdf_score(X)
-        return sc, _trusted(law, np.exp(lp))
 
     def pdf_score_in_support(self, t: float,
                              X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -75,6 +75,8 @@ class ActionEstimate:
 
 
 def _estimate(vals: np.ndarray, n_excluded: int) -> ActionEstimate:
+    if not vals.size:
+        raise ParameterError("every path has a non-finite action")
     return ActionEstimate(*mean_stderr(vals), vals.size, n_excluded)
 
 
@@ -174,7 +176,7 @@ def _affine_actions(drift: VectorField, field: BackwardDriftField, ref: Kolmogor
 
 def girsanov_action(beta: VectorField, a: MatrixField, e: PathEnsemble) -> ActionEstimate:
     """E int_0^T |beta(t, X_t)|_a^2 / 2 dt along the ensemble."""
-    (est,) = _path_actions(e, lambda t, X: [0.5 * a.quad(t, X, beta(t, X))], n_drop=1)
+    (est,) = _path_actions(e, lambda t, X: [0.5 * a.quad(beta(t, X))], n_drop=1)
     return est
 
 
@@ -263,7 +265,7 @@ def current_osmosis_decomposition(drift: VectorField, density: DensityFlow,
         mom = momentum_fields(drift, field, ref)
 
         def integrands(t, X):  # fwd, bwd, current, osmotic
-            return [0.5 * ref.a.quad(t, X, beta) for beta in mom(t, X)]
+            return [0.5 * ref.a.quad(beta) for beta in mom(t, X)]
 
         actions = _path_actions(e, integrands, n_drop=2)
     fwd, bwd, cur, osm = actions

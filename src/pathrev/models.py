@@ -302,6 +302,9 @@ def _check_intensity(J: np.ndarray, A: np.ndarray) -> None:
         raise ParameterError("intensities must be nonnegative")
     if (J[~A] != 0).any():
         raise ParameterError("intensity must vanish off the edge set")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(J.sum(axis=1)).all():
+            raise ParameterError("the total out-rate of a state overflows")
 
 
 def graph_walk(adjacency, intensity, p0, rate_bound=None) -> GraphWalkSpec:
@@ -332,20 +335,19 @@ def biased_cycle_walk(n: int, rate_cw: float, rate_ccw: float) -> GraphWalkSpec:
 
 def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
     """Exact marginals t -> p_t = p0 expm(t Q) of a walk with constant
-    intensities, uncached (a reversal queries any time).  An initial law
-    with p0 Q = 0 exactly short-circuits the exponential: p_t = p0 without
-    roundoff."""
+    intensities, uncached (a reversal queries any time).  A negative time is
+    refused from every start.  An initial law with p0 Q = 0 exactly
+    short-circuits the exponential: p_t = p0 without roundoff."""
     if not spec.is_constant:
         raise ParameterError("walk marginals need constant intensities")
     Q = spec.generator()
-    if np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states)):
-        return lambda t: spec.p0
+    stationary = np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states))
 
     def marginals(t: float) -> np.ndarray:
         t = float(t)
         if t < 0:
             raise ParameterError(f"negative time {t}")
-        return spec.p0 @ expm(t * Q)
+        return spec.p0 if stationary else spec.p0 @ expm(t * Q)
 
     return marginals
 

@@ -40,10 +40,11 @@ class BackwardDriftField:
     Gaussian N(m_t, Sigma_t), the field is affine at t: A(t) x + c(t) with
     A = -M - a Sigma_t^{-1} and c = -c_b + a Sigma_t^{-1} m_t, which affine(t)
     returns and keeps, one (A, c) per distinct t.  Otherwise, as for a
-    KdeModel slice law, it is evaluated through the score: score values
-    below the density's support floor are replaced by zero and counted in
-    floor_hits.  On either path, output norms above _B_MAX are rescaled to
-    it and counted in cap_hits; both counters are diagnostics, not errors.
+    KdeModel slice law, it is evaluated through the score of one
+    DensityFlow.pdf_score_in_support query: score values below the
+    density's support floor are replaced by zero and counted in floor_hits.
+    On either path, output norms above _B_MAX are rescaled to it and counted
+    in cap_hits; both counters are diagnostics, not errors.
     """
 
     def __init__(self, b: VectorField, a: MatrixField, div_a: VectorField,
@@ -79,11 +80,13 @@ class BackwardDriftField:
             raise ParameterError(f"expected points of dimension {self.dim}, got shape {X.shape}")
         table = self.affine(t)
         if table is None:
-            sc, ok = self.density.score_in_support(t, X)
+            # the pdf is dropped at once: held to the end of the call, it
+            # kept the heap from shrinking and raised a KDE run's peak RSS
+            sc, ok = self.density.pdf_score_in_support(t, X)[1:]
             if not ok.all():
                 self.floor_hits += int((~ok).sum())
                 sc = np.where(ok[:, None], sc, 0.0)
-            out = -self.b(t, X) + self.div_a(t, X) + self.a.apply(t, X, sc)
+            out = -self.b(t, X) + self.div_a(t, X) + self.a.apply(sc)
         else:
             out = _matvec_rows(table[0], X) + table[1]
         norms = np.linalg.norm(out, axis=1)
@@ -132,8 +135,8 @@ class MomentumFields:
     def __call__(self, t: float, X: np.ndarray) -> tuple[np.ndarray, ...]:
         """(beta_fwd, beta_bwd, beta_cu, beta_os) on the (n, dim) batch X."""
         a, vr = self.ref.a, self.ref.drift(t, X)
-        bf = a.solve(t, X, self.v_fwd(t, X) - vr)
-        bb = a.solve(t, X, self.v_bwd(t, X) - vr)
+        bf = a.solve(self.v_fwd(t, X) - vr)
+        bb = a.solve(self.v_bwd(t, X) - vr)
         return bf, bb, 0.5 * (bf - bb), 0.5 * (bf + bb)
 
 

@@ -1,18 +1,18 @@
 """Forward simulation: Euler-Maruyama for diffusions, lockstep jump walks.
 
-Path i draws from the counter-based stream core.path_rng(seed, i), so an
-ensemble is a pure function of (seed, model, grid, n_paths) no matter how
-the paths are batched.  The per-path draw layout is part of the contract:
-for diffusions, draw 0 feeds the initial condition and draw k+1 feeds Euler
-step k; Euler reads the streams from core.path_streams (one reused
-generator, the same draws).  For walks every draw is a uniform u: u_0 picks
-the initial state, and each jump takes two, one for its holding time
--log1p(-u) / lam_x (by np.log1p) and one for its target.  The walk reads
-them by counter: uniform p of path i is word p mod 4 of Philox block
-p // 4 + 1 of the stream, which core.philox_uniforms computes for many
-paths at once in integer arithmetic.  np.log1p, like the KDE's np.exp, can
-round differently in another numpy SIMD build, so walk paths are
-byte-identical per build.
+Path i draws from the counter-based stream core.path_rng(seed, i), and both
+simulators step all paths together with row-wise arithmetic, so path i is a
+pure function of (seed, model, grid, i), whatever the number of paths.  The
+per-path draw layout is part of the contract: for diffusions, draw 0 feeds
+the initial condition and draw k+1 feeds Euler step k; Euler reads the
+streams from core.path_streams (one reused generator, the same draws).  For
+walks every draw is a uniform u: u_0 picks the initial state, and each jump
+takes two, one for its holding time -log1p(-u) / lam_x (by np.log1p) and one
+for its target.  The walk reads them by counter: uniform p of path i is word
+p mod 4 of Philox block p // 4 + 1 of the stream, which core.philox_uniforms
+computes for many paths at once in integer arithmetic.  np.log1p, like the
+KDE's np.exp, can round differently in another numpy SIMD build, so walk
+paths are byte-identical per build.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ from .core import (JumpPathEnsemble, ParameterError, PathEnsemble, SimulationErr
 # unused here; perfbench/tracer.py patches path_rng by name in this module
 from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
-
-_BLOCK = 4096  # paths per Euler block, for memory locality; no effect on results
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,12 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
 
     The drift is always evaluated at the left node, so nothing is ever
     queried at t = T.  Each path's draws fill its row of the output, and
-    node k's draws are read before X overwrites them.  Paths are processed
-    in blocks of _BLOCK purely for memory locality; the block size has no
-    effect on the result, because every row product, the initial draw's
-    included, goes through _matvec_rows, whose row bits do not depend on the
-    batch (a last block of one row among them).
+    node k's draws are read before X overwrites them.  All paths step
+    together, and a path's bits do not depend on how many others there are:
+    every row product, the initial draw's included, goes through
+    _matvec_rows, whose row bits do not depend on the batch (a batch of one
+    row among them).  A non-finite state is reported at the earliest step
+    that has one, at the first path there.
     """
     grid = cfg.grid
     n, d = grid.n_steps, spec.dim
@@ -60,24 +59,21 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
     dt = grid.dt
     sq = math.sqrt(dt)
 
-    init_factor = spec.init.factor
     out = np.empty((cfg.n_paths, n + 1, d))
-
-    for start in range(0, cfg.n_paths, _BLOCK):
-        stop = min(start + _BLOCK, cfg.n_paths)
-        for row, rng in zip(out[start:stop], path_streams(cfg.seed, range(start, stop))):
-            rng.standard_normal(out=row)
-        X = spec.init.mean + _matvec_rows(init_factor, out[start:stop, 0])
-        out[start:stop, 0] = X
-        for k in range(n):
-            b = spec.drift(nodes[k], X)
-            noise = _matvec_rows(spec.sigma, out[start:stop, k + 1])
-            X = X + b * dt + noise * sq
-            if not np.isfinite(X).all():
-                bad = int(np.nonzero(~np.isfinite(X).all(axis=1))[0][0])
-                raise SimulationError(
-                    f"non-finite state at path {start + bad}, step {k + 1}")
-            out[start:stop, k + 1] = X
+    for row, rng in zip(out, path_streams(cfg.seed, range(cfg.n_paths))):
+        rng.standard_normal(out=row)
+    X = spec.init.mean + _matvec_rows(spec.init.factor, out[:, 0])
+    out[:, 0] = X
+    for k in range(n):
+        # X + b dt + noise sqrt(dt) with two fewer temporaries, so that one
+        # step over all paths keeps its working set in cache
+        noise = _matvec_rows(spec.sigma, out[:, k + 1])
+        X = X + spec.drift(nodes[k], X) * dt
+        X += np.multiply(noise, sq, out=noise)
+        if not np.isfinite(X).all():
+            bad = int(np.nonzero(~np.isfinite(X).all(axis=1))[0][0])
+            raise SimulationError(f"non-finite state at path {bad}, step {k + 1}")
+        out[:, k + 1] = X
 
     return PathEnsemble(grid, out, cfg.seed, spec.tag)
 

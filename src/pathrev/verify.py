@@ -13,7 +13,7 @@ thresholds encode only estimator noise and quadrature bias.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,44 +47,22 @@ _DIST_ROWS = 256  # pooled-distance rows per block
 class TestFunction:
     """Smooth scalar observable with gradient and Hessian, batched over rows.
 
-    fn maps (n, d) -> (n,); grad -> (n, d); hess -> (n, d, d).  Bounded
-    derivatives on the region of interest are the caller's responsibility.
-    Products of test functions are test functions; build them with `*`.
+    fn maps (n, d) -> (n,); grad -> (n, d); hess -> (n, d, d), all three in
+    closed form in coordinate_function, square_function and windowed_cubic.
+    Bounded derivatives on the region of interest are the caller's duty.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    name: str = "u"
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(X), dtype=np.float64)
 
-    def laplacian(self, a: MatrixField, t: float, X: np.ndarray) -> np.ndarray:
+    def laplacian(self, a: MatrixField, X: np.ndarray) -> np.ndarray:
         """Delta_a u = sum_ij a_ij d_i d_j u, evaluated per row."""
         H = np.asarray(self.hess(X), dtype=np.float64)
         return np.einsum("ij,nij->n", a.constant_matrix, H)
-
-    def __mul__(self, other: "TestFunction") -> "TestFunction":
-        if self.dim != other.dim:
-            raise ParameterError("dimension mismatch in product")
-        u, v = self, other
-
-        def fn(X):
-            return u.fn(X) * v.fn(X)
-
-        def grad(X):
-            return u.fn(X)[:, None] * v.grad(X) + v.fn(X)[:, None] * u.grad(X)
-
-        def hess(X):
-            gu, gv = u.grad(X), v.grad(X)
-            cross = gu[:, :, None] * gv[:, None, :]
-            return (u.fn(X)[:, None, None] * v.hess(X)
-                    + v.fn(X)[:, None, None] * u.hess(X)
-                    + cross + cross.transpose(0, 2, 1))
-
-        return TestFunction(fn, grad, hess, u.dim, name=f"({u.name})*({v.name})")
 
 
 def coordinate_function(dim: int = 1, index: int = 0) -> TestFunction:
@@ -94,14 +72,18 @@ def coordinate_function(dim: int = 1, index: int = 0) -> TestFunction:
     return TestFunction(
         lambda X: X[:, index].copy(),
         lambda X: np.broadcast_to(e, X.shape).copy(),
-        lambda X: np.zeros((X.shape[0], dim, dim)),
-        dim, name=f"x{index}")
+        lambda X: np.zeros((X.shape[0], dim, dim)))
 
 
 def square_function(dim: int = 1, index: int = 0) -> TestFunction:
-    """u(x) = x_i^2, the product of coordinate_function with itself."""
-    x = coordinate_function(dim, index)
-    return replace(x * x, name=f"x{index}^2")
+    """u(x) = x_i^2."""
+    e = np.zeros(dim)
+    e[index] = 1.0
+    H = 2.0 * np.outer(e, e)
+    return TestFunction(
+        lambda X: X[:, index] * X[:, index],
+        lambda X: 2.0 * X[:, index:index + 1] * e,
+        lambda X: np.broadcast_to(H, (X.shape[0], dim, dim)).copy())
 
 
 def windowed_cubic(dim: int = 1, index: int = 0) -> TestFunction:
@@ -129,7 +111,7 @@ def windowed_cubic(dim: int = 1, index: int = 0) -> TestFunction:
         out[:, index, index] = (6.0 * x - 14.0 * x ** 3 / w + 4.0 * x ** 5 / w ** 2) * env
         return out
 
-    return TestFunction(fn, grad, hess, dim, name=f"x{index}^3*bump")
+    return TestFunction(fn, grad, hess)
 
 
 @dataclass(frozen=True)
@@ -177,8 +159,8 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
     gu = np.asarray(u.grad(X), dtype=np.float64)
     gv = np.asarray(v.grad(X), dtype=np.float64)
     drift_part = ((v_fwd(t, X) + v_bwd(t, X)) * gu).sum(axis=1)
-    lap = u.laplacian(a, t, X)
-    gamma = (gu * a.apply(t, X, gv)).sum(axis=1)
+    lap = u.laplacian(a, X)
+    gamma = (gu * a.apply(gv)).sum(axis=1)
     bracket = (drift_part + lap) * v(X) + gamma
     return _report(bracket, ATOL_DEFAULT)
 

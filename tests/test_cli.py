@@ -368,6 +368,33 @@ class TestNonFiniteNumbers:
         assert proc.stderr == line + "\n"
         assert not (tmp_path / "o").exists()
 
+    # finite JSON whose arithmetic overflows: numpy's warnings stay off stderr
+    _BIG = {
+        "ou-mean": _ou_cfg(model=dict(_MODELS["ou"], init_mean=[1e308])),
+        "custom-drift": _ou_cfg(model=dict(_MODELS["custom"],
+                                           drift={"name": "linear", "matrix": [[1e308]]})),
+        "ou-cov": _ou_cfg(model=dict(_MODELS["ou"], init_cov=[[1e308]])),
+        "custom-a": _ou_cfg(model=dict(_MODELS["custom"], diffusion_matrix=[[1e308]])),
+        "cycle-rates": _cycle_cfg(model=dict(_MODELS["cycle"], rate_cw=1e308, rate_ccw=1e308)),
+    }
+
+    @pytest.mark.parametrize("case, command, line", [
+        ("ou-mean", "run", "parameter error: every path has a non-finite action"),
+        ("custom-drift", "simulate", "simulation error: non-finite state at path 6, step 1"),
+        ("custom-drift", "run", "simulation error: non-finite state at path 6, step 1"),
+        ("ou-cov", "simulate", "simulation error: non-finite state at path 0, step 1"),
+        ("ou-cov", "run", "simulation error: non-finite state at path 0, step 1"),
+        ("custom-a", "simulate", "simulation error: non-finite state at path 0, step 1"),
+        ("custom-a", "run", "simulation error: non-finite state at path 0, step 1"),
+        ("cycle-rates", "simulate", "parameter error: the total out-rate of a state overflows"),
+        ("cycle-rates", "run", "parameter error: the total out-rate of a state overflows"),
+    ])
+    def test_overflow_exits_2_one_line(self, tmp_path, case, command, line):
+        _write_cfg(tmp_path, self._BIG[case])
+        proc = _cli(tmp_path, command, "--config", "cfg.json", "--out", "o")
+        assert proc.returncode == 2
+        assert proc.stderr == line + "\n"
+
 
 def _cli(tmp_path, *args):
     """pathrev in a fresh process, so a traceback or a warning shows on its

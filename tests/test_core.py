@@ -383,34 +383,33 @@ class TestVectorField:
 class TestMatrixField:
     def test_constant(self):
         a = MatrixField([[2.0, 0.0], [0.0, 3.0]])
-        X = np.array([[1.0, 1.0], [2.0, -1.0]])
         V = np.array([[1.0, 2.0], [0.0, 1.0]])
-        assert np.array_equal(a.apply(0.0, X, V), np.array([[2.0, 6.0], [0.0, 3.0]]))
-        assert np.array_equal(a.quad(0.0, X, V), np.array([14.0, 3.0]))
-        assert np.allclose(a.solve(0.0, X, V), np.array([[0.5, 2 / 3], [0.0, 1 / 3]]))
+        assert np.array_equal(a.apply(V), np.array([[2.0, 6.0], [0.0, 3.0]]))
+        assert np.array_equal(a.quad(V), np.array([14.0, 3.0]))
+        assert np.allclose(a.solve(V), np.array([[0.5, 2 / 3], [0.0, 1 / 3]]))
 
     def test_identity(self):
         a = MatrixField.identity(3)
         V = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(a.apply(0.0, np.zeros((2, 3)), V), V)
+        assert np.array_equal(a.apply(V), V)
 
     def test_solve_identity_is_exact(self):
         a = MatrixField.identity(3)
         V = path_rng(7, 0).standard_normal((50, 3))
-        assert np.array_equal(a.solve(0.0, np.zeros((50, 3)), V), V)
+        assert np.array_equal(a.solve(V), V)
 
     def test_solve_spd_constant_matches_linalg(self):
         M = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.7]])
         a = MatrixField(M)
         V = path_rng(7, 1).standard_normal((50, 3))
-        out = a.solve(0.0, np.zeros((50, 3)), V)
+        out = a.solve(V)
         assert np.allclose(out, np.linalg.solve(M, V.T).T, rtol=1e-13, atol=1e-15)
         assert np.allclose(out @ M, V, rtol=1e-13, atol=1e-14)
 
     def test_solve_singular_constant(self):
         a = MatrixField([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericError):
-            a.solve(0.0, np.zeros((2, 2)), np.ones((2, 2)))
+            a.solve(np.ones((2, 2)))
 
     def test_refuses_a_nonsymmetric_matrix(self):
         # the rule Gaussian applies to cov: within atol 1e-12 of symmetric,
@@ -476,13 +475,12 @@ class TestMatvecRows:
         A = B @ B.T + d * np.eye(d)
         V = rng.standard_normal((100, d))
         V[:5] = -0.0
-        X = np.zeros_like(V)
         a = MatrixField(A)
-        assert _same_bits(a.apply(0.0, X, V), V @ a.constant_matrix.T)
-        assert _same_bits(a.solve(0.0, X, V), V @ np.linalg.inv(a.constant_matrix).T)
+        assert _same_bits(a.apply(V), V @ a.constant_matrix.T)
+        assert _same_bits(a.solve(V), V @ np.linalg.inv(a.constant_matrix).T)
         c = rng.standard_normal(d)
         assert _same_bits(VectorField.linear(B, c)(0.0, V), V @ B.T + c)
-        assert _same_bits(a.quad(0.0, X, V), _quad_rows(a.constant_matrix, V))
+        assert _same_bits(a.quad(V), _quad_rows(a.constant_matrix, V))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_quad_row_bits_do_not_depend_on_batch(self, d):
@@ -492,11 +490,9 @@ class TestMatvecRows:
         B = rng.standard_normal((d, d))
         a = MatrixField(B @ B.T + d * np.eye(d))
         V = rng.standard_normal((300, d)) * 3.0
-        X = np.zeros_like(V)
-        rows = np.concatenate([a.quad(0.0, X[i:i + 1], V[i:i + 1]) for i in range(V.shape[0])])
-        pairs = np.concatenate([a.quad(0.0, X[i:i + 2], V[i:i + 2])
-                                for i in range(0, V.shape[0], 2)])
-        batch = a.quad(0.0, X, V)
+        rows = np.concatenate([a.quad(V[i:i + 1]) for i in range(V.shape[0])])
+        pairs = np.concatenate([a.quad(V[i:i + 2]) for i in range(0, V.shape[0], 2)])
+        batch = a.quad(V)
         assert _same_bits(rows, batch)
         assert _same_bits(pairs, batch)
 

@@ -139,13 +139,13 @@ class TestCurrentOsmosisDecomposition:
     @staticmethod
     def _count_drift_queries(monkeypatch):
         calls = []
-        query = DensityFlow.score_in_support
+        query = DensityFlow.pdf_score_in_support
 
         def counted(self, t, X):
             calls.append(t)
             return query(self, t, X)
 
-        monkeypatch.setattr(DensityFlow, "score_in_support", counted)
+        monkeypatch.setattr(DensityFlow, "pdf_score_in_support", counted)
         return calls
 
     def test_backward_drift_once_per_node(self, monkeypatch):
@@ -233,10 +233,10 @@ def _path_major_report(drift, density, ref, e):
         vr = ref.drift(t, X)
         bf = np.linalg.solve(A, (drift(t, X) - vr).T).T
         bb = np.linalg.solve(A, (v_bwd(t, X) - vr).T).T
-        int_f[:, k] = 0.5 * ref.a.quad(t, X, bf)
-        int_b[:, k] = 0.5 * ref.a.quad(t, X, bb)
-        int_c[:, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf - bb))
-        int_o[:, k] = 0.5 * ref.a.quad(t, X, 0.5 * (bf + bb))
+        int_f[:, k] = 0.5 * ref.a.quad(bf)
+        int_b[:, k] = 0.5 * ref.a.quad(bb)
+        int_c[:, k] = 0.5 * ref.a.quad(0.5 * (bf - bb))
+        int_o[:, k] = 0.5 * ref.a.quad(0.5 * (bf + bb))
     vals, ok = _path_major_integrals((int_f, int_b, int_c, int_o), nodes, (int_f, int_b))
     fwd, bwd, cur, osm = (mean_stderr(v) for v in vals)
     b0, se0 = _boundary_entropy(density, ref, 0.0, e.paths[:, 0, :])
@@ -295,7 +295,7 @@ class TestNodeMajorMatchesPathMajor:
         integrand = np.empty((e.n_paths, nodes.size))
         for k, t in enumerate(nodes):
             X = e.paths[:, k, :]
-            integrand[:, k] = 0.5 * ref.a.quad(t, X, drift(t, X))
+            integrand[:, k] = 0.5 * ref.a.quad(drift(t, X))
         [want_vals], ok = _path_major_integrals([integrand], nodes, [integrand])
         seen = self._record_samples(monkeypatch)
         est = girsanov_action(drift, ref.a, e)

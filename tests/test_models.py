@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestKolmogorovSpec:
         X = np.array([[1.5, -0.25], [0.0, 2.0]])
         assert np.array_equal(ref.drift(0.0, X), -X)
         assert np.array_equal(ref.div_a(0.0, X), np.zeros_like(X))
-        assert np.allclose(0.5 * a.apply(0.0, X, ref.m.score(X)), -X, rtol=0, atol=1e-15)
+        assert np.allclose(0.5 * a.apply(ref.m.score(X)), -X, rtol=0, atol=1e-15)
 
 
 class TestDiffusionSpec:
@@ -337,6 +338,13 @@ class TestGraphWalkSpec:
         with pytest.raises(ParameterError):
             graph_walk(A, J4, np.full(4, 0.25))  # disconnected
 
+    def test_refuses_an_overflowing_out_rate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="total out-rate of a state overflows"):
+                _c4(rate_cw=1e308, rate_ccw=1e308)
+        assert _c4(rate_cw=1e307, rate_ccw=1e307).intensity_matrix.sum(axis=1).max() == 2e307
+
     def test_law_and_intensity_validation(self):
         A = np.array([[False, True], [True, False]])
         J = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -390,6 +398,16 @@ class TestWalkMarginals:
         assert p(0.7).sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ParameterError):
             p(-0.5)
+
+    def test_negative_time_is_refused_from_every_start(self):
+        base = _c4()
+        delta = graph_walk(base.adjacency, base.intensity_matrix,
+                           np.array([1.0, 0.0, 0.0, 0.0]))
+        for spec in (base, delta):  # stationary, then not
+            p = walk_marginal_fn(spec)
+            with pytest.raises(ParameterError, match="negative time -1.0"):
+                p(-1.0)
+            assert p(0.0).tolist() == spec.p0.tolist()
 
     def test_refuses_callable_intensities(self):
         spec = _c4()

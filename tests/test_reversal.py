@@ -68,7 +68,7 @@ class TestBackwardDrift:
             ok = density.in_support(t, X)
             split_floor_hits += int((~ok).sum())
             sc = np.where(ok[:, None], density.score(t, X), 0.0)
-            return -ref.drift(t, X) + ref.div_a(t, X) + ref.a.apply(t, X, sc)
+            return -ref.drift(t, X) + ref.div_a(t, X) + ref.a.apply(sc)
 
         X = np.linspace(-5.0, 7.0, 700)[:, None]  # crosses chunks and the floor
         for t in (0.05, 0.5, 1.0):
@@ -224,7 +224,8 @@ class TestAffineBackwardDrift:
 
 
 class TestScoreOnlyExactDrift:
-    """At floor 0 the drift takes the score alone: no pdf is evaluated."""
+    """An exact flow's drift is its affine table: no pdf is evaluated.  Off
+    the table, score and trust mask come from one fused density query."""
 
     def test_exact_drift_skips_the_logpdf(self, monkeypatch):
         ref, flow, density = _ou_setup()
@@ -241,19 +242,23 @@ class TestScoreOnlyExactDrift:
         assert np.array_equal(bwd(0.5, X), expected)
         assert bwd.floor_hits == 0
 
-    def test_score_in_support_matches_fused_query(self, floored):
-        # at a positive floor the mask is the pdf test of pdf_score_in_support;
-        # a Gaussian slice law trusts every point and the score is the same
-        ref, flow, density = _ou_setup()
+    def test_drift_score_path_is_the_fused_query(self, floored):
+        # a floored slice law is not a Gaussian, so the drift takes the score
+        # path: one pdf_score_in_support query, the rejected scores zeroed
+        ref, flow, _ = _ou_setup()
         X = np.linspace(-6.0, 8.0, 141)[:, None]
-        for floor in (None, 1e-3, 0.5):
-            d = density if floor is None else floored(flow, floor)
+        for floor in (0.0, 1e-3, 0.5):
+            d = floored(flow, floor)
+            bwd = BackwardDriftField(ref.drift, ref.a, ref.div_a, d)
+            hits = 0
             for t in (0.0, 0.5, 1.0):
-                sc, ok = d.score_in_support(t, X)
-                _, sc_ref, ok_ref = d.pdf_score_in_support(t, X)
-                assert np.array_equal(sc, sc_ref)
-                assert np.array_equal(ok, ok_ref)
-                assert ok.all() == (floor is None)
+                _, sc, ok = d.pdf_score_in_support(t, X)
+                sc = np.where(ok[:, None], sc, 0.0)
+                want = -ref.drift(t, X) + ref.div_a(t, X) + ref.a.apply(sc)
+                assert np.array_equal(bwd(t, X), want)
+                assert ok.all() == (floor == 0.0)
+                hits += int((~ok).sum())
+            assert bwd.floor_hits == hits
 
 
 class TestMomenta:
@@ -279,7 +284,7 @@ class TestMomenta:
         # |b_f|_a^2/2 + |b_b|_a^2/2 = |b_cu|_a^2 + |b_os|_a^2 pointwise
         ref, mom = self._fields()
         X = np.linspace(-1.5, 1.5, 7)[:, None]
-        qf, qb, qc, qo = (ref.a.quad(0.5, X, beta) for beta in mom(0.5, X))
+        qf, qb, qc, qo = (ref.a.quad(beta) for beta in mom(0.5, X))
         assert np.abs(0.5 * qf + 0.5 * qb - qc - qo).max() <= 1e-12
 
     def test_each_velocity_evaluated_once_per_call(self):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from pathrev import simulate
 from pathrev.core import (MatrixField, ParameterError, SimulationError,
                           VectorField, _matvec_rows, make_grid, path_rng)
 from pathrev.models import (Gaussian, biased_cycle_walk, diffusion_spec,
@@ -14,6 +13,13 @@ from pathrev.simulate import SimConfig, ctmc_simulate, euler_maruyama
 
 def _shifted_ou():
     return ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+
+
+def _correlated_2d():
+    """Correlated noise through its Cholesky factor, and a drift with an offset."""
+    return diffusion_spec(VectorField.linear([[-1.0, 0.5], [-0.5, -1.0]], [0.2, 0.0]),
+                          MatrixField([[2.0, 1.0], [1.0, 2.0]]),
+                          Gaussian(np.array([1.0, 0.0]), np.array([[0.5, 0.1], [0.1, 0.3]])))
 
 
 class TestEulerMaruyama:
@@ -30,27 +36,28 @@ class TestEulerMaruyama:
         b = euler_maruyama(_shifted_ou(), cfg)
         assert np.array_equal(a.paths, b.paths)
 
-    def test_block_size_does_not_change_output(self, monkeypatch):
-        cfg = SimConfig(n_paths=50, seed=11, grid=make_grid(1.0, 20))
-        a = euler_maruyama(_shifted_ou(), cfg)
-        monkeypatch.setattr(simulate, "_BLOCK", 7)
-        b = euler_maruyama(_shifted_ou(), cfg)
-        assert np.array_equal(a.paths, b.paths)
+    @pytest.mark.parametrize("spec", [_shifted_ou(), _correlated_2d()],
+                             ids=["d1", "d2-correlated"])
+    def test_path_does_not_depend_on_the_ensemble_size(self, spec):
+        grid = make_grid(1.0, 10)
+        a = euler_maruyama(spec, SimConfig(50, 11, grid)).paths.view(np.uint64)
+        one = euler_maruyama(spec, SimConfig(1, 11, grid)).paths.view(np.uint64)
+        many = euler_maruyama(spec, SimConfig(4097, 11, grid)).paths.view(np.uint64)
+        assert np.array_equal(a[:1], one)
+        assert np.array_equal(a, many[:50])
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_one_row_block_keeps_its_bits(self, monkeypatch, d):
-        # a last block of one path took the initial draw through gemv, which
-        # sums in another order than the full block's gemm: at d >= 2 path 4
-        # differed from node 0 on in 4 of these 40 seeds
+    def test_one_row_block_keeps_its_bits(self, d):
+        # a batch of one row once took the initial draw through gemv, which
+        # sums in another order than a larger batch's gemm: at d >= 2 such a
+        # path differed from node 0 on in 4 of these 40 seeds
         C = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.4]])[:d, :d]
         spec = ou_diffusion(Gaussian(np.array([1.0, -0.5, 0.25])[:d], C))
+        grid = make_grid(1.0, 3)
         for seed in range(40):
-            cfg = SimConfig(n_paths=5, seed=seed, grid=make_grid(1.0, 3))
-            a = euler_maruyama(spec, cfg)
-            monkeypatch.setattr(simulate, "_BLOCK", 4)
-            b = euler_maruyama(spec, cfg)
-            monkeypatch.undo()
-            assert np.array_equal(a.paths.view(np.uint64), b.paths.view(np.uint64)), seed
+            a = euler_maruyama(spec, SimConfig(5, seed, grid))
+            b = euler_maruyama(spec, SimConfig(1, seed, grid))
+            assert np.array_equal(a.paths[:1].view(np.uint64), b.paths.view(np.uint64)), seed
 
     def test_seed_changes_output(self):
         grid = make_grid(1.0, 20)
@@ -171,18 +178,12 @@ def _reference_euler(spec, cfg):
 
 class TestEulerMatchesReference:
     """euler_maruyama draws each path's normals straight into its output row
-    and steps a block of paths at once; the paths must equal, float for
-    float, those of the plain per-path loop."""
+    and steps all paths at once; the paths must equal, float for float,
+    those of the plain per-path loop."""
 
-    @pytest.mark.parametrize("spec", [
-        _shifted_ou(),
-        # correlated noise through its Cholesky factor, and a drift with an offset
-        diffusion_spec(VectorField.linear([[-1.0, 0.5], [-0.5, -1.0]], [0.2, 0.0]),
-                       MatrixField([[2.0, 1.0], [1.0, 2.0]]),
-                       Gaussian(np.array([1.0, 0.0]), np.array([[0.5, 0.1], [0.1, 0.3]])))],
-        ids=["d1", "d2-correlated"])
-    def test_float_for_float(self, monkeypatch, spec):
-        monkeypatch.setattr(simulate, "_BLOCK", 64)  # two full blocks and a last one of 2
+    @pytest.mark.parametrize("spec", [_shifted_ou(), _correlated_2d()],
+                             ids=["d1", "d2-correlated"])
+    def test_float_for_float(self, spec):
         cfg = SimConfig(n_paths=130, seed=5, grid=make_grid(1.0, 25))
         got = euler_maruyama(spec, cfg).paths
         assert np.array_equal(got.view(np.uint64), _reference_euler(spec, cfg).view(np.uint64))
@@ -265,6 +266,14 @@ class TestCtmcLockstep:
         assert np.array_equal(a.times[:n].view(np.uint64), b.times.view(np.uint64))
         assert np.array_equal(a.src[:n], b.src)
         assert np.array_equal(a.dst[:n], b.dst)
+
+    def test_no_jumps_at_all(self):
+        # no path jumps before T: the columns are empty, with their dtypes
+        e = ctmc_simulate(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0), T=1e-9,
+                          n_paths=5, seed=3)
+        assert e.offsets.tolist() == [0] * 6
+        assert e.times.dtype == np.float64 and e.times.size == 0
+        assert e.src.dtype == e.dst.dtype == np.int64 and e.src.size == e.dst.size == 0
 
     def test_many_blocks_per_path(self):
         # about 80 jumps per path, two uniforms each: a path reads some 40

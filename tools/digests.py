@@ -79,8 +79,9 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("custom-exact-run", "run", {**default_checks, "model": CUSTOM, "n_paths": 300}, []),
         # ensemble.csv; rw ibp writes no directory, so its stdout is the digest
         ("ou-simulate-csv", "simulate", {**ou, "n_paths": 200}, ["--format", "csv"]),
-        # a last Euler block of one path (4097 = 4096 + 1), at a seed where
-        # taking that path's initial draw alone once changed its bits
+        # 4097 = 4096 + 1 paths: Euler once stepped blocks of 4096 paths, and
+        # at this seed a last block of one path changed that path's bits;
+        # it now steps all paths at once, and the case holds them fixed
         ("ou2d-simulate-4097", "simulate", {**ou, "model": OU_2D, "n_paths": 4097,
                                             "grid": {**ou["grid"], "n_steps": 4},
                                             "seed": 4}, []),
