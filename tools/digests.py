@@ -86,6 +86,14 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
                                             "grid": {**ou["grid"], "n_steps": 4},
                                             "seed": 4}, []),
         ("cycle-rw-ibp", "rw", cycle, ["ibp"]),
+        # the other rw actions, which also write their artifacts under --out
+        ("cycle-rw-reverse", "rw", cycle, ["reverse"]),
+        ("cycle-rw-reverse-json", "rw", cycle, ["reverse", "--format", "json"]),
+        ("cycle-rw-entropy", "rw", cycle, ["entropy"]),
+        # the seed override: a seed other than the config's, echoed in manifest.json
+        ("ou-simulate-seed", "simulate", {**ou, "n_paths": 200}, ["--seed", "7"]),
+        # the bundled cycle is biased, so detailed balance FAILs: exit 1 by design
+        ("cycle-verify-detailed-balance", "verify", cycle, ["detailed-balance"]),
         # a horizon shorter than the default nelson and carre lags
         ("ou-short-run", "run", {**default_checks, "grid": {"T": 0.1, "n_steps": 40}}, []),
         # a config error: exit 2 with one stderr line and no output directory
