@@ -437,8 +437,7 @@ def _check_ibp(run: _DiffusionRun) -> dict:
     t = run.grid.node(run.grid.n_steps // 2)
     X = run.ensemble.paths[:, run.grid.n_steps // 2, :]
     u = coordinate_function(run.spec.dim)
-    v_bwd = VectorField(run.backward, run.spec.dim)
-    rep = ibp_residual(run.spec.drift, v_bwd, run.spec.a, X, t, u, u)
+    rep = ibp_residual(run.spec.drift, run.backward, run.spec.a, X, t, u, u)
     out = rep.to_dict()
     out["t"] = t
     return out
@@ -694,11 +693,9 @@ def cmd_rw(cfg: dict, out_dir: str, action: str, fmt: str) -> int:
         else:
             _write_csv(sys.stdout, _INTENSITY_HEADER, run.intensity_rows)
         write = run.write_reversal
-    elif action == "entropy":
+    else:  # "entropy", the last of the parser's choices
         print(json.dumps(run.entropy, indent=2, sort_keys=True))
         write = run.write_entropy
-    else:
-        raise ConfigError(f"unknown rw action {action!r}")
     if out_dir:
         write(_Artifacts(out_dir, cfg))
     return 0
@@ -722,28 +719,32 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
+        # handler(cfg, out_dir, args) names its cmd_* in its body, so the
+        # function it calls is looked up then, not when the parser is built
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("run", help="full pipeline: simulate, reverse, entropy, verify")
-    common(p)
+    common(p, lambda cfg, out_dir, args: cmd_run(cfg, out_dir))
     p = sub.add_parser("simulate", help="generate and store an ensemble")
-    common(p)
+    common(p, lambda cfg, out_dir, args: cmd_simulate(cfg, out_dir, args.format))
     p.add_argument("--format", choices=("csv",), default=None,
                    help="also write a CSV ensemble with --format csv")
     p = sub.add_parser("reverse", help="reversed drift probe and model descriptor")
-    common(p)
+    common(p, lambda cfg, out_dir, args: cmd_reverse(cfg, out_dir))
     p = sub.add_parser("entropy", help="entropy report and Fisher table")
-    common(p)
+    common(p, lambda cfg, out_dir, args: cmd_entropy(cfg, out_dir))
     p = sub.add_parser("verify", help="run named checks", epilog=epilog,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    common(p)
+    common(p, lambda cfg, out_dir, args: cmd_verify(cfg, out_dir, list(args.checks)))
     p.add_argument("checks", nargs="*", metavar="check",
                    help="check names (default: the config's list)")
     p = sub.add_parser("rw", help="random-walk actions")
-    common(p)
+    # rw writes only under --out, never to the config's out_dir
+    common(p, lambda cfg, out_dir, args: cmd_rw(cfg, args.out or "", args.action, args.format))
     p.add_argument("action", choices=("reverse", "entropy", "ibp"))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -761,18 +762,7 @@ def main(argv=None) -> int:
                 _check_seed(args.seed)
                 cfg["seed"] = args.seed
             out_dir = args.out if args.out is not None else cfg["out_dir"]
-            if args.command == "run":
-                return cmd_run(cfg, out_dir)
-            if args.command == "simulate":
-                return cmd_simulate(cfg, out_dir, args.format)
-            if args.command == "reverse":
-                return cmd_reverse(cfg, out_dir)
-            if args.command == "entropy":
-                return cmd_entropy(cfg, out_dir)
-            if args.command == "verify":
-                return cmd_verify(cfg, out_dir, list(args.checks))
-            if args.command == "rw":
-                return cmd_rw(cfg, args.out or "", args.action, args.format)
+            return args.handler(cfg, out_dir, args)
     except (PathrevError, MemoryError) as exc:
         # "ParameterError" -> "parameter error: ..."; one line, whatever the message.
         # An ensemble too large to allocate is a bad config too, so it exits 2
@@ -781,7 +771,6 @@ def main(argv=None) -> int:
                 else type(exc).__name__.removesuffix("Error").lower())
         print(f"{kind} error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

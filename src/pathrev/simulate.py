@@ -95,10 +95,11 @@ def _lockstep(seed: int, n_paths: int, cum_p0: np.ndarray, cum: np.ndarray,
     while True:
         p += 2  # jump (p - 1) / 2 takes u_p and u_{p+1}
         lam = rates[x]
-        go = lam > 0.0  # a state without exit rate absorbs
-        rows, x, t, lam, U = rows[go], x[go], t[go], lam[go], U[go]
-        # p is odd, so u_p lies in the block that u_{p-1} began or continued
-        t = t + -np.log1p(-U[:, p % 4]) / lam
+        # p is odd, so u_p lies in the block that u_{p-1} began or continued.
+        # A state without exit rate absorbs: its holding time is -log1p(-u) / 0,
+        # +inf (or nan at u = 0), so the horizon test drops the path
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = t + -np.log1p(-U[:, p % 4]) / lam
         go = t <= T
         rows, x, t, lam, U = rows[go], x[go], t[go], lam[go], U[go]
         if not rows.size:

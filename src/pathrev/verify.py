@@ -25,7 +25,7 @@ from .core import (ConsistencyError, MatrixField, ParameterError, PathEnsemble,
 from .core import path_rng  # noqa: F401
 from .density import DensityFlow
 from .models import GraphWalkSpec
-from .reversal import ReversedWalk
+from .reversal import BackwardDriftField, ReversedWalk
 
 Z_DEFAULT = 3.0
 ATOL_DEFAULT = 1e-3
@@ -143,7 +143,7 @@ def _report(vals: np.ndarray, atol: float) -> ResidualReport:
     return ResidualReport(est, se, n, bool(passed), Z_DEFAULT, atol, note)
 
 
-def ibp_residual(v_fwd: VectorField, v_bwd: VectorField, a: MatrixField,
+def ibp_residual(v_fwd: VectorField, v_bwd: VectorField | BackwardDriftField, a: MatrixField,
                  X: np.ndarray, t: float, u: TestFunction, v: TestFunction) -> ResidualReport:
     """Integration-by-parts bracket at one time slice.
 
