@@ -27,6 +27,14 @@ from .core import (JumpPathEnsemble, ParameterError, PathEnsemble, SimulationErr
 from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
 
+# ctmc_simulate refuses a walk whose max_x lam_x T, the expected number of
+# jumps of a path held in the fastest state and so about the number of
+# lockstep steps, exceeds this.  A step costs about 0.17 ms at a few paths
+# (the 4-cycle at lam T = 5000 and 5 paths: 5070 steps in 0.87 s on 2 vCPUs),
+# so the bound keeps a walk to seconds; the bundled cycle needs lam T = 3,
+# and the fastest digest case 80.
+_MAX_RATE_T = 1e4
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -121,7 +129,8 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
     u_{2j+1} for its holding time -log1p(-u) / lam_x and u_{2j+2} for its
     target.  Each step computes, for the paths still live, only the Philox
     block that its uniform enters (core.philox_uniforms), so a path reads as
-    many blocks as its jumps reach, and no path depends on the others.
+    many blocks as its jumps reach, and no path depends on the others.  A
+    walk with max_x lam_x T above _MAX_RATE_T is refused before it starts.
     """
     if not spec.is_constant:
         raise ParameterError("walk simulation needs constant intensities")
@@ -130,14 +139,17 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
     if int(n_paths) != n_paths or n_paths < 1:
         raise ParameterError(f"n_paths must be a positive integer, got {n_paths}")
     n_paths = int(n_paths)
+    rates = spec.intensity_matrix.sum(axis=1)
+    lam_T = rates.max() * T
+    if lam_T > _MAX_RATE_T:
+        raise ParameterError(f"max exit rate x horizon is {lam_T:g}, above {_MAX_RATE_T:g}: "
+                             "the walk would take about that many lockstep steps")
 
     # cumulative sums ending in inf, so a draw at or past the total
     # (roundoff) lands on the last state rather than past it
     cum_p0 = np.cumsum(spec.p0)
     cum_p0[-1] = math.inf
-    J = spec.intensity_matrix
-    rates = J.sum(axis=1)
-    cum = np.cumsum(J, axis=1)
+    cum = np.cumsum(spec.intensity_matrix, axis=1)
     cum[:, -1] = math.inf
 
     initial, steps = _lockstep(seed, n_paths, cum_p0, cum, rates, T)

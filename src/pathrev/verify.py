@@ -27,9 +27,9 @@ from .density import DensityFlow
 from .models import GraphWalkSpec
 from .reversal import BackwardDriftField, ReversedWalk
 
-Z_DEFAULT = 3.0
-ATOL_DEFAULT = 1e-3
-SMALL_SAMPLE = 100
+_Z_DEFAULT = 3.0
+_ATOL_DEFAULT = 1e-3
+_SMALL_SAMPLE = 100
 # pass bound of an identity computed exactly, as a finite sum: graph_ibp_residual
 # and the walk reversal and detailed-balance checks; the CLI also matches a
 # stored ensemble's horizon to the config's within it
@@ -138,9 +138,9 @@ class ResidualReport:
 def _report(vals: np.ndarray, atol: float) -> ResidualReport:
     est, se = mean_stderr(vals)
     n = vals.size
-    note = f"small sample (n={n})" if n < SMALL_SAMPLE else ""
-    passed = np.isfinite(se) and abs(est) <= Z_DEFAULT * se + atol
-    return ResidualReport(est, se, n, bool(passed), Z_DEFAULT, atol, note)
+    note = f"small sample (n={n})" if n < _SMALL_SAMPLE else ""
+    passed = np.isfinite(se) and abs(est) <= _Z_DEFAULT * se + atol
+    return ResidualReport(est, se, n, bool(passed), _Z_DEFAULT, atol, note)
 
 
 def ibp_residual(v_fwd: VectorField, v_bwd: VectorField | BackwardDriftField, a: MatrixField,
@@ -154,7 +154,7 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField | BackwardDriftField, a:
         (L+ u + L- u) v + Gamma(u, v)
 
     vanishes.  X holds the slice samples as an (n, dim) batch; the report
-    carries the MC mean and passes at z = Z_DEFAULT, atol = ATOL_DEFAULT.
+    carries the MC mean and passes at z = _Z_DEFAULT, atol = _ATOL_DEFAULT.
     """
     gu = np.asarray(u.grad(X), dtype=np.float64)
     gv = np.asarray(v.grad(X), dtype=np.float64)
@@ -162,7 +162,7 @@ def ibp_residual(v_fwd: VectorField, v_bwd: VectorField | BackwardDriftField, a:
     lap = u.laplacian(a, X)
     gamma = (gu * a.apply(gv)).sum(axis=1)
     bracket = (drift_part + lap) * v(X) + gamma
-    return _report(bracket, ATOL_DEFAULT)
+    return _report(bracket, _ATOL_DEFAULT)
 
 
 def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
@@ -198,7 +198,7 @@ def graph_ibp_residual(spec: GraphWalkSpec, reversed_walk: ReversedWalk,
 
 def carre_du_champ_estimate(e: PathEnsemble, u: TestFunction, v: TestFunction,
                             k0: int, k1: int, expected: float,
-                            atol: float = ATOL_DEFAULT) -> ResidualReport:
+                            atol: float = _ATOL_DEFAULT) -> ResidualReport:
     """Short-time product-increment estimate of E Gamma(u, v) at time t.
 
     t and t + h are the times of the grid nodes k0 < k1, and

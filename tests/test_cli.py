@@ -395,14 +395,26 @@ class TestNonFiniteNumbers:
         assert proc.returncode == 2
         assert proc.stderr == line + "\n"
 
+    def test_huge_finite_rates_exit_2_at_once(self, tmp_path):
+        # rates of 1e300 do not overflow, but a path would make about 2e300
+        # jumps; the walk is refused before it simulates and before its
+        # output directory exists (it once ran without end, leaving one)
+        _write_cfg(tmp_path, _cycle_cfg(n_paths=5, model=dict(_MODELS["cycle"], rate_cw=1e300,
+                                                              rate_ccw=1e300)))
+        proc = _cli(tmp_path, "simulate", "--config", "cfg.json", "--out", "o", timeout=5)
+        assert proc.returncode == 2
+        assert proc.stderr == ("parameter error: max exit rate x horizon is 2e+300, above "
+                               "10000: the walk would take about that many lockstep steps\n")
+        assert not (tmp_path / "o").exists()
 
-def _cli(tmp_path, *args):
+
+def _cli(tmp_path, *args, timeout=120):
     """pathrev in a fresh process, so a traceback or a warning shows on its
     stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "pathrev.cli", *args], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120, check=False)
+                          capture_output=True, text=True, timeout=timeout, check=False)
 
 
 # correlated noise: a = [[2, 1], [1, 2]], simulated through its Cholesky factor
@@ -968,6 +980,39 @@ class TestVerifyCommand:
         rep = json.loads((out / "verify_report.json").read_text())["checks"]["nelson"]
         assert rep["passed"] is False and "two lags" in rep["reason"]
         assert "check nelson: FAIL" in capsys.readouterr().out
+
+    # runs that leave a check nothing to evaluate; the library raises, and
+    # the check FAILs with that message as its reason
+    _UNEVALUABLE = {
+        # T/4 = 2.5e-5 lies within continuity's 1e-4 time stencil of 0
+        "short-horizon": (_ou_cfg(n_paths=50, grid={"T": 1e-4, "n_steps": 3}),
+                          "continuity", "probe time 2.5e-05 too close to the interval ends"),
+        # at seed 3 no path starts within nelson's 0.2 window of the mean
+        "wide-start": (_ou_cfg(n_paths=10, seed=3, grid={"T": 1.0, "n_steps": 50},
+                               model={"type": "ou", "init_mean": [0.0],
+                                      "init_cov": [[100.0]]}),
+                       "nelson", "no paths within 0.2 of [0.] at t=0.0"),
+        "kde-two-paths": (_ou_cfg(n_paths=2, seed=3, density="kde",
+                                  grid={"T": 1.0, "n_steps": 50}),
+                          "nelson", "no paths within 0.2 of [1.] at t=0.0"),
+    }
+
+    @pytest.mark.parametrize("case, command", [
+        ("short-horizon", "run"), ("wide-start", "run"), ("wide-start", "verify"),
+        ("kde-two-paths", "run")])
+    def test_unevaluable_check_fails_with_reason(self, tmp_path, capsys, case, command):
+        cfg, check, reason = self._UNEVALUABLE[case]
+        # the default checks of ou, which include continuity and nelson
+        cfg = {k: v for k, v in cfg.items() if k != "checks"}
+        out = tmp_path / "o"
+        argv = [command, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]
+        assert main(argv + ([check] if command == "verify" else [])) == 1
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["passed"] is False
+        assert report["checks"][check]["passed"] is False
+        assert report["checks"][check]["reason"] == reason
+        captured = capsys.readouterr()
+        assert f"check {check}: FAIL" in captured.out and captured.err == ""
 
     def test_unknown_positional_check(self, tmp_path, capsys):
         path = _write_cfg(tmp_path, _cycle_cfg())

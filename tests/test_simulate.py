@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from pathrev import simulate
 from pathrev.core import (MatrixField, ParameterError, SimulationError,
                           VectorField, _matvec_rows, make_grid, path_rng)
 from pathrev.models import (Gaussian, biased_cycle_walk, diffusion_spec,
@@ -156,6 +158,14 @@ class TestCtmcSimulate:
         with pytest.raises(ParameterError):
             ctmc_simulate(spec, T=1.0, n_paths=0, seed=0)
 
+    def test_refuses_more_lockstep_steps_than_its_bound(self, monkeypatch):
+        # max_x lam_x T, here 3 T, is about the number of lockstep steps
+        spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
+        monkeypatch.setattr(simulate, "_MAX_RATE_T", 6.0)
+        assert ctmc_simulate(spec, T=2.0, n_paths=5, seed=3).offsets[-1] > 0
+        with pytest.raises(ParameterError, match="lockstep steps"):
+            ctmc_simulate(spec, T=2.5, n_paths=5, seed=3)
+
 
 def _reference_euler(spec, cfg):
     """The Euler scheme written out per path on path_rng: one fresh stream
@@ -266,6 +276,14 @@ class TestCtmcLockstep:
         assert np.array_equal(a.times[:n].view(np.uint64), b.times.view(np.uint64))
         assert np.array_equal(a.src[:n], b.src)
         assert np.array_equal(a.dst[:n], b.dst)
+
+    def test_absorbing_state_warns_nothing(self):
+        # at rate 0 the holding time is inf or nan, which the horizon test
+        # drops; the division warns nothing outside the CLI's errstate too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = ctmc_simulate(_skewed_walk_with_absorbing_state(), T=2.0, n_paths=500, seed=8)
+        assert e.offsets[-1] > 0
 
     def test_no_jumps_at_all(self):
         # no path jumps before T: the columns are empty, with their dtypes
