@@ -32,7 +32,7 @@ import scipy
 
 from . import __version__
 from .core import (ConfigError, ParameterError, PathrevError, SupportError, TimeGrid,
-                   VectorField, load_ensemble, make_grid, save_ensemble)
+                   VectorField, _csv_text, load_ensemble, make_grid, save_ensemble)
 from .density import _KDE_MIN_SAMPLES, exact_flow_density, kde_flow
 from .entropy import (current_osmosis_decomposition, heat_flow_dissipation,
                       rw_relative_entropy, entropy_vs_counting)
@@ -52,8 +52,6 @@ _GRID_KEYS = {"T", "n_steps"}
 _INTENSITY_HEADER = ("from_state", "to_state", "t", "j_fwd", "j_bwd")
 # the reversal check's permutation tests reject law equality below this p-value
 _REVERSAL_LEVEL = 0.01
-# jumps per block of events.csv lines, bounding the strings held at once
-_CSV_CHUNK = 1 << 16
 
 
 def _check_seed(seed: int) -> None:
@@ -138,17 +136,6 @@ def load_config(path: str) -> dict:
     return validate_config(obj)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_csv(f, header, rows) -> None:
-    """CSV text into the open file f; floats go through repr so they round-trip."""
-    f.write(",".join(header) + "\n")
-    for row in rows:
-        f.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
 class _Artifacts:
     """An output directory, created with its manifest.json."""
 
@@ -176,9 +163,10 @@ class _Artifacts:
             json.dump(obj, f, indent=2, sort_keys=True)
             f.write("\n")
 
-    def write_csv(self, name: str, header, rows) -> None:
-        with open(self.path(name), "w", newline="") as f:
-            _write_csv(f, header, rows)
+    def write_csv(self, name: str, header, columns) -> None:
+        """Equal-length int or float columns as CSV (core._csv_text)."""
+        with open(self.path(name), "wb") as f:
+            f.writelines(_csv_text(header, columns))
 
 
 def _snap_times(grid: TimeGrid) -> list[tuple[int, float]]:
@@ -263,12 +251,12 @@ class _DiffusionRun(_Run):
     def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
         save_ensemble(self.ensemble, out.path("ensemble.bin"))
         if csv:
-            # one row per (path, node), one path converted at a time; meant
-            # for small ensembles, the binary container holds large ones
-            e, nodes = self.ensemble, self.grid.nodes.tolist()
+            # one row per (path, node); meant for small ensembles, the
+            # binary container holds large ones
+            e, nodes = self.ensemble, self.grid.nodes
             out.write_csv("ensemble.csv", ["path_id", "t", *(f"x{d + 1}" for d in range(e.dim))],
-                          ((i, t, *x) for i, p in enumerate(e.paths)
-                           for t, x in zip(nodes, p.tolist())))
+                          [np.arange(e.n_paths).repeat(nodes.size), np.tile(nodes, e.n_paths),
+                           *(e.paths[:, :, d].reshape(-1) for d in range(e.dim))])
 
     # the stored ensemble is all `run` keeps of the forward process
     write_forward = write_paths
@@ -279,25 +267,24 @@ class _DiffusionRun(_Run):
         b_star = None
         if self.spec.dim == 1:
             b_star = [self.reversed_drift(s, self.xs[:, None])[:, 0] for s in times]
+            probe = [np.repeat(times, self.xs.size), np.tile(self.xs, len(times))]
             out.write_csv("reversed_probe.csv", ["t", "x", "b_star"],
-                          [(float(s), float(x), float(v))
-                           for s, vals in zip(times, b_star) for x, v in zip(self.xs, vals)])
+                          [*probe, np.concatenate(b_star)])
             out.write_csv("density_probe.csv", ["t", "x", "pdf", "score"],
-                          self._density_probe_rows(times))
+                          [*probe, *self._density_probe(times)])
         out.write_json("reversed_model.json", self._reversed_model(times, b_star))
 
-    def _density_probe_rows(self, times: list[float]):
-        """(t, x, pdf, score) rows on the forward clock.
+    def _density_probe(self, times: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """pdf and score on the probe line at each time, on the forward clock.
 
         Points outside the density's trust region report pdf with a nan score.
         """
-        X = self.xs[:, None]
-        rows = []
+        pdf, score = [], []
         for t in times:
-            pdf, sc, ok = self.density.pdf_score_in_support(t, X)
-            rows.extend((float(t), float(x), float(p), float(s) if good else float("nan"))
-                        for x, p, s, good in zip(self.xs, pdf, sc[:, 0], ok))
-        return rows
+            p, sc, ok = self.density.pdf_score_in_support(t, self.xs[:, None])
+            pdf.append(p)
+            score.append(np.where(ok, sc[:, 0], np.nan))
+        return np.concatenate(pdf), np.concatenate(score)
 
     def _reversed_model(self, times: list[float], b_star) -> dict:
         """Serializable description of the reversed process.
@@ -336,7 +323,9 @@ class _DiffusionRun(_Run):
                                      self.spec.a.constant_matrix)
 
     def write_fisher(self, out: _Artifacts) -> None:
-        out.write_csv("fisher.csv", ["t", "free_energy", "fisher"], self.heat_flow[0].to_rows())
+        report = self.heat_flow[0]
+        out.write_csv("fisher.csv", ["t", "free_energy", "fisher"],
+                      [report.times, report.free_energy, report.fisher])
 
 
 class _WalkRun(_Run):
@@ -361,30 +350,15 @@ class _WalkRun(_Run):
     def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
         """events.csv, one row per jump; walks have no other path format."""
         e = self.ensemble
-        # the rows _write_csv would write (event times are floats, so repr),
-        # formatted by one % of a repeated line format per _CSV_CHUNK jumps:
-        # for the 3e5 jumps of 1e5 cycle paths that took 0.29 s against 0.35 s
-        # for one f-string per line (medians of 12 alternating trials, 11 won,
-        # 2 vCPUs); str.format, % and joins of mapped reprs per line were no
-        # faster than the f-string
-        with open(out.path("events.csv"), "w", newline="") as f:
-            f.write("path_id,t,from_state,to_state\n")
-            for a in range(0, e.times.size, _CSV_CHUNK):
-                b = min(a + _CSV_CHUNK, e.times.size)
-                cells = [None] * (4 * (b - a))  # the chunk's rows, one after another
-                cells[0::4] = (np.searchsorted(e.offsets, np.arange(a, b), side="right")
-                               - 1).tolist()
-                cells[1::4] = e.times[a:b].tolist()
-                cells[2::4] = e.src[a:b].tolist()
-                cells[3::4] = e.dst[a:b].tolist()
-                f.write(("%d,%r,%d,%d\n" * (b - a)) % tuple(cells))
+        out.write_csv("events.csv", ["path_id", "t", "from_state", "to_state"],
+                      [np.arange(e.n_paths).repeat(np.diff(e.offsets)), e.times, e.src, e.dst])
 
     def write_forward(self, out: _Artifacts) -> None:
         """State occupation probabilities at the snapshot times."""
-        rows = [(float(t),) + tuple(float(p) for p in self.marginals(t))
-                for _, t in _snap_times(self.grid)]
+        times = [t for _, t in _snap_times(self.grid)]
+        p = np.array([self.marginals(t) for t in times])
         out.write_csv("marginals.csv", ["t"] + [f"p{i}" for i in range(self.spec.n_states)],
-                      rows)
+                      [np.array(times), *p.T])
 
     @functools.cached_property
     def intensity_rows(self) -> list[tuple]:
@@ -400,7 +374,7 @@ class _WalkRun(_Run):
         return rows
 
     def write_reversal(self, out: _Artifacts) -> None:
-        out.write_csv("reversed_intensities.csv", _INTENSITY_HEADER, self.intensity_rows)
+        out.write_csv("reversed_intensities.csv", _INTENSITY_HEADER, zip(*self.intensity_rows))
 
     @functools.cached_property
     def entropy(self) -> dict:
@@ -708,7 +682,8 @@ def cmd_rw(cfg: dict, out_dir: str, action: str, fmt: str) -> int:
             print(json.dumps([dict(zip(_INTENSITY_HEADER, row)) for row in run.intensity_rows],
                              indent=2, sort_keys=True))
         else:
-            _write_csv(sys.stdout, _INTENSITY_HEADER, run.intensity_rows)
+            sys.stdout.write(b"".join(_csv_text(_INTENSITY_HEADER, zip(*run.intensity_rows)))
+                             .decode("ascii"))
         write = run.write_reversal
     else:  # "entropy", the last of the parser's choices
         print(json.dumps(run.entropy, indent=2, sort_keys=True))

@@ -583,3 +583,237 @@ def load_ensemble(path: str) -> PathEnsemble:
     paths = data.reshape(n_paths, n_steps + 1, dim)
     return PathEnsemble(TimeGrid(T, n_steps), paths, seed, tag)
 
+
+
+# ---------------------------------------------------------------- CSV text
+# Floats are written as Python's repr writes them: the shortest digits that
+# read back as the value, and among those the nearest to it.  repr costs
+# about 1 us a value; _shortest_digits finds the same digits for whole
+# columns with error-free float arithmetic and proves them value by value.
+# For the 299 041 jumps of the walk benchmark (the bundled cycle at 1e5
+# paths), events.csv took 0.074 s through _csv_text against 0.28 s for the
+# %-format of the rows' reprs it replaces (medians of 12 alternating trials
+# in one process, 12 won, 2 vCPUs).  The kernels work in place where they
+# can: fresh float64 temporaries cost more in page faults than arithmetic.
+
+# rows of CSV text built as one matrix; 2^14 was faster than 2^13 and 2^16
+_CSV_CHUNK = 1 << 14
+_VELTKAMP = float(2 ** 27 + 1)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half of 26 bits (Veltkamp)."""
+    hi = a * _VELTKAMP
+    lo = hi - a
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+    return hi, lo
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and its rounding error: s + e == a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    e = s - v
+    np.subtract(a, e, out=e)
+    np.subtract(b, v, out=v)
+    e += v
+    return s, e
+
+
+# 10^k as a double, exact for k <= 22 (5^22 < 2^53), with its two halves,
+# and as an integer for k <= 18
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+_IPOW10 = np.array([10 ** k for k in range(19)], dtype=np.int64)
+# a float's cell: sign, "0.000", then 17 digit slots with a slot for the
+# point after each of the first 15; NUL marks an empty slot
+_CELL = 38
+# "0.000" in front of the digits of E < 0: slot i shows for E < _LEAD_BELOW[i]
+_LEAD, _LEAD_BELOW = np.frombuffer(b"0.000", dtype=np.uint8), np.array([0, 0, -1, -2, -3])
+_ARANGE = np.arange(19)
+
+
+def _on_bound(R: np.ndarray, u: np.ndarray, t: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """Where |fl(R + fl(u + t))| equals the bound: whether the exact
+    |R + u + t| lies below it, or on it with even set.  R holds integers,
+    |u| <= 1/2 and t is below half an ulp of fl(u + t) (or zero with u)."""
+    v, w = _two_sum(u, t)
+    s, e = _two_sum(R, v)
+    # the exact distance is s + e + w; e is 0 or a multiple of ulp(v) > |w|
+    excess = np.where(e == 0.0, w, e)
+    return np.where(excess == 0.0, even, np.signbit(excess) != np.signbit(s))
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of the positive doubles x, as int64 arrays D, n, E: x
+    is written with the n digits of D, the first at 10^E.  The fourth array
+    marks the values these are proven for; elsewhere D, n and E mean nothing.
+
+    Proven are normal values in [1e-4, 1e15) that are not powers of two
+    (whose lower neighbour is nearer than the upper) and whose log10 lies
+    more than 1e-9 from an integer, so that np.log10 cannot misplace E.
+    With x = m 2^q, m of 53 bits, a number reads back as x iff it lies
+    within 2^(q-1) of x, or on that bound with m even, as the reader rounds
+    half to even.  At 17 digits, x 10^j with j = 16 - E is split exactly
+    into the nearest integer D17 and a rest u + t (Dekker's two-product;
+    10^j is exact), and the bound there is above 1/2, so D17 reads back.
+    Then n = 16, 15, ... are tried on the values that read back at n + 1:
+    the n-digit candidate is the multiple of 10^(17-n) nearest x 10^j, at
+    the distance R + u + t for D17's remainder R.  Rounding is monotone,
+    so the float distance decides against the bound unless it lands on
+    it; _on_bound decides those exactly.  A tie between two nearest
+    candidates that both read back is left unproven.
+    """
+    with np.errstate(all="ignore"):
+        lg = np.log10(x)
+        mant, e2 = np.frexp(x)
+        ok = (x >= 1e-4) & (x < 1e15) & (mant != 0.5)
+        ok &= np.abs(lg - np.rint(lg)) > 1e-9
+    # the others take stand-ins, so no warning is raised
+    x = np.where(ok, x, 1.5)
+    E = np.floor(np.where(ok, lg, 0.0)).astype(np.int64)
+    j = 16 - E
+    P = _POW10[j]
+    p = x * P
+    # err = x P - p, exactly
+    xh, xl = _split(x)
+    ph, pl = _POW10_HI[j], _POW10_LO[j]
+    err = xh * ph
+    err -= p
+    xh *= pl
+    err += xh
+    ph *= xl
+    err += ph
+    xl *= pl
+    err += xl
+    r = np.rint(p)
+    p -= r  # exact
+    u, t = _two_sum(p, err)
+    c = np.rint(u)
+    u -= c
+    ok &= np.abs(u) != 0.5
+    v = u + t  # x P - (r + c), rounded
+    bound = np.ldexp(P, e2 - 54)  # exact: 2^(q-1) 10^j
+    D17 = r.astype(np.int64)
+    D17 += c.astype(np.int64)
+    n = np.where(ok, 17, 0)
+    live = np.flatnonzero(ok)
+    for k in range(1, 17):
+        if not live.size:
+            break
+        step = int(_IPOW10[k])
+        Dl, vl = D17[live], v[live]
+        m = Dl - Dl // step * step  # D17 mod 10^k; // by a constant is the fast one
+        # D17 - R is the multiple of 10^k nearest x P; half-way, v decides
+        half = m == step // 2
+        m -= step * ((m > step // 2) | (half & (vl > 0.0)))
+        R = m.astype(np.float64)  # exact: |R| <= 10^16 / 2 < 2^53
+        d = np.abs(R + vl)
+        bl = bound[live]
+        reads = d < bl
+        edge = np.flatnonzero(d == bl)
+        if edge.size:
+            at = live[edge]
+            reads[edge] = _on_bound(R[edge], u[at], t[at], (x[at].view(np.int64) & 1) == 0)
+        tie = reads & half & (vl == 0.0)
+        ok[live[tie]] = False
+        reads &= ~tie
+        live = live[reads]
+        n[live] = 17 - k
+    # the nearest multiple of 10^(17-n) again, as n digits
+    drop = _IPOW10[17 - n]
+    D, m = np.divmod(D17, drop)
+    D += (2 * m > drop) | ((2 * m == drop) & (v > 0.0))
+    return D, n, E, ok
+
+
+def _put_digits(y: np.ndarray, out: np.ndarray) -> None:
+    """The len(out) decimal digits of the nonnegative int64 values y, the
+    first the most significant, as ASCII into the rows of out.  Limbs of 9
+    digits are cut off first, so the digits come from uint32 division by a
+    constant."""
+    for end in range(len(out), 0, -9):
+        if end > 9:
+            y, limb = np.divmod(y, 10 ** 9)
+        else:
+            limb = y
+        limb = limb.astype(np.uint32)
+        for row in range(end - 1, max(end - 9, 0) - 1, -1):
+            q = limb // np.uint32(10)
+            limb -= q * np.uint32(10)
+            limb += np.uint32(ord("0"))
+            out[row] = limb
+            limb = q
+
+
+def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """repr(float(v)) of each value of x into the columns of out, a
+    (_CELL, len(x)) uint8 matrix, with NUL wherever no character goes.
+    _shortest_digits gives the digits, placed in repr's fixed notation;
+    each value it does not prove takes repr."""
+    x = np.asarray(x, dtype=np.float64)
+    D, n, E, ok = _shortest_digits(np.abs(x))
+    out[0] = np.signbit(x)
+    out[0] *= ord("-")
+    np.less(E, _LEAD_BELOW[:, None], out=out[1:6], casting="unsafe")
+    out[1:6] *= _LEAD[:, None]
+    np.equal(E, _ARANGE[:15, None], out=out[7:37:2], casting="unsafe")
+    out[7:37:2] *= ord(".")
+    digits = np.empty((17, x.size), np.uint8)
+    _put_digits(D * _IPOW10[17 - n], digits)
+    # fixed notation shows a digit after the point, a padding zero if need be
+    digits *= _ARANGE[:17, None] < np.where(E < 0, n, np.maximum(n, E + 2))
+    out[6:36:2] = digits[:15]
+    out[36:] = digits[15:]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = np.array([repr(v) for v in x[bad].tolist()], dtype=f"S{_CELL}")
+        out[:, bad] = text.view(np.uint8).reshape(bad.size, _CELL).T
+
+
+def _int_width(v: np.ndarray) -> int:
+    """Characters of the longest str(int(i)) over the integer array v, a
+    place for the sign included."""
+    v = np.asarray(v, dtype=np.int64)
+    return 1 + (len(str(int(np.abs(v).view(np.uint64).max()))) if v.size else 1)
+
+
+def _int_cells(v: np.ndarray, out: np.ndarray) -> None:
+    """str(int(i)) of each value of the integer array v into the columns of
+    out, a (_int_width(v), len(v)) uint8 matrix, with NUL wherever no
+    character goes."""
+    v = np.asarray(v, dtype=np.int64)
+    mag = np.abs(v).view(np.uint64)  # |min int64| wraps to itself, 2^63 as uint64
+    out[0] = v < 0
+    out[0] *= ord("-")
+    _put_digits(mag, out[1:])
+    # leading zeros; the units digit always shows
+    out[1:-1] *= mag >= _IPOW10[len(out) - 2:0:-1, None].view(np.uint64)
+
+
+def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """The CSV text of equal-length columns, one block of bytes for the
+    header and one per _CSV_CHUNK rows.  Floats read as repr writes them
+    (_float_cells), integers as str does.
+
+    A block is built as one uint8 matrix with a column per line and the
+    cells of a CSV column in fixed rows, NUL-padded, so that every step
+    runs along contiguous rows.  Rows empty in every line are dropped, and
+    the transposed matrix without its NULs is the text."""
+    yield (",".join(header) + "\n").encode("ascii")
+    columns = [np.asarray(c) for c in columns]
+    size = columns[0].size if columns else 0
+    for a in range(0, size, _CSV_CHUNK):
+        parts = [c[a:a + _CSV_CHUNK] for c in columns]
+        widths = [_CELL if c.dtype.kind == "f" else _int_width(c) for c in parts]
+        lines = np.empty((sum(widths) + len(widths), parts[0].size), np.uint8)
+        at = 0
+        for c, width in zip(parts, widths):
+            cells = _float_cells if c.dtype.kind == "f" else _int_cells
+            cells(c, lines[at:at + width])
+            lines[at + width] = ord(",")
+            at += width + 1
+        lines[-1] = ord("\n")
+        lines = lines[lines.any(axis=1)]
+        yield lines.T.tobytes().translate(None, b"\0")

@@ -13,7 +13,8 @@ import pytest
 from pathrev.cli import CHECKS, main, validate_config
 from pathrev.core import ConfigError, load_ensemble
 from pathrev.entropy import gaussian_relative_entropy
-from pathrev.models import Gaussian
+from pathrev.models import Gaussian, load_model
+from pathrev.simulate import ctmc_simulate
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):
@@ -744,6 +745,60 @@ class TestSimulateCommand:
             pid, t, u, v = line.split(",")
             assert 0 <= int(u) < 4 and 0 <= int(v) < 4
             assert 0.0 < float(t) < 1.0
+
+
+def _repr_csv(header, columns) -> str:
+    """The reference writer: every row through %r for floats, %d for ints."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%r" % v if isinstance(v, float) else "%d" % v for v in row) + "\n"
+        for row in rows)
+
+
+def _cells_read_as_written(text: str) -> None:
+    """Each cell below the header is str of the int or repr of the float it
+    reads as, so it is what the reference writer prints for that value."""
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            assert cell in (str(int(cell)) if re.fullmatch(r"-?\d+", cell)
+                            else repr(float(cell))), cell
+
+
+class TestCsvArtifacts:
+    @pytest.mark.parametrize("rates, T, n_paths", [((0.2, 0.1), 50.0, 2000),
+                                                   ((30.0, 10.0), 2.0, 3000)],
+                             ids=["slow-T50", "fast-30-10"])
+    def test_events_match_reference_writer(self, tmp_path, rates, T, n_paths):
+        model = {"type": "cycle", "n": 4, "rate_cw": rates[0], "rate_ccw": rates[1]}
+        path = _write_cfg(tmp_path, _cycle_cfg(model=model, grid={"T": T, "n_steps": 200},
+                                               n_paths=n_paths))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        e = ctmc_simulate(load_model(model).walk, T, n_paths, 7)
+        path_id = np.arange(n_paths).repeat(np.diff(e.offsets))
+        want = _repr_csv(["path_id", "t", "from_state", "to_state"],
+                         [path_id, e.times, e.src, e.dst])
+        got = (out / "events.csv").read_text()
+        assert got == want
+        if T == 50.0:
+            assert re.search(r",\d\d\.\d+,", got)
+        else:
+            # times below 1e-4 take repr's scientific notation
+            assert re.search(r",\d(\.\d+)?e-0[5-9],", got)
+
+    def test_small_tables_read_as_written(self, tmp_path, capsys, cycle_run_dir, ou_run_dir):
+        for out in (cycle_run_dir[1], ou_run_dir[1]):
+            for csv in sorted(out.glob("*.csv")):
+                _cells_read_as_written(csv.read_text())
+        # a KDE with few paths leaves probe points outside its support: nan
+        path = _write_cfg(tmp_path, _ou_cfg(density="kde", n_paths=60))
+        assert main(["reverse", "--config", path, "--out", str(tmp_path / "kde")]) == 0
+        probe = (tmp_path / "kde" / "density_probe.csv").read_text()
+        assert ",nan\n" in probe
+        _cells_read_as_written(probe)
+        capsys.readouterr()
+        assert main(["rw", "--config", _write_cfg(tmp_path, _cycle_cfg()), "reverse"]) == 0
+        _cells_read_as_written(capsys.readouterr().out)
 
 
 class TestReverseCommand:

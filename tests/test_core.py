@@ -556,3 +556,89 @@ def test_mean_stderr():
     assert mean_stderr(np.array([2.5])) == (2.5, float("inf"))
     with pytest.raises(ParameterError):
         mean_stderr(np.array([]))
+
+
+def _repr_csv(columns) -> str:
+    """The reference writer: every row through %r for floats, %d for ints."""
+    return "".join(",".join("%r" % v if isinstance(v, float) else "%d" % v for v in row) + "\n"
+                   for row in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _fixed(D: int, n: int, E: int) -> str:
+    """repr's fixed notation of the n digits of D, the first at 10^E."""
+    digits = str(D)
+    assert len(digits) == n
+    if E < 0:
+        return "0." + "0" * (-E - 1) + digits
+    digits = digits.ljust(E + 2, "0")
+    return digits[:E + 1] + "." + digits[E + 1:]
+
+
+def _families(rng: np.random.Generator, size: int) -> dict:
+    """2^20 doubles for size = 2^18: the kinds of values the CSV files hold."""
+    log_uniform = 10.0 ** rng.uniform(-4, 15, size)
+    rounded = np.concatenate([np.round(10.0 ** rng.uniform(-4, 15, size // 16), d)
+                              for d in range(1, 17)])
+    return {"uniform": rng.random(size), "log-uniform": log_uniform, "rounded": rounded,
+            "jump-times": np.cumsum(rng.exponential(0.01, size))}
+
+
+_EDGES = np.array(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 2.0 ** 53 - 1, 2.0 ** 53 + 1,
+     np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+     np.nextafter(1e15, 0.0), 1e15, np.nextafter(1e15, 2e15)]
+    + [2.0 ** k for k in range(-60, 60)] + [10.0 ** k for k in range(-20, 23)])
+
+
+class TestCsvText:
+    """core._csv_text against a reference writer that formats with %r."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return _families(np.random.default_rng(20261020), 1 << 18)
+
+    def test_kernel_digits_are_repr_digits(self, families):
+        for name, x in families.items():
+            D, n, E, ok = core._shortest_digits(x)
+            # the numeric path, not the repr fallback, carries these values
+            assert ok.mean() > (0.7 if name == "rounded" else 0.97), name
+            want = [repr(v) for v in x[ok].tolist()]
+            got = [_fixed(*row) for row in zip(D[ok].tolist(), n[ok].tolist(), E[ok].tolist())]
+            assert got == want, name
+
+    def test_writer_matches_reference_on_both_signs(self, families):
+        rng = np.random.default_rng(7)
+        for name, x in families.items():
+            x = np.where(rng.random(x.size) < 0.5, -x, x)
+            got = b"".join(core._csv_text(["x"], [x])).decode("ascii")
+            assert got == "x\n" + _repr_csv([x]), name
+
+    def test_edge_values(self):
+        x = np.concatenate([_EDGES, -_EDGES])
+        got = b"".join(core._csv_text(["x"], [x])).decode("ascii")
+        assert got == "x\n" + _repr_csv([x])
+
+    def test_kernel_leaves_the_documented_cases_to_repr(self):
+        # out of [1e-4, 1e15), not normal, a power of two or of ten (E at risk)
+        x = np.array([0.0, 5e-324, 1e16, np.nan, np.inf, np.nextafter(1e-4, 0.0), 1e15,
+                      0.5, 2.0 ** 40, 1e-3, 1e14])
+        assert not core._shortest_digits(x)[3].any()
+        assert core._shortest_digits(np.array([0.3, 2.0 ** 49 - 1, 12.5]))[3].all()
+
+    def test_integer_columns(self):
+        v = np.array([0, 7, -7, 10, -10, 99999, -100000, 2 ** 62, np.iinfo(np.int64).min,
+                      np.iinfo(np.int64).max])
+        got = b"".join(core._csv_text(["i", "x"], [v, v * 0.5])).decode("ascii")
+        assert got == "i,x\n" + _repr_csv([v, v * 0.5])
+
+    def test_rows_span_chunks_and_columns_mix(self, monkeypatch):
+        monkeypatch.setattr(core, "_CSV_CHUNK", 7)
+        rng = np.random.default_rng(3)
+        cols = [np.arange(30), rng.random(30), rng.integers(0, 4, 30),
+                np.cumsum(rng.exponential(1.0, 30))]
+        got = b"".join(core._csv_text(["a", "b", "c", "d"], cols)).decode("ascii")
+        assert got == "a,b,c,d\n" + _repr_csv(cols)
+
+    def test_header_alone_without_rows(self):
+        assert b"".join(core._csv_text(["a", "b"], [])) == b"a,b\n"
+        assert b"".join(core._csv_text(["a"], [np.array([], dtype=float)])) == b"a\n"

@@ -65,6 +65,10 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("fast-cycle-simulate", "simulate",
          {**cycle, "model": {**cycle["model"], "rate_cw": 30.0, "rate_ccw": 10.0},
           "grid": {**cycle["grid"], "T": 2.0}, "n_paths": 3000}, []),
+        # a slow walk on a long horizon: jump times with two integer digits
+        ("slow-cycle-simulate", "simulate",
+         {**cycle, "model": {**cycle["model"], "rate_cw": 0.2, "rate_ccw": 0.1},
+          "grid": {**cycle["grid"], "T": 50.0}, "n_paths": 2000}, []),
         ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}, []),
         ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}, []),
         ("ou2d-kde-entropy", "entropy", ou2d_kde, []),
