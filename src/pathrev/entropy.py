@@ -316,6 +316,40 @@ class FisherReport:
         for t, f, i in zip(self.times, self.free_energy, self.fisher):
             yield float(t), float(f), float(i)
 
+    def residual(self, stride: int = 1) -> float:
+        """The signed residual F(T) - F(0) + 2 int_0^T I dt of the free-energy
+        balance, the integral by the trapezoid rule on every stride-th node.
+        The last node is always among them, so where stride does not divide
+        the number of steps the last step is shorter."""
+        nodes = np.arange(0, self.times.size, stride)
+        if nodes[-1] != self.times.size - 1:
+            nodes = np.append(nodes, self.times.size - 1)
+        F = self.free_energy
+        return float(F[-1] - F[0] + 2.0 * np.trapezoid(self.fisher[nodes], self.times[nodes]))
+
+    def balance(self) -> dict:
+        """The verdict on the free-energy balance, judged against its own
+        trapezoid error, which scales with h^2 and with the size of the
+        change.
+
+        r_h is the residual on the grid and r_2h on every other node (with an
+        odd number of steps the last step stays h).  Richardson's
+        (4 r_h - r_2h) / 3 removes the h^2 term, and (r_2h - r_h) / 3
+        estimates the error of r_h.  The balance holds when the extrapolated
+        residual is at most that estimate plus a roundoff floor of 1e-12
+        times |F(0)| + |F(T)| + 2 int I, the size of the terms it sums.  A
+        Fisher information off by a factor leaves a residual that
+        extrapolation keeps, and one step gives no estimate (r_2h = r_h)."""
+        r_h, r_2h = self.residual(), self.residual(2)
+        F = self.free_energy
+        floor = 1e-12 * (abs(float(F[0])) + abs(float(F[-1]))
+                         + 2.0 * float(np.trapezoid(self.fisher, self.times)))
+        extrapolated = abs(4.0 * r_h - r_2h) / 3.0
+        bound = abs(r_2h - r_h) / 3.0 + floor
+        return {"residual": abs(r_h), "residual_h": r_h, "residual_2h": r_2h,
+                "extrapolated_residual": extrapolated, "roundoff_floor": floor,
+                "bound": bound, "passed": extrapolated <= bound}
+
 
 def heat_flow_dissipation(flow: GaussianFlow, m: Gaussian, grid: TimeGrid,
                           a: np.ndarray) -> tuple[FisherReport, float]:
@@ -323,13 +357,13 @@ def heat_flow_dissipation(flow: GaussianFlow, m: Gaussian, grid: TimeGrid,
     flow (the reference restarted from mu_0) with the constant diffusion
     matrix a, which the caller passes (np.eye(dim) for the standard
     reference).  Returns the sampled report and the absolute residual of the
-    identity under trapezoid quadrature."""
+    identity under trapezoid quadrature (FisherReport.balance judges it)."""
     ts = grid.nodes
     laws = [flow.at(t) for t in ts]
     F = np.array([0.5 * gaussian_relative_entropy(law, m) for law in laws])
     I = np.array([fisher_information(law, m, a) for law in laws])
-    residual = abs(float(F[-1] - F[0] + 2.0 * np.trapezoid(I, ts)))
-    return FisherReport(ts, F, I), residual
+    report = FisherReport(ts, F, I)
+    return report, abs(report.residual())
 
 
 def jump_entropy_integrand(x):

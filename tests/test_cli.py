@@ -922,6 +922,22 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path, "--out",
                      str(tmp_path / "ver")]) == 0
 
+    # N(0, 100): F falls by 42.5, and the trapezoid error of the Fisher
+    # integral reads 5.7e-3, 3.6e-4 and 2.2e-5, each above a fixed 1e-5;
+    # (1.0, 0.5, 400) is the bundled OU
+    @pytest.mark.parametrize("mean, cov, n_steps", [(0.0, 100.0, 50), (0.0, 100.0, 200),
+                                                    (0.0, 100.0, 800), (1.0, 0.5, 400)])
+    def test_dissipation_judges_its_quadrature_error(self, tmp_path, mean, cov, n_steps):
+        cfg = _ou_cfg(model={"type": "ou", "init_mean": [mean], "init_cov": [[cov]]},
+                      grid={"T": 1.0, "n_steps": n_steps}, n_paths=10)
+        path = _write_cfg(tmp_path, cfg)
+        out = tmp_path / "ver"
+        assert main(["verify", "--config", path, "--out", str(out), "dissipation"]) == 0
+        rep = json.loads((out / "verify_report.json").read_text())["checks"]["dissipation"]
+        assert rep["passed"] and rep["residual"] == abs(rep["residual_h"])
+        assert rep["extrapolated_residual"] <= rep["bound"]
+        assert rep["bound"] == pytest.approx(abs(rep["residual_h"]), rel=1e-2)
+
     @pytest.mark.parametrize("density", ["exact", "kde"])
     def test_reversal_start_law(self, tmp_path, monkeypatch, density):
         # the reversed ensemble starts from the exact law at T, else from the

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -470,6 +471,39 @@ class TestHeatFlowDissipation:
         report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 50), np.eye(1))
         assert residual <= 1e-14
         assert np.allclose(report.fisher, 0.0, atol=1e-15)
+        assert report.balance()["passed"]
+
+    # the bundled start N(1, 1/2), and N(0, 100), whose free energy falls by
+    # 42.5: its residual is the trapezoid error, 5.7e-3 at 50 steps; 201 is odd
+    @pytest.mark.parametrize("mean, cov, n_steps", [(1.0, 0.5, 400), (0.0, 100.0, 50),
+                                                    (0.0, 100.0, 200), (0.0, 100.0, 800),
+                                                    (0.0, 100.0, 201)])
+    def test_balance_within_its_quadrature_error(self, mean, cov, n_steps):
+        ref, _ = ou_reference()
+        flow = ou_marginal_flow([mean], [[cov]])
+        report, residual = heat_flow_dissipation(flow, ref.m, make_grid(1.0, n_steps),
+                                                 np.eye(1))
+        bal = report.balance()
+        assert bal["passed"] and bal["residual"] == residual
+        # pure h^2 error: halving the nodes multiplies it by four
+        assert bal["residual_2h"] == pytest.approx(4.0 * bal["residual_h"], rel=1e-2)
+        assert bal["extrapolated_residual"] < 1e-2 * abs(bal["residual_h"])
+        # a Fisher information 1% off leaves a residual that extrapolation keeps
+        off = replace(report, fisher=report.fisher * 1.01).balance()
+        assert not off["passed"]
+        assert off["extrapolated_residual"] > 10.0 * off["bound"]
+
+    def test_residual_on_every_other_node_keeps_the_last(self):
+        report = entropy.FisherReport(np.array([0.0, 1.0, 2.0, 3.0]),
+                                      np.array([1.0, 0.0, 0.0, 0.5]),
+                                      np.array([1.0, 2.0, 3.0, 4.0]))
+        # nodes 0, 2, 3: 2 (1 + 3) / 2 + (3 + 4) / 2 = 7.5; F changes by -0.5
+        assert report.residual(2) == -0.5 + 2.0 * 7.5
+        assert report.residual() == -0.5 + 2.0 * 7.5
+        one = entropy.FisherReport(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                                   np.array([0.5, 0.5]))
+        # one step gives no error estimate: only an exact balance passes
+        assert one.residual(2) == one.residual() == 0.0 and one.balance()["passed"]
 
 
 class TestJumpEntropyIntegrand:
