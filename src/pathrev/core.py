@@ -636,8 +636,8 @@ _ARANGE = np.arange(19)
 
 def _on_bound(R: np.ndarray, u: np.ndarray, t: np.ndarray, even: np.ndarray) -> np.ndarray:
     """Where |fl(R + fl(u + t))| equals the bound: whether the exact
-    |R + u + t| lies below it, or on it with even set.  R holds integers,
-    |u| <= 1/2 and t is below half an ulp of fl(u + t) (or zero with u)."""
+    |R + u + t| lies below it, or on it with even set.  R holds integers
+    and |u + t| <= 1/2."""
     v, w = _two_sum(u, t)
     s, e = _two_sum(R, v)
     # the exact distance is s + e + w; e is 0 or a multiple of ulp(v) > |w|
@@ -692,6 +692,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     u, t = _two_sum(p, err)
     c = np.rint(u)
     u -= c
+    # half-way between two integers, which both read back: left to repr
     ok &= np.abs(u) != 0.5
     v = u + t  # x P - (r + c), rounded
     bound = np.ldexp(P, e2 - 54)  # exact: 2^(q-1) 10^j
@@ -729,10 +730,10 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def _put_digits(y: np.ndarray, out: np.ndarray) -> None:
-    """The len(out) decimal digits of the nonnegative int64 values y, the
-    first the most significant, as ASCII into the rows of out.  Limbs of 9
-    digits are cut off first, so the digits come from uint32 division by a
-    constant."""
+    """The len(out) decimal digits of the nonnegative integers y (int64 or
+    uint64), the first the most significant, as ASCII into the rows of out.
+    Limbs of 9 digits are cut off first, so the digits come from uint32
+    division by a constant."""
     for end in range(len(out), 0, -9):
         if end > 9:
             y, limb = np.divmod(y, 10 ** 9)

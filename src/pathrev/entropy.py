@@ -312,10 +312,6 @@ class FisherReport:
     free_energy: np.ndarray
     fisher: np.ndarray
 
-    def to_rows(self):
-        for t, f, i in zip(self.times, self.free_energy, self.fisher):
-            yield float(t), float(f), float(i)
-
     def residual(self, stride: int = 1) -> float:
         """The signed residual F(T) - F(0) + 2 int_0^T I dt of the free-energy
         balance, the integral by the trapezoid rule on every stride-th node.

@@ -440,14 +440,13 @@ class TestHeatFlowDissipation:
             pytest.approx(F_DROP, abs=1e-14)
         assert report.fisher.min() >= 0.0
 
-    def test_rows_iterate_in_order(self):
+    def test_report_holds_every_node(self):
         ref, _ = ou_reference()
         flow = ou_marginal_flow([1.0], [[0.5]])
         report, _ = heat_flow_dissipation(flow, ref.m, make_grid(1.0, 4), np.eye(1))
-        rows = list(report.to_rows())
-        assert len(rows) == 5
-        assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
-        assert rows[0][1] == pytest.approx(0.5, abs=1e-14)
+        assert report.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert report.free_energy.shape == report.fisher.shape == (5,)
+        assert report.free_energy[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_one_law_per_node(self):
         ref, _ = ou_reference()
