@@ -253,10 +253,12 @@ class _DiffusionRun(_Run):
         if csv:
             # one row per (path, node); meant for small ensembles, the
             # binary container holds large ones
-            e, nodes = self.ensemble, self.grid.nodes
+            e = self.ensemble
+            shape = e.paths.shape[:2]
             out.write_csv("ensemble.csv", ["path_id", "t", *(f"x{d + 1}" for d in range(e.dim))],
-                          [np.arange(e.n_paths).repeat(nodes.size), np.tile(nodes, e.n_paths),
-                           *(e.paths[:, :, d].reshape(-1) for d in range(e.dim))])
+                          [np.broadcast_to(np.arange(e.n_paths)[:, None], shape),
+                           np.broadcast_to(self.grid.nodes, shape),
+                           *(e.paths[:, :, d] for d in range(e.dim))])
 
     # the stored ensemble is all `run` keeps of the forward process
     write_forward = write_paths

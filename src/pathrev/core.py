@@ -794,9 +794,12 @@ def _int_cells(v: np.ndarray, out: np.ndarray) -> None:
 
 
 def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """The CSV text of equal-length columns, one block of bytes for the
-    header and one per _CSV_CHUNK rows.  Floats read as repr writes them
-    (_float_cells), integers as str does.
+    """The CSV text of int or float columns of one shape, one block of
+    bytes for the header and one per _CSV_CHUNK rows or so.  A column's
+    values are its entries in C order, so (paths, nodes) arrays give one
+    row per path and node; blocks are cut along the first axis, and a
+    broadcast column is copied one block at a time.  Floats read as repr
+    writes them (_float_cells), integers as str does.
 
     A block is built as one uint8 matrix with a column per line and the
     cells of a CSV column in fixed rows, NUL-padded, so that every step
@@ -804,9 +807,11 @@ def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[
     the transposed matrix without its NULs is the text."""
     yield (",".join(header) + "\n").encode("ascii")
     columns = [np.asarray(c) for c in columns]
-    size = columns[0].size if columns else 0
-    for a in range(0, size, _CSV_CHUNK):
-        parts = [c[a:a + _CSV_CHUNK] for c in columns]
+    if not columns or not columns[0].size:
+        return
+    step = max(1, _CSV_CHUNK * len(columns[0]) // columns[0].size)
+    for a in range(0, len(columns[0]), step):
+        parts = [c[a:a + step].reshape(-1) for c in columns]
         widths = [_CELL if c.dtype.kind == "f" else _int_width(c) for c in parts]
         lines = np.empty((sum(widths) + len(widths), parts[0].size), np.uint8)
         at = 0

@@ -653,6 +653,15 @@ class TestCsvText:
         got = b"".join(core._csv_text(["a", "b", "c", "d"], cols)).decode("ascii")
         assert got == "a,b,c,d\n" + _repr_csv(cols)
 
+    def test_two_dimensional_columns_give_rows_in_c_order(self, monkeypatch):
+        monkeypatch.setattr(core, "_CSV_CHUNK", 10)
+        rng = np.random.default_rng(4)
+        paths = rng.standard_normal((7, 4))
+        cols = [np.broadcast_to(np.arange(7)[:, None], (7, 4)),
+                np.broadcast_to(np.linspace(0.0, 1.0, 4), (7, 4)), paths]
+        got = b"".join(core._csv_text(["i", "t", "x"], cols)).decode("ascii")
+        assert got == "i,t,x\n" + _repr_csv([c.reshape(-1) for c in cols])
+
     def test_header_alone_without_rows(self):
         assert b"".join(core._csv_text(["a", "b"], [])) == b"a,b\n"
         assert b"".join(core._csv_text(["a"], [np.array([], dtype=float)])) == b"a\n"
