@@ -164,7 +164,7 @@ class _Artifacts:
             f.write("\n")
 
     def write_csv(self, name: str, header, columns) -> None:
-        """Equal-length int or float columns as CSV (core._csv_text)."""
+        """Int or float columns of one shape as CSV (core._csv_text)."""
         with open(self.path(name), "wb") as f:
             f.writelines(_csv_text(header, columns))
 

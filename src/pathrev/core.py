@@ -584,7 +584,6 @@ def load_ensemble(path: str) -> PathEnsemble:
     return PathEnsemble(TimeGrid(T, n_steps), paths, seed, tag)
 
 
-
 # ---------------------------------------------------------------- CSV text
 # Floats are written as Python's repr writes them: the shortest digits that
 # read back as the value, and among those the nearest to it.  repr costs
@@ -631,7 +630,7 @@ _IPOW10 = np.array([10 ** k for k in range(19)], dtype=np.int64)
 _CELL = 38
 # "0.000" in front of the digits of E < 0: slot i shows for E < _LEAD_BELOW[i]
 _LEAD, _LEAD_BELOW = np.frombuffer(b"0.000", dtype=np.uint8), np.array([0, 0, -1, -2, -3])
-_ARANGE = np.arange(19)
+_ARANGE = np.arange(17)
 
 
 def _on_bound(R: np.ndarray, u: np.ndarray, t: np.ndarray, even: np.ndarray) -> np.ndarray:
@@ -764,7 +763,7 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
     digits = np.empty((17, x.size), np.uint8)
     _put_digits(D * _IPOW10[17 - n], digits)
     # fixed notation shows a digit after the point, a padding zero if need be
-    digits *= _ARANGE[:17, None] < np.where(E < 0, n, np.maximum(n, E + 2))
+    digits *= _ARANGE[:, None] < np.where(E < 0, n, np.maximum(n, E + 2))
     out[6:36:2] = digits[:15]
     out[36:] = digits[15:]
     bad = np.flatnonzero(~ok)
