@@ -633,17 +633,6 @@ _LEAD, _LEAD_BELOW = np.frombuffer(b"0.000", dtype=np.uint8), np.array([0, 0, -1
 _ARANGE = np.arange(17)
 
 
-def _on_bound(R: np.ndarray, u: np.ndarray, t: np.ndarray, even: np.ndarray) -> np.ndarray:
-    """Where |fl(R + fl(u + t))| equals the bound: whether the exact
-    |R + u + t| lies below it, or on it with even set.  R holds integers
-    and |u + t| <= 1/2."""
-    v, w = _two_sum(u, t)
-    s, e = _two_sum(R, v)
-    # the exact distance is s + e + w; e is 0 or a multiple of ulp(v) > |w|
-    excess = np.where(e == 0.0, w, e)
-    return np.where(excess == 0.0, even, np.signbit(excess) != np.signbit(s))
-
-
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """repr's digits of the positive doubles x, as int64 arrays D, n, E: x
     is written with the n digits of D, the first at 10^E.  The fourth array
@@ -661,8 +650,11 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     the n-digit candidate is the multiple of 10^(17-n) nearest x 10^j, at
     the distance R + u + t for D17's remainder R.  Rounding is monotone,
     so the float distance decides against the bound unless it lands on
-    it; _on_bound decides those exactly.  A tie between two nearest
-    candidates that both read back is left unproven.
+    it, and such values are left unproven.  In [1e-4, 1e15) the midpoints
+    x +- 2^(q-1) = (2 m +- 1) 2^(q-1) have q <= -3 and so at least 19
+    significant digits: no candidate of at most 16 digits lies on the
+    bound, and only a rounded distance lands there.  A tie between two
+    nearest candidates that both read back is left unproven too.
     """
     with np.errstate(all="ignore"):
         lg = np.log10(x)
@@ -712,10 +704,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         d = np.abs(R + vl)
         bl = bound[live]
         reads = d < bl
-        edge = np.flatnonzero(d == bl)
-        if edge.size:
-            at = live[edge]
-            reads[edge] = _on_bound(R[edge], u[at], t[at], (x[at].view(np.int64) & 1) == 0)
+        ok[live[d == bl]] = False
         tie = reads & half & (vl == 0.0)
         ok[live[tie]] = False
         reads &= ~tie

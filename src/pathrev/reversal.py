@@ -39,7 +39,7 @@ class BackwardDriftField:
     records its (M, c)), div a is the linear zero and the slice law at t is a
     Gaussian N(m_t, Sigma_t), the field is affine at t: A(t) x + c(t) with
     A = -M - a Sigma_t^{-1} and c = -c_b + a Sigma_t^{-1} m_t, which affine(t)
-    returns and keeps, one (A, c) per distinct t.  Otherwise, as for a
+    returns.  Otherwise, as for a
     KdeModel slice law, it is evaluated through the score of one
     DensityFlow.pdf_score_in_support query: score values below the
     density's support floor are replaced by zero and counted in floor_hits.
@@ -57,22 +57,18 @@ class BackwardDriftField:
         self.cap_hits = 0
         div_zero = div_a.linear is not None and not any(v.any() for v in div_a.linear)
         self._linear_b = b.linear if div_zero else None
-        self._tables: dict = {}
 
     def affine(self, t: float) -> tuple[np.ndarray, np.ndarray] | None:
         """(A, c) with the field equal to A x + c at t before the cap, or
         None where it is not affine."""
         if self._linear_b is None:
             return None
-        if t not in self._tables:
-            law = self.density.at(t)
-            table = None
-            if isinstance(law, Gaussian):
-                M, cb = self._linear_b
-                P = self.a.constant_matrix @ law._inv
-                table = (-M - P, -cb + P @ law.mean)
-            self._tables[t] = table
-        return self._tables[t]
+        law = self.density.at(t)
+        if not isinstance(law, Gaussian):
+            return None
+        M, cb = self._linear_b
+        P = self.a.constant_matrix @ law._inv
+        return -M - P, -cb + P @ law.mean
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -628,17 +628,6 @@ class TestCsvText:
         got = b"".join(core._csv_text(["x"], [x])).decode("ascii")
         assert got == "x\n" + _repr_csv([x])
 
-    def test_distance_on_the_bound_is_decided_exactly(self):
-        # |fl(R + fl(u + t))| lands on the bound; the exact distance decides
-        R = np.array([1.0, 1.0, 1.0, 1.0, 3.0, -3.0, 3.0])
-        u = np.array([0.5, 0.5, 0.5, 0.5, 0.5 - 2.0 ** -53, -0.5 + 2.0 ** -53, 0.5])
-        t = np.array([-2.0 ** -60, 2.0 ** -60, 0.0, 0.0, 0.0, 0.0, 2.0 ** -60])
-        even = np.array([False, True, True, False, False, False, True])
-        bound = np.abs(R + (u + t))
-        assert (bound == np.array([1.5, 1.5, 1.5, 1.5, 3.5, 3.5, 3.5])).all()
-        assert core._on_bound(R, u, t, even).tolist() == [True, False, True, False,
-                                                          True, True, False]
-
     def test_integer_columns(self):
         v = np.array([0, 7, -7, 10, -10, 99999, -100000, 2 ** 62, np.iinfo(np.int64).min,
                       np.iinfo(np.int64).max])

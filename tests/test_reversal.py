@@ -189,14 +189,15 @@ class TestAffineBackwardDrift:
         assert bwd.floor_hits == bwd.cap_hits == 0
 
     def test_one_table_per_distinct_time(self, monkeypatch):
+        # the flow keeps one law per time, so no law is built twice
         laws = []
-        at = GaussianFlow.at
+        law = GaussianFlow._law
 
         def counted(self, t):
             laws.append(t)
-            return at(self, t)
+            return law(self, t)
 
-        monkeypatch.setattr(GaussianFlow, "at", counted)
+        monkeypatch.setattr(GaussianFlow, "_law", counted)
         _, bwd = self._field()
         X = np.ones((3, 2))
         for t in (0.5, 0.25, 0.5, 0.5):
