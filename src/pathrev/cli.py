@@ -112,6 +112,8 @@ def validate_config(obj: dict) -> dict:
             raise ConfigError(f"unknown check name {c!r}; known: {', '.join(CHECKS)}")
         if mtype not in CHECKS[c].kinds:
             raise ConfigError(f"check {c!r} does not apply to model type {mtype!r}")
+        if checks.count(c) > 1:
+            raise ConfigError(f"check {c!r} is listed more than once")
 
     out_dir = obj.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:

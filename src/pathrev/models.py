@@ -41,8 +41,6 @@ class Gaussian:
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         C = np.asarray(self.cov, dtype=np.float64)
-        if C.ndim == 0:
-            C = C.reshape(1, 1)
         if C.shape != (m.size, m.size):
             raise ParameterError(f"cov shape {C.shape} incompatible with mean size {m.size}")
         object.__setattr__(self, "mean", _freeze(m))
@@ -418,8 +416,12 @@ def _array(value, key: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def _initial_law(obj: dict) -> Gaussian:
-    """N(init_mean, init_cov) of a diffusion model; an optional dim must agree."""
-    init = Gaussian(_array(obj["init_mean"], "init_mean"), _array(obj["init_cov"], "init_cov"))
+    """N(init_mean, init_cov) of a diffusion model, a vector of d entries
+    and a d x d matrix; an optional dim must agree."""
+    mean = _array(obj["init_mean"], "init_mean")
+    if mean.ndim != 1:
+        raise ConfigError(f"model: init_mean shape {mean.shape} is not (d,)")
+    init = Gaussian(mean, _array(obj["init_cov"], "init_cov", (mean.size, mean.size)))
     if "dim" in obj and _number(obj["dim"], "dim", int, "model") != init.dim:
         raise ConfigError("model: dim disagrees with init_mean")
     return init

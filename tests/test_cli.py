@@ -272,6 +272,36 @@ class TestErrorContract:
         assert capsys.readouterr().err == "numeric error: flow covariance not SPD at t=0.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "simulate", "reverse", "entropy", "verify"])
+    @pytest.mark.parametrize("mtype", ["ou", "custom"])
+    @pytest.mark.parametrize("mean, cov, line", [
+        ([[1.0]], [[0.5]], "init_mean shape (1, 1) is not (d,)"),
+        (1.0, 0.5, "init_mean shape () is not (d,)"),
+        ([1.0], 0.5, "init_cov shape () != (1, 1)"),
+        ([1.0], [0.5], "init_cov shape (1,) != (1, 1)"),
+    ], ids=["nested-mean", "scalars", "scalar-cov", "vector-cov"])
+    def test_start_of_another_shape_refused_at_load(self, tmp_path, capsys, command, mtype,
+                                                    mean, cov, line):
+        # init_mean is a vector of d entries and init_cov a d x d matrix
+        model = dict(_MODELS[mtype], init_mean=mean, init_cov=cov)
+        path = _write_cfg(tmp_path, _ou_cfg(model=model, n_paths=100, checks=["ibp"]))
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: model: {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, checks, extra", [
+        ("run", ["reversal", "ibp", "reversal"], []),
+        ("verify", ["ibp"], ["ibp", "ibp"]),
+    ], ids=["config", "command-line"])
+    def test_check_listed_twice(self, tmp_path, capsys, command, checks, extra):
+        path = _write_cfg(tmp_path, _cycle_cfg(checks=checks))
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: check {checks[-1]!r} is listed more than once\n"
+        assert not out.exists()
+
     def test_entropy_without_reference_refused_before_simulating(self, tmp_path, capsys,
                                                                  monkeypatch):
         from pathrev import cli

@@ -7,9 +7,11 @@ DIR is a pathrev checkout (default: the one holding this script); its
 case runs `python3 -m pathrev.cli <command> --config cfg.json --out out
 <extra arguments>` in a fresh temporary directory and prints its exit code,
 then the sha256 of stdout, of stderr and of every file under `out/` ("out:
-absent" when the command created no directory).  Two checkouts whose
-artifacts should be byte-identical print the same lines.  Only the standard
-library is used and pathrev is not imported here, so the script judges any
+absent" when the command created no directory).  A case may first run
+setup steps in the same directory, such as a `simulate` whose ensemble the
+case reads; their output is not digested.  Two checkouts whose artifacts
+should be byte-identical print the same lines.  Only the standard library
+is used and pathrev is not imported here, so the script judges any
 checkout alike.
 """
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 OU_2D = {"type": "ou", "init_mean": [1.0, -0.5], "init_cov": [[0.5, 0.1], [0.1, 0.3]]}
 OU_3D = {"type": "ou", "init_mean": [1.0, -0.5, 0.25],
@@ -38,6 +41,13 @@ CUSTOM_2D_CORR = {"type": "custom", "dim": 2,
                             "offset": [0.2, 0.0]},
                   "diffusion_matrix": [[2.0, 1.0], [1.0, 2.0]],
                   "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+CUSTOM_ZERO = {"type": "custom", "dim": 1, "drift": {"name": "zero"},
+               "diffusion_matrix": [[0.5]], "init_mean": [0.5], "init_cov": [[1.0]]}
+# noise on the first coordinate only; the drift carries it to the second
+CUSTOM_2D_SINGULAR = {"type": "custom", "dim": 2,
+                      "drift": {"name": "linear", "matrix": [[-1.0, 0.0], [1.0, -1.0]]},
+                      "diffusion_matrix": [[1.0, 0.0], [0.0, 0.0]],
+                      "init_mean": [0.5, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 # M = -I + J from its invariant law N(0, I/2): stationary, not reversible
 ROTATION = {"type": "custom", "dim": 2,
             "drift": {"name": "linear", "matrix": [[-1.0, 1.0], [-1.0, -1.0]]},
@@ -45,16 +55,34 @@ ROTATION = {"type": "custom", "dim": 2,
             "init_mean": [0.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
-def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
-    """(name, command, config, extra arguments) for every case, in the order
-    they run."""
+class Case(NamedTuple):
+    name: str
+    command: str
+    cfg: dict
+    extra: list[str]
+    # (command, config, extra arguments) of each step run before the case
+    setup: tuple = ()
+
+    def argvs(self, work: Path) -> list[list[str]]:
+        """The pathrev.cli arguments of the setup steps, then of the case,
+        with their configs written into the directory work."""
+        argvs = []
+        for k, (command, cfg, extra) in enumerate(self.setup):
+            (work / f"setup{k}.json").write_text(json.dumps(cfg))
+            argvs.append([command, "--config", f"setup{k}.json", *extra])
+        (work / "cfg.json").write_text(json.dumps(self.cfg))
+        return argvs + [[self.command, "--config", "cfg.json", "--out", "out", *self.extra]]
+
+
+def cases(configs: Path) -> list[Case]:
+    """Every case, in the order they run."""
     ou = json.loads((configs / "ou_reversal.json").read_text())
     cycle = json.loads((configs / "cycle_reversal.json").read_text())
     ou_kde = {**ou, "density": "kde"}
     ou2d_kde = {**ou_kde, "model": OU_2D, "n_paths": 200}
     # without "checks" a run takes the default checks of its model type
     default_checks = {k: v for k, v in ou.items() if k != "checks"}
-    return [
+    return [Case(*case) for case in [
         ("ou-run", "run", ou, []),
         ("cycle-run", "run", cycle, []),
         ("cycle-simulate", "simulate", cycle, []),
@@ -120,22 +148,39 @@ def cases(configs: Path) -> list[tuple[str, str, dict, list[str]]]:
         ("custom2d-corr-verify-carre", "verify",
          {**default_checks, "model": CUSTOM_2D_CORR, "grid": {**ou["grid"], "n_steps": 200},
           "n_paths": 2000, "seed": 11}, ["carre"]),
-    ]
+        # a KDE fitted to a stored ensemble: another seed on the same grid
+        ("ou-kde-file-run", "run",
+         {**ou, "density": "kde:heldout/ensemble.bin", "n_paths": 300}, [],
+         [("simulate", {**ou, "n_paths": 300, "seed": 5}, ["--out", "heldout"])]),
+        ("custom-zero-drift-run", "run",
+         {**default_checks, "model": CUSTOM_ZERO, "n_paths": 2000}, []),
+        # a singular a: its noise factor comes from eigenvalues, and without
+        # the reference N(0, a/2) run writes no entropy report and entropy exits 2
+        ("custom2d-singular-run", "run",
+         {**default_checks, "model": CUSTOM_2D_SINGULAR, "n_paths": 2000}, []),
+        ("custom2d-singular-entropy", "entropy",
+         {**default_checks, "model": CUSTOM_2D_SINGULAR, "n_paths": 2000}, []),
+        # an odd n_steps: the coarse trapezoid keeps the last node, a step of h
+        ("ou-odd-verify-dissipation", "verify",
+         {**ou, "grid": {"T": 1.0, "n_steps": 41}, "n_paths": 200}, ["dissipation"]),
+        # a horizon so short that no path jumps: events.csv is its header alone
+        ("cycle-nojump-simulate", "simulate",
+         {**cycle, "grid": {"T": 1e-6, "n_steps": 1}, "n_paths": 10}, []),
+    ]]
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(src: Path, command: str, cfg: dict, extra: list[str]) -> list[str]:
+def run_case(src: Path, case: Case) -> list[str]:
     """Lines describing one case: exit code, stream digests, file digests."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     with tempfile.TemporaryDirectory(prefix="pathrev-digests-") as tmp:
         work = Path(tmp)
-        (work / "cfg.json").write_text(json.dumps(cfg))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pathrev.cli", command, "--config", "cfg.json",
-             "--out", "out", *extra], cwd=work, env=env, capture_output=True, check=False)
+        for argv in case.argvs(work):
+            proc = subprocess.run([sys.executable, "-m", "pathrev.cli", *argv], cwd=work,
+                                  env=env, capture_output=True, check=False)
         lines = [f"rc {proc.returncode}", f"stdout {sha256(proc.stdout)}",
                  f"stderr {sha256(proc.stderr)}"]
         out = work / "out"
@@ -152,9 +197,9 @@ def main(argv=None) -> int:
                    help="pathrev checkout to run (its src/ and configs/)")
     args = p.parse_args(argv)
     src = args.src.resolve()
-    for name, command, cfg, extra in cases(src / "configs"):
-        print(f"== {name} ({' '.join([command, *extra])})", flush=True)
-        for line in run_case(src, command, cfg, extra):
+    for case in cases(src / "configs"):
+        print(f"== {case.name} ({' '.join([case.command, *case.extra])})", flush=True)
+        for line in run_case(src, case):
             print("  " + line, flush=True)
     return 0
 
