@@ -41,6 +41,7 @@ CUSTOM_2D_CORR = {"type": "custom", "dim": 2,
                             "offset": [0.2, 0.0]},
                   "diffusion_matrix": [[2.0, 1.0], [1.0, 2.0]],
                   "init_mean": [1.0, 0.0], "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
+# the zero drift: Brownian motion with a = 1/2 from N(0.5, 1)
 CUSTOM_ZERO = {"type": "custom", "dim": 1, "drift": {"name": "zero"},
                "diffusion_matrix": [[0.5]], "init_mean": [0.5], "init_cov": [[1.0]]}
 # noise on the first coordinate only; the drift carries it to the second
