@@ -2,13 +2,14 @@
 
 A DensityFlow is a map from time t to a slice law, the marginal at t: a
 Gaussian for exact flows, a KdeModel for kernel estimates.  Every slice law
-answers pdf, score and logpdf_score (both from one evaluation); a KdeModel
-also has max_pdf, the approximate supremum behind the relative support floor
-below which its scores are not trusted.  A Gaussian needs none: its score is
-exact in the far tails too.  Laws and flows take query points only as
-(n, dim) batches and return (n,) values and (n, dim) scores; one point is
-the batch x[None, :].  Scores from the kernel estimator are analytic
-derivatives of the estimator itself, never finite differences.
+answers pdf, score and logpdf_score (both from one evaluation), and
+trusted, which says from pdf values where its score is trusted.  A Gaussian
+trusts its score everywhere: it is exact in the far tails too.  A KdeModel
+trusts it where pdf >= _FLOOR_REL * max_pdf, and settles most points from
+two bounds on max_pdf without building it.  Laws and flows take query
+points only as (n, dim) batches and return (n,) values and (n, dim) scores;
+one point is the batch x[None, :].  Scores from the kernel estimator are
+analytic derivatives of the estimator itself, never finite differences.
 
 The kernel estimator makes one pass over its samples per query: each chunk
 of query rows exponentiates its scaled squared distances once, shifted so the
@@ -29,15 +30,9 @@ from .models import Gaussian, GaussianFlow
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
 _FLOOR_REL = 1e-3  # a KDE score is trusted where pdf >= _FLOOR_REL * max_pdf
-
-
-def _trusted(law: Gaussian | KdeModel, p: np.ndarray) -> np.ndarray:
-    """Where the score of law is trusted, given its pdf values p.  A Gaussian
-    slice law is exact, so its score is trusted everywhere, even where the
-    pdf underflows to 0; any other law where p >= _FLOOR_REL * max_pdf."""
-    if isinstance(law, Gaussian):
-        return np.ones(p.shape, dtype=bool)
-    return p >= _FLOOR_REL * law.max_pdf
+# relative margin of the kernel peak over any computed pdf: the pass rounds
+# the peak by a few ulps at most
+_PEAK_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class DensityFlow:
 
     def in_support(self, t: float, X: np.ndarray) -> np.ndarray:
         law = self.at(t)
-        return _trusted(law, law.pdf(X))
+        return law.trusted(law.pdf(X))
 
     def pdf_score_in_support(self, t: float,
                              X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,7 +70,7 @@ class DensityFlow:
         law = self.at(t)
         lp, sc = law.logpdf_score(X)
         p = np.exp(lp)
-        return p, sc, _trusted(law, p)
+        return p, sc, law.trusted(p)
 
 
 def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
@@ -84,10 +79,12 @@ def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
 
 
 def _slice_samples(samples) -> np.ndarray:
-    """samples as an (n, dim) float array with n >= 1, else ParameterError."""
+    """samples as a finite (n, dim) float array with n >= 1, else ParameterError."""
     S = np.asarray(samples, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] < 1:
         raise ParameterError(f"samples must be (n, dim) with n >= 1, got {S.shape}")
+    if not np.isfinite(S).all():
+        raise ParameterError("samples must be finite")
     return S
 
 
@@ -167,12 +164,32 @@ class KdeModel:
         return self.logpdf_score(X)[1]
 
     @cached_property
+    def _pdf_at_mean(self) -> float:
+        return float(self.pdf(self.samples.mean(axis=0, keepdims=True))[0])
+
+    @cached_property
     def max_pdf(self) -> float:
-        """Approximate supremum: max of pdf over the sample mean and a fixed
-        subsample of kernel centers, computed once per model.  Used only for
-        the relative floor."""
-        probes = np.vstack([self.samples.mean(axis=0, keepdims=True), self.samples[:256]])
-        return float(self.pdf(probes).max())
+        """Approximate supremum: the largest pdf over the sample mean and the
+        first 256 samples, computed once per model.  Used only for the
+        relative floor, and built only when trusted needs it."""
+        return max(self._pdf_at_mean, float(self.pdf(self.samples[:256]).max()))
+
+    def trusted(self, p: np.ndarray) -> np.ndarray:
+        """Where the score is trusted, given pdf values p: p >= _FLOOR_REL *
+        max_pdf, flag for flag, with max_pdf built only if two bounds on it
+        leave some p undecided.  No computed pdf exceeds the kernel peak
+        exp(-log_norm) by more than _PEAK_SLACK, so p at or above _FLOOR_REL
+        times the slack peak is trusted; the pdf at the sample mean is one of
+        max_pdf's probes, so p below _FLOOR_REL times it is not.  Rounding
+        is monotone, so both answers are the exact rule's; nan falls
+        through to it."""
+        with np.errstate(over="ignore"):
+            peak = (1.0 + _PEAK_SLACK) * np.exp(-self._log_norm)
+        above = p >= _FLOOR_REL * peak
+        below = p < _FLOOR_REL * self._pdf_at_mean
+        if (above | below).all():
+            return above
+        return p >= _FLOOR_REL * self.max_pdf
 
 
 # automatic bandwidth rules: sd * (4 / ((d + k) n)) ** (1 / (d + k + 2)) per

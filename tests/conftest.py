@@ -7,9 +7,8 @@ from pathrev.density import DensityFlow
 
 
 class _FlooredLaw:
-    """A Gaussian slice law that is not a Gaussian, so DensityFlow trusts its
-    score only above the relative floor, as it does a KdeModel's.  max_pdf is
-    the Gaussian's peak in closed form."""
+    """A Gaussian slice law whose score is trusted only above the relative
+    floor, as a KdeModel's is.  max_pdf is the Gaussian's peak in closed form."""
 
     def __init__(self, law):
         self._law = law
@@ -20,6 +19,9 @@ class _FlooredLaw:
     @property
     def max_pdf(self) -> float:
         return math.exp(-0.5 * (self._law.dim * math.log(2.0 * math.pi) + self._law._logdet))
+
+    def trusted(self, p):
+        return p >= density._FLOOR_REL * self.max_pdf
 
 
 @pytest.fixture

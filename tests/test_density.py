@@ -6,8 +6,9 @@ import pytest
 
 from scipy.special import logsumexp
 
+from pathrev import density
 from pathrev.core import BandwidthError, ParameterError, make_grid, path_rng
-from pathrev.density import KdeModel, exact_flow_density, kde_fit, kde_flow
+from pathrev.density import DensityFlow, KdeModel, exact_flow_density, kde_fit, kde_flow
 from pathrev.models import Gaussian, ou_diffusion, ou_marginal_flow
 from pathrev.simulate import SimConfig, euler_maruyama
 
@@ -101,6 +102,98 @@ class TestKdeModel:
             KdeModel(np.zeros((3, 1)), np.array([0.0]))
         with pytest.raises(BandwidthError):
             KdeModel(np.zeros((3, 1)), np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_refused(self, bad):
+        # an infinite sample once gave a finite pdf, a nan max_pdf and nan
+        # scores, so every point was silently untrusted
+        S = np.array([[0.0, 0.0], [1.0, 0.5], [bad, 0.0]])
+        with pytest.raises(ParameterError, match="finite"):
+            KdeModel(S[:, :1], np.array([0.5]))
+        with pytest.raises(ParameterError, match="finite"):
+            KdeModel(S, np.array([0.5, 0.5]))
+        with pytest.raises(ParameterError, match="finite"):
+            kde_fit(S)
+
+
+def _peak_bound(m):
+    # the kernel peak with its slack, as KdeModel.trusted states it
+    return (1.0 + density._PEAK_SLACK) * np.exp(-m._log_norm)
+
+
+def _trust_models():
+    """KdeModels at dim 1 and 2, with automatic and fixed bandwidths, at
+    sample counts on both sides of the 256-row chunk."""
+    models = []
+    for dim in (1, 2):
+        for n in (1, 2, 3, 50, 255, 256, 257, 600):
+            S = path_rng(70 + n, dim).standard_normal((n, dim)) * np.linspace(0.5, 2.0, dim)
+            models.append(pytest.param(KdeModel(S, np.full(dim, 0.3)), id=f"d{dim}-n{n}-fixed"))
+            if n >= 2:
+                for rule in ("silverman", "score"):
+                    models.append(pytest.param(kde_fit(S, rule), id=f"d{dim}-n{n}-{rule}"))
+    return models
+
+
+_TRUST_MODELS = _trust_models()
+
+
+class TestTrustRule:
+    """KdeModel.trusted settles points from two bounds on max_pdf; every flag
+    must be the exact rule's, p >= _FLOOR_REL * max_pdf."""
+
+    def _queries(self, m):
+        # the samples and the mean (the mode's neighbourhood), rays from the
+        # mean to the deep tails, and rows at +-inf and nan
+        S = m.samples
+        mean = S.mean(axis=0)
+        rays = [mean + r * np.sign(np.arange(S.shape[1]) - 0.5) * m.bandwidth
+                for r in np.concatenate([np.linspace(0.0, 12.0, 97), [20.0, 40.0, 80.0, 1e3]])]
+        rows = [np.full(S.shape[1], v) for v in (math.inf, -math.inf, math.nan)]
+        return np.vstack([S[:300], mean, *rays, *rows])
+
+    @pytest.mark.parametrize("m", _TRUST_MODELS)
+    def test_flags_match_exact_rule(self, m):
+        p = m.pdf(self._queries(m))
+        floor = density._FLOOR_REL * m.max_pdf
+        # pdf values on and next to each threshold the rule compares with
+        edges = [density._FLOOR_REL * t for t in (m.max_pdf, m._pdf_at_mean, _peak_bound(m))]
+        near = [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+        extra = np.array(near + [0.0, math.inf, math.nan])
+        for q in (p, extra, np.concatenate([p, extra])):
+            assert np.array_equal(m.trusted(q), q >= floor)
+            # one value at a time, so the bounds decide alone where they can
+            one = np.array([m.trusted(q[i:i + 1])[0] for i in range(q.size)])
+            assert np.array_equal(one, q >= floor)
+        assert (p >= floor).any() and not (p >= floor).all()
+
+    @pytest.mark.parametrize("m", _TRUST_MODELS)
+    def test_mean_is_the_first_probe(self, m):
+        probes = np.vstack([m.samples.mean(axis=0, keepdims=True), m.samples[:256]])
+        pdf = m.pdf(probes)
+        assert m._pdf_at_mean == pdf[0]
+        assert m.max_pdf == pdf.max()
+
+    @pytest.mark.parametrize("dim, h", [(1, [7.0]), (2, [3.0, 0.2])])
+    def test_max_pdf_below_peak_bound_on_equal_samples(self, dim, h):
+        # every kernel at its peak: the largest pdf the pass can compute.  At
+        # these bandwidths some n round it above the bare peak exp(-log_norm),
+        # by an ulp or two, so the bound needs its slack
+        over = 0
+        for n in range(1, 1001):
+            m = KdeModel(np.full((n, dim), 0.7), np.array(h))
+            assert m.max_pdf <= _peak_bound(m)
+            over += m.max_pdf > np.exp(-m._log_norm)
+        assert over > 0
+
+    def test_query_at_samples_skips_max_pdf(self):
+        # at its own samples a 500-sample slice's pdf is at least the kernel
+        # peak / 500, above _FLOOR_REL times the peak bound
+        m = kde_fit(path_rng(8, 0).standard_normal((500, 1)))
+        flow = DensityFlow(lambda t: m, 1)
+        assert flow.pdf_score_in_support(0.0, m.samples)[2].all()
+        assert flow.in_support(0.0, m.samples).all()
+        assert "max_pdf" not in vars(m)
 
 
 def _log_kernels(model, X):

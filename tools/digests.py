@@ -99,6 +99,9 @@ def cases(configs: Path) -> list[Case]:
          {**cycle, "model": {**cycle["model"], "rate_cw": 0.2, "rate_ccw": 0.1},
           "grid": {**cycle["grid"], "T": 50.0}, "n_paths": 2000}, []),
         ("ou-kde-run-500", "run", {**ou_kde, "n_paths": 500}, []),
+        # at another seed the KDE's trust flags come from both bounds on the
+        # support floor and from the exact floor
+        ("ou-kde-run-500-seed1", "run", {**ou_kde, "n_paths": 500}, ["--seed", "1"]),
         ("ou-kde-reverse-300", "reverse", {**ou_kde, "n_paths": 300}, []),
         ("ou2d-kde-entropy", "entropy", ou2d_kde, []),
         ("ou2d-kde-verify", "verify", ou2d_kde, []),
