@@ -14,6 +14,10 @@ analytic derivatives of the estimator itself, never finite differences.
 The kernel estimator makes one pass over its samples per query: each chunk
 of query rows exponentiates its scaled squared distances once, shifted so the
 nearest kernel is 1, and those values give both the log density and the score.
+At dim 1 the samples are taken in sorted order: the shift is found by binary
+search, and the shifted exponents of each block of sorted samples come from
+one 3-column matmul, so the pass sweeps its kernel matrix four times (matmul,
+exp, row sum, matvec) where the squared differences take seven.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .models import Gaussian, GaussianFlow
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
+_BLOCKS = 4  # blocks of the sorted 1-d samples, each centred at its midpoint
 _FLOOR_REL = 1e-3  # a KDE score is trusted where pdf >= _FLOOR_REL * max_pdf
 # relative margin of the kernel peak over any computed pdf: the pass rounds
 # the peak by a few ulps at most
@@ -78,6 +83,17 @@ def exact_flow_density(flow: GaussianFlow) -> DensityFlow:
     return DensityFlow(flow.at, flow.dim, tag="exact:linear")
 
 
+def _nearest_sq(xc: np.ndarray, sc: np.ndarray) -> np.ndarray:
+    """min over j of (xc_i - sc_j)^2 for each xc_i, with sc sorted ascending,
+    bit for bit.  The rounded difference is monotone in sc_j, so the minimum
+    lies at one of the two sorted neighbours of xc_i.  An infinite xc_i gives
+    inf and a nan one nan."""
+    i = np.searchsorted(sc, xc)
+    below = sc[np.maximum(i - 1, 0)]
+    above = sc[np.minimum(i, sc.size - 1)]
+    return np.minimum((xc - below) ** 2, (xc - above) ** 2)
+
+
 def _slice_samples(samples) -> np.ndarray:
     """samples as a finite (n, dim) float array with n >= 1, else ParameterError."""
     S = np.asarray(samples, dtype=np.float64)
@@ -125,34 +141,102 @@ class KdeModel:
         With c = 1 / (h sqrt 2), Q = |x c - s c|^2 and q its row minimum, one
         exp gives E = exp(q - Q) and sum = E.sum(axis=1); then logpdf =
         log sum - q - log_norm - log n and score = (E @ samples / sum - x) / h^2.
-        A row without a finite Q stays unshifted: logpdf -inf (or nan) and a
-        nan score.  _score=False returns None in place of the score.
+        At dim 1 the columns of E are the samples in sorted order, q - Q
+        comes from one small matmul per block of them (_sorted_exponents) and
+        the weighted mean is taken about their midpoint; at dim >= 2 q - Q
+        comes from the squared differences (_direct_exponents).  A row without
+        a finite Q stays unshifted: logpdf -inf (or nan) and a nan score.
+        _score=False returns None in place of the score.
         """
         X = np.asarray(X, dtype=np.float64)
-        lp = np.empty(X.shape[0])
+        m = X.shape[0]
+        lp = np.empty(m)
         sc = np.empty_like(X) if _score else None
+        shift = self._log_norm + math.log(self.n_samples)
+        h2 = self.bandwidth ** 2
+        # one kernel matrix per call, reused by every chunk; two rows at
+        # least, for a one-row chunk taken doubled
+        buf = np.empty((max(2, min(_CHUNK, m)), self.n_samples))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            exponents = (self._sorted_exponents if self.samples.shape[1] == 1
+                         else self._direct_exponents)
+            S, centre, fill = exponents(X)
+            for s in range(0, m, _CHUNK):
+                rows = slice(s, min(s + _CHUNK, m))
+                q, E = fill(rows, buf)
+                np.exp(E, out=E)
+                total = E.sum(axis=1)
+                lp[rows] = np.log(total) - q - shift
+                if _score:
+                    sc[rows] = ((E @ S) / total[:, None] - (X[rows] - centre)) / h2
+        return lp, sc
+
+    def _direct_exponents(self, X: np.ndarray):
+        """(samples, centre 0, fill) for the pass at any dim: fill(rows, buf)
+        writes q - Q of those rows of X into the first rows of buf, a
+        coordinate at a time, and returns q, set to 0 where it is not finite,
+        and that part of buf."""
         c = 1.0 / (self.bandwidth * math.sqrt(2.0))
         XC = X * c
         SC = self.samples.T * c[:, None]  # (dim, n): one contiguous row per coordinate
-        shift = self._log_norm + math.log(self.n_samples)
-        h2 = self.bandwidth ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for s in range(0, X.shape[0], _CHUNK):
-                Q = _sq_distances(XC[s:s + _CHUNK], SC)
-                q = Q.min(axis=1)
-                q[~np.isfinite(q)] = 0.0
-                E = np.exp(np.subtract(q[:, None], Q, out=Q), out=Q)
-                total = E.sum(axis=1)
-                lp[s:s + _CHUNK] = np.log(total) - q - shift
-                if _score:
-                    sc[s:s + _CHUNK] = ((E @ self.samples) / total[:, None]
-                                        - X[s:s + _CHUNK]) / h2
-                # free this chunk's matrix before the next chunk builds its
-                # own, so one kernel matrix is alive at a time: with two, the
-                # heap can shrink and grow again, faulting its pages back in
-                # per chunk
-                del Q, E
-        return lp, sc
+
+        def fill(rows, buf):
+            Q = _sq_distances(XC[rows], SC, out=buf[:rows.stop - rows.start])
+            q = Q.min(axis=1)
+            q[~np.isfinite(q)] = 0.0
+            return q, np.subtract(q[:, None], Q, out=Q)
+
+        return self.samples, 0.0, fill
+
+    def _sorted_exponents(self, X: np.ndarray):
+        """(sorted samples less their centre, centre, fill) for the pass at
+        dim 1, whose kernel columns are the samples in sorted order.  q is the
+        nearest squared distance, found by search among the sorted s c, bit
+        for bit the row minimum of the direct pass.  The sorted samples are
+        cut into _BLOCKS contiguous blocks, each centred at its midpoint p,
+        and with u = (x - p) c and v = (s - p) c one (rows x 3) @ (3 x n_g)
+        matmul per block writes q - (u - v)^2 = [u, 1, q - u^2] . [2v, -v^2, 1]
+        into its columns of E.  Near the centres u and v are small, so the
+        expanded square loses little to cancellation.  A row without a
+        finite q writes [0, 1, -q]: -inf (E = 0) or nan, as the direct pass.
+        """
+        c = 1.0 / (self.bandwidth[0] * math.sqrt(2.0))
+        S = np.sort(self.samples, axis=0)  # a copy: max_pdf probes samples[:256]
+        s, x = S[:, 0], X[:, 0]
+        n = s.size
+        # block edges; fewer than _BLOCKS samples leave no block empty
+        cuts = sorted({g * n // _BLOCKS for g in range(_BLOCKS + 1)})
+        blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        P = 0.5 * (s[cuts[:-1]] + s[[b - 1 for b in cuts[1:]]])
+        v = (s - np.repeat(P, [b.stop - b.start for b in blocks])) * c
+        B = np.ones((3, n))  # rows 2v, -v^2, 1
+        np.multiply(v, 2.0, out=B[0])
+        np.multiply(v, -v, out=B[1])
+        q = _nearest_sq(x * c, s * c)
+        A = np.ones((len(blocks), x.size, 3))  # per block, rows u, 1, q - u^2
+        U, T = A[:, :, 0], A[:, :, 2]
+        np.multiply(x - P[:, None], c, out=U)
+        np.subtract(q, U * U, out=T)
+        bad = ~np.isfinite(q)
+        if bad.any():
+            U[:, bad] = 0.0
+            T[:, bad] = -q[bad]
+            q[bad] = 0.0
+
+        def fill(rows, buf):
+            k = rows.stop - rows.start
+            # gemv rounds a one-row product otherwise than gemm: one row goes
+            # through gemm doubled, so its bits do not depend on its batch
+            Ar = A[:, rows] if k > 1 else A[:, [rows.start] * 2]
+            E = buf[:Ar.shape[1]]
+            for g, cols in enumerate(blocks):
+                np.matmul(Ar[g], B[:, cols], out=E[:, cols])
+            return q[rows], E[:k]
+
+        # the score's weighted mean is taken about the samples' midpoint, so
+        # for samples far from 0 it does not cancel against x
+        centre = 0.5 * (s[0] + s[-1])
+        return S - centre, centre, fill
 
     def logpdf(self, X: np.ndarray) -> np.ndarray:
         return self.logpdf_score(X, _score=False)[0]

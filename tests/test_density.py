@@ -84,12 +84,21 @@ class TestKdeModel:
         assert "max_pdf" in vars(m)
 
     def test_chunking_invisible(self):
-        x = path_rng(4, 0).standard_normal((50, 1))
-        m = kde_fit(x)
-        X = np.linspace(-2, 2, 600)[:, None]  # crosses the chunk boundary
-        p_all = m.pdf(X)
-        p_one = np.array([float(m.pdf(row[None, :])[0]) for row in X])
-        assert np.array_equal(p_all, p_one)
+        # a row's pdf does not depend on the batch it comes in, nor on its
+        # place among the batch's chunks: bit for bit at every batch size,
+        # one-row batches and one-row last chunks (513 = 2 * 256 + 1) too.
+        # Its score may differ by the rounding of another matvec, relative
+        # to 1 + |score|: the line of queries crosses the score's zero
+        for dim in (1, 2):
+            m = kde_fit(path_rng(4, 0).standard_normal((50, dim)))
+            # 600 rows cross the chunk boundary twice
+            X = np.linspace(-2, 2, 600)[:, None] * np.linspace(1.0, -0.5, dim)
+            p_all, sc_all = m.pdf(X), m.score(X)
+            for batch in (1, 2, 3, 255, 256, 257, 513):
+                parts = [m.logpdf_score(X[s:s + batch]) for s in range(0, len(X), batch)]
+                assert np.array_equal(np.exp(np.concatenate([lp for lp, _ in parts])), p_all)
+                sc = np.concatenate([sc for _, sc in parts])
+                assert np.allclose(sc, sc_all, rtol=1e-13, atol=1e-13)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -213,12 +222,16 @@ def _direct_kde(model, X):
     return lse - math.log(S.shape[0]), (W @ S - X * W.sum(axis=1, keepdims=True)) / h ** 2
 
 
-# The kernel pass squares x c - s c with c = 1 / (h sqrt 2) where the direct
-# matrix halves ((x - s) / h)^2, so the two round differently.  Over 30 seeds
-# of 500 samples and 513 queries at dim 1, 2 and 3, ties and far queries
-# included, the largest differences read 9.3e-16 (1 + |lp|) on logpdf and
-# 2.3e-13 (1 + |score|) on the score; the bounds are about twice that.  Both
-# grow with |lp|, the size of the squared distances whose last bits differ.
+# The kernel pass works in x c - s c with c = 1 / (h sqrt 2), at dim 1 through
+# a matmul of the expanded square, where the direct matrix halves
+# ((x - s) / h)^2, so the two round differently.  On README.md's scenario
+# (TestAccuracy.test_readme_scenario: 30 seeds of 500 samples and 513 queries
+# at dim 1, 2 and 3, ties included) the largest differences read 9.15e-16
+# (1 + |lp|) on logpdf, at dim 1, and 2.24e-14 (1 + |score|) on the score, at
+# dim 2.  Over every comparison in this file they read 1.31e-15 (the 1-d
+# offset-1e3 case) and 2.15e-13 (far queries at dim 2); the bounds are about
+# twice that.  Both grow with |lp|, the size of the squared distances whose
+# last bits differ.
 _LP_TOL, _SCORE_TOL = 2e-15, 5e-13
 
 
@@ -228,6 +241,93 @@ def _close(got, ref, tol):
     fin = np.isfinite(ref)
     assert np.array_equal(got[~fin], ref[~fin], equal_nan=True)
     assert np.all(np.abs(got[fin] - ref[fin]) <= tol * (1.0 + np.abs(ref[fin])))
+
+
+def _readme_scenario(seed, dim):
+    """README.md's accuracy scenario: 500 samples of N(0, I) under the score
+    rule and 513 queries of N(0, 4 I), the first five at samples (ties)."""
+    g = path_rng(seed, dim)
+    model = kde_fit(g.standard_normal((500, dim)), rule="score")
+    X = g.standard_normal((513, dim)) * 2.0
+    X[:5] = model.samples[:5]
+    return model, X
+
+
+def _one_d_queries(model, g):
+    # ties, the sample range and beyond, and queries 40 to 60 bandwidths past
+    # either end, where every kernel underflows
+    S, h = model.samples, model.bandwidth
+    lo, hi = S.min(), S.max()
+    wide = lo + (hi - lo) * g.uniform(-0.5, 1.5, (200, 1))
+    far = np.array([[40.0], [45.0], [60.0]]) * h
+    return np.vstack([S[:5], wide, hi + far, lo - far])
+
+
+def _one_d_cases():
+    """1-d models whose kernel pass the accuracy test measures: (model,
+    queries, reference model, offset), where the reference is the direct
+    KDE of the reference model at the queries less the offset."""
+    g = path_rng(33, 1)
+    z = g.standard_normal((500, 1))
+    cases = {
+        "normal": KdeModel(z, np.array([0.3])),
+        # samples far from 0: x c near 2e5, where x c - s c cancels
+        "offset-1e3": kde_fit(1e3 + 1e-2 * z),
+        "n1": KdeModel(np.array([[0.4]]), np.array([0.3])),
+        "n2": KdeModel(np.array([[0.4], [1.1]]), np.array([0.3])),
+        "tied": KdeModel(np.full((300, 1), 0.7), np.array([0.3])),
+    }
+    out = []
+    for name, model in cases.items():
+        X = _one_d_queries(model, g)
+        ref, offset = model, 0.0
+        if name == "offset-1e3":
+            # the direct score W @ S - x W loses about 1e-8 to cancellation
+            # at 1e3, so the reference is the same KDE translated by -1e3;
+            # samples and queries translate exactly, and the estimator is
+            # translation-invariant
+            ref, offset = KdeModel(model.samples - 1e3, model.bandwidth), 1e3
+        out.append(pytest.param(model, X, ref, offset, id=name))
+    return out
+
+
+class TestAccuracy:
+    """The kernel pass against the direct log-kernel matrix, within _LP_TOL
+    and _SCORE_TOL: README.md's scenario at dim 1, 2 and 3, and 1-d cases for
+    the sorted pass's edges."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_readme_scenario(self, dim, seed):
+        model, X = _readme_scenario(seed, dim)
+        lp, sc = model.logpdf_score(X)
+        ref_lp, ref_sc = _direct_kde(model, X)
+        _close(lp, ref_lp, _LP_TOL)
+        _close(sc, ref_sc, _SCORE_TOL)
+
+    @pytest.mark.parametrize("model, X, ref, offset", _one_d_cases())
+    def test_one_d_cases(self, model, X, ref, offset):
+        lp, sc = model.logpdf_score(X)
+        ref_lp, ref_sc = _direct_kde(ref, X - offset)
+        assert np.isfinite(lp).all() and np.isfinite(sc).all()
+        _close(lp, ref_lp, _LP_TOL)
+        _close(sc, ref_sc, _SCORE_TOL)
+
+    def test_shift_is_the_nearest_square(self):
+        # the 1-d shift q, found by search among the sorted scaled samples,
+        # is the row minimum of (x c - s c)^2 bit for bit: at ties, at
+        # midpoints between neighbours, past both ends, at 1e3 + 1e-2 z and
+        # at +-inf and nan
+        g = path_rng(35, 1)
+        S = np.sort(np.concatenate([np.round(g.standard_normal(200) * 3.0, 1),
+                                    1e3 + 1e-2 * g.standard_normal(100)]))
+        c = 1.0 / (0.05 * math.sqrt(2.0))
+        x = np.concatenate([S, 0.5 * (S[1:] + S[:-1]), S + 1e-3 * g.standard_normal(S.size),
+                            [S[0] - 7.0, S[-1] + 7.0, 1e200, math.inf, -math.inf, math.nan]])
+        xc, sc = x * c, S * c
+        with np.errstate(over="ignore", invalid="ignore"):
+            brute = ((xc[:, None] - sc[None, :]) ** 2).min(axis=1)
+            assert np.array_equal(density._nearest_sq(xc, sc), brute, equal_nan=True)
 
 
 class TestRowLogsumexp:

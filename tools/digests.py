@@ -158,6 +158,13 @@ def cases(configs: Path) -> list[Case]:
          [("simulate", {**ou, "n_paths": 300, "seed": 5}, ["--out", "heldout"])]),
         ("custom-zero-drift-run", "run",
          {**default_checks, "model": CUSTOM_ZERO, "n_paths": 2000}, []),
+        # a 1-d KDE far from 0: from N(1000, 1e-4) the first slices put x c
+        # near 1.6e5, where x c - s c cancels and the kernel pass works about
+        # the centres of its sample blocks
+        ("custom-zero-drift-kde-far-run", "run",
+         {**default_checks, "model": {**CUSTOM_ZERO, "init_mean": [1000.0],
+                                      "init_cov": [[1e-4]]},
+          "density": "kde", "n_paths": 300}, []),
         # a singular a: its noise factor comes from eigenvalues, and without
         # the reference N(0, a/2) run writes no entropy report and entropy exits 2
         ("custom2d-singular-run", "run",
