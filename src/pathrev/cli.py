@@ -3,8 +3,8 @@
 Every subcommand reads one config document, validates it strictly (unknown
 keys are rejected at every level), and writes its artifacts into the output
 directory.  No timestamps, no environment lookups, no hidden state: the
-manifest echoes the effective config plus library versions, and a rerun of
-the same config produces byte-identical files.
+manifest echoes the effective config plus the Python and numpy versions, and
+a rerun of the same config produces byte-identical files.
 
 Each model kind has one run object (`_DiffusionRun`, `_WalkRun`) with one
 writer per artifact group, and every check is one entry of `CHECKS`; a
@@ -28,7 +28,6 @@ import textwrap
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import (ConfigError, ParameterError, PathrevError, SupportError, TimeGrid,
@@ -153,7 +152,6 @@ class _Artifacts:
             "version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "seed": cfg["seed"],
         })
 
