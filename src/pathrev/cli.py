@@ -1,10 +1,10 @@
 """Command-line surface: reproducible experiments from JSON configs.
 
 Every subcommand reads one config document, validates it strictly (unknown
-keys are rejected at every level), and writes its artifacts into the output
-directory.  No timestamps, no environment lookups, no hidden state: the
-manifest echoes the effective config plus the Python and numpy versions, and
-a rerun of the same config produces byte-identical files.
+or repeated keys are rejected at every level), and writes its artifacts into
+the output directory.  No timestamps, no environment lookups, no hidden
+state: the manifest echoes the effective config plus the Python and numpy
+versions, and a rerun of the same config produces byte-identical files.
 
 Each model kind has one run object (`_DiffusionRun`, `_WalkRun`) with one
 writer per artifact group, and every check is one entry of `CHECKS`; a
@@ -127,9 +127,18 @@ def load_config(path: str) -> dict:
     def reject_constant(name: str):
         raise ConfigError(f"config {path} is not valid JSON: {name} is not a number")
 
+    def reject_duplicates(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config {path}: key {key!r} appears twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as f:
-            obj = json.load(f, parse_constant=reject_constant)
+            obj = json.load(f, parse_constant=reject_constant,
+                            object_pairs_hook=reject_duplicates)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -628,10 +637,13 @@ CHECKS = {
 
 def cmd_run(cfg: dict, out_dir: str) -> int:
     run = _make_run(cfg, reversal=True)
+    # the entropy report first, as under `entropy`: a report refused here
+    # (every action non-finite, say) leaves no output directory
+    entropy = run.entropy if run.has_reference else None
     out = _Artifacts(out_dir, cfg)
     run.write_forward(out)
     run.write_reversal(out)
-    if run.has_reference:
+    if entropy is not None:
         run.write_entropy(out)
     report = run.write_checks(out)
     print(f"artifacts written to {out_dir}")

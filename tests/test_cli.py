@@ -247,11 +247,16 @@ class TestErrorContract:
          "config error: kde probe table requires a one-dimensional model"),
         ("reverse", _ou_cfg(model=_OU_2D, density="kde", n_paths=200),
          "config error: kde probe table requires a one-dimensional model"),
+        # paths from 1e200 overflow their action; run computes the entropy
+        # report before it creates the directory, as entropy does
+        ("run", {"model": dict(_MODELS["ou"], init_mean=[1e200]),
+                 "grid": {"T": 1.0, "n_steps": 4}, "n_paths": 20, "seed": 1},
+         "parameter error: every path has a non-finite action"),
     ], ids=["negative-cov", "nan-mean", "string-n", "singular-a-entropy",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
             "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "custom-scalar-a",
             "custom-nonsymmetric-a", "oversized-ensemble",
-            "ou2d-kde-run", "ou2d-kde-reverse"])
+            "ou2d-kde-run", "ou2d-kde-reverse", "nonfinite-action-run"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
         path = _write_cfg(tmp_path, cfg)
         out = tmp_path / "o"
@@ -318,6 +323,28 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("config error: entropy report needs the reversible reference")
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, slot", [
+        ("top", ', "seed": 2'), ("model", ', "dim": 1'), ("grid", ', "T": 2.0'),
+        ("drift", ', "matrix": [[-1.0]]'),
+    ], ids=["top", "model", "grid", "drift"])
+    def test_duplicate_key(self, tmp_path, capsys, where, slot):
+        # json.load keeps the last of two equal keys; the config refuses both
+        slots = dict.fromkeys(["top", "model", "grid", "drift"], "")
+        slots[where] = slot
+        text = ('{"model": {"type": "custom", "dim": 1, "drift": {"name": "linear", '
+                '"matrix": [[-0.5]]%(drift)s}, "diffusion_matrix": [[2.0]], '
+                '"init_mean": [0.0], "init_cov": [[1.0]]%(model)s}, '
+                '"grid": {"T": 1.0, "n_steps": 10%(grid)s}, "n_paths": 50, "seed": 1%(top)s}'
+                % slots)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        key = slot.split('"')[1]
+        assert capsys.readouterr().err == (f"config error: config {path}: key {key!r} "
+                                           "appears twice in one object\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "reverse"])
@@ -1198,48 +1225,52 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
-def test_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # scipy.linalg roughly doubles the import time and the resident memory
-    # of `import numpy, scipy`; the exact flows and walk marginals take
-    # their exponentials from core.expm, so neither the import nor a
-    # one-dimensional run of any diffusion model loads it.  Each fresh
-    # interpreter keeps the modules this test run already imported out of
-    # the answer
+# whether scipy or any scipy.* module is loaded in the interpreter so far
+_SCIPY_LOADED = "any(m.partition('.')[0] == 'scipy' for m in sys.modules)"
+
+
+def _scipy_after(tmp_path, argvs: list) -> list[str]:
+    """One fresh interpreter on this checkout's src/ imports pathrev.cli and
+    calls main on each argv in turn.  After the import and after each call
+    it reports "<exit code> <scipy loaded>", the import as exit code None.
+    A fresh interpreter keeps the modules this test run already imported
+    out of the answer."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    loaded = "print('scipy.linalg' in sys.modules)"
-    codes = {"import": f"import sys, pathrev.cli; {loaded}"}
+    code = f"import sys, pathrev.cli\nprint('=>', None, {_SCIPY_LOADED})\n" + "".join(
+        f"print('=>', pathrev.cli.main({argv!r}), {_SCIPY_LOADED})\n" for argv in argvs)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return [line[3:] for line in proc.stdout.splitlines() if line.startswith("=> ")]
+
+
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # numpy is the one runtime dependency: neither the import, nor a
+    # one-dimensional run of any diffusion model, nor any walk command loads
+    # scipy or any of its modules.  The exact flows and walk marginals take
+    # their exponentials from core.expm
     for model in ("ou", "bm", "custom"):
         cfg = _ou_cfg(model=_MODELS[model], n_paths=200, grid={"T": 1.0, "n_steps": 50})
         del cfg["checks"]  # the model type's default checks
         _write_cfg(tmp_path, cfg, f"{model}.json")
-        codes[model] = ("import sys, pathrev.cli; "
-                        f"rc = pathrev.cli.main(['run', '--config', '{model}.json', "
-                        f"'--out', '{model}-out']); print(rc); {loaded}")
-    for name, code in codes.items():
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120, check=False)
-        assert proc.returncode == 0, (name, proc.stderr)
-        lines = proc.stdout.splitlines()
-        assert lines[-1] == "False", name
-        if name != "import":
-            assert lines[-2] in ("0", "1"), (name, proc.stdout)
+        report = _scipy_after(tmp_path, [["run", "--config", f"{model}.json",
+                                          "--out", f"{model}-out"]])
+        assert report[0] == "None False" and report[1] in ("0 False", "1 False"), (model, report)
+    _write_cfg(tmp_path, _cycle_cfg(n_paths=200, grid={"T": 1.0, "n_steps": 50}), "cycle.json")
+    walk = [["simulate"], ["verify"], ["entropy"], ["reverse"], ["rw", "reverse"]]
+    report = _scipy_after(tmp_path, [[*cmd, "--config", "cycle.json", "--out", f"cy-{k}"]
+                                     for k, cmd in enumerate(walk)])
+    assert report == ["None False"] + ["0 False"] * len(walk), report
 
 
 def test_two_dimensional_run_leaves_scipy_spatial_unloaded(tmp_path):
     # the reversal check of a 2-d run builds its pooled distance matrix in
-    # numpy: scipy.spatial's cdist would load scipy.linalg with it
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # numpy: scipy.spatial's cdist would load scipy and scipy.linalg with it
     cfg = _ou_cfg(model=_OU_2D, n_paths=200, grid={"T": 1.0, "n_steps": 50})
     del cfg["checks"]  # the default checks, reversal among them
     _write_cfg(tmp_path, cfg)
-    code = ("import sys, pathrev.cli; "
-            "rc = pathrev.cli.main(['run', '--config', 'cfg.json', '--out', 'out']); "
-            "print(rc, 'scipy.spatial' in sys.modules, 'scipy.linalg' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] in ("0 False False", "1 False False"), proc.stdout
+    report = _scipy_after(tmp_path, [["run", "--config", "cfg.json", "--out", "out"]])
+    assert report[0] == "None False" and report[1] in ("0 False", "1 False"), report
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert "reversal" in report["checks"]
