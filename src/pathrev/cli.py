@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .core import (ConfigError, ParameterError, PathrevError, SupportError, TimeGrid,
-                   VectorField, _csv_text, load_ensemble, make_grid, save_ensemble)
-from .density import _KDE_MIN_SAMPLES, exact_flow_density, kde_flow
+                   VectorField, _csv_text, _json_text, load_ensemble, make_grid, save_ensemble)
+from .density import exact_flow_density, kde_flow
 from .entropy import (current_osmosis_decomposition, heat_flow_dissipation,
                       rw_relative_entropy, entropy_vs_counting)
 from .models import (Gaussian, ModelBundle, _number, _require_keys, diffusion_spec,
@@ -100,8 +100,9 @@ def validate_config(obj: dict) -> dict:
             isinstance(density, str) and density.startswith("kde:")):
         raise ConfigError("density must be 'exact', 'kde', or 'kde:<ensemble file>', "
                           f"got {density!r}")
-    if density == "kde" and n_paths < _KDE_MIN_SAMPLES:
-        raise ConfigError(f"density 'kde' needs n_paths >= {_KDE_MIN_SAMPLES}, got {n_paths}")
+    if mtype == "cycle" and density != "exact":
+        raise ConfigError(f"density {density!r} does not apply to a random walk, "
+                          "whose marginals are exact")
 
     checks = obj.get("checks", [name for name, c in CHECKS.items() if mtype in c.defaults])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
@@ -169,8 +170,7 @@ class _Artifacts:
 
     def write_json(self, name: str, obj) -> None:
         with open(self.path(name), "w") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(_json_text(obj) + "\n")
 
     def write_csv(self, name: str, header, columns) -> None:
         """Int or float columns of one shape as CSV (core._csv_text)."""
@@ -186,14 +186,15 @@ def _snap_times(grid: TimeGrid) -> list[tuple[int, float]]:
 
 
 class _Run:
-    """What both model kinds share: config, model, grid, and the entropy and
-    check writers.  Subclasses add `entropy` (the report as a dict) and the
-    forward, paths and reversal writers."""
+    """What both model kinds share: config, model, grid, the SimConfig both
+    simulators take, and the entropy and check writers.  Subclasses add
+    `entropy` (the report as a dict) and the forward, paths and reversal writers."""
 
     def __init__(self, cfg: dict, bundle: ModelBundle):
         self.cfg = cfg
         self.bundle = bundle
         self.grid = make_grid(cfg["grid"]["T"], cfg["grid"]["n_steps"])
+        self.sim = SimConfig(cfg["n_paths"], cfg["seed"], self.grid)
 
     def write_entropy(self, out: _Artifacts) -> None:
         out.write_json("entropy_report.json", self.entropy)
@@ -224,25 +225,23 @@ class _DiffusionRun(_Run):
     def __init__(self, cfg: dict, bundle: ModelBundle):
         super().__init__(cfg, bundle)
         self.spec = bundle.diffusion
-        self.ensemble = euler_maruyama(self.spec, SimConfig(cfg["n_paths"], cfg["seed"], self.grid))
+        self.ensemble = euler_maruyama(self.spec, self.sim)
         src = cfg["density"]
         if src == "exact":
             self.density = exact_flow_density(bundle.flow)
-        elif src == "kde":
-            self.density = kde_flow(self.ensemble, rule="score")
         else:
-            path = src[len("kde:"):]
-            try:
-                stored = load_ensemble(path)
-            except OSError as exc:
-                raise ConfigError(f"cannot read ensemble {path}: {exc}")
-            if (stored.dim != self.spec.dim or stored.grid.n_steps != self.grid.n_steps
-                    or abs(stored.grid.T - self.grid.T) > EXACT_ATOL):
-                raise ConfigError(f"stored ensemble {path} does not match the config grid")
-            if stored.n_paths < _KDE_MIN_SAMPLES:
-                raise ConfigError(f"stored ensemble {path} holds {stored.n_paths} path, "
-                                  "too few for a KDE")
-            self.density = kde_flow(stored, rule="score")
+            # "kde" estimates from the run's ensemble, "kde:<file>" from a stored one
+            samples = self.ensemble
+            if src != "kde":
+                path = src[len("kde:"):]
+                try:
+                    samples = load_ensemble(path)
+                except OSError as exc:
+                    raise ConfigError(f"cannot read ensemble {path}: {exc}")
+                if (samples.dim != self.spec.dim or samples.grid.n_steps != self.grid.n_steps
+                        or abs(samples.grid.T - self.grid.T) > EXACT_ATOL):
+                    raise ConfigError(f"stored ensemble {path} does not match the config grid")
+            self.density = kde_flow(samples, rule="score")
         dim = self.spec.dim
         self.backward = BackwardDriftField(self.spec.drift, self.spec.a,
                                            VectorField.zero(dim), self.density)
@@ -356,7 +355,7 @@ class _WalkRun(_Run):
     @functools.cached_property
     def ensemble(self):
         """The jump paths, simulated on first use: only `simulate` needs them."""
-        return ctmc_simulate(self.spec, self.grid.T, self.cfg["n_paths"], self.cfg["seed"])
+        return ctmc_simulate(self.spec, self.sim)
 
     def write_paths(self, out: _Artifacts, csv: bool = False) -> None:
         """events.csv, one row per jump; walks have no other path format."""
@@ -673,7 +672,7 @@ def cmd_entropy(cfg: dict, out_dir: str) -> int:
     out = _Artifacts(out_dir, cfg)
     run.write_entropy(out)
     run.write_fisher(out)
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
     return 0
 
 
@@ -682,7 +681,7 @@ def cmd_verify(cfg: dict, out_dir: str, check_names: list[str]) -> int:
         cfg = validate_config({**cfg, "checks": check_names})
     run = _make_run(cfg)
     report = run.write_checks(_Artifacts(out_dir, cfg))
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
     return 0 if report["passed"] else 1
 
 
@@ -691,18 +690,17 @@ def cmd_rw(cfg: dict, out_dir: str, action: str, fmt: str) -> int:
     run = _make_run(cfg, walk_only=True)
     if action == "ibp":
         rep = _check_ibp(run)
-        print(json.dumps(rep, indent=2, sort_keys=True))
+        print(_json_text(rep))
         return 0 if rep["passed"] else 1
     if action == "reverse":
         if fmt == "json":
-            print(json.dumps([dict(zip(_INTENSITY_HEADER, row)) for row in run.intensity_rows],
-                             indent=2, sort_keys=True))
+            print(_json_text([dict(zip(_INTENSITY_HEADER, row)) for row in run.intensity_rows]))
         else:
             sys.stdout.write(b"".join(_csv_text(_INTENSITY_HEADER, zip(*run.intensity_rows)))
                              .decode("ascii"))
         write = run.write_reversal
     else:  # "entropy", the last of the parser's choices
-        print(json.dumps(run.entropy, indent=2, sort_keys=True))
+        print(_json_text(run.entropy))
         write = run.write_entropy
     if out_dir:
         write(_Artifacts(out_dir, cfg))

@@ -1,12 +1,14 @@
 """Shared value types for the toolkit.
 
 Time grids, path ensembles (diffusion and jump), vector/matrix fields, the
-deterministic per-path random stream contract, and ensemble serialization.
-Everything downstream builds on these containers, so they are deliberately
-small, immutable and numpy-only.
+deterministic per-path random stream contract, ensemble serialization, and
+the CSV and JSON text of the command-line artifacts.  Everything downstream
+builds on these containers, so they are deliberately small, immutable and
+numpy-only.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -811,3 +813,21 @@ def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[
         lines[-1] = ord("\n")
         lines = lines[lines.any(axis=1)]
         yield lines.T.tobytes().translate(None, b"\0")
+
+
+# --------------------------------------------------------------- JSON text
+
+def _json_text(obj) -> str:
+    """obj as the CLI writes every JSON document, file or stdout: sorted
+    keys, 2-space indent, and null for a non-finite number, which JSON
+    cannot hold."""
+    def finite(o):
+        if isinstance(o, float):
+            return o if math.isfinite(o) else None
+        if isinstance(o, dict):
+            return {k: finite(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [finite(v) for v in o]
+        return o
+
+    return json.dumps(finite(obj), indent=2, sort_keys=True, allow_nan=False)

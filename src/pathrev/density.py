@@ -283,6 +283,12 @@ _RULES = {"silverman": 2, "score": 4}
 _KDE_MIN_SAMPLES = 2  # both rules scale the sample standard deviation
 
 
+def _check_sample_count(n: int) -> None:
+    if n < _KDE_MIN_SAMPLES:
+        raise BandwidthError(
+            f"an automatic bandwidth needs at least {_KDE_MIN_SAMPLES} samples, got {n}")
+
+
 def kde_fit(samples: np.ndarray, rule: str = "silverman") -> KdeModel:
     """Fit a Gaussian KDE to one (n, dim) slice with an automatic bandwidth.
 
@@ -294,9 +300,7 @@ def kde_fit(samples: np.ndarray, rule: str = "silverman") -> KdeModel:
     if not (isinstance(rule, str) and rule in _RULES):
         raise BandwidthError(f"unknown bandwidth rule {rule!r}")
     n, d = S.shape
-    if n < _KDE_MIN_SAMPLES:
-        raise BandwidthError(
-            f"an automatic bandwidth needs at least {_KDE_MIN_SAMPLES} samples, got {n}")
+    _check_sample_count(n)
     k = _RULES[rule]
     h = S.std(axis=0, ddof=1) * (4.0 / ((d + k) * n)) ** (1.0 / (d + k + 2))
     if not (h > 0).all():
@@ -313,8 +317,10 @@ def kde_flow(e: PathEnsemble, rule: str = "silverman") -> DensityFlow:
     A query at time t reads the slice at e's grid node nearest to t
     (TimeGrid.index_of), so between nodes the density is constant in time;
     the CLI refuses a stored ensemble on another grid than its config's.
-    Each slice model is fitted lazily, then cached.
+    Each slice model is fitted lazily, then cached; an ensemble with too few
+    paths for kde_fit is refused here, before any slice is queried.
     """
+    _check_sample_count(e.n_paths)
     cache: dict[int, KdeModel] = {}
 
     def model_at(t: float) -> KdeModel:

@@ -121,9 +121,10 @@ def _lockstep(seed: int, n_paths: int, cum_p0: np.ndarray, cum: np.ndarray,
     return initial, steps
 
 
-def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> JumpPathEnsemble:
-    """Simulate the walk, which must have constant intensities, on [0, T]
-    by the direct method, all paths in lockstep.
+def ctmc_simulate(spec: GraphWalkSpec, cfg: SimConfig) -> JumpPathEnsemble:
+    """Simulate cfg.n_paths paths of the walk, which must have constant
+    intensities, on [0, cfg.grid.T] by the direct method, all paths in
+    lockstep.  The grid's nodes play no part: jump times are continuous.
 
     Path i takes u_0 of its stream for the initial state, and jump j takes
     u_{2j+1} for its holding time -log1p(-u) / lam_x and u_{2j+2} for its
@@ -134,11 +135,7 @@ def ctmc_simulate(spec: GraphWalkSpec, T: float, n_paths: int, seed: int) -> Jum
     """
     if not spec.is_constant:
         raise ParameterError("walk simulation needs constant intensities")
-    if not (np.isfinite(T) and T > 0):
-        raise ParameterError(f"horizon must be positive, got {T}")
-    if int(n_paths) != n_paths or n_paths < 1:
-        raise ParameterError(f"n_paths must be a positive integer, got {n_paths}")
-    n_paths = int(n_paths)
+    T, n_paths, seed = cfg.grid.T, cfg.n_paths, cfg.seed
     rates = spec.intensity_matrix.sum(axis=1)
     lam_T = rates.max() * T
     if lam_T > _MAX_RATE_T:

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from pathrev.cli import CHECKS, main, validate_config
-from pathrev.core import ConfigError, load_ensemble
+from pathrev.core import ConfigError, load_ensemble, make_grid
 from pathrev.entropy import gaussian_relative_entropy
 from pathrev.models import Gaussian, load_model
-from pathrev.simulate import ctmc_simulate
+from pathrev.simulate import SimConfig, ctmc_simulate
 
 
 def _write_cfg(tmp_path, obj, name="cfg.json"):
@@ -252,11 +252,17 @@ class TestErrorContract:
         ("run", {"model": dict(_MODELS["ou"], init_mean=[1e200]),
                  "grid": {"T": 1.0, "n_steps": 4}, "n_paths": 20, "seed": 1},
          "parameter error: every path has a non-finite action"),
+        # a walk's marginals are exact: a KDE source is refused, not ignored
+        ("run", _cycle_cfg(density="kde"),
+         "config error: density 'kde' does not apply to a random walk"),
+        ("simulate", _cycle_cfg(density="kde:ensemble.bin"),
+         "config error: density 'kde:ensemble.bin' does not apply to a random walk"),
     ], ids=["negative-cov", "nan-mean", "string-n", "singular-a-entropy",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
             "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "custom-scalar-a",
             "custom-nonsymmetric-a", "oversized-ensemble",
-            "ou2d-kde-run", "ou2d-kde-reverse", "nonfinite-action-run"])
+            "ou2d-kde-run", "ou2d-kde-reverse", "nonfinite-action-run",
+            "cycle-kde-run", "cycle-kde-file-simulate"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):
         path = _write_cfg(tmp_path, cfg)
         out = tmp_path / "o"
@@ -466,6 +472,38 @@ class TestNonFiniteNumbers:
         assert not (tmp_path / "o").exists()
 
 
+class TestStrictJson:
+    """Every JSON document the CLI writes, file or stdout, is strict JSON:
+    a non-finite number is written as null."""
+
+    @staticmethod
+    def _strict(text):
+        def refuse(name):
+            raise AssertionError(f"{name} in JSON output")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_non_finite_numbers_are_null(self, tmp_path, capsys):
+        # paths from 1e154 overflow the backward action and the dissipation
+        # balance: run exits 1 on the failed checks, entropy exits 0
+        path = _write_cfg(tmp_path, {"model": dict(_MODELS["ou"], init_mean=[1e154]),
+                                     "grid": {"T": 1.0, "n_steps": 4}, "n_paths": 20,
+                                     "seed": 3})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        docs = {p.name: self._strict(p.read_text()) for p in (tmp_path / "o").glob("*.json")}
+        assert sorted(docs) == ["entropy_report.json", "manifest.json", "reversed_model.json",
+                                "verify_report.json"]
+        assert docs["entropy_report.json"]["action_bwd"] is None
+        assert docs["verify_report.json"]["checks"]["dissipation"]["bound"] is None
+        capsys.readouterr()
+        # entropy and verify print the report that run wrote, verify after
+        # its PASS/FAIL lines
+        for command, code in (("entropy", 0), ("verify", 1)):
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == code
+            out = capsys.readouterr().out
+            assert self._strict(out[out.index("{"):]) == docs[f"{command}_report.json"]
+
+
 def _cli(tmp_path, *args, timeout=120):
     """pathrev in a fresh process, so a traceback or a warning shows on its
     stderr."""
@@ -538,6 +576,10 @@ class TestCorrelatedNoise:
         assert rep["cross"]["passed"] is passed and rep["passed"] is passed
 
 
+# kde_flow's refusal, the same line for a run's ensemble and a stored one
+_ONE_PATH_KDE = "bandwidth error: an automatic bandwidth needs at least 2 samples, got 1\n"
+
+
 class TestStoredKde:
     """A kde:<file> ensemble must hold exactly what its header describes,
     at least two paths and the config's grid; else reverse exits 2 with one
@@ -574,8 +616,7 @@ class TestStoredKde:
         stored = self._stored(tmp_path, 1)
         proc = self._reverse(tmp_path, stored)
         assert proc.returncode == 2
-        assert proc.stderr == (f"config error: stored ensemble {stored} holds 1 path, "
-                               "too few for a KDE\n")
+        assert proc.stderr == _ONE_PATH_KDE
         assert not (tmp_path / "o").exists()
 
     def test_other_step_count(self, tmp_path):
@@ -593,8 +634,24 @@ class TestStoredKde:
                                      grid={"T": 1.0, "n_steps": 10}))
         proc = _cli(tmp_path, "run", "--config", "cfg.json", "--out", "o")
         assert proc.returncode == 2
-        assert proc.stderr == "config error: density 'kde' needs n_paths >= 2, got 1\n"
+        assert proc.stderr == _ONE_PATH_KDE
         assert not (tmp_path / "o").exists()
+
+    def test_stored_ensemble_of_the_run_reverses_alike(self, tmp_path):
+        # kde:<file> of the run's own seed, size and grid estimates from the
+        # same paths as kde: the artifacts agree byte for byte, but for the
+        # density source that reversed_model.json echoes
+        stored = self._stored(tmp_path, 20)
+        assert self._reverse(tmp_path, stored).returncode == 0
+        path = _write_cfg(tmp_path, _ou_cfg(n_paths=20, grid={"T": 1.0, "n_steps": 10},
+                                            density="kde"), name="run.json")
+        assert main(["reverse", "--config", path, "--out", str(tmp_path / "r")]) == 0
+        for name in ("density_probe.csv", "reversed_probe.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+        stored_model = (tmp_path / "o" / "reversed_model.json").read_text()
+        run_model = (tmp_path / "r" / "reversed_model.json").read_text()
+        assert f'"density": "kde:{stored}",' in stored_model
+        assert stored_model.replace(f'"density": "kde:{stored}",', '"density": "kde",') == run_model
 
 
 class TestGaussianLawCache:
@@ -831,7 +888,7 @@ class TestCsvArtifacts:
                                                n_paths=n_paths))
         out = tmp_path / "sim"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-        e = ctmc_simulate(load_model(model).walk, T, n_paths, 7)
+        e = ctmc_simulate(load_model(model).walk, SimConfig(n_paths, 7, make_grid(T, 200)))
         path_id = np.arange(n_paths).repeat(np.diff(e.offsets))
         want = _repr_csv(["path_id", "t", "from_state", "to_state"],
                          [path_id, e.times, e.src, e.dst])

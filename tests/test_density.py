@@ -526,6 +526,14 @@ class TestKdeFlow:
         mask = d.in_support(1.0, np.array([[0.3], [9.0]]))
         assert mask[0] and not mask[1]
 
+    @pytest.mark.parametrize("rule", ["silverman", "score"])
+    def test_one_path_refused_when_built(self, rule):
+        # the refusal comes from kde_flow itself, before any slice is fitted
+        e = self._ensemble(n_paths=1)
+        with pytest.raises(BandwidthError, match="at least 2 samples, got 1"):
+            kde_flow(e, rule=rule)
+        assert kde_flow(self._ensemble(n_paths=2), rule=rule).dim == 1
+
     def test_mean_score_is_near_zero(self):
         # E_mu[grad log mu] = 0 for smooth densities
         e = self._ensemble(n_paths=20000, seed=404)

@@ -114,7 +114,7 @@ class TestCtmcSimulate:
         from scipy.stats import kstest
 
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        e = ctmc_simulate(spec, T=7.0, n_paths=10000, seed=909)
+        e = ctmc_simulate(spec, SimConfig(10000, 909, make_grid(7.0, 1)))
         firsts = np.array([ev[0][0] for ev in e.events if ev])
         assert len(firsts) == 10000  # rate 3 on [0,7]: every path jumps
         res = kstest(firsts, "expon", args=(0.0, 1.0 / 3.0))
@@ -126,22 +126,22 @@ class TestCtmcSimulate:
         base = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
         spec = graph_walk(base.adjacency, base.intensity_matrix,
                           np.array([1.0, 0.0, 0.0, 0.0]))
-        e = ctmc_simulate(spec, T=1.0, n_paths=20000, seed=111)
+        e = ctmc_simulate(spec, SimConfig(20000, 111, make_grid(1.0, 1)))
         emp = _occupation(e, 1.0)
         exact = spec.p0 @ expm(spec.generator() * 1.0)
         assert np.abs(emp - exact).sum() <= 0.02
 
     def test_uniform_start_stays_uniform(self):
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        e = ctmc_simulate(spec, T=1.0, n_paths=20000, seed=112)
+        e = ctmc_simulate(spec, SimConfig(20000, 112, make_grid(1.0, 1)))
         emp = _occupation(e, 0.7)
         se = math.sqrt(0.25 * 0.75 / 20000)
         assert np.abs(emp - 0.25).max() <= 3 * se
 
     def test_determinism(self):
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        a = ctmc_simulate(spec, T=1.0, n_paths=30, seed=5)
-        b = ctmc_simulate(spec, T=1.0, n_paths=30, seed=5)
+        a = ctmc_simulate(spec, SimConfig(30, 5, make_grid(1.0, 1)))
+        b = ctmc_simulate(spec, SimConfig(30, 5, make_grid(1.0, 1)))
         assert a.events == b.events
         assert np.array_equal(a.initial_states, b.initial_states)
 
@@ -149,22 +149,16 @@ class TestCtmcSimulate:
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
         rev = reversed_jump_intensities(spec, walk_marginal_fn(spec), 1.0)
         with pytest.raises(ParameterError, match="walk simulation needs constant intensities"):
-            ctmc_simulate(rev.as_walk_spec(rate_bound=13.0), T=1.0, n_paths=10, seed=0)
-
-    def test_parameter_errors(self):
-        spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
-        with pytest.raises(ParameterError):
-            ctmc_simulate(spec, T=0.0, n_paths=10, seed=0)
-        with pytest.raises(ParameterError):
-            ctmc_simulate(spec, T=1.0, n_paths=0, seed=0)
+            ctmc_simulate(rev.as_walk_spec(rate_bound=13.0),
+                          SimConfig(10, 0, make_grid(1.0, 1)))
 
     def test_refuses_more_lockstep_steps_than_its_bound(self, monkeypatch):
         # max_x lam_x T, here 3 T, is about the number of lockstep steps
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
         monkeypatch.setattr(simulate, "_MAX_RATE_T", 6.0)
-        assert ctmc_simulate(spec, T=2.0, n_paths=5, seed=3).offsets[-1] > 0
+        assert ctmc_simulate(spec, SimConfig(5, 3, make_grid(2.0, 1))).offsets[-1] > 0
         with pytest.raises(ParameterError, match="lockstep steps"):
-            ctmc_simulate(spec, T=2.5, n_paths=5, seed=3)
+            ctmc_simulate(spec, SimConfig(5, 3, make_grid(2.5, 1)))
 
 
 def _reference_euler(spec, cfg):
@@ -240,7 +234,7 @@ class TestCtmcMatchesReference:
 
     @staticmethod
     def _check(spec, T, seed):
-        e = ctmc_simulate(spec, T=T, n_paths=500, seed=seed)
+        e = ctmc_simulate(spec, SimConfig(500, seed, make_grid(T, 1)))
         initial, events = _reference_ctmc(spec, T, 500, seed)
         assert e.initial_states.tolist() == initial
         assert e.events == events
@@ -255,8 +249,8 @@ class TestCtmcMatchesReference:
     def test_one_way_cycle(self):
         # zero-rate edges: the target search must never land on one
         self._check(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=0.0), 1.0, 9)
-        e = ctmc_simulate(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=0.0), T=1.0,
-                          n_paths=500, seed=9)
+        e = ctmc_simulate(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=0.0),
+                          SimConfig(500, 9, make_grid(1.0, 1)))
         assert ((e.dst - e.src) % 4 == 1).all()
 
 
@@ -267,8 +261,8 @@ class TestCtmcLockstep:
     def test_a_path_does_not_depend_on_the_others(self, spec):
         # the live paths of a lockstep step share one Philox evaluation; a
         # path's jumps are the same with 40 paths as with 300
-        a = ctmc_simulate(spec, T=2.0, n_paths=300, seed=3)
-        b = ctmc_simulate(spec, T=2.0, n_paths=40, seed=3)
+        a = ctmc_simulate(spec, SimConfig(300, 3, make_grid(2.0, 1)))
+        b = ctmc_simulate(spec, SimConfig(40, 3, make_grid(2.0, 1)))
         n = b.offsets[-1]
         assert np.diff(a.offsets).max() > 3
         assert np.array_equal(a.initial_states[:40], b.initial_states)
@@ -282,13 +276,14 @@ class TestCtmcLockstep:
         # drops; the division warns nothing outside the CLI's errstate too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            e = ctmc_simulate(_skewed_walk_with_absorbing_state(), T=2.0, n_paths=500, seed=8)
+            e = ctmc_simulate(_skewed_walk_with_absorbing_state(),
+                              SimConfig(500, 8, make_grid(2.0, 1)))
         assert e.offsets[-1] > 0
 
     def test_no_jumps_at_all(self):
         # no path jumps before T: the columns are empty, with their dtypes
-        e = ctmc_simulate(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0), T=1e-9,
-                          n_paths=5, seed=3)
+        e = ctmc_simulate(biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0),
+                          SimConfig(5, 3, make_grid(1e-9, 1)))
         assert e.offsets.tolist() == [0] * 6
         assert e.times.dtype == np.float64 and e.times.size == 0
         assert e.src.dtype == e.dst.dtype == np.int64 and e.src.size == e.dst.size == 0
@@ -297,7 +292,7 @@ class TestCtmcLockstep:
         # about 80 jumps per path, two uniforms each: a path reads some 40
         # Philox blocks, every one computed for the live paths at once
         spec = biased_cycle_walk(4, rate_cw=30.0, rate_ccw=10.0)
-        e = ctmc_simulate(spec, T=2.0, n_paths=60, seed=21)
+        e = ctmc_simulate(spec, SimConfig(60, 21, make_grid(2.0, 1)))
         initial, events = _reference_ctmc(spec, 2.0, 60, 21)
         assert np.diff(e.offsets).max() > 90
         assert e.initial_states.tolist() == initial
