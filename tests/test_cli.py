@@ -650,8 +650,9 @@ class TestStoredKde:
             assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
         stored_model = (tmp_path / "o" / "reversed_model.json").read_text()
         run_model = (tmp_path / "r" / "reversed_model.json").read_text()
-        assert f'"density": "kde:{stored}",' in stored_model
-        assert stored_model.replace(f'"density": "kde:{stored}",', '"density": "kde",') == run_model
+        source = f'"density": "kde:{stored}",'
+        assert source in stored_model
+        assert stored_model.replace(source, '"density": "kde",') == run_model
 
 
 class TestGaussianLawCache:
