@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -217,6 +217,13 @@ def _sq_distances(X: np.ndarray, YT: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
+def _clamp_time(t: float, T: float) -> float:
+    """t clamped to [0, T], for a time in [0, T] up to roundoff."""
+    if not (-1e-12 <= t <= T * (1 + 1e-12) + 1e-12):
+        raise ParameterError(f"time {t} outside [0, {T}]")
+    return min(max(t, 0.0), T)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     out.flags.writeable = False
@@ -264,9 +271,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Nearest grid node to t.  t must lie within [0, T] up to roundoff."""
-        if not np.isfinite(t) or t < -1e-12 or t > self.T * (1 + 1e-12) + 1e-12:
-            raise ParameterError(f"time {t} outside [0, {self.T}]")
-        return int(round(min(max(t, 0.0), self.T) / self.dt))
+        return int(round(_clamp_time(t, self.T) / self.dt))
 
 
 def make_grid(T: float, n_steps: int) -> TimeGrid:
@@ -326,12 +331,14 @@ class JumpPathEnsemble:
     columns.
 
     The jumps of path i are rows offsets[i]:offsets[i+1] of the columns
-    times, src and dst, in time order.  States are integers in
-    0..n_states-1.  Paths are cadlag: the state at t is the target of the
-    last jump at or before t.  The construction refuses offsets that do not
-    run from 0 to the number of jumps without decreasing, states out of
-    range, a jump that does not leave the state its path is in, and times
-    outside [0, T] or decreasing within a path.
+    times and dst, in time order.  States are integers in 0..n_states-1.
+    Paths are cadlag: the state at t is the target of the last jump at or
+    before t.  The column src of each jump's source state is not taken but
+    derived: a jump leaves its path's initial state or the last jump's
+    target, so a path's chain of states cannot break.  The construction
+    refuses offsets that do not run from 0 to the number of jumps without
+    decreasing, states out of range, and times outside [0, T] or decreasing
+    within a path.
     """
 
     n_states: int
@@ -339,35 +346,34 @@ class JumpPathEnsemble:
     initial_states: np.ndarray
     offsets: np.ndarray
     times: np.ndarray
-    src: np.ndarray
     dst: np.ndarray
     seed: int
+    src: np.ndarray = field(init=False)
 
     def __post_init__(self):
         T = float(self.T)
-        init, offsets, src, dst = (_frozen_ints(getattr(self, name), name) for name in
-                                   ("initial_states", "offsets", "src", "dst"))
+        init, offsets, dst = (_frozen_ints(getattr(self, name), name) for name in
+                              ("initial_states", "offsets", "dst"))
         times = _freeze(self.times)
         if init.size < 1:
             raise ParameterError("initial_states must be non-empty")
         if offsets.size != init.size + 1:
             raise ParameterError("offsets and initial_states disagree on n_paths")
-        if times.ndim != 1 or not times.size == src.size == dst.size:
-            raise ParameterError("times, src and dst must be 1-d columns of one length")
+        if times.ndim != 1 or times.size != dst.size:
+            raise ParameterError("times and dst must be 1-d columns of one length")
         if offsets[0] != 0 or offsets[-1] != times.size or (np.diff(offsets) < 0).any():
             raise ParameterError("offsets must run from 0 to the number of jumps "
                                  "without decreasing")
-        for name, states in (("initial", init), ("source", src), ("target", dst)):
+        for name, states in (("initial", init), ("target", dst)):
             if states.size and (states.min() < 0 or states.max() >= self.n_states):
                 raise ParameterError(f"{name} state outside 0..n_states-1")
         # each jump leaves its path's initial state or the last jump's target
         jumped = offsets[:-1] < offsets[1:]
         first = offsets[:-1][jumped]
-        prev = np.empty_like(src)
-        prev[1:] = dst[:-1]
-        prev[first] = init[jumped]
-        if (src != prev).any():
-            raise ParameterError("a jump leaves a state its path is not in")
+        src = np.empty_like(dst)
+        src[1:] = dst[:-1]
+        src[first] = init[jumped]
+        src.flags.writeable = False
         if not ((times >= 0.0) & (times <= T)).all():
             raise ParameterError(f"jump time outside [0, {T}]")
         back = np.diff(times) < 0.0

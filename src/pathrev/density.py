@@ -29,9 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .core import BandwidthError, ParameterError, PathEnsemble, _freeze, _sq_distances
-from .models import Gaussian, GaussianFlow
+from .models import _LOG_2PI, Gaussian, GaussianFlow
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
 _BLOCKS = 4  # blocks of the sorted 1-d samples, each centred at its midpoint
 _FLOOR_REL = 1e-3  # a KDE score is trusted where pdf >= _FLOOR_REL * max_pdf
@@ -135,7 +134,7 @@ class KdeModel:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def logpdf_score(self, X: np.ndarray, _score: bool = True):
+    def logpdf_score(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(logpdf, score) at X from one kernel pass per chunk of _CHUNK rows.
 
         With c = 1 / (h sqrt 2), Q = |x c - s c|^2 and q its row minimum, one
@@ -146,12 +145,11 @@ class KdeModel:
         the weighted mean is taken about their midpoint; at dim >= 2 q - Q
         comes from the squared differences (_direct_exponents).  A row without
         a finite Q stays unshifted: logpdf -inf (or nan) and a nan score.
-        _score=False returns None in place of the score.
         """
         X = np.asarray(X, dtype=np.float64)
         m = X.shape[0]
         lp = np.empty(m)
-        sc = np.empty_like(X) if _score else None
+        sc = np.empty_like(X)
         shift = self._log_norm + math.log(self.n_samples)
         h2 = self.bandwidth ** 2
         # one kernel matrix per call, reused by every chunk; two rows at
@@ -167,8 +165,7 @@ class KdeModel:
                 np.exp(E, out=E)
                 total = E.sum(axis=1)
                 lp[rows] = np.log(total) - q - shift
-                if _score:
-                    sc[rows] = ((E @ S) / total[:, None] - (X[rows] - centre)) / h2
+                sc[rows] = ((E @ S) / total[:, None] - (X[rows] - centre)) / h2
         return lp, sc
 
     def _direct_exponents(self, X: np.ndarray):
@@ -239,7 +236,7 @@ class KdeModel:
         return S - centre, centre, fill
 
     def logpdf(self, X: np.ndarray) -> np.ndarray:
-        return self.logpdf_score(X, _score=False)[0]
+        return self.logpdf_score(X)[0]
 
     def pdf(self, X: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(X))

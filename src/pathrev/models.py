@@ -263,10 +263,6 @@ class GraphWalkSpec:
             _check_intensity(J, A)
             object.__setattr__(self, "intensity_matrix", _freeze(J))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.intensity_matrix is not None
-
     def intensity(self, t: float) -> np.ndarray:
         if self.intensity_matrix is not None:
             return self.intensity_matrix
@@ -274,12 +270,17 @@ class GraphWalkSpec:
         _check_intensity(J, self.adjacency)
         return J
 
+    def exit_rates(self) -> np.ndarray:
+        """Total out-rate of each state.  Simulation and the marginals read
+        the rates from here, so this is the one refusal of time-dependent
+        intensities."""
+        if self.intensity_matrix is None:
+            raise ParameterError("walk needs constant intensities")
+        return self.intensity_matrix.sum(axis=1)
+
     def generator(self) -> np.ndarray:
         """Rate matrix Q with zero row sums, of constant intensities."""
-        J = np.array(self.intensity_matrix)
-        np.fill_diagonal(J, 0.0)
-        Q = J - np.diag(J.sum(axis=1))
-        return Q
+        return self.intensity_matrix - np.diag(self.exit_rates())
 
 
 def _connected(A: np.ndarray) -> bool:
@@ -341,8 +342,6 @@ def walk_marginal_fn(spec: GraphWalkSpec) -> Callable[[float], np.ndarray]:
     intensities, uncached (a reversal queries any time).  A negative time is
     refused from every start.  An initial law with p0 Q = 0 exactly
     short-circuits the exponential: p_t = p0 without roundoff."""
-    if not spec.is_constant:
-        raise ParameterError("walk marginals need constant intensities")
     Q = spec.generator()
     stationary = np.array_equal(spec.p0 @ Q, np.zeros(spec.n_states))
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (ConsistencyError, MatrixField, ParameterError, VectorField,
-                   _matvec_rows)
+                   _clamp_time, _matvec_rows)
 from .density import DensityFlow
 from .models import Gaussian, GraphWalkSpec, KolmogorovSpec
 
@@ -99,14 +99,7 @@ class BackwardDriftField:
         if not (T > 0):
             raise ParameterError(f"horizon must be positive, got {T}")
         T = float(T)
-        return VectorField(lambda s, X: self(_original_time(s, T), X), self.dim)
-
-
-def _original_time(s: float, T: float) -> float:
-    """T - s clamped to [0, T], for a reversed time s in [0, T] up to roundoff."""
-    if not (-1e-12 <= s <= T * (1 + 1e-12)):
-        raise ParameterError(f"reversed time {s} outside [0, {T}]")
-    return min(max(T - s, 0.0), T)
+        return VectorField(lambda s, X: self(T - _clamp_time(s, T), X), self.dim)
 
 
 def reversed_drift(b: VectorField, a: MatrixField, div_a: VectorField,
@@ -243,7 +236,7 @@ def reversed_jump_intensities(spec: GraphWalkSpec | ReversedWalk,
     A = spec.adjacency
 
     def at_reversed(s: float) -> np.ndarray:
-        t = _original_time(s, T)
+        t = T - _clamp_time(s, T)
         p = np.asarray(marginals(t), dtype=np.float64)
         J = spec.intensity(t)
         flow = p[:, None] * J  # flow[x, y] = p(x) j(x, y)

@@ -91,7 +91,7 @@ def _lockstep(seed: int, n_paths: int, cum_p0: np.ndarray, cum: np.ndarray,
     """Every path moved by one jump per numpy step, from uniforms computed
     for the live paths only, one Philox block at a time.
 
-    Returns the initial states and the (path ids, times, src, dst) of each
+    Returns the initial states and the (path ids, times, targets) of each
     step's jumps.
     """
     rows = np.arange(n_paths)
@@ -116,7 +116,7 @@ def _lockstep(seed: int, n_paths: int, cum_p0: np.ndarray, cum: np.ndarray,
             U = philox_uniforms(seed, rows, (p + 1) // 4 + 1)
         # bisect_right on the inf-terminated cumulative row
         y = (cum[x] <= (U[:, (p + 1) % 4] * lam)[:, None]).sum(axis=1)
-        steps.append((rows, t, x, y))
+        steps.append((rows, t, y))
         x = y
     return initial, steps
 
@@ -133,10 +133,8 @@ def ctmc_simulate(spec: GraphWalkSpec, cfg: SimConfig) -> JumpPathEnsemble:
     many blocks as its jumps reach, and no path depends on the others.  A
     walk with max_x lam_x T above _MAX_RATE_T is refused before it starts.
     """
-    if not spec.is_constant:
-        raise ParameterError("walk simulation needs constant intensities")
     T, n_paths, seed = cfg.grid.T, cfg.n_paths, cfg.seed
-    rates = spec.intensity_matrix.sum(axis=1)
+    rates = spec.exit_rates()
     lam_T = rates.max() * T
     if lam_T > _MAX_RATE_T:
         raise ParameterError(f"max exit rate x horizon is {lam_T:g}, above {_MAX_RATE_T:g}: "
@@ -155,10 +153,9 @@ def ctmc_simulate(spec: GraphWalkSpec, cfg: SimConfig) -> JumpPathEnsemble:
         counts[pids] += 1  # a path jumps at most once per step
     offsets = np.concatenate([[0], np.cumsum(counts)])
     times = np.empty(offsets[-1])
-    src = np.empty(offsets[-1], dtype=np.int64)
     dst = np.empty(offsets[-1], dtype=np.int64)
-    for j, (pids, t, x, y) in enumerate(steps):
+    for j, (pids, t, y) in enumerate(steps):
         # jump j of path i goes to offsets[i] + j
         pos = offsets[pids] + j
-        times[pos], src[pos], dst[pos] = t, x, y
-    return JumpPathEnsemble(spec.n_states, T, initial, offsets, times, src, dst, seed)
+        times[pos], dst[pos] = t, y
+    return JumpPathEnsemble(spec.n_states, T, initial, offsets, times, dst, seed)

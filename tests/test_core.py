@@ -292,7 +292,7 @@ class TestSerialization:
 def _jumps(**over):
     """Two paths on 3 states over [0, 1]: 0 -> 1 -> 2, and 2 without a jump."""
     cols = {"n_states": 3, "T": 1.0, "initial_states": [0, 2], "offsets": [0, 2, 2],
-            "times": [0.3, 0.7], "src": [0, 1], "dst": [1, 2], "seed": 9}
+            "times": [0.3, 0.7], "dst": [1, 2], "seed": 9}
     cols.update(over)
     return JumpPathEnsemble(**cols)
 
@@ -322,19 +322,22 @@ class TestJumpPathEnsemble:
             _jumps(offsets=offsets)
 
     @pytest.mark.parametrize("column, states, which", [
-        ("src", [0, 3], "source"), ("dst", [-1, 2], "target")])
+        ("initial_states", [0, 3], "initial"), ("dst", [-1, 2], "target")])
     def test_state_out_of_range(self, column, states, which):
         with pytest.raises(ParameterError, match=f"{which} state outside"):
             _jumps(**{column: states})
 
-    @pytest.mark.parametrize("over", [
-        {"src": [1, 1]},                      # first jump not from the initial state
-        {"src": [0, 2]},                      # second jump not from the first's target
-        {"initial_states": [1, 2]},
-    ], ids=["first", "second", "initial"])
-    def test_chain_break(self, over):
-        with pytest.raises(ParameterError, match="leaves a state its path is not in"):
-            _jumps(**over)
+    def test_sources_follow_the_chain(self):
+        # src is derived: a path's first jump leaves its initial state, each
+        # later one the last jump's target; path 1 has no jump
+        e = _jumps(n_states=4, initial_states=[3, 1, 0, 2], offsets=[0, 3, 3, 4, 6],
+                   times=[0.1, 0.2, 0.9, 0.5, 0.3, 0.4], dst=[0, 2, 1, 3, 1, 0])
+        assert e.src.tolist() == [3, 0, 2, 0, 2, 1]
+        assert e.src.dtype == np.int64 and not e.src.flags.writeable
+        assert e.events == (((0.1, 3, 0), (0.2, 0, 2), (0.9, 2, 1)), (), ((0.5, 0, 3),),
+                            ((0.3, 2, 1), (0.4, 1, 0)))
+        with pytest.raises(TypeError):
+            _jumps(src=[0, 1])
 
     @pytest.mark.parametrize("times", [[-0.1, 0.7], [0.3, 1.5], [0.3, float("nan")]])
     def test_time_outside_horizon(self, times):
@@ -348,7 +351,7 @@ class TestJumpPathEnsemble:
     def test_time_may_fall_between_paths(self):
         # path 0 ends at 0.5 and path 1 jumps at 0.2; ties within a path pass
         e = _jumps(initial_states=[0, 2], offsets=[0, 2, 3], times=[0.5, 0.5, 0.2],
-                   src=[0, 1, 2], dst=[1, 2, 0])
+                   dst=[1, 2, 0])
         assert e.events == (((0.5, 0, 1), (0.5, 1, 2)), ((0.2, 2, 0),))
 
 

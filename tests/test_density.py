@@ -443,11 +443,6 @@ class TestFusedKernelPass:
         assert np.array_equal(lp, lp5[2:3])
         assert np.allclose(sc, sc5[2:3], rtol=1e-13, atol=0.0)
 
-    def test_logpdf_only_skips_score(self):
-        model = kde_fit(path_rng(23, 0).standard_normal((50, 1)))
-        lp, sc = model.logpdf_score(np.zeros((3, 1)), _score=False)
-        assert sc is None and lp.shape == (3,)
-
     def test_flow_takes_all_three_from_one_pass(self):
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(300, 5, make_grid(1.0, 10)))

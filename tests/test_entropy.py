@@ -172,23 +172,24 @@ class TestCurrentOsmosisDecomposition:
 
     def test_kde_backward_drift_one_fused_pass_per_node(self, monkeypatch):
         # a KDE drift query is one fused logpdf_score pass that yields the
-        # score and the trust mask together
+        # score and the trust mask together; besides it, each slice makes one
+        # one-row pass for its pdf at the sample mean (a bound of the trust
+        # mask), and the two boundary entropies one pdf pass each
         ref, _ = ou_reference()
         spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
         e = euler_maruyama(spec, SimConfig(50, 3, make_grid(1.0, 16)))
         calls = self._count_drift_queries(monkeypatch)
-        score_passes = []
+        passes = []
         fused = KdeModel.logpdf_score
 
-        def counted(self, X, _score=True):
-            if _score:
-                score_passes.append(X.shape[0])
-            return fused(self, X, _score)
+        def counted(self, X):
+            passes.append(X.shape[0])
+            return fused(self, X)
 
         monkeypatch.setattr(KdeModel, "logpdf_score", counted)
         current_osmosis_decomposition(ref.drift, kde_flow(e), ref, e)
         assert calls == list(e.grid.nodes)
-        assert score_passes == [e.n_paths] * len(calls)
+        assert passes == [e.n_paths, 1] * len(calls) + [e.n_paths] * 2
 
     def test_dimension_mismatch(self):
         ref, _ = ou_reference()

@@ -367,7 +367,9 @@ class TestGraphWalkSpec:
             graph_walk(A, fn, np.array([0.5, 0.5]))
         spec = graph_walk(A, fn, np.array([0.5, 0.5]), rate_bound=3.0)
         assert spec.intensity(1.0)[0, 1] == 2.0
-        assert not spec.is_constant
+        for rule in (spec.exit_rates, spec.generator):
+            with pytest.raises(ParameterError, match="walk needs constant intensities"):
+                rule()
 
     def test_biased_cycle_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -412,7 +414,7 @@ class TestWalkMarginals:
     def test_refuses_callable_intensities(self):
         spec = _c4()
         rev = reversed_jump_intensities(spec, walk_marginal_fn(spec), 1.0)
-        with pytest.raises(ParameterError, match="walk marginals need constant intensities"):
+        with pytest.raises(ParameterError, match="walk needs constant intensities"):
             walk_marginal_fn(rev.as_walk_spec(rate_bound=13.0))
 
     def test_keeps_nothing_per_time(self):

@@ -148,7 +148,7 @@ class TestCtmcSimulate:
     def test_refuses_callable_intensities(self):
         spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
         rev = reversed_jump_intensities(spec, walk_marginal_fn(spec), 1.0)
-        with pytest.raises(ParameterError, match="walk simulation needs constant intensities"):
+        with pytest.raises(ParameterError, match="walk needs constant intensities"):
             ctmc_simulate(rev.as_walk_spec(rate_bound=13.0),
                           SimConfig(10, 0, make_grid(1.0, 1)))
 
