@@ -21,6 +21,7 @@ import numpy as np
 _U64 = (1 << 64) - 1
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 _ZERO4.flags.writeable = False
+_MAX_INTP = np.iinfo(np.intp).max
 
 _MAGIC = b"PENS1\x00"
 # version, dim, n_paths, n_steps, T, seed and the byte length of the UTF-8
@@ -217,6 +218,22 @@ def _sq_distances(X: np.ndarray, YT: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
+def _check_size(shape: tuple[int, ...]) -> None:
+    """MemoryError, as for an allocation too large to make, for a float64
+    array of a shape whose byte size numpy cannot represent: numpy raises a
+    ValueError for such a shape."""
+    if math.prod(shape) * 8 > _MAX_INTP:
+        raise MemoryError(f"an array of shape {shape} is beyond numpy's maximum size")
+
+
+def _batch(X, dim: int) -> np.ndarray:
+    """X as an (n, dim) batch of query points; any other shape is refused."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ParameterError(f"expected points of dimension {dim}, got shape {X.shape}")
+    return X
+
+
 def _clamp_time(t: float, T: float) -> float:
     """t clamped to [0, T], for a time in [0, T] up to roundoff."""
     if not (-1e-12 <= t <= T * (1 + 1e-12) + 1e-12):
@@ -261,6 +278,7 @@ class TimeGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
+        _check_size((self.n_steps + 1,))
         t = np.arange(self.n_steps + 1, dtype=np.float64) * self.dt
         t[-1] = self.T  # last node is T itself, not an accumulated sum
         t.flags.writeable = False
@@ -421,9 +439,7 @@ class VectorField:
         self.linear = linear
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ParameterError(f"expected points of dimension {self.dim}, got shape {X.shape}")
+        X = _batch(X, self.dim)
         out = np.asarray(self._fn(t, X), dtype=np.float64)
         if out.shape != X.shape:
             raise NumericError(f"field returned shape {out.shape}, expected {X.shape}")

@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BandwidthError, ParameterError, PathEnsemble, _freeze, _sq_distances
+from .core import (BandwidthError, ParameterError, PathEnsemble, _batch, _freeze,
+                   _sq_distances)
 from .models import _LOG_2PI, Gaussian, GaussianFlow
 
 _CHUNK = 256  # query rows per kernel-matrix block, bounds transient memory
@@ -146,7 +147,7 @@ class KdeModel:
         comes from the squared differences (_direct_exponents).  A row without
         a finite Q stays unshifted: logpdf -inf (or nan) and a nan score.
         """
-        X = np.asarray(X, dtype=np.float64)
+        X = _batch(X, self.samples.shape[1])
         m = X.shape[0]
         lp = np.empty(m)
         sc = np.empty_like(X)

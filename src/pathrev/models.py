@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (ConfigError, ConsistencyError, MatrixField, NumericError,
-                   ParameterError, VectorField, _freeze, _matvec_rows, _quad_rows,
+                   ParameterError, VectorField, _batch, _freeze, _matvec_rows, _quad_rows,
                    _symmetric, expm, psd_sqrt)
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -69,6 +69,7 @@ class Gaussian:
         return float(val)
 
     def logpdf(self, X: np.ndarray) -> np.ndarray:
+        X = _batch(X, self.dim)
         return -0.5 * (_quad_rows(self._inv, X - self.mean) + self.dim * _LOG_2PI + self._logdet)
 
     def pdf(self, X: np.ndarray) -> np.ndarray:
@@ -76,7 +77,7 @@ class Gaussian:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         """Gradient of log density: -cov^{-1} (x - mean), row-wise."""
-        return _matvec_rows(self._inv, -(X - self.mean))
+        return _matvec_rows(self._inv, -(_batch(X, self.dim) - self.mean))
 
     def logpdf_score(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.logpdf(X), self.score(X)

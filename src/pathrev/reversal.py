@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (ConsistencyError, MatrixField, ParameterError, VectorField,
-                   _clamp_time, _matvec_rows)
+                   _batch, _clamp_time, _matvec_rows)
 from .density import DensityFlow
 from .models import Gaussian, GraphWalkSpec, KolmogorovSpec
 
@@ -71,9 +71,7 @@ class BackwardDriftField:
         return -M - P, -cb + P @ law.mean
 
     def __call__(self, t: float, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ParameterError(f"expected points of dimension {self.dim}, got shape {X.shape}")
+        X = _batch(X, self.dim)
         table = self.affine(t)
         if table is None:
             # the pdf is dropped at once: held to the end of the call, it

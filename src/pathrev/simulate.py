@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (JumpPathEnsemble, ParameterError, PathEnsemble, SimulationError,
-                   TimeGrid, _matvec_rows, path_streams, philox_uniforms)
+                   TimeGrid, _check_size, _matvec_rows, path_streams, philox_uniforms)
 # unused here; perfbench/tracer.py patches path_rng by name in this module
 from .core import path_rng  # noqa: F401
 from .models import DiffusionSpec, GraphWalkSpec
@@ -63,6 +63,7 @@ def euler_maruyama(spec: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
     """
     grid = cfg.grid
     n, d = grid.n_steps, spec.dim
+    _check_size((cfg.n_paths, n + 1, d))
     nodes = grid.nodes
     dt = grid.dt
     sq = math.sqrt(dt)
@@ -94,6 +95,7 @@ def _lockstep(seed: int, n_paths: int, cum_p0: np.ndarray, cum: np.ndarray,
     Returns the initial states and the (path ids, times, targets) of each
     step's jumps.
     """
+    _check_size((n_paths,))
     rows = np.arange(n_paths)
     U = philox_uniforms(seed, rows, 1)
     x = initial = np.searchsorted(cum_p0, U[:, 0], side="right")

@@ -242,6 +242,13 @@ class TestErrorContract:
         # n_paths x (n_steps + 1) doubles is 7.11 PiB: numpy refuses before allocating
         ("simulate", _ou_cfg(n_paths=10 ** 9, grid={"T": 1.0, "n_steps": 10 ** 6}),
          "memory error: .*7.11 PiB"),
+        # sizes whose byte count numpy cannot even describe
+        ("simulate", _ou_cfg(n_paths=10 ** 18),
+         re.escape("memory error: an array of shape (1000000000000000000, 101, 1) is beyond")),
+        ("simulate", _ou_cfg(n_paths=10 ** 19), "memory error: an array of shape "),
+        ("simulate", _cycle_cfg(n_paths=10 ** 19), "memory error: an array of shape "),
+        ("simulate", _ou_cfg(grid={"T": 1.0, "n_steps": 10 ** 19}),
+         "memory error: an array of shape "),
         # the KDE probe table is one-dimensional: refused before simulating
         ("run", _ou_cfg(model=_OU_2D, density="kde", n_paths=200),
          "config error: kde probe table requires a one-dimensional model"),
@@ -260,7 +267,8 @@ class TestErrorContract:
     ], ids=["negative-cov", "nan-mean", "string-n", "singular-a-entropy",
             "ou-bool-dim", "ou-string-mean", "ou-bool-cov",
             "bm-bool-dim", "bm-string-mean", "bm-bool-cov", "custom-scalar-a",
-            "custom-nonsymmetric-a", "oversized-ensemble",
+            "custom-nonsymmetric-a", "oversized-ensemble", "ou-1e18-paths", "ou-1e19-paths",
+            "cycle-1e19-paths", "ou-1e19-steps",
             "ou2d-kde-run", "ou2d-kde-reverse", "nonfinite-action-run",
             "cycle-kde-run", "cycle-kde-file-simulate"])
     def test_exit_2(self, tmp_path, capsys, command, cfg, pattern):

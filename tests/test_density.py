@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,28 @@ class TestExactFlowDensity:
             assert np.array_equal(sc, d.score(t, X))
             assert np.array_equal(ok, d.in_support(t, X))
             assert 0 < ok.sum() < len(X)
+
+
+class TestQueryBatches:
+    """Every slice law takes (n, dim) batches and refuses any other shape,
+    where numpy would broadcast it, read one column of it or fail on it."""
+
+    @staticmethod
+    def _flow(kind):
+        if kind == "exact-2d":
+            return exact_flow_density(ou_marginal_flow([0.0, 0.0], np.eye(2)))
+        spec = ou_diffusion(Gaussian(np.array([1.0]), np.eye(1) * 0.5))
+        return kde_flow(euler_maruyama(spec, SimConfig(50, 3, make_grid(1.0, 4))))
+
+    @pytest.mark.parametrize("query", ["pdf", "score", "in_support", "pdf_score_in_support"])
+    @pytest.mark.parametrize("kind, shape", [
+        ("exact-2d", (3, 1)), ("kde-1d", (3, 2)), ("exact-2d", (2,)), ("kde-1d", (1,))],
+        ids=["exact-narrow", "kde-wide", "exact-bare", "kde-bare"])
+    def test_refuses_misshapen_batches(self, kind, shape, query):
+        d = self._flow(kind)
+        line = f"expected points of dimension {d.dim}, got shape {shape}"
+        with pytest.raises(ParameterError, match=re.escape(line)):
+            getattr(d, query)(0.5, np.zeros(shape))
 
 
 class TestKdeModel:

@@ -177,6 +177,13 @@ def cases(configs: Path) -> list[Case]:
         # a horizon so short that no path jumps: events.csv is its header alone
         ("cycle-nojump-simulate", "simulate",
          {**cycle, "grid": {"T": 1e-6, "n_steps": 1}, "n_paths": 10}, []),
+        # sizes whose byte count numpy cannot describe: exit 2, one
+        # "memory error:" line, no directory, before anything is allocated
+        ("ou-1e18-paths-simulate", "simulate", {**ou, "n_paths": 10 ** 18}, []),
+        ("ou-1e19-paths-simulate", "simulate", {**ou, "n_paths": 10 ** 19}, []),
+        ("cycle-1e19-paths-simulate", "simulate", {**cycle, "n_paths": 10 ** 19}, []),
+        ("ou-1e19-steps-simulate", "simulate",
+         {**ou, "grid": {**ou["grid"], "n_steps": 10 ** 19}}, []),
     ]]
 
 
