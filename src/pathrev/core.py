@@ -118,6 +118,9 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# keys per slice of philox_uniforms: a slice's dozen uint64 temporaries stay
+# in cache, and a block takes little more memory than its output
+_PHILOX_KEYS = 8192
 
 
 def _mulhi(m: int, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,14 +153,23 @@ def philox_uniforms(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
     Philox is counter-based: numpy's generator computes its block c, four
     64-bit words, from the counter (c, 0, 0, 0) and the key alone, and
     random() turns word x into the double (x >> 11) 2^-53.  So a block is
-    computed here for many keys at once, without a generator per path.
-    Keys are masked as in _philox_state.  uint64 arrays wrap silently and
-    the seed word's schedule is computed on Python ints, so nothing warns.
+    computed here for many keys at once, without a generator per path, in
+    slices of _PHILOX_KEYS keys written into one output.  Keys are masked
+    as in _philox_state.  uint64 arrays wrap silently and the seed word's
+    schedule is computed on Python ints, so nothing warns.
     """
     if indices.dtype.kind not in "iu":
         # a list of ints past 2^63 converts to float64 and loses its low bits
         raise ParameterError(f"path indices must be an integer array, got {indices.dtype}")
     k0 = int(seed) & _U64
+    out = np.empty((len(indices), 4))
+    for a in range(0, len(indices), _PHILOX_KEYS):
+        _philox_slice(k0, indices[a:a + _PHILOX_KEYS], block, out[a:a + _PHILOX_KEYS])
+    return out
+
+
+def _philox_slice(k0: int, indices: np.ndarray, block: int, out: np.ndarray) -> None:
+    """philox_uniforms of the key words (k0, indices) into out."""
     k1 = indices.astype(np.uint64)
     c0 = np.full(k1.shape, int(block) & _U64, dtype=np.uint64)
     c1, c2, c3 = np.zeros_like(c0), np.zeros_like(c0), np.zeros_like(c0)
@@ -174,11 +186,10 @@ def philox_uniforms(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
         c0 *= m0
         c2 *= m1
         c0, c1, c2, c3 = hi1, c2, hi0, c0
-    words = np.stack((c0, c1, c2, c3), axis=1)
-    words >>= np.uint64(11)
-    out = words.astype(np.float64)
+    for j, word in enumerate((c0, c1, c2, c3)):
+        word >>= np.uint64(11)
+        out[:, j] = word  # exact: below 2^53
     out *= 2.0 ** -53
-    return out
 
 
 def _matvec_rows(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -319,7 +330,8 @@ class PathEnsemble:
                 f"paths second axis {p.shape[1]} != n_steps+1 = {self.grid.n_steps + 1}")
         if p.shape[0] < 1 or p.shape[2] < 1:
             raise ParameterError(f"degenerate paths shape {p.shape}")
-        if not np.isfinite(p).all():
+        # min and max carry any nan and reach any inf, with no temporary
+        if not (np.isfinite(p.min()) and np.isfinite(p.max())):
             raise ParameterError("paths contain non-finite values")
         object.__setattr__(self, "paths", _freeze(p))
         object.__setattr__(self, "seed", int(self.seed))
@@ -355,8 +367,10 @@ class JumpPathEnsemble:
     derived: a jump leaves its path's initial state or the last jump's
     target, so a path's chain of states cannot break.  The construction
     refuses offsets that do not run from 0 to the number of jumps without
-    decreasing, states out of range, and times outside [0, T] or decreasing
-    within a path.
+    decreasing, states out of range, a jump to the state it leaves, and
+    times outside [0, T] or decreasing within a path.  Columns given as
+    arrays of their dtype (int64, float64 for times) are kept without a
+    copy and made read-only.
     """
 
     n_states: int
@@ -392,6 +406,8 @@ class JumpPathEnsemble:
         src[1:] = dst[:-1]
         src[first] = init[jumped]
         src.flags.writeable = False
+        if (src == dst).any():
+            raise ParameterError("a jump goes to the state it leaves")
         if not ((times >= 0.0) & (times <= T)).all():
             raise ParameterError(f"jump time outside [0, {T}]")
         back = np.diff(times) < 0.0
@@ -415,7 +431,8 @@ class JumpPathEnsemble:
 
 
 def _frozen_ints(arr, name: str) -> np.ndarray:
-    out = np.array(arr, dtype=np.int64)
+    """arr as a read-only int64 array, with no copy of an int64 array."""
+    out = np.asarray(arr, dtype=np.int64)
     if out.ndim != 1:
         raise ParameterError(f"{name} must be a 1-d array")
     out.flags.writeable = False

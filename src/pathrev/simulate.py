@@ -142,22 +142,32 @@ def ctmc_simulate(spec: GraphWalkSpec, cfg: SimConfig) -> JumpPathEnsemble:
         raise ParameterError(f"max exit rate x horizon is {lam_T:g}, above {_MAX_RATE_T:g}: "
                              "the walk would take about that many lockstep steps")
 
-    # cumulative sums ending in inf, so a draw at or past the total
-    # (roundoff) lands on the last state rather than past it
-    cum_p0 = np.cumsum(spec.p0)
-    cum_p0[-1] = math.inf
-    cum = np.cumsum(spec.intensity_matrix, axis=1)
-    cum[:, -1] = math.inf
-
-    initial, steps = _lockstep(seed, n_paths, cum_p0, cum, rates, T)
+    initial, steps = _lockstep(seed, n_paths, _search_rows(spec.p0),
+                               _search_rows(spec.intensity_matrix), rates, T)
     counts = np.zeros(n_paths, dtype=np.int64)
     for pids, *_ in steps:
         counts[pids] += 1  # a path jumps at most once per step
     offsets = np.concatenate([[0], np.cumsum(counts)])
     times = np.empty(offsets[-1])
     dst = np.empty(offsets[-1], dtype=np.int64)
-    for j, (pids, t, y) in enumerate(steps):
+    for j in range(len(steps)):
+        pids, t, y = steps[j]
+        steps[j] = None  # freed once placed
         # jump j of path i goes to offsets[i] + j
         pos = offsets[pids] + j
         times[pos], dst[pos] = t, y
     return JumpPathEnsemble(spec.n_states, T, initial, offsets, times, dst, seed)
+
+
+def _search_rows(w: np.ndarray) -> np.ndarray:
+    """Cumulative sums of the weights w along their last axis, inf from each
+    row's last positive weight on.  A target draw is scaled by the np.sum
+    total, which can exceed the cumsum total by an ulp; a draw at or past
+    the cumsum total lands on the row's last state of positive weight, never
+    on a zero-weight state after it.  A row without a positive weight ends
+    in inf."""
+    cum = np.cumsum(w, axis=-1)
+    n = w.shape[-1]
+    last = n - 1 - np.argmax(w[..., ::-1] > 0, axis=-1)
+    cum[np.arange(n) >= np.expand_dims(last, -1)] = math.inf
+    return cum

@@ -162,6 +162,29 @@ class TestPhiloxUniforms:
         with pytest.raises(ParameterError, match="integer array"):
             philox_uniforms(0, np.asarray([0, 2**64 - 1]), 1)
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_slices_meet_without_seams(self, monkeypatch, block):
+        # keys are computed _PHILOX_KEYS at a time into one output; at 3 a
+        # slice boundary falls after every third key
+        monkeypatch.setattr(core, "_PHILOX_KEYS", 3)
+        indices = np.array([0, 5, 2**63 - 1, 2**32, 1, 2**63 - 2, 7], dtype=np.int64)
+        U = philox_uniforms(11, indices, block)
+        want = np.array([path_rng(11, int(i)).random(4 * block)[-4:] for i in indices])
+        assert np.array_equal(U.view(np.uint64), want.view(np.uint64))
+
+    def test_memory_is_its_output_and_one_slice(self):
+        # a block for 1e5 keys once held a dozen full-length uint64 arrays
+        # at once: 12.8 MB traced for its 3.2 MB of output
+        indices = np.arange(10**5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            U = philox_uniforms(20260822, indices, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= U.nbytes + 2**20
+
 
 def _small_ensemble(seed=5, n_paths=3, n_steps=4, dim=2):
     g = make_grid(1.0, n_steps)
@@ -182,10 +205,11 @@ class TestPathEnsemble:
             PathEnsemble(g, np.zeros((3, 4, 2)), 0)  # wrong time axis
         with pytest.raises(ParameterError):
             PathEnsemble(g, np.zeros((3, 5)), 0)  # not 3-d
-        bad = np.zeros((3, 5, 2))
-        bad[1, 2, 0] = np.nan
-        with pytest.raises(ParameterError):
-            PathEnsemble(g, bad, 0)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.zeros((3, 5, 2))
+            bad[1, 2, 0] = value
+            with pytest.raises(ParameterError, match="non-finite"):
+                PathEnsemble(g, bad, 0)
 
     def test_paths_frozen(self):
         e = _small_ensemble()
@@ -338,6 +362,23 @@ class TestJumpPathEnsemble:
                             ((0.3, 2, 1), (0.4, 1, 0)))
         with pytest.raises(TypeError):
             _jumps(src=[0, 1])
+
+    def test_jump_to_the_state_it_leaves(self):
+        # path 0 starts in 1 and jumps to 1
+        with pytest.raises(ParameterError, match="to the state it leaves"):
+            _jumps(initial_states=[1, 2])
+
+    def test_int_columns_kept_without_copy(self):
+        cols = {"initial_states": np.array([0, 2]), "offsets": np.array([0, 2, 2]),
+                "times": np.array([0.3, 0.7]), "dst": np.array([1, 2])}
+        e = _jumps(**cols)
+        for name, given in cols.items():
+            assert np.shares_memory(getattr(e, name), given)
+            assert not given.flags.writeable
+        # lists, and ints of another width, are converted
+        e = _jumps(dst=np.array([1, 2], dtype=np.int32))
+        assert e.dst.dtype == np.int64 and not e.dst.flags.writeable
+        assert e.events == _jumps().events
 
     @pytest.mark.parametrize("times", [[-0.1, 0.7], [0.3, 1.5], [0.3, float("nan")]])
     def test_time_outside_horizon(self, times):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -161,6 +162,63 @@ class TestCtmcSimulate:
             ctmc_simulate(spec, SimConfig(5, 3, make_grid(2.5, 1)))
 
 
+class TestCtmcRoundoff:
+    """The target draw is scaled by the np.sum total of a row, which sums
+    pairwise from 8 entries on, and searched in its cumsum; where the two
+    totals differ by an ulp, a draw between them must still land on a state
+    of positive weight.  The uniforms are fixed by patching."""
+
+    @staticmethod
+    def _uniforms(monkeypatch, u):
+        monkeypatch.setattr(simulate, "philox_uniforms",
+                            lambda seed, rows, block: np.tile(u, (len(rows), 1)))
+
+    def test_target_past_the_cumsum_total(self, monkeypatch):
+        # state 0 joins 1..7, whose rates make the row sum exceed the cumsum
+        # total; 7 joins 8, which state 0 cannot reach
+        rng = np.random.default_rng(0)
+        while True:
+            row = np.concatenate([[0.0], rng.random(7) + 0.1, [0.0]])
+            if row.sum() > np.cumsum(row)[-1]:
+                break
+        assert (row.sum(), np.cumsum(row)[-1]) == (5.674334721188674, 5.674334721188673)
+        A = np.zeros((9, 9), dtype=bool)
+        A[0, 1:8] = A[1:8, 0] = A[7, 8] = A[8, 7] = True
+        J = A.astype(float)
+        J[0] = row
+        self._uniforms(monkeypatch, [0.0, 0.01, 1 - 2**-53, 0.999999])
+        e = ctmc_simulate(graph_walk(A, J, np.eye(9)[0]), SimConfig(1, 0, make_grid(1.0, 1)))
+        assert e.src.tolist() == [0] and e.dst.tolist() == [7]
+
+    def test_initial_state_past_the_cumsum_total(self, monkeypatch):
+        # p0 sums by cumsum to 0.9999999999999999; state 10 has probability 0
+        p0 = np.array([0.1] * 10 + [0.0])
+        assert np.cumsum(p0)[-1] == 1 - 2**-53
+        spec = biased_cycle_walk(11, rate_cw=1.0, rate_ccw=1.0)
+        spec = graph_walk(spec.adjacency, spec.intensity_matrix, p0)
+        self._uniforms(monkeypatch, [1 - 2**-53, 0.999999, 0.5, 0.999999])
+        e = ctmc_simulate(spec, SimConfig(1, 0, make_grid(1.0, 1)))
+        assert e.initial_states.tolist() == [9] and e.offsets.tolist() == [0, 0]
+
+
+def test_memory_is_its_columns_and_a_margin():
+    # the walk benchmark's run: the bundled cycle at 1e5 paths.  Its columns
+    # take 8.4 MiB; keeping every lockstep step through the ensemble's
+    # construction, and copies of the given columns, took 14.9 MiB more
+    spec = biased_cycle_walk(4, rate_cw=2.0, rate_ccw=1.0)
+    cfg = SimConfig(100000, 20260822, make_grid(1.0, 200))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        e = ctmc_simulate(spec, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    columns = sum(c.nbytes for c in (e.initial_states, e.offsets, e.times, e.src, e.dst))
+    assert e.offsets[-1] == 299041
+    assert peak <= columns + 8 * 2**20
+
+
 def _reference_euler(spec, cfg):
     """The Euler scheme written out per path on path_rng: one fresh stream
     per path, its (n_steps + 1, dim) normals drawn at once in the documented
@@ -198,11 +256,12 @@ def _reference_ctmc(spec, T, n_paths, seed):
     fresh stream per path, read one uniform at a time in the documented
     layout, and one numpy search per draw."""
     cum_p0 = np.cumsum(spec.p0)
-    last = spec.n_states - 1
     initial, all_events = [], []
     for i in range(n_paths):
         rng = path_rng(seed, i)
-        x = min(int(np.searchsorted(cum_p0, rng.random(), side="right")), last)
+        # a draw past the rounded total takes the last state of positive weight
+        x = min(int(np.searchsorted(cum_p0, rng.random(), side="right")),
+                int(np.flatnonzero(spec.p0)[-1]))
         initial.append(x)
         t, events = 0.0, []
         while True:
@@ -214,7 +273,7 @@ def _reference_ctmc(spec, T, n_paths, seed):
             if t > T:
                 break
             y = min(int(np.searchsorted(np.cumsum(row), rng.random() * lam,
-                                        side="right")), last)
+                                        side="right")), int(np.flatnonzero(row)[-1]))
             events.append((float(t), x, y))
             x = y
         all_events.append(tuple(events))
